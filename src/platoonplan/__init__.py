@@ -86,8 +86,6 @@ from .mip import (
     MipModel,
     MipResult,
     SolveConfig,
-    export_model,
-    import_lp,
     lp_bound,
     solve,
 )
@@ -165,11 +163,9 @@ __all__ = [
     "check",
     "decode",
     "enumerate_pairs",
-    "export_model",
     "fingerprint",
     "generate_fleet",
     "generate_grid",
-    "import_lp",
     "indicators",
     "load_instance",
     "load_network",

@@ -28,6 +28,7 @@ from .network import (
     RoadNetwork,
     TravelTimeMatrix,
     _parse_network_lines,
+    _read_lines,
     all_pairs_shortest_times,
     make_network,
     network_text,
@@ -58,8 +59,8 @@ class Instance:
             raise ValidationError(f"eta must lie in [0, 1), got {self.eta}")
         if self.q_limit is not None and self.q_limit < 2:
             raise ValidationError("q_limit must be >= 2 or None for unlimited")
-        if self.time_unit <= 0:
-            raise ValidationError("time_unit must be positive")
+        if not (math.isfinite(self.time_unit) and self.time_unit > 0):
+            raise ValidationError("time_unit must be finite and positive")
         if self.horizon < 0:
             raise ValidationError("horizon must be non-negative")
         st = all_pairs_shortest_times(self.network)
@@ -296,8 +297,7 @@ def save_instance(instance: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = list(enumerate(fh, start=1))
+    lines = _read_lines(path)
     n_nodes, arc_data, extra = _parse_network_lines(lines, str(path))
     net = make_network(n_nodes, arc_data)
     vehicles = []

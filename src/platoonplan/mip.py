@@ -5,8 +5,8 @@ sparse term lists, and the objective may carry a constant.  :func:`solve`
 runs branch and bound over LP relaxations (HiGHS via ``scipy.optimize``),
 with best-bound node selection and most-fractional branching, both with
 lowest-index tie breaks, so a given model and config always reproduce the
-same search.  :func:`export_model` writes LP text or fixed-field MPS;
-:func:`import_lp` reads the LP text back.
+same search.  :func:`lp_text` prints a model as CPLEX-style LP text for
+debugging.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-from .errors import ModelInfeasible, ModelInvalid, ParseError, Unbounded
+from .errors import ModelInfeasible, ModelInvalid, Unbounded
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -143,9 +143,6 @@ class MipModel:
 class SolveConfig:
     time_limit: float | None = None
     gap_tol: float = 1e-9
-    node_order: str = "best-bound"  # or "depth-first"
-    branch_rule: str = "most-fractional"  # or "first-fractional"
-    node_limit: int | None = None
     warm_start: Mapping[str, float] | None = None
 
 
@@ -157,7 +154,6 @@ class MipResult:
     values: dict[str, float]
     wall_time: float
     node_count: int
-    bound_history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -257,7 +253,7 @@ def _feasible_point(comp: _Compiled, x: np.ndarray) -> bool:
     return True
 
 
-def _result(model, comp, status, inc_x, inc_obj, bound_min, start, nodes, history):
+def _result(model, comp, status, inc_x, inc_obj, bound_min, start, nodes):
     values: dict[str, float] = {}
     objective = None
     if inc_x is not None:
@@ -270,11 +266,6 @@ def _result(model, comp, status, inc_x, inc_obj, bound_min, start, nodes, histor
     bound = None
     if bound_min is not None and math.isfinite(bound_min):
         bound = (-bound_min if comp.flip else bound_min) + comp.const
-    # history entries live in internal minimize space; report them in the
-    # model's own sense, like the final bound
-    mapped = [
-        (-h if comp.flip else h) + comp.const for h in history if math.isfinite(h)
-    ]
     return MipResult(
         status=status,
         objective=objective,
@@ -282,7 +273,6 @@ def _result(model, comp, status, inc_x, inc_obj, bound_min, start, nodes, histor
         values=values,
         wall_time=time.perf_counter() - start,
         node_count=nodes,
-        bound_history=mapped,
     )
 
 
@@ -294,17 +284,12 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
     per constraint; integer variables are reported as exact integers.
     """
     cfg = cfg or SolveConfig()
-    if cfg.node_order not in ("best-bound", "depth-first"):
-        raise ModelInvalid(f"unknown node order {cfg.node_order!r}")
-    if cfg.branch_rule not in ("most-fractional", "first-fractional"):
-        raise ModelInvalid(f"unknown branch rule {cfg.branch_rule!r}")
     start = time.perf_counter()
     comp = _compile(model)
     n = model.num_vars
-    history: list[float] = []
 
     if n == 0:
-        return MipResult(OPTIMAL, comp.const, comp.const, {}, time.perf_counter() - start, 0, [])
+        return MipResult(OPTIMAL, comp.const, comp.const, {}, time.perf_counter() - start, 0)
 
     inc_x = None
     inc_obj = math.inf  # in minimize space, without the constant
@@ -324,34 +309,21 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
         return inc_obj - lb <= cfg.gap_tol * max(1.0, abs(inc_obj))
 
     # nodes carry their parent's LP value as a lower bound plus the chain of
-    # bound tightenings that defines the subproblem
-    best_bound_order = cfg.node_order == "best-bound"
+    # bound tightenings that defines the subproblem; the heap top is a valid
+    # global lower bound
     heap = [(-math.inf, 0, ())]
     tick = 1
     nodes = 0
-
-    def open_lb() -> float:
-        # valid global lower bound from the open node list
-        if not heap:
-            return inc_obj
-        return heap[0][0] if best_bound_order else min(h[0] for h in heap)
 
     status = None
     proven_lb = None
     while heap:
         if out_of_time():
             status = FEASIBLE_TIME_LIMIT if inc_x is not None else NO_SOLUTION_TIME_LIMIT
-            proven_lb = open_lb()
+            proven_lb = heap[0][0]
             break
-        if cfg.node_limit is not None and nodes >= cfg.node_limit:
-            status = FEASIBLE_TIME_LIMIT if inc_x is not None else NO_SOLUTION_TIME_LIMIT
-            proven_lb = open_lb()
-            break
-        if best_bound_order:
-            prio, _, changes = heapq.heappop(heap)
-        else:
-            prio, _, changes = heap.pop()
-        if best_bound_order and inc_x is not None and gap_closed(prio):
+        prio, _, changes = heapq.heappop(heap)
+        if inc_x is not None and gap_closed(prio):
             # remaining nodes can only be worse; the popped bound proves it
             status = OPTIMAL
             proven_lb = min(prio, inc_obj)
@@ -377,8 +349,6 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
             raise ModelInvalid(f"model {model.name!r}: LP solver failure (status {lp_status})")
         node_bound = float(fun)
         if inc_x is not None and gap_closed(node_bound):
-            if best_bound_order:
-                history.append(min(open_lb(), inc_obj))
             continue
 
         frac = np.abs(x - np.round(x))
@@ -390,37 +360,25 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
             if obj < inc_obj:
                 inc_x, inc_obj = x_int, obj
         else:
-            if cfg.branch_rule == "most-fractional":
-                score = np.minimum(frac, 1.0 - frac)
-                score[frac <= _INT_TOL] = -1.0
-                j = int(np.argmax(score))
-            else:
-                j = int(np.nonzero(frac > _INT_TOL)[0][0])
+            # most-fractional branching; argmax breaks ties on the lowest index
+            score = np.minimum(frac, 1.0 - frac)
+            score[frac <= _INT_TOL] = -1.0
+            j = int(np.argmax(score))
             val = x[j]
             down = changes + ((j, None, math.floor(val)),)
             up = changes + ((j, math.ceil(val), None),)
-            if best_bound_order:
-                heapq.heappush(heap, (node_bound, tick, down))
-                heapq.heappush(heap, (node_bound, tick + 1, up))
-            else:
-                heap.append((node_bound, tick, up))
-                heap.append((node_bound, tick + 1, down))
+            heapq.heappush(heap, (node_bound, tick, down))
+            heapq.heappush(heap, (node_bound, tick + 1, up))
             tick += 2
-        if best_bound_order:
-            history.append(min(open_lb(), inc_obj) if inc_x is not None else open_lb())
 
     if status is None:
         # open list exhausted: every leaf was solved or pruned
         if inc_x is None:
-            return _result(model, comp, INFEASIBLE, None, None, None, start, nodes, history)
-        status = OPTIMAL
-        proven_lb = inc_obj
-    if best_bound_order and proven_lb is not None and math.isfinite(proven_lb):
-        if not history or history[-1] != proven_lb:
-            history.append(proven_lb)
-    if inc_x is None:
-        return _result(model, comp, status, None, None, proven_lb, start, nodes, history)
-    return _result(model, comp, status, inc_x, inc_obj, proven_lb, start, nodes, history)
+            status = INFEASIBLE
+        else:
+            status = OPTIMAL
+            proven_lb = inc_obj
+    return _result(model, comp, status, inc_x, inc_obj, proven_lb, start, nodes)
 
 
 def lp_bound(model: MipModel) -> float:
@@ -460,7 +418,7 @@ def _lp_terms(pairs: Sequence[tuple[str, float]], constant: float = 0.0) -> str:
 
 
 def lp_text(model: MipModel) -> str:
-    """CPLEX-style LP text; round-trips through :func:`import_lp`."""
+    """CPLEX-style LP text of ``model``, for reading and debugging."""
     lines = [f"\\ {model.name}"]
     lines.append("Maximize" if model.sense == "max" else "Minimize")
     obj_pairs = [
@@ -494,293 +452,3 @@ def lp_text(model: MipModel) -> str:
         lines.append(" " + " ".join(generals))
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-def mps_text(model: MipModel) -> str:
-    """Fixed-field MPS.  Variable names pass through unmangled (they are
-    short alphanumerics by construction), so the mapping is injective."""
-
-    def row(*fields: str) -> str:
-        cols = (1, 4, 14, 24, 39, 49)
-        out = []
-        pos = 0
-        for col, text in zip(cols, fields):
-            out.append(" " * (col - pos))
-            out.append(text)
-            pos = col + len(text)
-        return "".join(out)
-
-    lines = [f"NAME          {model.name}"]
-    if model.sense == "max":
-        lines.append("OBJSENSE")
-        lines.append("    MAX")
-    lines.append("ROWS")
-    lines.append(row("N", "OBJ"))
-    sense_tag = {"<=": "L", ">=": "G", "=": "E"}
-    for _idxs, _coefs, sense, _rhs, name in model.constraints:
-        lines.append(row(sense_tag[sense], name))
-
-    by_var: dict[int, list[tuple[str, float]]] = {i: [] for i in range(model.num_vars)}
-    for i, coef in model.objective.items():
-        by_var[i].append(("OBJ", coef))
-    for idxs, coefs, _sense, _rhs, name in model.constraints:
-        for i, coef in zip(idxs, coefs):
-            by_var[i].append((name, coef))
-
-    lines.append("COLUMNS")
-    in_int = False
-    marker = 0
-    for i, var in enumerate(model.variables):
-        is_int = var.kind != CONTINUOUS
-        if is_int != in_int:
-            tag = "'INTORG'" if is_int else "'INTEND'"
-            lines.append(row("", f"MARKER{marker}", "'MARKER'", tag))
-            marker += 1
-            in_int = is_int
-        for rname, coef in by_var[i]:
-            lines.append(row("", var.name, rname, _num(coef)))
-    if in_int:
-        lines.append(row("", f"MARKER{marker}", "'MARKER'", "'INTEND'"))
-
-    lines.append("RHS")
-    if model.objective_constant:
-        lines.append(row("", "RHS1", "OBJ", _num(-model.objective_constant)))
-    for _idxs, _coefs, _sense, rhs, name in model.constraints:
-        lines.append(row("", "RHS1", name, _num(rhs)))
-
-    lines.append("BOUNDS")
-    for var in model.variables:
-        if var.kind == BINARY:
-            lines.append(row("BV", "BND1", var.name))
-            continue
-        if var.lower == -math.inf and var.upper == math.inf:
-            lines.append(row("FR", "BND1", var.name))
-            continue
-        if var.lower == -math.inf:
-            lines.append(row("MI", "BND1", var.name))
-        elif var.lower != 0.0:
-            lines.append(row("LO", "BND1", var.name, _num(var.lower)))
-        if var.upper != math.inf:
-            lines.append(row("UP", "BND1", var.name, _num(var.upper)))
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
-
-
-def export_model(model: MipModel, fmt: str, path) -> None:
-    if fmt == "lp":
-        text = lp_text(model)
-    elif fmt == "mps":
-        text = mps_text(model)
-    else:
-        raise ModelInvalid(f"unknown export format {fmt!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-
-
-def _tokenize_lp(text: str) -> list[tuple[int, str]]:
-    tokens = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        body = line.split("\\", 1)[0]
-        for tok in body.replace(":", " : ").split():
-            tokens.append((line_no, tok))
-    return tokens
-
-
-_SECTION_STARTS = {
-    "minimize": "objective",
-    "maximize": "objective",
-    "subject": None,
-    "st": "constraints",
-    "s.t.": "constraints",
-    "bounds": "bounds",
-    "binary": "binary",
-    "binaries": "binary",
-    "general": "general",
-    "generals": "general",
-    "end": "end",
-}
-
-
-def _parse_expression(tokens, pos, stop_words):
-    """Read ``[sign] [coef] name`` terms until a stop word or comparison."""
-    terms = []
-    constant = 0.0
-    sign = 1.0
-    pending: float | None = None
-    while pos < len(tokens):
-        line_no, tok = tokens[pos]
-        low = tok.lower()
-        if low in stop_words or tok in ("<=", ">=", "=", "<", ">"):
-            break
-        if tok in ("+", "-"):
-            if pending is not None:
-                # the pending number had no variable: it was a constant term
-                constant += sign * pending
-                pending = None
-                sign = 1.0
-            if tok == "-":
-                sign = -sign
-            pos += 1
-            continue
-        try:
-            value = float(tok)
-        except ValueError:
-            coef = sign * (1.0 if pending is None else pending)
-            terms.append((tok, coef))
-            sign = 1.0
-            pending = None
-            pos += 1
-            continue
-        if pending is not None:
-            constant += sign * pending
-            sign = 1.0
-        pending = value
-        pos += 1
-    if pending is not None:
-        constant += sign * pending
-    return terms, constant, pos
-
-
-def import_lp(path) -> MipModel:
-    """Parse LP text written by :func:`lp_text` into an equivalent model."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    tokens = _tokenize_lp(text)
-    if not tokens:
-        raise ParseError(f"{path}: empty LP file")
-
-    model = MipModel(name="imported")
-    objective_terms: list[tuple[str, float]] = []
-    objective_const = 0.0
-    sense = "min"
-    constraints = []
-    bounds: dict[str, list[float]] = {}
-    kinds: dict[str, str] = {}
-    declared: list[str] = []
-
-    def declare(name: str):
-        if name not in kinds:
-            kinds[name] = CONTINUOUS
-            declared.append(name)
-
-    pos = 0
-    section = None
-    while pos < len(tokens):
-        line_no, tok = tokens[pos]
-        low = tok.lower()
-        if low in ("subject", "such"):
-            # swallow "subject to" / "such that"
-            pos += 2
-            section = "constraints"
-            continue
-        if low in _SECTION_STARTS and _SECTION_STARTS[low] is not None:
-            section = _SECTION_STARTS[low]
-            if section == "objective":
-                sense = "max" if low == "maximize" else "min"
-            pos += 1
-            if section == "end":
-                break
-            continue
-        if section == "objective":
-            if pos + 1 < len(tokens) and tokens[pos + 1][1] == ":":
-                pos += 2  # drop the objective label
-                continue
-            objective_terms, objective_const, pos = _parse_expression(
-                tokens, pos, set(_SECTION_STARTS) | {"subject", "such"}
-            )
-            for name, _ in objective_terms:
-                declare(name)
-        elif section == "constraints":
-            name = None
-            if pos + 1 < len(tokens) and tokens[pos + 1][1] == ":":
-                name = tok
-                pos += 2
-            terms, _const, pos = _parse_expression(tokens, pos, set(_SECTION_STARTS) | {"subject", "such"})
-            if pos >= len(tokens):
-                raise ParseError("constraint missing comparison", line_no)
-            op = tokens[pos][1]
-            op = {"<": "<=", ">": ">="}.get(op, op)
-            if op not in _SENSES:
-                raise ParseError(f"bad comparison {op!r}", tokens[pos][0])
-            pos += 1
-            if pos >= len(tokens):
-                raise ParseError("constraint missing right-hand side", line_no)
-            try:
-                rhs = float(tokens[pos][1])
-            except ValueError:
-                raise ParseError(f"bad right-hand side {tokens[pos][1]!r}", tokens[pos][0]) from None
-            pos += 1
-            for vname, _ in terms:
-                declare(vname)
-            constraints.append((name, terms, op, rhs))
-        elif section == "bounds":
-            # one bound statement per line:
-            # "a <= x <= b", "x <= b", "x >= a", "x = a", "x free"
-            run = []
-            run_lines = []
-            while pos < len(tokens) and tokens[pos][0] == line_no:
-                run.append(tokens[pos][1])
-                run_lines.append(tokens[pos][0])
-                pos += 1
-            _apply_bound(bounds, run, run_lines, declare)
-        elif section in ("binary", "general"):
-            declare(tok)
-            kinds[tok] = BINARY if section == "binary" else INTEGER
-            pos += 1
-        else:
-            raise ParseError(f"unexpected token {tok!r}", line_no)
-
-    for name in declared:
-        kind = kinds[name]
-        lo, hi = bounds.get(name, [0.0, math.inf])
-        if kind == BINARY:
-            lo, hi = max(lo, 0.0), min(hi, 1.0)
-        model.add_var(name, kind=kind, lower=lo, upper=hi)
-    for name, terms, op, rhs in constraints:
-        model.add_constr(terms, op, rhs, name=name)
-    model.set_objective(objective_terms, sense=sense, constant=objective_const)
-    return model
-
-
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
-
-
-def _apply_bound(bounds, run, run_lines, declare):
-    def num(tok, line_no):
-        low = tok.lower()
-        if low in ("-inf", "-infinity"):
-            return -math.inf
-        if low in ("+inf", "inf", "infinity", "+infinity"):
-            return math.inf
-        try:
-            return float(tok)
-        except ValueError:
-            raise ParseError(f"bad bound value {tok!r}", line_no) from None
-
-    if len(run) >= 2 and run[1].lower() == "free":
-        declare(run[0])
-        bounds[run[0]] = [-math.inf, math.inf]
-        return
-    if len(run) == 3 and not _is_number(run[0]):
-        name, op, val = run
-        declare(name)
-        entry = bounds.setdefault(name, [0.0, math.inf])
-        v = num(val, run_lines[2])
-        if op == "<=":
-            entry[1] = v
-        elif op == ">=":
-            entry[0] = v
-        else:
-            entry[0] = entry[1] = v
-        return
-    if len(run) == 5:
-        lo, _op1, name, _op2, hi = run
-        declare(name)
-        bounds[name] = [num(lo, run_lines[0]), num(hi, run_lines[4])]
-        return
-    raise ParseError(f"unparsable bound line {' '.join(run)!r}", run_lines[0])

@@ -66,6 +66,16 @@ class RoadNetwork:
             inc[arc[1]].append(arc)
         return {i: tuple(v) for i, v in inc.items()}
 
+    # The shortest-path closures live on the network itself, so they are
+    # freed with it; RoadNetwork is frozen, so they never go stale.
+    @cached_property
+    def shortest_times(self) -> TravelTimeMatrix:
+        return TravelTimeMatrix(_min_plus_closure(self.n_nodes, self.travel_time))
+
+    @cached_property
+    def shortest_costs(self) -> np.ndarray:
+        return _min_plus_closure(self.n_nodes, self.cost)
+
 
 def make_network(n_nodes: int, arc_data: Iterable[tuple[int, int, float, float]]) -> RoadNetwork:
     """Build a network from ``(tail, head, cost, travel_time)`` records.
@@ -78,6 +88,9 @@ def make_network(n_nodes: int, arc_data: Iterable[tuple[int, int, float, float]]
     times = {}
     for tail, head, c, t in arc_data:
         arc = (int(tail), int(head))
+        if not math.isfinite(t):
+            # checked here because rounding up a NaN or inf cannot give an int
+            raise ValidationError(f"arc {arc} has a non-finite travel time")
         arcs.append(arc)
         cost[arc] = float(c)
         times[arc] = int(math.ceil(t - 1e-12))
@@ -116,30 +129,14 @@ def _min_plus_closure(n: int, weights: Mapping[Arc, float]) -> np.ndarray:
     return d
 
 
-# Matrices are memoized on network identity: RoadNetwork is frozen, so the
-# closure never goes stale.
-_TIME_CACHE: dict[int, tuple[RoadNetwork, TravelTimeMatrix]] = {}
-_COST_CACHE: dict[int, tuple[RoadNetwork, np.ndarray]] = {}
-
-
 def all_pairs_shortest_times(net: RoadNetwork) -> TravelTimeMatrix:
     """Shortest travel time between every node pair."""
-    hit = _TIME_CACHE.get(id(net))
-    if hit is not None and hit[0] is net:
-        return hit[1]
-    mat = TravelTimeMatrix(_min_plus_closure(net.n_nodes, net.travel_time))
-    _TIME_CACHE[id(net)] = (net, mat)
-    return mat
+    return net.shortest_times
 
 
 def shortest_cost_matrix(net: RoadNetwork) -> np.ndarray:
     """Shortest transport cost between every node pair."""
-    hit = _COST_CACHE.get(id(net))
-    if hit is not None and hit[0] is net:
-        return hit[1]
-    mat = _min_plus_closure(net.n_nodes, net.cost)
-    _COST_CACHE[id(net)] = (net, mat)
-    return mat
+    return net.shortest_costs
 
 
 def min_cost_within_time(net: RoadNetwork, origin: int, budget: int) -> np.ndarray:
@@ -283,10 +280,18 @@ def _parse_network_lines(lines, path_label):
     return n_nodes, arc_data, extra
 
 
+def _read_lines(path) -> list[tuple[int, str]]:
+    """Numbered lines of an ASCII text file; other bytes raise ParseError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return list(enumerate(fh, start=1))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not ASCII text ({exc})") from None
+
+
 def load_network(path) -> RoadNetwork:
     """Parse a network file; raises :class:`ParseError` with a line number."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = list(enumerate(fh, start=1))
+    lines = _read_lines(path)
     n_nodes, arc_data, extra = _parse_network_lines(lines, str(path))
     if extra:
         line_no, parts = extra[0]

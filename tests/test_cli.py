@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from platoonplan import cli
 from platoonplan.cli import main
 from platoonplan.instance import load_instance, save_instance
 
@@ -105,6 +106,14 @@ def test_solve_missing_instance(tmp_path, capsys):
     rc = main(["solve", str(tmp_path / "nope.txt"), "--method", "cpf"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_solve_rejects_nan_travel_time(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    path.write_text("nodes 2\narc 0 1 1 nan\nvehicle 0 0 1 0 9\nparams 0.1 inf 1 20\n")
+    rc = main(["solve", str(path), "--method", "cpf"])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_solve_unknown_method_is_an_argparse_error(demo_file):
@@ -229,3 +238,14 @@ def test_bench_rejects_bad_manifest(tmp_path, capsys, payload):
     rc = main(["bench", str(manifest), "-o", str(tmp_path / "t.csv")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exists", [True, False])
+def test_bench_cpu_s_is_process_time(demo_file, tmp_path, monkeypatch, exists):
+    # both the solved row and the broken row read the process CPU clock
+    ticks = iter([10.0, 12.25])
+    monkeypatch.setattr(cli.time, "process_time", lambda: next(ticks))
+    path = demo_file if exists else str(tmp_path / "gone.txt")
+    record = cli._bench_row({"instance": path, "method": "cpf"})
+    assert ("error" in record) != exists
+    assert record["cpu_s"] == "2.250"

@@ -206,7 +206,7 @@ def test_warm_routing_covers_model_and_is_feasible(demo):
     model = build_fcnf(demo)
     assert set(warm) == {v.name for v in model.variables}
     # accepted as an incumbent without any branching
-    res = solve(model, SolveConfig(node_limit=0, warm_start=warm))
+    res = solve(model, SolveConfig(time_limit=0.0, warm_start=warm))
     assert res.objective == pytest.approx(4.89, abs=1e-9)
 
 
@@ -216,7 +216,7 @@ def test_warm_schedule_covers_model_and_is_feasible(demo):
     warm = _warm_schedule(demo, routes, kept)
     model = build_tif(demo, routes, kept)
     assert set(warm) == {v.name for v in model.variables}
-    res = solve(model, SolveConfig(node_limit=0, warm_start=warm))
+    res = solve(model, SolveConfig(time_limit=0.0, warm_start=warm))
     # everyone-earliest already meets at 500 here
     assert res.objective == pytest.approx(0.1, abs=1e-9)
 

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from platoonplan.errors import (
     GenerationFailed,
@@ -177,3 +179,36 @@ def test_load_instance_parse_errors(tmp_path, extra, fragment):
     with pytest.raises(ParseError) as err:
         load_instance(path)
     assert fragment in str(err.value)
+
+
+# Replacement tokens for the loader property test: non-finite and negative
+# numbers, a comment marker, a word, and a non-ASCII letter.
+_TOKENS = ("nan", "inf", "-inf", "-1", "0", "1", "2.5", "#", "x", "\u00e9")
+_DEMO_LINES = instance_text(three_truck_demo()).splitlines()
+
+
+# An edit (line, field, token) replaces one field of the demo's text; line
+# and field wrap around, so line -1 is the params record.
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 5), st.sampled_from(_TOKENS)),
+                min_size=1, max_size=3))
+@example([(1, 4, "nan")])  # arc travel time
+@example([(1, 4, "inf")])
+@example([(1, 0, "\u00e9")])
+@example([(-1, 3, "nan")])  # params time_unit
+@example([(-1, 3, "inf")])
+def test_load_instance_fails_only_with_typed_errors(tmp_path_factory, edits):
+    lines = [line.split() for line in _DEMO_LINES]
+    for line, field, token in edits:
+        parts = lines[line % len(lines)]
+        parts[field % len(parts)] = token
+    path = tmp_path_factory.getbasetemp() / "mutated.txt"
+    path.write_text("\n".join(" ".join(p) for p in lines) + "\n", encoding="utf-8")
+    try:
+        instance = load_instance(path)
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(instance, Instance)
+    assert 0.0 <= instance.eta < 1.0
+    assert math.isfinite(instance.time_unit) and instance.time_unit > 0
+    assert all(math.isfinite(c) for c in instance.network.cost.values())

@@ -1,6 +1,8 @@
 """Road network construction, shortest paths, pruning, and serialization."""
 
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,6 +55,12 @@ def test_make_network_validates():
         make_network(2, [(0, 1, 1.0, 0)])  # zero travel time
     with pytest.raises(ValidationError):
         make_network(2, [])
+
+
+@pytest.mark.parametrize("cost, time", [(1.0, math.nan), (1.0, math.inf), (math.nan, 1), (math.inf, 1)])
+def test_make_network_rejects_non_finite_records(cost, time):
+    with pytest.raises(ValidationError, match="non-finite"):
+        make_network(2, [(0, 1, cost, time)])
 
 
 def test_fractional_travel_times_round_up():
@@ -214,6 +222,23 @@ def test_parse_error_carries_line_number(tmp_path):
     with pytest.raises(ParseError) as err:
         load_network(path)
     assert str(err.value).startswith("line 3:")
+
+
+def test_load_network_rejects_non_ascii(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("nodes 2\narc 0 1 1 1 \u00e9\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="not ASCII"):
+        load_network(path)
+
+
+def test_shortest_matrices_are_freed_with_the_network():
+    net = make_network(3, undirected([(0, 1, 1.0, 2), (1, 2, 1.0, 2)]))
+    assert all_pairs_shortest_times(net) is all_pairs_shortest_times(net)
+    assert shortest_cost_matrix(net) is shortest_cost_matrix(net)
+    ref = weakref.ref(net)
+    del net
+    gc.collect()
+    assert ref() is None
 
 
 def test_time_space_structure(demo):

@@ -32,13 +32,12 @@ from .errors import NoFeasibleSolution
 from .evaluate import PlatoonSolution, canonical_schedule, decode, total_cost
 from .formulations import (
     FixedRoutes,
-    admissible_arcs,
     build_fcnf,
     build_tif,
     routes_from_result,
     scheduling_preprocess,
 )
-from .instance import Instance, node_time_bounds
+from .instance import Instance
 from .mip import SolveConfig, solve
 from .network import Arc
 
@@ -119,7 +118,8 @@ def modify_costs(
     cost = instance.network.cost
     n_round = (prev.iteration + 1) if prev is not None else 1
 
-    adm = admissible_arcs(instance)
+    adm = instance.admissible
+    windows = instance.windows
     traversed = frozenset(routes.arc_union)
     vehicles_on = {arc: frozenset(vs) for arc, vs in routes.vehicles_by_arc.items()}
 
@@ -130,12 +130,6 @@ def modify_costs(
                 group_size[v, arc] = len(g)
 
     comp_now = _compositions(solution)
-    whole: dict[int, object] = {}
-
-    def window_at(v: int, node: int):
-        if v not in whole:
-            whole[v] = node_time_bounds(instance, instance.vehicles[v])
-        return whole[v][node]
 
     modified: dict[tuple[int, Arc], float] = {}
     scenarios: dict[tuple[int, Arc], int] = {}
@@ -144,13 +138,15 @@ def modify_costs(
             if arc not in traversed:
                 continue
             c = cost[arc]
+            # one key object for both maps: run keeps every round's table
+            key = (v, arc)
             drivers = vehicles_on[arc]
             if v in drivers:
-                modified[v, arc] = real_cost(c, eta, group_size[v, arc], q)
-                scenarios[v, arc] = 1
+                modified[key] = real_cost(c, eta, group_size[v, arc], q)
+                scenarios[key] = 1
                 continue
 
-            lo_v, hi_v = window_at(v, arc[0])
+            lo_v, hi_v = windows[v][arc[0]]
             meet = [
                 u
                 for u in drivers
@@ -159,20 +155,20 @@ def modify_costs(
 
             cycled = _cycled_cost(v, arc, c, comp_now, history)
             if cycled is not None:
-                modified[v, arc] = cycled
-                scenarios[v, arc] = 4
+                modified[key] = cycled
+                scenarios[key] = 4
             elif mode == "llcmp":
-                modified[v, arc] = (1.0 - eta) * c
-                scenarios[v, arc] = 3 if meet else 2
+                modified[key] = (1.0 - eta) * c
+                scenarios[key] = 3 if meet else 2
             elif not meet:
-                modified[v, arc] = c
-                scenarios[v, arc] = 2
+                modified[key] = c
+                scenarios[key] = 2
             else:
                 k = 1 + len(meet)
                 if q is not None:
                     k = min(q, k)
-                modified[v, arc] = (1.0 - eta) * c + eta * c / k
-                scenarios[v, arc] = 3
+                modified[key] = (1.0 - eta) * c + eta * c / k
+                scenarios[key] = 3
 
     return CostTable(
         iteration=n_round,
@@ -299,11 +295,12 @@ def _trace(prev_arc, source, dest):
     return tuple(reversed(path))
 
 
-def _warm_routing(instance, adm, table):
+def _warm_routing(instance, table):
     """Feasible routing start: per-vehicle cheapest path, time-safe fallback.
 
     Returns a complete 0/1 assignment for the routing model's variables.
     """
+    adm = instance.admissible
     tt = instance.network.travel_time
     cost = instance.network.cost
     eta = instance.eta
@@ -374,7 +371,6 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
         raise ValueError(f"unknown scheduler {cfg.scheduler!r}")
     start = time.perf_counter()
     deadline = start + cfg.time_limit
-    adm = admissible_arcs(instance)
 
     table: CostTable | None = None
     history: list[HistoryEntry] = []
@@ -392,7 +388,7 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
         budget = max(remaining, 1.0)
 
         model = build_fcnf(instance, table)
-        warm = _warm_routing(instance, adm, table)
+        warm = _warm_routing(instance, table)
         rres = solve(
             model,
             SolveConfig(time_limit=budget, gap_tol=cfg.routing_gap, warm_start=warm),

@@ -29,33 +29,14 @@ from typing import Mapping, Sequence
 
 from .errors import (
     EmptyEntrySet,
-    EmptyPathSet,
     InfeasibleNode,
     InfeasibleVehicle,
     MissingCost,
     ValidationError,
 )
-from .instance import Instance, node_time_bounds
+from .instance import Instance, admissible_arcs  # admissible_arcs is re-exported
 from .mip import BINARY, CONTINUOUS, INTEGER, MipModel
-from .network import Arc, TimeSpaceNetwork, prune_arcs
-
-
-def admissible_arcs(instance: Instance) -> dict[int, set[Arc]]:
-    """Per-vehicle arc sets that survive the detour and time screens."""
-    st = instance.st
-    out = {}
-    for v, veh in enumerate(instance.vehicles):
-        try:
-            out[v] = prune_arcs(instance.network, veh, st, instance.eta)
-        except EmptyPathSet as exc:
-            raise InfeasibleVehicle(str(exc)) from exc
-    return out
-
-
-def _whole_bounds(instance: Instance) -> list[dict[int, tuple[int, int]]]:
-    return [
-        dict(node_time_bounds(instance, veh).bounds) for veh in instance.vehicles
-    ]
+from .network import Arc, TimeSpaceNetwork
 
 
 @dataclass(frozen=True)
@@ -75,8 +56,8 @@ class BigMSet:
 
 
 def big_m_values(instance: Instance) -> BigMSet:
-    adm = admissible_arcs(instance)
-    bounds = _whole_bounds(instance)
+    adm = instance.admissible
+    bounds = instance.windows
     m0, m1, m2 = {}, {}, {}
     n_veh = len(instance.vehicles)
     tt = instance.network.travel_time
@@ -109,8 +90,9 @@ def build_cpf(instance: Instance) -> MipModel:
     eta = instance.eta
     q = instance.q_limit
     n_veh = len(instance.vehicles)
-    adm = admissible_arcs(instance)
-    bounds = _whole_bounds(instance)
+    adm = instance.admissible
+    bounds = instance.windows
+    big_m = big_m_values(instance)
     m = MipModel("cpf")
 
     x: dict[tuple[int, Arc], int] = {}
@@ -158,8 +140,8 @@ def build_cpf(instance: Instance) -> MipModel:
         i = arc[0]
         m.add_constr([(idx, 1.0), (x[w, arc], -1.0)], "<=", 0.0)
         m.add_constr([(idx, 1.0), (x[v, arc], -1.0)], "<=", 0.0)
-        m0 = bounds[w][i][1] - bounds[v][i][0]
-        m1 = bounds[v][i][1] - bounds[w][i][0]
+        m0 = big_m.m0[v, w, i]
+        m1 = big_m.m1[v, w, i]
         m.add_constr(
             [(t[w, i], 1.0), (t[v, i], -1.0), (idx, m0)], "<=", m0
         )
@@ -191,7 +173,7 @@ def build_cpf(instance: Instance) -> MipModel:
             i, j = arc
             if j == veh.origin:
                 continue
-            m2 = max(0.0, bounds[v][i][1] - bounds[v][j][0] + tt[arc])
+            m2 = big_m.m2[i, j, v]
             m.add_constr(
                 [(t[v, j], 1.0), (t[v, i], -1.0), (x[v, arc], -m2)],
                 ">=",
@@ -210,7 +192,7 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
     """
     net = instance.network
     q = instance.q_limit
-    adm = admissible_arcs(instance)
+    adm = instance.admissible
     m = MipModel("tsf")
 
     move_users: dict[tuple[int, int, int, int], list[int]] = defaultdict(list)
@@ -296,7 +278,7 @@ def build_fcnf(instance: Instance, cost_table=None) -> MipModel:
     """
     net = instance.network
     eta = instance.eta
-    adm = admissible_arcs(instance)
+    adm = instance.admissible
     m = MipModel("fcnf")
 
     union = sorted(set().union(*adm.values())) if adm else []

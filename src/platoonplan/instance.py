@@ -18,8 +18,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    EmptyPathSet,
     GenerationFailed,
     InfeasibleNode,
+    InfeasibleVehicle,
     ParseError,
     ValidationError,
 )
@@ -27,11 +29,13 @@ from .network import (
     Arc,
     RoadNetwork,
     TravelTimeMatrix,
+    _fmt,
     _parse_network_lines,
     _read_lines,
     all_pairs_shortest_times,
     make_network,
     network_text,
+    prune_arcs,
     shortest_cost_matrix,
 )
 
@@ -91,8 +95,18 @@ class Instance:
     def shortest_costs(self) -> np.ndarray:
         return shortest_cost_matrix(self.network)
 
-    def vehicle(self, vid: int) -> Vehicle:
-        return self.vehicles[vid]
+    # Admissibility is a fixed fact of the instance: every builder and the
+    # cost shaping read these two caches.  The sets are shared, so callers
+    # must not mutate them.
+    @cached_property
+    def windows(self) -> tuple[TimeBounds, ...]:
+        """Whole-network node windows, one :class:`TimeBounds` per vehicle."""
+        return tuple(node_time_bounds(self, veh) for veh in self.vehicles)
+
+    @cached_property
+    def admissible(self) -> dict[int, set[Arc]]:
+        """Per-vehicle admissible arcs, as :func:`admissible_arcs` returns them."""
+        return admissible_arcs(self)
 
 
 @dataclass(frozen=True)
@@ -150,6 +164,18 @@ def node_time_bounds(instance: Instance, vehicle: Vehicle, path: Sequence[Arc] |
             )
         bounds[node] = (lo, hi)
     return TimeBounds(vehicle.id, bounds)
+
+
+def admissible_arcs(instance: Instance) -> dict[int, set[Arc]]:
+    """Per-vehicle arc sets that survive the detour and time screens."""
+    st = instance.st
+    out = {}
+    for v, veh in enumerate(instance.vehicles):
+        try:
+            out[v] = prune_arcs(instance.network, veh, st, instance.eta)
+        except EmptyPathSet as exc:
+            raise InfeasibleVehicle(str(exc)) from exc
+    return out
 
 
 def generate_fleet(
@@ -271,10 +297,6 @@ def three_truck_demo() -> Instance:
         time_unit=0.6,
         horizon=1000,
     )
-
-
-def _fmt(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
 def instance_text(instance: Instance) -> str:

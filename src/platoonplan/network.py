@@ -52,20 +52,6 @@ class RoadNetwork:
             if not isinstance(t, (int, np.integer)) or t < 1:
                 raise ValidationError(f"arc {arc} needs an integral travel time >= 1")
 
-    @cached_property
-    def out_arcs(self) -> dict[int, tuple[Arc, ...]]:
-        out: dict[int, list[Arc]] = {i: [] for i in range(self.n_nodes)}
-        for arc in self.arcs:
-            out[arc[0]].append(arc)
-        return {i: tuple(v) for i, v in out.items()}
-
-    @cached_property
-    def in_arcs(self) -> dict[int, tuple[Arc, ...]]:
-        inc: dict[int, list[Arc]] = {i: [] for i in range(self.n_nodes)}
-        for arc in self.arcs:
-            inc[arc[1]].append(arc)
-        return {i: tuple(v) for i, v in inc.items()}
-
     # The shortest-path closures live on the network itself, so they are
     # freed with it; RoadNetwork is frozen, so they never go stale.
     @cached_property
@@ -318,31 +304,20 @@ class TimeSpaceNetwork:
     unit_cost: Mapping[Arc, float]
     admissible: tuple[dict[int, tuple[int, int]], ...]
 
-    @cached_property
-    def ts_nodes(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, t) for i in range(self.net.n_nodes) for t in range(self.horizon + 1)
-        )
-
 
 def build_time_space(net: RoadNetwork, instance) -> TimeSpaceNetwork:
-    """Expand a network over ``instance.horizon`` scheduling units."""
+    """Expand a network over ``instance.horizon`` scheduling units.
+
+    The per-vehicle node windows are copies of ``instance.windows``.
+    """
     horizon = instance.horizon
-    st = all_pairs_shortest_times(net)
-    admissible = []
     for veh in instance.vehicles:
         if veh.latest_arrival > horizon:
             raise HorizonExceeded(
                 f"vehicle {veh.id} arrives up to {veh.latest_arrival}, "
                 f"horizon is {horizon}"
             )
-        windows = {}
-        for i in range(net.n_nodes):
-            lo = veh.earliest_departure + st[veh.origin, i]
-            hi = veh.latest_arrival - st[i, veh.dest]
-            if math.isfinite(lo) and math.isfinite(hi) and lo <= hi:
-                windows[i] = (int(lo), int(hi))
-        admissible.append(windows)
+    admissible = tuple(dict(w.bounds) for w in instance.windows)
 
     move_arcs = []
     for arc in net.arcs:
@@ -363,5 +338,5 @@ def build_time_space(net: RoadNetwork, instance) -> TimeSpaceNetwork:
         time_arcs=time_arcs,
         fixed_cost=fixed,
         unit_cost=unit,
-        admissible=tuple(admissible),
+        admissible=admissible,
     )

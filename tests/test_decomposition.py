@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import platoonplan.instance as instance_module
 from platoonplan.decomposition import (
     CostTable,
     DecompositionConfig,
@@ -25,7 +26,7 @@ from platoonplan.formulations import (
     build_tif,
     scheduling_preprocess,
 )
-from platoonplan.instance import Instance, Vehicle
+from platoonplan.instance import Instance, Vehicle, node_time_bounds
 from platoonplan.mip import SolveConfig, solve
 from platoonplan.network import make_network
 
@@ -201,8 +202,7 @@ def test_modify_costs_join_estimate_splits_among_meeting_drivers():
 
 
 def test_warm_routing_covers_model_and_is_feasible(demo):
-    adm = admissible_arcs(demo)
-    warm = _warm_routing(demo, adm, None)
+    warm = _warm_routing(demo, None)
     model = build_fcnf(demo)
     assert set(warm) == {v.name for v in model.variables}
     # accepted as an incumbent without any branching
@@ -268,6 +268,34 @@ def test_run_pairwise_scheduler(demo):
     assert check(demo, best).ok
     assert total_cost(demo, best) == pytest.approx(4.9, abs=1e-9)
     assert log.termination == "repeat"
+
+
+def test_run_computes_admissibility_once_per_instance(demo, monkeypatch):
+    calls = {"prune_arcs": [], "node_time_bounds": []}
+
+    def counting(name):
+        real = getattr(instance_module, name)
+
+        def wrapper(*args):
+            calls[name].append(args[1].id)  # both take the vehicle second
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(instance_module, name, counting(name))
+    assert demo.admissible is demo.admissible
+    _best, log = run(demo, DecompositionConfig(mode="icmp"))
+    assert len(log.records) > 1
+    # every round's routing model, warm start and cost shaping share one pass
+    assert sorted(calls["prune_arcs"]) == [0, 1, 2]
+    assert sorted(calls["node_time_bounds"]) == [0, 1, 2]
+    monkeypatch.undo()
+    # no caller mutated the shared sets or windows
+    assert demo.admissible == admissible_arcs(demo)
+    assert [w.bounds for w in demo.windows] == [
+        node_time_bounds(demo, veh).bounds for veh in demo.vehicles
+    ]
 
 
 def test_run_rejects_unknown_scheduler(demo):

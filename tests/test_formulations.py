@@ -4,7 +4,10 @@ import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from instgen import small_instance
 from oracles import brute_force_joint
 from platoonplan.errors import (
     EmptyEntrySet,
@@ -13,6 +16,7 @@ from platoonplan.errors import (
     MissingCost,
     ValidationError,
 )
+from platoonplan.evaluate import check, decode
 from platoonplan.formulations import (
     FixedRoutes,
     admissible_arcs,
@@ -389,6 +393,21 @@ def test_tif_precedence_forbids_double_pledge():
     )
     res = exact(build_tif(instance, routes))
     assert res.objective == pytest.approx(0.1, abs=1e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.integers(0, 2**16))
+def test_exact_models_match_enumeration_property(seed):
+    """CPF and TSF built from one instance's shared caches agree with
+    enumeration, and both incumbents decode to valid timetables."""
+    instance = small_instance(seed)
+    assume(instance is not None)
+    reference = brute_force_joint(instance)
+    tsn = build_time_space(instance.network, instance)
+    for which, model in (("cpf", build_cpf(instance)), ("tsf", build_tsf(instance, tsn))):
+        res = exact(model)
+        assert res.objective == pytest.approx(reference, abs=1e-6), which
+        assert check(instance, decode(instance, res, which)).ok
 
 
 # -- pair matching ------------------------------------------------------------

@@ -34,7 +34,7 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .mip import SolveConfig, solve
+from .mip import SolveConfig, lp_text, solve
 from .network import build_time_space, generate_grid, load_network
 
 _METHODS = ("cpf", "tsf", "iheur", "lliter", "pairwise")
@@ -81,12 +81,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solve_exact(instance: Instance, method: str, time_limit: float):
+def _solve_exact(instance: Instance, method: str, time_limit: float, dump_model=None):
     if method == "cpf":
         model = build_cpf(instance)
     else:
         tsn = build_time_space(instance.network, instance)
         model = build_tsf(instance, tsn)
+    if dump_model:
+        with open(dump_model, "w", encoding="ascii") as fh:
+            fh.write(lp_text(model))
     res = solve(model, SolveConfig(time_limit=time_limit, gap_tol=1e-9))
     if res.objective is None:
         raise PlatoonPlanError(f"{method} found no timetable: {res.status}")
@@ -108,11 +111,17 @@ def _solve_iterative(instance: Instance, method: str, args):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    exact = args.method in ("cpf", "tsf")
+    if args.dump_model and not exact:
+        raise PlatoonPlanError(
+            f"--dump-model needs --method cpf or tsf; {args.method} solves "
+            "a routing and a scheduling model every round"
+        )
     instance = load_instance(args.instance)
     start = time.perf_counter()
-    if args.method in ("cpf", "tsf"):
+    if exact:
         solution, obj, bound, status, logbook = _solve_exact(
-            instance, args.method, args.time_limit
+            instance, args.method, args.time_limit, args.dump_model
         )
     else:
         solution, obj, bound, status, logbook = _solve_iterative(
@@ -280,6 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--out", help="write a JSON run summary here")
     slv.add_argument("--solution", help="write the timetable as JSON here")
     slv.add_argument("--log", help="write per-round JSON lines here")
+    slv.add_argument("--dump-model", metavar="PATH",
+                     help="write the cpf/tsf model as LP text here before solving")
     slv.set_defaults(func=_cmd_solve)
 
     chk = sub.add_parser("check", help="validate a saved timetable")

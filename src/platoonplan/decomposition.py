@@ -34,6 +34,7 @@ from .formulations import (
     FixedRoutes,
     build_fcnf,
     build_tif,
+    price_fcnf,
     routes_from_result,
     scheduling_preprocess,
 )
@@ -67,7 +68,6 @@ class CostTable:
 
     iteration: int
     traversed: frozenset[Arc]
-    vehicles_on: Mapping[Arc, frozenset[int]]
     modified: Mapping[tuple[int, Arc], float]
     scenarios: Mapping[tuple[int, Arc], int]
 
@@ -173,7 +173,6 @@ def modify_costs(
     return CostTable(
         iteration=n_round,
         traversed=traversed,
-        vehicles_on=vehicles_on,
         modified=modified,
         scenarios=scenarios,
     )
@@ -372,6 +371,8 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
     start = time.perf_counter()
     deadline = start + cfg.time_limit
 
+    # the routing model is built once; each round only reprices it
+    model = build_fcnf(instance, None)
     table: CostTable | None = None
     history: list[HistoryEntry] = []
     seen: Counter = Counter()
@@ -387,7 +388,6 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
             break
         budget = max(remaining, 1.0)
 
-        model = build_fcnf(instance, table)
         warm = _warm_routing(instance, table)
         rres = solve(
             model,
@@ -429,6 +429,7 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
             break
 
         table = modify_costs(instance, table, routes, solution, cfg.mode, history)
+        price_fcnf(instance, model, table)
         history.append(HistoryEntry(compositions=_compositions(solution), table=table))
 
     if best is None:

@@ -32,6 +32,7 @@ from .errors import (
     InfeasibleNode,
     InfeasibleVehicle,
     MissingCost,
+    ModelInvalid,
     ValidationError,
 )
 from .instance import Instance, admissible_arcs  # admissible_arcs is re-exported
@@ -267,6 +268,18 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
 # -- routing stage ----------------------------------------------------------
 
 
+def _fcnf_columns(instance: Instance) -> tuple[list[Arc], list[tuple[int, Arc]]]:
+    """Variable order of the routing model.
+
+    One ``y`` per arc of the admissible union, sorted, then one ``x`` per
+    vehicle and admissible arc, sorted by vehicle and arc.
+    """
+    adm = instance.admissible
+    union = sorted(set().union(*adm.values())) if adm else []
+    xkeys = [(v, arc) for v in range(len(instance.vehicles)) for arc in sorted(adm[v])]
+    return union, xkeys
+
+
 def build_fcnf(instance: Instance, cost_table=None) -> MipModel:
     """Fixed-charge flow model for the routing stage.
 
@@ -275,36 +288,17 @@ def build_fcnf(instance: Instance, cost_table=None) -> MipModel:
     ``(1 - eta) * c`` per vehicle; its optimum underestimates every feasible
     platoon plan.  With a cost table, arcs the table marks as traversed in
     the previous round instead charge each vehicle its shaped coefficient.
+    Only the objective depends on the table, so one model can be repriced
+    for each round with :func:`price_fcnf`.
     """
     net = instance.network
-    eta = instance.eta
     adm = instance.admissible
     m = MipModel("fcnf")
 
-    union = sorted(set().union(*adm.values())) if adm else []
+    union, xkeys = _fcnf_columns(instance)
     yvar = {arc: m.add_var(f"y_{arc[0]}_{arc[1]}", BINARY) for arc in union}
-    xvar: dict[tuple[int, Arc], int] = {}
-    for v in range(len(instance.vehicles)):
-        for arc in sorted(adm[v]):
-            xvar[v, arc] = m.add_var(f"x_{arc[0]}_{arc[1]}_{v}", BINARY)
-
-    shaped = cost_table.traversed if cost_table is not None else frozenset()
-    obj = []
-    for (v, arc), idx in xvar.items():
-        if arc in shaped:
-            try:
-                coef = cost_table.modified[(v, arc)]
-            except KeyError:
-                raise MissingCost(
-                    f"cost table lacks a coefficient for vehicle {v} on arc {arc}"
-                ) from None
-            obj.append((idx, coef))
-        else:
-            obj.append((idx, (1.0 - eta) * net.cost[arc]))
-    for arc, idx in yvar.items():
-        if arc not in shaped:
-            obj.append((idx, eta * net.cost[arc]))
-    m.set_objective(obj, sense="min")
+    xvar = {(v, arc): m.add_var(f"x_{arc[0]}_{arc[1]}_{v}", BINARY) for v, arc in xkeys}
+    price_fcnf(instance, m, cost_table)
 
     tt = net.travel_time
     for v, veh in enumerate(instance.vehicles):
@@ -324,6 +318,41 @@ def build_fcnf(instance: Instance, cost_table=None) -> MipModel:
     for (v, arc), idx in xvar.items():
         m.add_constr([(idx, 1.0), (yvar[arc], -1.0)], "<=", 0.0)
     return m
+
+
+def price_fcnf(instance: Instance, model: MipModel, cost_table=None) -> None:
+    """Set the objective of a :func:`build_fcnf` model of ``instance``.
+
+    Prices exactly as ``build_fcnf(instance, cost_table)`` does, so the
+    repriced model and a freshly built one compile to the same arrays.
+    Raises :class:`MissingCost` if the table marks an arc as traversed but
+    lacks a vehicle's coefficient on it.
+    """
+    union, xkeys = _fcnf_columns(instance)
+    if model.num_vars != len(union) + len(xkeys):
+        raise ModelInvalid(
+            f"model {model.name!r} has {model.num_vars} variables; "
+            f"the routing model of this instance has {len(union) + len(xkeys)}"
+        )
+    cost = instance.network.cost
+    eta = instance.eta
+    shaped = cost_table.traversed if cost_table is not None else frozenset()
+    obj = []
+    for idx, (v, arc) in enumerate(xkeys, start=len(union)):
+        if arc in shaped:
+            try:
+                coef = cost_table.modified[(v, arc)]
+            except KeyError:
+                raise MissingCost(
+                    f"cost table lacks a coefficient for vehicle {v} on arc {arc}"
+                ) from None
+            obj.append((idx, coef))
+        else:
+            obj.append((idx, (1.0 - eta) * cost[arc]))
+    for idx, arc in enumerate(union):
+        if arc not in shaped:
+            obj.append((idx, eta * cost[arc]))
+    model.set_objective(obj, sense="min")
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,13 @@ with best-bound node selection and most-fractional branching, both with
 lowest-index tie breaks, so a given model and config always reproduce the
 same search.  :func:`lp_text` prints a model as CPLEX-style LP text for
 debugging.
+
+A model compiles to solver arrays once: the constraint matrix, right-hand
+sides, bounds and integrality are kept on the model until the next
+:meth:`MipModel.add_var` or :meth:`MipModel.add_constr`, so re-solving a model
+whose objective alone was reset with :meth:`MipModel.set_objective` recomputes
+only the cost vector.  The iterative heuristic relies on this: it builds its
+routing model once per run and reprices it every round.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -57,6 +65,8 @@ class MipModel:
         self.objective: dict[int, float] = {}
         self.objective_constant = 0.0
         self.sense = "min"
+        # solver arrays of the variables and constraints; see _compile
+        self._arrays: _Arrays | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -79,6 +89,7 @@ class MipModel:
         idx = len(self.variables)
         self.variables.append(Variable(name, kind, float(lower), float(upper)))
         self._index[name] = idx
+        self._arrays = None
         return idx
 
     def _resolve(self, var) -> int:
@@ -109,6 +120,7 @@ class MipModel:
                 name or f"c{row}",
             )
         )
+        self._arrays = None
         return row
 
     def set_objective(self, terms: Iterable[tuple], sense: str = "min", constant: float = 0.0) -> None:
@@ -156,11 +168,14 @@ class MipResult:
     node_count: int
 
 
-@dataclass
-class _Compiled:
-    c: np.ndarray
-    const: float
-    flip: bool
+@dataclass(frozen=True)
+class _Arrays:
+    """The solver arrays of a model's variables and constraints.
+
+    They do not depend on the objective, so a model keeps them until its
+    next :meth:`MipModel.add_var` or :meth:`MipModel.add_constr`.
+    """
+
     a_ub: csr_matrix | None
     b_ub: np.ndarray | None
     a_eq: csr_matrix | None
@@ -168,62 +183,72 @@ class _Compiled:
     lower: np.ndarray
     upper: np.ndarray
     int_mask: np.ndarray
+    names: list[str]
 
 
-def _compile(model: MipModel) -> _Compiled:
+@dataclass(frozen=True)
+class _Compiled(_Arrays):
+    """A model in the array form ``linprog`` takes, minimizing ``c @ x``."""
+
+    c: np.ndarray
+    const: float
+    flip: bool
+
+
+def _block(rows, n: int, signs: np.ndarray | None):
+    """One COO block of constraint rows as CSR, rows scaled by ``signs``."""
+    if not rows:
+        return None, None
+    lengths = np.fromiter((len(r[0]) for r in rows), np.int64, len(rows))
+    nnz = int(lengths.sum())
+    cols = np.fromiter(chain.from_iterable(r[0] for r in rows), np.int64, nnz)
+    vals = np.fromiter(chain.from_iterable(r[1] for r in rows), np.float64, nnz)
+    rhs = np.fromiter((r[3] for r in rows), np.float64, len(rows))
+    if signs is not None:
+        vals = np.repeat(signs, lengths) * vals
+        rhs = signs * rhs
+    row_ids = np.repeat(np.arange(len(rows), dtype=np.int64), lengths)
+    return csr_matrix((vals, (row_ids, cols)), shape=(len(rows), n)), rhs
+
+
+def _compile_arrays(model: MipModel) -> _Arrays:
     n = model.num_vars
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    int_mask = np.zeros(n, dtype=bool)
-    for i, v in enumerate(model.variables):
-        lower[i] = v.lower
-        upper[i] = v.upper
-        int_mask[i] = v.kind != CONTINUOUS
-    c = np.zeros(n)
-    for idx, coef in model.objective.items():
-        c[idx] = coef
-    flip = model.sense == "max"
-    if flip:
-        c = -c
-
-    rows_ub, cols_ub, vals_ub, b_ub = [], [], [], []
-    rows_eq, cols_eq, vals_eq, b_eq = [], [], [], []
-    for idxs, coefs, sense, rhs, _name in model.constraints:
-        if sense == "=":
-            r = len(b_eq)
-            for j, a in zip(idxs, coefs):
-                rows_eq.append(r)
-                cols_eq.append(j)
-                vals_eq.append(a)
-            b_eq.append(rhs)
-        else:
-            sign = 1.0 if sense == "<=" else -1.0
-            r = len(b_ub)
-            for j, a in zip(idxs, coefs):
-                rows_ub.append(r)
-                cols_ub.append(j)
-                vals_ub.append(sign * a)
-            b_ub.append(sign * rhs)
-
-    a_ub = b_ub_arr = a_eq = b_eq_arr = None
-    if b_ub:
-        a_ub = csr_matrix((vals_ub, (rows_ub, cols_ub)), shape=(len(b_ub), n))
-        b_ub_arr = np.array(b_ub)
-    if b_eq:
-        a_eq = csr_matrix((vals_eq, (rows_eq, cols_eq)), shape=(len(b_eq), n))
-        b_eq_arr = np.array(b_eq)
-    return _Compiled(
-        c=c,
-        const=model.objective_constant,
-        flip=flip,
+    variables = model.variables
+    lower = np.fromiter((v.lower for v in variables), np.float64, n)
+    upper = np.fromiter((v.upper for v in variables), np.float64, n)
+    int_mask = np.fromiter((v.kind != CONTINUOUS for v in variables), bool, n)
+    # ">=" rows are negated into "<=" rows; equalities keep their own block
+    eq_rows = [con for con in model.constraints if con[2] == "="]
+    ub_rows = [con for con in model.constraints if con[2] != "="]
+    signs = np.array([1.0 if con[2] == "<=" else -1.0 for con in ub_rows])
+    a_ub, b_ub = _block(ub_rows, n, signs)
+    a_eq, b_eq = _block(eq_rows, n, None)
+    return _Arrays(
         a_ub=a_ub,
-        b_ub=b_ub_arr,
+        b_ub=b_ub,
         a_eq=a_eq,
-        b_eq=b_eq_arr,
+        b_eq=b_eq,
         lower=lower,
         upper=upper,
         int_mask=int_mask,
+        names=[v.name for v in variables],
     )
+
+
+def _compile(model: MipModel) -> _Compiled:
+    """Solver arrays of ``model``; only the objective is recomputed per call."""
+    if model._arrays is None:
+        model._arrays = _compile_arrays(model)
+    c = np.zeros(model.num_vars)
+    k = len(model.objective)
+    if k:
+        c[np.fromiter(model.objective.keys(), np.intp, k)] = np.fromiter(
+            model.objective.values(), np.float64, k
+        )
+    flip = model.sense == "max"
+    if flip:
+        c = -c
+    return _Compiled(**vars(model._arrays), c=c, const=model.objective_constant, flip=flip)
 
 
 def _lp(comp: _Compiled, lower: np.ndarray, upper: np.ndarray):
@@ -253,15 +278,14 @@ def _feasible_point(comp: _Compiled, x: np.ndarray) -> bool:
     return True
 
 
-def _result(model, comp, status, inc_x, inc_obj, bound_min, start, nodes):
+def _result(comp, status, inc_x, inc_obj, bound_min, start, nodes):
     values: dict[str, float] = {}
     objective = None
     if inc_x is not None:
-        for i, var in enumerate(model.variables):
-            val = inc_x[i]
-            if comp.int_mask[i]:
-                val = float(round(val))
-            values[var.name] = float(val)
+        x = inc_x.copy()
+        # integers are reported exact; "+ 0.0" turns a rounded -0.0 into 0.0
+        x[comp.int_mask] = np.round(x[comp.int_mask]) + 0.0
+        values = dict(zip(comp.names, x.tolist()))
         objective = (-inc_obj if comp.flip else inc_obj) + comp.const
     bound = None
     if bound_min is not None and math.isfinite(bound_min):
@@ -378,7 +402,7 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
         else:
             status = OPTIMAL
             proven_lb = inc_obj
-    return _result(model, comp, status, inc_x, inc_obj, proven_lb, start, nodes)
+    return _result(comp, status, inc_x, inc_obj, proven_lb, start, nodes)
 
 
 def lp_bound(model: MipModel) -> float:

@@ -168,42 +168,50 @@ def brute_force_schedule(instance, paths, budget=200_000):
 # -- independent integer solving --------------------------------------------
 
 
-def milp_oracle(model: MipModel):
-    """Solve a model with scipy's own branch and cut.
+def model_arrays(model: MipModel):
+    """A model as plain arrays, built row by row from its term lists.
 
-    Returns (found, objective); found is False for infeasible models.
+    Returns ``(c, lower, upper, integrality, a, lo, hi)``: ``c`` in
+    minimize space without the constant, and ``a`` as one CSR matrix with
+    every constraint row in model order, ranged by ``lo <= a @ x <= hi``.
     """
     n = model.num_vars
     c = np.zeros(n)
     for idx, coef in model.objective.items():
         c[idx] = coef
-    flip = model.sense == "max"
-    if flip:
+    if model.sense == "max":
         c = -c
     lower = np.array([v.lower for v in model.variables])
     upper = np.array([v.upper for v in model.variables])
     integrality = np.array(
         [1 if v.kind in (BINARY, INTEGER) else 0 for v in model.variables]
     )
-    constraints = []
-    if model.constraints:
-        rows, cols, vals, lo, hi = [], [], [], [], []
-        for r, (idxs, coefs, sense, rhs, _name) in enumerate(model.constraints):
-            for idx, coef in zip(idxs, coefs):
-                rows.append(r)
-                cols.append(idx)
-                vals.append(coef)
-            if sense == "<=":
-                lo.append(-np.inf)
-                hi.append(rhs)
-            elif sense == ">=":
-                lo.append(rhs)
-                hi.append(np.inf)
-            else:
-                lo.append(rhs)
-                hi.append(rhs)
-        a = csr_matrix((vals, (rows, cols)), shape=(len(model.constraints), n))
-        constraints = [LinearConstraint(a, lo, hi)]
+    rows, cols, vals, lo, hi = [], [], [], [], []
+    for r, (idxs, coefs, sense, rhs, _name) in enumerate(model.constraints):
+        for idx, coef in zip(idxs, coefs):
+            rows.append(r)
+            cols.append(idx)
+            vals.append(coef)
+        if sense == "<=":
+            lo.append(-np.inf)
+            hi.append(rhs)
+        elif sense == ">=":
+            lo.append(rhs)
+            hi.append(np.inf)
+        else:
+            lo.append(rhs)
+            hi.append(rhs)
+    a = csr_matrix((vals, (rows, cols)), shape=(len(model.constraints), n))
+    return c, lower, upper, integrality, a, np.array(lo), np.array(hi)
+
+
+def milp_oracle(model: MipModel):
+    """Solve a model with scipy's own branch and cut.
+
+    Returns (found, objective); found is False for infeasible models.
+    """
+    c, lower, upper, integrality, a, lo, hi = model_arrays(model)
+    constraints = [LinearConstraint(a, lo, hi)] if model.constraints else []
     # presolve stays off: with it on, this scipy build returns provably
     # suboptimal points on some mixed binary/continuous models
     res = milp(
@@ -216,7 +224,7 @@ def milp_oracle(model: MipModel):
     if res.status != 0:
         return False, None
     value = float(res.fun)
-    if flip:
+    if model.sense == "max":
         value = -value
     return True, value + model.objective_constant
 

@@ -7,7 +7,10 @@ import pytest
 
 from platoonplan import cli
 from platoonplan.cli import main
+from platoonplan.formulations import build_cpf, build_tsf
 from platoonplan.instance import load_instance, save_instance
+from platoonplan.mip import lp_text
+from platoonplan.network import build_time_space
 
 
 @pytest.fixture
@@ -100,6 +103,27 @@ def test_solve_iheur_writes_round_log(demo_file, tmp_path, capsys):
     assert lines[0]["iteration"] == 1
     assert lines[-1]["summary"]["best_cost"] == pytest.approx(4.9, abs=1e-9)
     assert lines[-1]["summary"]["termination"] == "repeat"
+
+
+@pytest.mark.parametrize("method", ["cpf", "tsf"])
+def test_solve_dump_model(method, demo, demo_file, tmp_path, capsys):
+    path = tmp_path / f"{method}.lp"
+    rc = main(["solve", demo_file, "--method", method, "--dump-model", str(path)])
+    assert rc == 0
+    assert "objective=4.9" in capsys.readouterr().out
+    if method == "cpf":
+        model = build_cpf(demo)
+    else:
+        model = build_tsf(demo, build_time_space(demo.network, demo))
+    assert path.read_text() == lp_text(model)
+
+
+def test_solve_dump_model_rejects_iterative_methods(demo_file, tmp_path, capsys):
+    path = tmp_path / "routing.lp"
+    rc = main(["solve", demo_file, "--method", "iheur", "--dump-model", str(path)])
+    assert rc == 2
+    assert "--dump-model needs --method cpf or tsf" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_solve_missing_instance(tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import platoonplan.decomposition as decomposition_module
 import platoonplan.instance as instance_module
 from platoonplan.decomposition import (
     CostTable,
@@ -18,17 +20,25 @@ from platoonplan.decomposition import (
     real_cost,
     run,
 )
+from platoonplan.errors import MissingCost, ModelInvalid
 from platoonplan.evaluate import canonical_schedule, check, total_cost
 from platoonplan.formulations import (
     FixedRoutes,
     admissible_arcs,
     build_fcnf,
     build_tif,
+    price_fcnf,
     scheduling_preprocess,
 )
-from platoonplan.instance import Instance, Vehicle, node_time_bounds
-from platoonplan.mip import SolveConfig, solve
-from platoonplan.network import make_network
+from platoonplan.instance import (
+    Instance,
+    Vehicle,
+    generate_fleet,
+    node_time_bounds,
+    three_truck_demo,
+)
+from platoonplan.mip import SolveConfig, _compile, solve
+from platoonplan.network import generate_grid, make_network
 
 TOP = ((0, 1), (1, 4), (4, 5))
 BOTTOM = ((0, 2), (2, 3), (3, 5))
@@ -86,7 +96,7 @@ def test_modify_costs_second_round(demo):
     """After rerouting, truck 2 platoons with 1 and can never meet truck 0."""
     routes = demo_routes(demo, BOTTOM)
     solution = canonical_schedule(demo, routes)  # meets at 500 by accident
-    prev = CostTable(1, frozenset(), {}, {}, {})
+    prev = CostTable(1, frozenset(), {}, {})
     table = modify_costs(demo, prev, routes, solution, "icmp")
     assert table.iteration == 2
     # realized pair cost on the shared arc
@@ -153,7 +163,6 @@ def test_modify_costs_composition_repeat():
         return CostTable(
             iteration=iteration,
             traversed=frozenset(routes.arc_union),
-            vehicles_on={},
             modified={(2, (0, 1)): modified},
             scenarios={(2, (0, 1)): scenario},
         )
@@ -296,6 +305,79 @@ def test_run_computes_admissibility_once_per_instance(demo, monkeypatch):
     assert [w.bounds for w in demo.windows] == [
         node_time_bounds(demo, veh).bounds for veh in demo.vehicles
     ]
+
+
+def test_run_builds_routing_model_once(demo, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_fcnf(*args)
+
+    monkeypatch.setattr(decomposition_module, "build_fcnf", counting)
+    _best, log = run(demo, DecompositionConfig(mode="icmp"))
+    assert len(log.records) > 1
+    assert calls == [(demo, None)]
+
+
+def assert_same_arrays(got, want):
+    for name in ("c", "b_ub", "b_eq", "lower", "upper", "int_mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("a_ub", "a_eq"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape, name
+            for part in ("indptr", "indices", "data"):
+                x, y = getattr(a, part), getattr(b, part)
+                assert x.dtype == y.dtype and np.array_equal(x, y), (name, part)
+    assert (got.const, got.flip, got.names) == (want.const, want.flip, want.names)
+
+
+@pytest.mark.parametrize("mode", ["icmp", "llcmp"])
+@pytest.mark.parametrize("which", ["demo", "grid4"])
+def test_repriced_routing_model_equals_fresh_build(mode, which, monkeypatch):
+    """Every round solves what build_fcnf would build for that round's table."""
+    if which == "demo":
+        instance = three_truck_demo()
+    else:
+        instance = generate_fleet(generate_grid(4, 4, seed=4), 8, seed=4)
+    tables = [None]
+    routing_models = []
+
+    def recording_modify(*args, **kwargs):
+        tables.append(modify_costs(*args, **kwargs))
+        return tables[-1]
+
+    def checking_solve(model, cfg=None):
+        if model.name == "fcnf":
+            routing_models.append(model)
+            fresh = build_fcnf(instance, tables[-1])
+            assert_same_arrays(_compile(model), _compile(fresh))
+        return solve(model, cfg)
+
+    monkeypatch.setattr(decomposition_module, "modify_costs", recording_modify)
+    monkeypatch.setattr(decomposition_module, "solve", checking_solve)
+    _best, log = run(instance, DecompositionConfig(mode=mode))
+    assert len(routing_models) == len(log.records) == len(tables) > 2
+    assert all(model is routing_models[0] for model in routing_models)
+    # the shaping changed some prices, so the check compared moving targets
+    assert len({tuple(_compile(build_fcnf(instance, t)).c) for t in tables}) > 1
+
+
+def test_price_fcnf_missing_cost_and_wrong_model(demo):
+    model = build_fcnf(demo)
+    lacking = CostTable(1, frozenset({(0, 1)}), {}, {})
+    with pytest.raises(MissingCost):
+        price_fcnf(demo, model, lacking)
+    with pytest.raises(MissingCost):
+        build_fcnf(demo, lacking)
+    other = generate_fleet(generate_grid(3, 3, seed=0), 2, seed=0)
+    with pytest.raises(ModelInvalid):
+        price_fcnf(other, model, None)
 
 
 def test_run_rejects_unknown_scheduler(demo):

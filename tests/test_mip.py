@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import enumerate_mip, milp_oracle
+from oracles import enumerate_mip, milp_oracle, model_arrays
 from platoonplan.errors import ModelInfeasible, ModelInvalid, Unbounded
 from platoonplan.mip import (
     BINARY,
@@ -15,6 +15,7 @@ from platoonplan.mip import (
     OPTIMAL,
     MipModel,
     SolveConfig,
+    _compile,
     lp_bound,
     lp_text,
     solve,
@@ -193,6 +194,61 @@ def test_empty_model_solves_to_constant():
     res = solve(m)
     assert res.status == OPTIMAL
     assert res.objective == 7.5
+
+
+def test_solve_sees_changes_made_after_a_solve():
+    """The compiled matrix is reused only until the model changes."""
+    m = knapsack()
+    res = solve(m)
+    assert res.objective == pytest.approx(9.0) and res.values["b"] == 1.0
+    # a new row that cuts off the old optimum
+    m.add_constr([("b", 1.0)], "<=", 0.0)
+    res = solve(m)
+    assert res.objective == pytest.approx(8.0)
+    assert res.values["b"] == 0.0
+    # a new variable
+    m.add_var("d", BINARY)
+    res = solve(m)
+    assert set(res.values) == {"a", "b", "c", "d"}
+    assert res.objective == pytest.approx(8.0)
+    # a new objective, including the new variable
+    m.set_objective([("a", 5.0), ("b", 4.0), ("c", 3.0), ("d", 10.0)], sense="max")
+    res = solve(m)
+    assert res.objective == pytest.approx(18.0)
+    assert res.values["d"] == 1.0
+    m.set_objective([("a", 1.0), ("d", -1.0)], sense="min", constant=2.0)
+    res = solve(m)
+    assert res.objective == pytest.approx(1.0)
+    assert lp_bound(m) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_compile_matches_oracle_matrix(seed):
+    m = random_model(seed)
+    c, lower, upper, integrality, a, lo, hi = model_arrays(m)
+    comp = _compile(m)
+    senses = [con[2] for con in m.constraints]
+    dense = a.toarray()
+    ub = [r for r, s in enumerate(senses) if s != "="]
+    eq = [r for r, s in enumerate(senses) if s == "="]
+    sign = np.array([1.0 if senses[r] == "<=" else -1.0 for r in ub])
+    rhs = np.where(np.isfinite(hi), hi, lo)
+    if ub:
+        assert np.array_equal(comp.a_ub.toarray(), sign[:, None] * dense[ub])
+        assert np.array_equal(comp.b_ub, sign * rhs[ub])
+    else:
+        assert comp.a_ub is None and comp.b_ub is None
+    if eq:
+        assert np.array_equal(comp.a_eq.toarray(), dense[eq])
+        assert np.array_equal(comp.b_eq, rhs[eq])
+    else:
+        assert comp.a_eq is None and comp.b_eq is None
+    assert np.array_equal(comp.c, c)
+    assert np.array_equal(comp.lower, lower)
+    assert np.array_equal(comp.upper, upper)
+    assert np.array_equal(comp.int_mask, integrality == 1)
+    assert comp.const == m.objective_constant
+    assert comp.flip == (m.sense == "max")
 
 
 def test_lp_text_structure():

@@ -32,6 +32,7 @@ from .errors import NoFeasibleSolution
 from .evaluate import PlatoonSolution, canonical_schedule, decode, total_cost
 from .formulations import (
     FixedRoutes,
+    _fcnf_columns,
     build_fcnf,
     build_tif,
     price_fcnf,
@@ -297,15 +298,14 @@ def _trace(prev_arc, source, dest):
 def _warm_routing(instance, table):
     """Feasible routing start: per-vehicle cheapest path, time-safe fallback.
 
-    Returns a complete 0/1 assignment for the routing model's variables.
+    Returns a complete 0/1 assignment for the routing model's variables,
+    keyed by variable index in :func:`build_fcnf`'s column order.
     """
     adm = instance.admissible
     tt = instance.network.travel_time
     cost = instance.network.cost
-    eta = instance.eta
     shaped = table.traversed if table is not None else frozenset()
-    warm: dict[str, float] = {}
-    union_used: set[Arc] = set()
+    used: dict[int, set[Arc]] = {}
     for v, veh in enumerate(instance.vehicles):
         out_arcs: dict[int, list[Arc]] = defaultdict(list)
         for arc in sorted(adm[v]):
@@ -327,12 +327,11 @@ def _warm_routing(instance, table):
             twts = {arc: float(tt[arc]) for arc in adm[v]}
             _d2, prev2 = _dijkstra(out_arcs, twts, veh.origin)
             path = _trace(prev2, veh.origin, veh.dest)
-        used = set(path)
-        union_used.update(used)
-        for arc in adm[v]:
-            warm[f"x_{arc[0]}_{arc[1]}_{v}"] = 1.0 if arc in used else 0.0
-    for arc in sorted(set().union(*adm.values())):
-        warm[f"y_{arc[0]}_{arc[1]}"] = 1.0 if arc in union_used else 0.0
+        used[v] = set(path)
+    union, xkeys = _fcnf_columns(instance)
+    union_used = set().union(*used.values())
+    warm = {i: float(arc in union_used) for i, arc in enumerate(union)}
+    warm.update({i: float(arc in used[v]) for i, (v, arc) in enumerate(xkeys, start=len(union))})
     return warm
 
 

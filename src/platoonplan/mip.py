@@ -5,8 +5,8 @@ sparse term lists, and the objective may carry a constant.  :func:`solve`
 runs branch and bound over LP relaxations (HiGHS via ``scipy.optimize``),
 with best-bound node selection and most-fractional branching, both with
 lowest-index tie breaks, so a given model and config always reproduce the
-same search.  :func:`lp_text` prints a model as CPLEX-style LP text for
-debugging.
+same search on one scipy build.  :func:`lp_text` prints a model as
+CPLEX-style LP text for debugging.
 
 A model compiles to solver arrays once: the constraint matrix, right-hand
 sides, bounds and integrality are kept on the model until the next
@@ -14,6 +14,16 @@ sides, bounds and integrality are kept on the model until the next
 whose objective alone was reset with :meth:`MipModel.set_objective` recomputes
 only the cost vector.  The iterative heuristic relies on this: it builds its
 routing model once per run and reprices it every round.
+
+All node LPs of one :func:`solve` call share one HiGHS LP object, loaded
+exactly as ``linprog(method="highs")`` loads it.  Each node changes only the
+column bounds that differ from the node solved before it and re-runs dual
+simplex from that node's optimal basis, which stays dual feasible under any
+bound change (a hot start).  The object comes from scipy's private
+``scipy.optimize._highspy._core``; where that import fails (scipy < 1.15 or a
+renaming), every node is a cold ``linprog`` call instead.  Both paths prove
+the same optima and bounds, but hot-started nodes may stop at other optimal
+vertices, so the search tree depends on the path and the scipy build.
 """
 
 from __future__ import annotations
@@ -27,9 +37,19 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix, vstack
 
 from .errors import ModelInfeasible, ModelInvalid, Unbounded
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+
+    # every name _HotLp uses: a renamed one falls back like a missing module
+    _highs._Highs.changeColsBounds, _highs.HighsLp, _highs.HighsModelStatus
+    _highs.HighsStatus, _highs.MatrixFormat, _highs.kHighsInf
+except (ImportError, AttributeError):
+    # no hot start: every node LP is a cold ``linprog`` call
+    _highs = None
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -153,9 +173,15 @@ class MipModel:
 
 @dataclass
 class SolveConfig:
+    """Settings of one :func:`solve` call.
+
+    ``warm_start`` maps variables, by name or by index, to the values of a
+    candidate incumbent; unlisted variables take their lower bound.
+    """
+
     time_limit: float | None = None
     gap_tol: float = 1e-9
-    warm_start: Mapping[str, float] | None = None
+    warm_start: Mapping[str | int, float] | None = None
 
 
 @dataclass
@@ -252,6 +278,7 @@ def _compile(model: MipModel) -> _Compiled:
 
 
 def _lp(comp: _Compiled, lower: np.ndarray, upper: np.ndarray):
+    """Cold ``linprog`` solve of the relaxation under column bounds."""
     res = linprog(
         comp.c,
         A_ub=comp.a_ub,
@@ -262,6 +289,84 @@ def _lp(comp: _Compiled, lower: np.ndarray, upper: np.ndarray):
         method="highs",
     )
     return res.status, res.x, res.fun
+
+
+def _highs_inf(x: np.ndarray) -> np.ndarray:
+    """A copy of ``x`` with infinities replaced by HiGHS's, as ``linprog`` does."""
+    out = x.copy()
+    inf = np.isinf(out)
+    out[inf] = np.sign(out[inf]) * _highs.kHighsInf
+    return out
+
+
+class _HotLp:
+    """One HiGHS LP of a compiled model, re-solved under changing column bounds.
+
+    Called like :func:`_lp`, with the same ``(status, x, fun)`` result and
+    ``linprog``'s status codes.  The first call is the cold solve ``linprog``
+    makes; later calls change only the bounds that differ from the previous
+    call's, so HiGHS starts dual simplex from the last optimal basis.
+    """
+
+    def __init__(self, comp: _Compiled):
+        n = len(comp.c)
+        b_ub = comp.b_ub if comp.b_ub is not None else np.empty(0)
+        b_eq = comp.b_eq if comp.b_eq is not None else np.empty(0)
+        blocks = [a for a in (comp.a_ub, comp.a_eq) if a is not None]
+        a = csc_matrix(vstack(blocks)) if blocks else csc_matrix((0, n))
+        lp = _highs.HighsLp()
+        lp.num_col_ = n
+        lp.num_row_ = len(b_ub) + len(b_eq)
+        lp.a_matrix_.num_col_ = n
+        lp.a_matrix_.num_row_ = lp.num_row_
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = a.indptr
+        lp.a_matrix_.index_ = a.indices
+        lp.a_matrix_.value_ = a.data
+        lp.col_cost_ = comp.c
+        lp.col_lower_ = _highs_inf(comp.lower)
+        lp.col_upper_ = _highs_inf(comp.upper)
+        lp.row_lower_ = _highs_inf(np.concatenate([np.full(len(b_ub), -np.inf), b_eq]))
+        lp.row_upper_ = _highs_inf(np.concatenate([b_ub, b_eq]))
+        self._highs = _highs._Highs()
+        # the options linprog(method="highs") sets; logging off
+        self._highs.setOptionValue("output_flag", False)
+        self._highs.setOptionValue("presolve", "on")
+        self._highs.setOptionValue("simplex_strategy", 1)  # dual simplex
+        if self._highs.passModel(lp) == _highs.HighsStatus.kError:
+            raise ModelInvalid("HiGHS rejected the model")
+        self._lower = comp.lower.copy()
+        self._upper = comp.upper.copy()
+
+    def __call__(self, lower: np.ndarray, upper: np.ndarray):
+        changed = np.flatnonzero((lower != self._lower) | (upper != self._upper))
+        if changed.size:
+            self._highs.changeColsBounds(
+                changed.size,
+                changed.astype(np.int32),
+                _highs_inf(lower[changed]),
+                _highs_inf(upper[changed]),
+            )
+            self._lower[changed] = lower[changed]
+            self._upper[changed] = upper[changed]
+        self._highs.run()
+        model_status = self._highs.getModelStatus()
+        codes = _highs.HighsModelStatus
+        if model_status == codes.kOptimal:
+            x = np.array(self._highs.getSolution().col_value)
+            return 0, x, self._highs.getInfo().objective_function_value
+        if model_status == codes.kInfeasible:
+            return 2, None, None
+        if model_status in (codes.kUnbounded, codes.kUnboundedOrInfeasible):
+            return 3, None, None
+        return 4, None, None
+
+
+def _node_lp(comp: _Compiled):
+    """The LP entry of one search: hot-started HiGHS, or cold ``linprog``."""
+    if _highs is None:
+        return lambda lower, upper: _lp(comp, lower, upper)
+    return _HotLp(comp)
 
 
 def _feasible_point(comp: _Compiled, x: np.ndarray) -> bool:
@@ -319,8 +424,10 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
     inc_obj = math.inf  # in minimize space, without the constant
     if cfg.warm_start is not None:
         x0 = comp.lower.copy()
-        for name, val in cfg.warm_start.items():
-            x0[model.var_index(name)] = val
+        k = len(cfg.warm_start)
+        x0[np.fromiter(map(model._resolve, cfg.warm_start.keys()), np.intp, k)] = np.fromiter(
+            cfg.warm_start.values(), np.float64, k
+        )
         if _feasible_point(comp, x0):
             x0 = x0.copy()
             x0[comp.int_mask] = np.round(x0[comp.int_mask])
@@ -338,6 +445,7 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
     heap = [(-math.inf, 0, ())]
     tick = 1
     nodes = 0
+    node_lp = None  # built at the first node, so a zero time limit solves nothing
 
     status = None
     proven_lb = None
@@ -363,7 +471,9 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
         if np.any(lower > upper):
             continue
 
-        lp_status, x, fun = _lp(comp, lower, upper)
+        if node_lp is None:
+            node_lp = _node_lp(comp)
+        lp_status, x, fun = node_lp(lower, upper)
         nodes += 1
         if lp_status == 2:  # infeasible subproblem
             continue
@@ -410,7 +520,7 @@ def lp_bound(model: MipModel) -> float:
     comp = _compile(model)
     if model.num_vars == 0:
         return comp.const
-    lp_status, _x, fun = _lp(comp, comp.lower, comp.upper)
+    lp_status, _x, fun = _node_lp(comp)(comp.lower, comp.upper)
     if lp_status == 2:
         raise ModelInfeasible(f"model {model.name!r}: LP relaxation infeasible")
     if lp_status == 3:

@@ -213,10 +213,27 @@ def test_modify_costs_join_estimate_splits_among_meeting_drivers():
 def test_warm_routing_covers_model_and_is_feasible(demo):
     warm = _warm_routing(demo, None)
     model = build_fcnf(demo)
-    assert set(warm) == {v.name for v in model.variables}
+    assert list(warm) == list(range(model.num_vars))
     # accepted as an incumbent without any branching
     res = solve(model, SolveConfig(time_limit=0.0, warm_start=warm))
     assert res.objective == pytest.approx(4.89, abs=1e-9)
+
+
+@pytest.mark.parametrize("which", ["demo", "grid4"])
+def test_warm_start_by_index_equals_by_name(which):
+    if which == "demo":
+        instance = three_truck_demo()
+    else:
+        instance = generate_fleet(generate_grid(4, 4, seed=4), 8, seed=4)
+    model = build_fcnf(instance)
+    by_index = _warm_routing(instance, None)
+    by_name = {model.var_name(i): val for i, val in by_index.items()}
+    for time_limit in (0.0, None):
+        r_index = solve(model, SolveConfig(time_limit=time_limit, warm_start=by_index))
+        r_name = solve(model, SolveConfig(time_limit=time_limit, warm_start=by_name))
+        assert r_index.objective is not None
+        for field in ("status", "objective", "bound", "values", "node_count"):
+            assert getattr(r_index, field) == getattr(r_name, field)
 
 
 def test_warm_schedule_covers_model_and_is_feasible(demo):

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import platoonplan.mip as mip_module
 from oracles import enumerate_mip, milp_oracle, model_arrays
 from platoonplan.errors import ModelInfeasible, ModelInvalid, Unbounded
+from platoonplan.formulations import build_cpf
+from platoonplan.instance import generate_fleet, three_truck_demo
 from platoonplan.mip import (
     BINARY,
     CONTINUOUS,
@@ -16,9 +19,16 @@ from platoonplan.mip import (
     MipModel,
     SolveConfig,
     _compile,
+    _lp,
+    _node_lp,
     lp_bound,
     lp_text,
     solve,
+)
+from platoonplan.network import generate_grid
+
+needs_highs = pytest.mark.skipif(
+    mip_module._highs is None, reason="scipy's HiGHS bindings are not importable"
 )
 
 
@@ -258,3 +268,163 @@ def test_lp_text_structure():
     assert "Subject To" in text
     assert "Binary" in text
     assert text.rstrip().endswith("End")
+
+
+# -- the two LP paths: hot-started HiGHS and the cold linprog fallback -------
+
+
+@pytest.fixture(params=["hot", "fallback"])
+def lp_path(request, monkeypatch):
+    if request.param == "fallback":
+        monkeypatch.setattr(mip_module, "_highs", None)
+    return request.param
+
+
+def hub_fleet(n, trucks, seed):
+    grid = generate_grid(n, n, seed=seed)
+    return generate_fleet(grid, trucks, seed=seed, od_mode="hub", hubs=[0, n * n - 1])
+
+
+def cpf_fleets():
+    """The demo and three hub fleets whose CPF models branch (3 to 15 nodes)."""
+    return [three_truck_demo(), hub_fleet(5, 10, 1), hub_fleet(5, 8, 1), hub_fleet(4, 6, 3)]
+
+
+def infeasible_after_branching() -> MipModel:
+    """2x = 3 with x integer: the root LP is feasible, both children are not."""
+    m = MipModel("odd")
+    m.add_var("x", INTEGER, 0.0, 3.0)
+    m.add_constr([("x", 2.0)], "=", 3.0)
+    m.set_objective([("x", 1.0)])
+    return m
+
+
+@pytest.mark.parametrize(
+    "which", [f"rand{seed}" for seed in range(30)] + ["knapsack"] + [f"cpf{k}" for k in range(4)]
+)
+def test_hot_start_and_fallback_prove_the_same_optimum(which, monkeypatch):
+    if which == "knapsack":
+        model = knapsack()
+    elif which.startswith("cpf"):
+        model = build_cpf(cpf_fleets()[int(which[3:])])
+    else:
+        model = random_model(int(which[4:]))
+    found, want = milp_oracle(model)
+    gap_tol = 1e-9
+    hot = solve(model, SolveConfig(gap_tol=gap_tol))
+    monkeypatch.setattr(mip_module, "_highs", None)
+    cold = solve(model, SolveConfig(gap_tol=gap_tol))
+    assert hot.status == cold.status == (OPTIMAL if found else INFEASIBLE)
+    if not found:
+        assert hot.objective is None and cold.objective is None
+        return
+    tol = gap_tol * max(1.0, abs(want))
+    assert hot.objective == pytest.approx(cold.objective, abs=tol)
+    assert hot.bound == pytest.approx(cold.bound, abs=tol)
+    for res in (hot, cold):
+        assert res.objective == pytest.approx(want, abs=1e-6)
+        assert res.bound == pytest.approx(want, abs=1e-6)
+
+
+@needs_highs
+@pytest.mark.parametrize("which", [f"rand{seed}" for seed in range(30)] + ["knapsack", "cpf"])
+def test_direct_root_lp_is_linprogs(which):
+    """A cold solve on the HiGHS object returns linprog's vertex, bit for bit."""
+    if which == "knapsack":
+        model = knapsack()
+    elif which == "cpf":
+        model = build_cpf(three_truck_demo())
+    else:
+        model = random_model(int(which[4:]))
+    comp = _compile(model)
+    want_status, want_x, want_fun = _lp(comp, comp.lower, comp.upper)
+    status, x, fun = mip_module._HotLp(comp)(comp.lower, comp.upper)
+    assert status == want_status
+    if want_status == 0:
+        assert np.array_equal(x, want_x)
+        assert fun == want_fun
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_node_lp_follows_every_bound_change(seed, lp_path):
+    """One node LP object, re-solved under a walk of bound sets, agrees with
+    a cold solve of each set: bounds changed earlier and later reset are
+    restored."""
+    model = random_model(seed)
+    comp = _compile(model)
+    rng = np.random.default_rng(seed)
+    node_lp = _node_lp(comp)
+    for _ in range(12):
+        lower, upper = comp.lower.copy(), comp.upper.copy()
+        for j in rng.choice(len(lower), size=int(rng.integers(0, 3)), replace=False):
+            cut = float(rng.integers(0, 3))
+            if rng.random() < 0.5:
+                upper[j] = min(upper[j], cut)
+            else:
+                lower[j] = max(lower[j], cut)
+        if np.any(lower > upper):
+            continue
+        status, x, fun = node_lp(lower, upper)
+        want_status, _x, want_fun = _lp(comp, lower, upper)
+        assert status == want_status
+        if status == 0:
+            assert fun == pytest.approx(want_fun, abs=1e-9)
+            assert np.all(x >= lower - 1e-9) and np.all(x <= upper + 1e-9)
+
+
+@needs_highs
+def test_one_highs_lp_per_solve(monkeypatch):
+    built = []
+
+    class Counted(mip_module._HotLp):
+        def __init__(self, comp):
+            built.append(comp)
+            super().__init__(comp)
+
+    monkeypatch.setattr(mip_module, "_HotLp", Counted)
+    res = solve(build_cpf(cpf_fleets()[1]))
+    assert res.node_count > 1
+    assert len(built) == 1
+    solve(knapsack(), SolveConfig(time_limit=0.0))
+    assert len(built) == 1  # nothing solved, nothing built
+
+
+def test_infeasible_node_model_and_unbounded_lp(lp_path):
+    res = solve(infeasible_after_branching())
+    assert res.status == INFEASIBLE and res.objective is None
+    assert res.node_count == 3  # the root and its two infeasible children
+    comp = _compile(infeasible_after_branching())
+    status, x, fun = _node_lp(comp)(comp.lower, np.array([1.0]))
+    assert status == 2 and x is None and fun is None
+
+    m = MipModel()
+    m.add_var("x", BINARY)
+    m.add_constr([("x", 1.0)], ">=", 2.0)
+    m.set_objective([("x", 1.0)])
+    res = solve(m)
+    assert res.status == INFEASIBLE and res.node_count == 1
+    with pytest.raises(ModelInfeasible):
+        lp_bound(m)
+
+    m = MipModel()
+    m.add_var("x", CONTINUOUS)
+    m.add_var("k", INTEGER, 0.0, 5.0)
+    m.add_constr([("x", 1.0), ("k", -1.0)], ">=", 0.5)
+    m.set_objective([("x", 1.0), ("k", 1.0)], sense="max")
+    with pytest.raises(Unbounded):
+        solve(m)
+    with pytest.raises(Unbounded):
+        lp_bound(m)
+
+
+@pytest.mark.parametrize("which", [f"rand{seed}" for seed in range(30)] + ["knapsack"])
+def test_lp_bound_is_linprogs_value(which, lp_path):
+    model = knapsack() if which == "knapsack" else random_model(int(which[4:]))
+    comp = _compile(model)
+    status, _x, fun = _lp(comp, comp.lower, comp.upper)
+    if status != 0:
+        with pytest.raises((ModelInfeasible, Unbounded)):
+            lp_bound(model)
+        return
+    want = (-fun if comp.flip else fun) + comp.const
+    assert lp_bound(model) == want

@@ -12,6 +12,16 @@ an estimate of what joining would cost.  Two estimate flavors exist:
 * ``llcmp`` charges a joiner the unit share alone, the lowest value any
   platoon member can ever pay, which steers aggressively toward sharing.
 
+The scheduling model splits exactly into parts: trucks kept on a common arc
+(see ``scheduling_preprocess``) are linked, and every scheduling row touches
+one truck or one (arc, slot).  Each part is built and solved on its own
+(:func:`schedule_by_part`), the round's savings are the sum over the parts,
+and the timetable put together from them is checked once.  The parts of a
+round share one stage deadline.  ``run`` keeps a memo for its own length:
+each part's optimal schedule, keyed by the part's trucks, their paths and
+entry windows, so a part that recurs in a later round is neither built nor
+solved again.  Public calls outside ``run`` use no memo.
+
 The loop stops once the same routing solution has appeared ``repeat_limit``
 times or the time budget runs out.
 """
@@ -29,10 +39,16 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import NoFeasibleSolution
-from .evaluate import PlatoonSolution, canonical_schedule, decode, total_cost
+from .evaluate import (
+    PlatoonSolution,
+    _union_find_groups,
+    assemble_timetable,
+    total_cost,
+)
 from .formulations import (
     FixedRoutes,
     _fcnf_columns,
+    _tif_columns,
     build_fcnf,
     build_tif,
     price_fcnf,
@@ -40,7 +56,7 @@ from .formulations import (
     scheduling_preprocess,
 )
 from .instance import Instance
-from .mip import SolveConfig, solve
+from .mip import OPTIMAL, SolveConfig, solve
 from .network import Arc
 
 log = logging.getLogger(__name__)
@@ -217,6 +233,9 @@ class IterationRecord:
     routing_bound: float | None
     scheduling_savings: float
     feasible_cost: float
+    # parts of the round's scheduling model, and those the run had solved
+    parts: int = 0
+    parts_reused: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -226,6 +245,8 @@ class IterationRecord:
             "routing_bound": self.routing_bound,
             "scheduling_savings": self.scheduling_savings,
             "feasible_cost": self.feasible_cost,
+            "parts": self.parts,
+            "parts_reused": self.parts_reused,
         }
 
 
@@ -335,26 +356,115 @@ def _warm_routing(instance, table):
     return warm
 
 
-def _warm_schedule(instance, routes, kept):
-    """Everyone-earliest start for the scheduling model."""
-    warm: dict[str, float] = {}
-    slot_count: Counter = Counter()
-    q = instance.q_limit
-    for v, arc in kept:
-        lo, hi = routes.entry_window(v, arc)
-        for tm in range(lo, hi + 1):
-            warm[f"x_{arc[0]}_{arc[1]}_{v}_{tm}"] = 1.0 if tm == lo else 0.0
-        slot_count[arc, lo] += 1
-    users: dict[tuple[Arc, int], int] = defaultdict(int)
-    for v, arc in kept:
-        lo, hi = routes.entry_window(v, arc)
-        for tm in range(lo, hi + 1):
-            users[arc, tm] += 1
-    for (arc, tm) in users:
-        n = slot_count.get((arc, tm), 0)
-        cap = q if q is not None else max(n, 1)
-        warm[f"y_{arc[0]}_{arc[1]}_{tm}"] = float(math.ceil(n / cap)) if n else 0.0
+def _warm_schedule(instance, routes, kept, relax_capacity=False):
+    """Everyone-earliest start for the scheduling model of ``kept``.
+
+    Returns a complete assignment for the variables of
+    ``build_tif(instance, routes, kept, relax_capacity)``, keyed by variable
+    index in its column order.
+    """
+    xkeys, slots = _tif_columns(routes, kept)
+    lo = routes.entry_lo
+    warm = {i: float(tm == lo[v, arc]) for i, (v, arc, tm) in enumerate(xkeys)}
+    q = None if relax_capacity else instance.q_limit
+    slot_count = Counter((arc, lo[v, arc]) for v, arc in kept)
+    for i, slot in enumerate(slots, start=len(xkeys)):
+        n = slot_count.get(slot, 0)
+        warm[i] = float(math.ceil(n / q)) if n and q is not None else float(n > 0)
     return warm
+
+
+def _parts(routes, kept):
+    """The independent parts of the scheduling model of ``kept``.
+
+    Trucks kept on a common arc can share its slots, so they belong to one
+    part.  Every scheduling row touches a single truck or a single (arc,
+    slot), so the model of ``kept`` is the disjoint union of its parts'
+    models.  Returns ``(trucks, part_kept)`` pairs, ordered by smallest truck.
+    """
+    links = []
+    for arc, vs in routes.vehicles_by_arc.items():
+        here = [v for v in vs if (v, arc) in kept]
+        links += zip(here, here[1:])
+    of_truck = defaultdict(list)
+    for v, arc in kept:
+        of_truck[v].append((v, arc))
+    return [
+        (trucks, frozenset(pair for v in trucks for pair in of_truck[v]))
+        for trucks in _union_find_groups(set(of_truck), links)
+    ]
+
+
+@dataclass(frozen=True)
+class PartSchedule:
+    """A timetable of fixed routes, scheduled one part at a time.
+
+    ``savings`` sums the parts' scheduling objectives; ``parts`` counts the
+    parts and ``reused`` the ones taken from the memo.
+    """
+
+    solution: PlatoonSolution
+    savings: float
+    parts: int
+    reused: int
+
+
+def schedule_by_part(instance, routes, kept, relax_capacity, gap, deadline, memo):
+    """Schedule ``kept`` part by part and put the timetable together.
+
+    Each part's model, ``build_tif(instance, routes, part_kept,
+    relax_capacity)``, is built and solved on its own from the
+    everyone-earliest start, with the time left until ``deadline`` (a
+    ``perf_counter`` reading; None for no limit).  ``memo`` maps each part
+    (its trucks, their paths and entry windows) to its optimal schedule: a
+    part found there is neither built nor solved, and only optimal results
+    are stored.  The timetable is checked against ``instance`` once.
+    """
+    chosen: dict[tuple[int, Arc], int] = {}
+    counts: dict[tuple[Arc, int], int] = {}
+    savings = 0.0
+    reused = 0
+    parts = _parts(routes, kept)
+    for trucks, part in parts:
+        key = tuple(
+            (v, routes.paths[v], routes.entry_window(v, routes.paths[v][0]))
+            for v in trucks
+        )
+        found = memo.get(key)
+        if found is None:
+            found, optimal = _solve_part(instance, routes, part, relax_capacity, gap, deadline)
+            if optimal:
+                memo[key] = found
+        else:
+            reused += 1
+        part_savings, part_chosen, part_counts = found
+        savings += part_savings
+        chosen.update(part_chosen)
+        counts.update(part_counts)
+    solution = assemble_timetable(instance, routes, chosen, counts)
+    return PartSchedule(solution, savings, len(parts), reused)
+
+
+def _solve_part(instance, routes, part, relax_capacity, gap, deadline):
+    """``(objective, entry times, slot counts)`` of one part, and whether
+    the solve proved them optimal."""
+    model = build_tif(instance, routes, part, relax_capacity)
+    time_limit = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
+    res = solve(
+        model,
+        SolveConfig(
+            time_limit=time_limit,
+            gap_tol=gap,
+            warm_start=_warm_schedule(instance, routes, part, relax_capacity),
+        ),
+    )
+    xkeys, slots = _tif_columns(routes, part)
+    values = list(res.values.values())  # in column order
+    chosen = {(v, arc): tm for (v, arc, tm), val in zip(xkeys, values) if val > 0.5}
+    counts = {
+        slot: n for slot, val in zip(slots, values[len(xkeys):]) if (n := int(round(val)))
+    }
+    return (res.objective, chosen, counts), res.status == OPTIMAL
 
 
 def run(instance: Instance, cfg: DecompositionConfig | None = None):
@@ -372,6 +482,8 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
 
     # the routing model is built once; each round only reprices it
     model = build_fcnf(instance, None)
+    # optimal schedules of the scheduling model's parts, for this run only
+    memo: dict = {}
     table: CostTable | None = None
     history: list[HistoryEntry] = []
     seen: Counter = Counter()
@@ -403,8 +515,8 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
         fp = fingerprint(routes.paths)
         seen[fp] += 1
 
-        solution, savings = _schedule(instance, routes, cfg, deadline)
-        cost = total_cost(instance, solution)
+        by_part, savings, cost = _schedule(instance, routes, cfg, deadline, memo)
+        solution = by_part.solution
         logbook.records.append(
             IterationRecord(
                 index=n_round,
@@ -413,6 +525,8 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
                 routing_bound=rres.bound,
                 scheduling_savings=savings,
                 feasible_cost=cost,
+                parts=by_part.parts,
+                parts_reused=by_part.reused,
             )
         )
         if cost < logbook.best_cost - 1e-12:
@@ -437,34 +551,35 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
     return best, logbook
 
 
-def _schedule(instance, routes, cfg, deadline):
-    """Schedule fixed routes; returns (solution, achieved savings)."""
-    if cfg.scheduler == "pairwise":
-        from .pairwise import schedule_with_pairwise
+def _schedule(instance, routes, cfg, deadline, memo):
+    """Schedule fixed routes part by part.
 
-        budget = max(deadline - time.perf_counter(), 1.0)
-        solution = schedule_with_pairwise(instance, routes, cfg.gamma, budget)
+    Returns the :class:`PartSchedule`, the round's savings and the cost of
+    its timetable.  The stage runs until ``deadline``, or for one second if
+    that has passed; its parts share that time.
+    """
+    stage_deadline = max(deadline, time.perf_counter() + 1.0)
+    if cfg.scheduler == "pairwise":
+        from .pairwise import narrow_windows, relaxed_by_part
+
+        shrunk = narrow_windows(instance, routes, cfg.gamma)
+        by_part = relaxed_by_part(instance, routes, shrunk, stage_deadline, memo)
+        cost = total_cost(instance, by_part.solution)
         base = sum(
             instance.network.cost[arc]
             for path in routes.paths.values()
             for arc in path
         )
-        return solution, base - total_cost(instance, solution)
+        return by_part, base - cost, cost
 
     kept, _alone = scheduling_preprocess(instance, routes)
-    if not kept:
-        return canonical_schedule(instance, routes), 0.0
-    model = build_tif(instance, routes, kept)
-    budget = max(deadline - time.perf_counter(), 1.0)
-    sres = solve(
-        model,
-        SolveConfig(
-            time_limit=budget,
-            gap_tol=cfg.scheduling_gap,
-            warm_start=_warm_schedule(instance, routes, kept),
-        ),
+    by_part = schedule_by_part(
+        instance,
+        routes,
+        kept,
+        relax_capacity=False,
+        gap=cfg.scheduling_gap,
+        deadline=stage_deadline,
+        memo=memo,
     )
-    if sres.objective is None:
-        return canonical_schedule(instance, routes), 0.0
-    solution = decode(instance, sres, "tif", routes=routes)
-    return solution, sres.objective
+    return by_part, by_part.savings, total_cost(instance, by_part.solution)

@@ -430,7 +430,15 @@ def _decode_tif(instance: Instance, result, routes: FixedRoutes) -> PlatoonSolut
         elif name.startswith("y_"):
             i, j, tm = _ints(name)
             counts[(i, j), tm] = int(round(val))
+    return _tif_timetable(instance, routes, chosen, counts)
 
+
+def _tif_timetable(
+    instance: Instance,
+    routes: FixedRoutes,
+    chosen: Mapping[tuple[int, Arc], int],
+    counts: Mapping[tuple[Arc, int], int],
+) -> PlatoonSolution:
     tt = instance.network.travel_time
     paths = {}
     slots: dict[tuple[Arc, int], list[int]] = defaultdict(list)
@@ -477,6 +485,27 @@ def decode(instance: Instance, result, which: str, routes: FixedRoutes | None = 
         sol = _decode_tif(instance, result, routes)
     else:
         raise InvalidSolution(f"unknown decode dialect {which!r}")
+    return _consistent(instance, sol)
+
+
+def assemble_timetable(
+    instance: Instance,
+    routes: FixedRoutes,
+    chosen: Mapping[tuple[int, Arc], int],
+    counts: Mapping[tuple[Arc, int], int],
+) -> PlatoonSolution:
+    """The timetable a scheduling model's solution describes, checked.
+
+    ``chosen[v, arc]`` is the entry time picked for each modeled (vehicle,
+    arc) pair and ``counts[arc, t]`` the platoon count of a slot (absent
+    means none).  Unmodeled legs ride as early as their chain allows, so
+    with nothing chosen this is :func:`canonical_schedule`.  The result is
+    checked as :func:`decode` checks it, with the same error.
+    """
+    return _consistent(instance, _tif_timetable(instance, routes, chosen, counts))
+
+
+def _consistent(instance: Instance, sol: PlatoonSolution) -> PlatoonSolution:
     report = check(instance, sol)
     if not report.ok:
         raise DecodeInconsistent(

@@ -499,6 +499,24 @@ def scheduling_preprocess(instance: Instance, routes: FixedRoutes):
     return frozenset(kept), alone_fixed
 
 
+def _tif_columns(
+    routes: FixedRoutes, kept
+) -> tuple[list[tuple[int, Arc, int]], list[tuple[Arc, int]]]:
+    """Variable order of the scheduling model.
+
+    One ``x`` per kept (vehicle, arc) pair and entry time in its window,
+    sorted, then one ``y`` per (arc, entry time) slot that some ``x`` uses,
+    sorted.
+    """
+    xkeys = [
+        (v, arc, tm)
+        for v, arc in sorted(kept)
+        for tm in range(routes.entry_lo[v, arc], routes.entry_hi[v, arc] + 1)
+    ]
+    slots = sorted({(arc, tm) for _v, arc, tm in xkeys})
+    return xkeys, slots
+
+
 def build_tif(
     instance: Instance,
     routes: FixedRoutes,
@@ -522,18 +540,19 @@ def build_tif(
         )
     m = MipModel("tif")
 
-    xvar: dict[tuple[int, Arc, int], int] = {}
-    slot_users: dict[tuple[Arc, int], list[int]] = defaultdict(list)
     for v, arc in sorted(kept):
         lo, hi = routes.entry_window(v, arc)
         if lo > hi:
             raise EmptyEntrySet(f"vehicle {v} has no admissible entry time on {arc}")
-        for tm in range(lo, hi + 1):
-            xvar[v, arc, tm] = m.add_var(f"x_{arc[0]}_{arc[1]}_{v}_{tm}", BINARY)
-            slot_users[arc, tm].append(v)
+    xkeys, slots = _tif_columns(routes, kept)
+    xvar: dict[tuple[int, Arc, int], int] = {}
+    slot_users: dict[tuple[Arc, int], list[int]] = defaultdict(list)
+    for v, arc, tm in xkeys:
+        xvar[v, arc, tm] = m.add_var(f"x_{arc[0]}_{arc[1]}_{v}_{tm}", BINARY)
+        slot_users[arc, tm].append(v)
 
     yvar: dict[tuple[Arc, int], int] = {}
-    for (arc, tm) in sorted(slot_users):
+    for (arc, tm) in slots:
         k = len(slot_users[arc, tm])
         cap = q if q is not None else k
         ub = 1 if relax_capacity else math.ceil(k / cap)

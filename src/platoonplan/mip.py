@@ -186,6 +186,12 @@ class SolveConfig:
 
 @dataclass
 class MipResult:
+    """Outcome of one :func:`solve` call.
+
+    ``values`` maps each variable's name to its incumbent value, in the
+    model's column order; it is empty when there is no incumbent.
+    """
+
     status: str
     objective: float | None
     bound: float | None

@@ -11,17 +11,14 @@ is always a valid timetable for the original instance.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
+from .decomposition import PartSchedule, schedule_by_part
 from .errors import ShrinkInfeasible
-from .evaluate import PlatoonSolution, canonical_schedule, decode
-from .formulations import (
-    FixedRoutes,
-    build_matching,
-    build_tif,
-    scheduling_preprocess,
-)
+from .evaluate import PlatoonSolution
+from .formulations import FixedRoutes, build_matching, scheduling_preprocess
 from .instance import Instance, with_windows
 from .mip import SolveConfig, solve
 from .network import Arc
@@ -157,6 +154,36 @@ def shrink_windows(
     return with_windows(instance, windows)
 
 
+def narrow_windows(instance: Instance, routes: FixedRoutes, gamma: float) -> Instance:
+    """Pick pairs and narrow their windows: ``instance`` with each chosen
+    pair's windows shrunk to meet (itself if no pair is chosen)."""
+    candidates = enumerate_pairs(instance, routes)
+    chosen = select_pairs(candidates, gamma, len(instance.vehicles))
+    return shrink_windows(instance, chosen)
+
+
+def relaxed_by_part(
+    instance: Instance,
+    routes: FixedRoutes,
+    shrunk: Instance,
+    deadline: float | None,
+    memo: dict,
+) -> PartSchedule:
+    """:func:`solve_relaxed_and_repair` with the scheduling parts it solved.
+
+    Runs until ``deadline`` (a ``perf_counter`` reading; None for no limit)
+    and reuses the parts found in ``memo``, see :func:`schedule_by_part`.
+    Only the fleet's windows differ between ``shrunk`` and ``instance``,
+    so the relaxed models are built from ``instance`` on the narrowed
+    routes.
+    """
+    narrowed = FixedRoutes.build(shrunk, routes.paths)
+    kept, _alone = scheduling_preprocess(shrunk, narrowed)
+    return schedule_by_part(
+        instance, narrowed, kept, relax_capacity=True, gap=1e-9, deadline=deadline, memo=memo
+    )
+
+
 def solve_relaxed_and_repair(
     instance: Instance,
     routes: FixedRoutes,
@@ -166,16 +193,12 @@ def solve_relaxed_and_repair(
     """Time the fixed routes on the narrowed instance without a convoy
     size cap, then decode against the original instance, which splits any
     oversized meet into legal ascending-id convoys.
+
+    The relaxed model is solved one independent part at a time; the parts
+    share ``time_limit``.
     """
-    narrowed = FixedRoutes.build(shrunk, routes.paths)
-    kept, _alone = scheduling_preprocess(shrunk, narrowed)
-    if not kept:
-        return canonical_schedule(instance, routes)
-    model = build_tif(shrunk, narrowed, kept, relax_capacity=True)
-    res = solve(model, SolveConfig(time_limit=time_limit, gap_tol=1e-9))
-    if res.objective is None:
-        return canonical_schedule(instance, routes)
-    return decode(instance, res, "tif", routes=narrowed)
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
+    return relaxed_by_part(instance, routes, shrunk, deadline, {}).solution
 
 
 def schedule_with_pairwise(
@@ -185,7 +208,5 @@ def schedule_with_pairwise(
     time_limit: float | None = None,
 ) -> PlatoonSolution:
     """Full pipeline: pick pairs, narrow windows, time, repair."""
-    candidates = enumerate_pairs(instance, routes)
-    chosen = select_pairs(candidates, gamma, len(instance.vehicles))
-    shrunk = shrink_windows(instance, chosen) if chosen else instance
+    shrunk = narrow_windows(instance, routes, gamma)
     return solve_relaxed_and_repair(instance, routes, shrunk, time_limit)

@@ -101,6 +101,13 @@ def test_solve_iheur_writes_round_log(demo_file, tmp_path, capsys):
     lines = [json.loads(l) for l in log_path.read_text().splitlines()]
     assert len(lines) == 5  # four rounds plus the summary line
     assert lines[0]["iteration"] == 1
+    # round 2 solves the one scheduling part; rounds 3 and 4 reuse it
+    assert [(l["parts"], l["parts_reused"]) for l in lines[:-1]] == [
+        (0, 0),
+        (1, 0),
+        (1, 1),
+        (1, 1),
+    ]
     assert lines[-1]["summary"]["best_cost"] == pytest.approx(4.9, abs=1e-9)
     assert lines[-1]["summary"]["termination"] == "repeat"
 

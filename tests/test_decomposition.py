@@ -1,24 +1,33 @@
 """Cost shaping, iteration bookkeeping, and the route-then-schedule loop."""
 
 import json
+import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import platoonplan.decomposition as decomposition_module
 import platoonplan.instance as instance_module
+from instgen import small_instance, time_shortest_paths
 from platoonplan.decomposition import (
     CostTable,
     DecompositionConfig,
     HistoryEntry,
     IterationLog,
     IterationRecord,
+    _parts,
+    _schedule,
     _warm_routing,
     _warm_schedule,
     fingerprint,
     modify_costs,
     real_cost,
     run,
+    schedule_by_part,
 )
 from platoonplan.errors import MissingCost, ModelInvalid
 from platoonplan.evaluate import canonical_schedule, check, total_cost
@@ -39,6 +48,7 @@ from platoonplan.instance import (
 )
 from platoonplan.mip import SolveConfig, _compile, solve
 from platoonplan.network import generate_grid, make_network
+from platoonplan.pairwise import narrow_windows
 
 TOP = ((0, 1), (1, 4), (4, 5))
 BOTTOM = ((0, 2), (2, 3), (3, 5))
@@ -241,10 +251,172 @@ def test_warm_schedule_covers_model_and_is_feasible(demo):
     kept, _ = scheduling_preprocess(demo, routes)
     warm = _warm_schedule(demo, routes, kept)
     model = build_tif(demo, routes, kept)
-    assert set(warm) == {v.name for v in model.variables}
+    assert list(warm) == list(range(model.num_vars))
     res = solve(model, SolveConfig(time_limit=0.0, warm_start=warm))
     # everyone-earliest already meets at 500 here
     assert res.objective == pytest.approx(0.1, abs=1e-9)
+
+
+# -- scheduling by part ---------------------------------------------------------
+
+
+def two_pairs_instance():
+    """Two trucks on each of two disjoint corridors: two scheduling parts."""
+    net = make_network(
+        6,
+        [
+            (0, 1, 1.0, 1),
+            (1, 2, 1.0, 1),
+            (3, 4, 2.0, 1),
+            (4, 5, 2.0, 1),
+        ],
+    )
+    vehicles = (
+        Vehicle(0, 0, 2, 0, 4),
+        Vehicle(1, 0, 2, 1, 4),
+        Vehicle(2, 3, 5, 0, 4),
+        Vehicle(3, 3, 5, 0, 3),
+    )
+    instance = Instance(
+        network=net, vehicles=vehicles, eta=0.25, q_limit=None, time_unit=1.0, horizon=4
+    )
+    paths = {0: ((0, 1), (1, 2)), 1: ((0, 1), (1, 2)), 2: ((3, 4), (4, 5)), 3: ((3, 4), (4, 5))}
+    return instance, FixedRoutes.build(instance, paths)
+
+
+def assert_parts_match_whole(instance, routes, gap=1e-9):
+    """Part-wise scheduling equals the single scheduling model."""
+    kept, _ = scheduling_preprocess(instance, routes)
+    parts = _parts(routes, kept)
+    assert sorted(pair for _trucks, part in parts for pair in part) == sorted(kept)
+    for relax in (False, True):
+        by_part = schedule_by_part(instance, routes, kept, relax, gap, None, {})
+        assert by_part.parts == len(parts) and by_part.reused == 0
+        assert check(instance, by_part.solution).ok
+        if kept:
+            whole = solve(build_tif(instance, routes, kept, relax), SolveConfig(gap_tol=gap))
+            assert whole.status == "optimal"
+            assert abs(by_part.savings - whole.objective) <= gap * max(1.0, abs(whole.objective))
+        else:
+            assert by_part.savings == 0.0
+            assert by_part.solution == canonical_schedule(instance, routes)
+        if not relax:
+            base = sum(instance.network.cost[a] for path in routes.paths.values() for a in path)
+            assert total_cost(instance, by_part.solution) == pytest.approx(
+                base - by_part.savings, abs=1e-9
+            )
+
+
+def test_part_wise_savings_equal_single_model_on_demo_and_two_pairs(demo):
+    for truck2 in (TOP, BOTTOM):
+        assert_parts_match_whole(demo, demo_routes(demo, truck2))
+    instance, routes = two_pairs_instance()
+    kept, _ = scheduling_preprocess(instance, routes)
+    assert [trucks for trucks, _part in _parts(routes, kept)] == [(0, 1), (2, 3)]
+    assert_parts_match_whole(instance, routes)
+
+
+@pytest.mark.parametrize("mode", ["icmp", "llcmp"])
+def test_part_wise_savings_equal_single_model_every_round(mode, monkeypatch):
+    """On every round's routes of a 4x4/8 fleet and a 6x6/15 fleet."""
+    seen = []
+
+    def recording(instance, routes, *args):
+        seen.append(routes)
+        return _schedule(instance, routes, *args)
+
+    monkeypatch.setattr(decomposition_module, "_schedule", recording)
+    for n, k, seed in ((4, 8, 4), (6, 15, 1)):
+        instance = generate_fleet(generate_grid(n, n, seed=seed), k, seed=seed)
+        seen.clear()
+        run(instance, DecompositionConfig(mode=mode))
+        assert len(seen) > 2
+        for routes in seen:
+            assert_parts_match_whole(instance, routes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000))
+def test_part_wise_savings_equal_single_model_on_random_draws(seed):
+    instance = small_instance(seed)
+    assume(instance is not None)
+    assert_parts_match_whole(instance, FixedRoutes.build(instance, time_shortest_paths(instance)))
+
+
+@pytest.mark.parametrize("scheduler", ["exact", "pairwise"])
+def test_second_schedule_of_same_routes_builds_no_model(scheduler, monkeypatch):
+    instance, routes = two_pairs_instance()
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return build_tif(*args)
+
+    monkeypatch.setattr(decomposition_module, "build_tif", counting)
+    cfg = DecompositionConfig(scheduler=scheduler, gamma=0.5)
+    memo = {}
+    first = _schedule(instance, routes, cfg, math.inf, memo)
+    assert len(builds) == 2 and len(memo) == 2
+    assert (first[0].parts, first[0].reused) == (2, 0)
+    second = _schedule(instance, routes, cfg, math.inf, memo)
+    assert len(builds) == 2
+    assert (second[0].parts, second[0].reused) == (2, 2)
+    assert second[0].solution == first[0].solution
+    assert second[1:] == first[1:]
+    # both pairs platoon over their whole corridor: 12 alone, 1.5 saved
+    assert first[1] == pytest.approx(1.5, abs=1e-12)
+    assert first[2] == pytest.approx(10.5, abs=1e-12)
+    assert first[2] == pytest.approx(total_cost(instance, first[0].solution), abs=1e-12)
+
+
+@pytest.mark.parametrize("scheduler", ["exact", "pairwise"])
+def test_parts_share_one_stage_deadline(scheduler, monkeypatch):
+    """A stage that starts after the deadline gets one second in all."""
+    instance, routes = two_pairs_instance()
+    clock = [100.0]
+    limits = []
+
+    def spending_solve(model, cfg):
+        limits.append(cfg.time_limit)
+        clock[0] += cfg.time_limit  # the part takes all the time it gets
+        return solve(model, replace(cfg, time_limit=0.0))
+
+    monkeypatch.setattr(
+        decomposition_module, "time", SimpleNamespace(perf_counter=lambda: clock[0])
+    )
+    monkeypatch.setattr(decomposition_module, "solve", spending_solve)
+    memo = {}
+    cfg = DecompositionConfig(scheduler=scheduler, gamma=0.5)
+    by_part, _savings, cost = _schedule(instance, routes, cfg, 50.0, memo)
+    assert limits == [1.0, 0.0]
+    # the parts kept their everyone-earliest starts, which are not memoized
+    assert by_part.parts == 2 and memo == {}
+    if scheduler == "pairwise":
+        routes = FixedRoutes.build(narrow_windows(instance, routes, 0.5), routes.paths)
+    assert by_part.solution == canonical_schedule(instance, routes)
+    assert cost == pytest.approx(total_cost(instance, by_part.solution), abs=1e-12)
+
+
+@pytest.mark.parametrize("scheduler", ["exact", "pairwise"])
+def test_memo_does_not_outlive_run(scheduler, monkeypatch):
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return build_tif(*args)
+
+    monkeypatch.setattr(decomposition_module, "build_tif", counting)
+    instance = generate_fleet(generate_grid(6, 6, seed=1), 15, seed=1)
+    runs = []
+    for _ in range(2):
+        before = len(builds)
+        _best, log = run(instance, DecompositionConfig(mode="llcmp", scheduler=scheduler))
+        runs.append(([r.to_json_dict() for r in log.records], len(builds) - before))
+    assert runs[0] == runs[1]
+    records, n_builds = runs[0]
+    parts = sum(r["parts"] for r in records)
+    reused = sum(r["parts_reused"] for r in records)
+    assert reused > 0 and n_builds == parts - reused
 
 
 # -- the full loop ------------------------------------------------------------
@@ -412,6 +584,8 @@ def test_iteration_log_jsonl_shape():
                 routing_bound=4.89,
                 scheduling_savings=0.0,
                 feasible_cost=4.99,
+                parts=3,
+                parts_reused=2,
             )
         ],
         best_cost=4.99,
@@ -425,6 +599,8 @@ def test_iteration_log_jsonl_shape():
     first = json.loads(lines[0])
     assert first["iteration"] == 1
     assert first["feasible_cost"] == 4.99
+    assert (first["parts"], first["parts_reused"]) == (3, 2)
+    assert IterationRecord(1, "abc", 4.89, None, 0.0, 4.99).to_json_dict()["parts"] == 0
     summary = json.loads(lines[1])["summary"]
     assert summary["termination"] == "repeat"
     assert summary["best_cost"] == 4.99

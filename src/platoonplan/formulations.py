@@ -16,7 +16,9 @@ Variable naming is part of the contract (decoders parse it): ``x_i_j_v`` and
 ``t_i_v`` for routing/time variables, ``y_i_j_v_w`` for pair pledges,
 ``x_i_t_j_t2_v`` and ``y_i_t_j_t2`` on the time-expanded network, and
 ``x_i_j_v_t`` / ``y_i_j_t`` in the scheduling model.  All id fields are
-integers separated by underscores.
+integers separated by underscores.  ``y_i_t_j_t2`` exists only for time
+arcs that two or more trucks can use; a truck alone on a time arc drives it
+as a platoon of one.
 """
 
 from __future__ import annotations
@@ -187,13 +189,26 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
     """Joint model on the time-expanded network.
 
     One binary per vehicle and admissible time-arc copy (waiting arcs are the
-    ``i == j`` case), plus an integer ``y`` per used move arc counting how
+    ``i == j`` case), plus an integer ``y`` per shared move arc counting how
     many platoons drive it; each platoon pays the fixed share of the arc cost
     once, each vehicle pays the unit share.
+
+    Three reductions leave out rows and columns that cannot change a
+    solution, so the LP bound and the optimum are those of the full model:
+
+    * a vehicle waits only at nodes it can reach: its origin, its
+      destination and the ends of its admissible arcs;
+    * a time arc that only one vehicle can use gets no ``y``; its fixed share
+      is charged on that vehicle's ``x``, which folds ``y = x`` in;
+    * the slot row ``sum_v x_v <= cap * y`` is stated only where more than
+      ``cap`` vehicles can use the time arc; elsewhere the per-vehicle rows
+      ``x_v <= y`` imply it.
     """
     net = instance.network
     q = instance.q_limit
     adm = instance.admissible
+    tt = net.travel_time
+    horizon = tsn.horizon
     m = MipModel("tsf")
 
     move_users: dict[tuple[int, int, int, int], list[int]] = defaultdict(list)
@@ -205,22 +220,24 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
         win = tsn.admissible[v]
         outs: dict[tuple[int, int], list[int]] = defaultdict(list)
         ins: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for (i, tm, j, t2) in tsn.move_arcs:
-            if (i, j) not in adm[v]:
+        for arc in net.arcs:
+            if arc not in adm[v]:
                 continue
-            wi = win.get(i)
-            wj = win.get(j)
-            if wi is None or wj is None:
-                continue
-            if wi[0] <= tm <= wi[1] and wj[0] <= t2 <= wj[1]:
+            i, j = arc
+            t_ij = tt[arc]
+            (lo_i, hi_i), (lo_j, hi_j) = win[i], win[j]
+            last = min(hi_i, hi_j - t_ij, horizon - t_ij)
+            for tm in range(max(lo_i, lo_j - t_ij), last + 1):
+                t2 = tm + t_ij
                 idx = m.add_var(f"x_{i}_{tm}_{j}_{t2}_{v}", BINARY)
                 xvar[v, (i, tm, j, t2)] = idx
                 move_users[(i, tm, j, t2)].append(v)
                 outs[(i, tm)].append(idx)
                 ins[(j, t2)].append(idx)
-        for (i, tm) in tsn.time_arcs:
-            wi = win.get(i)
-            if wi is not None and wi[0] <= tm and tm + 1 <= wi[1]:
+        reach = {n for arc in adm[v] for n in arc} | {veh.origin, veh.dest}
+        for i in sorted(reach):
+            lo_i, hi_i = win[i]
+            for tm in range(lo_i, min(hi_i, horizon)):
                 idx = m.add_var(f"x_{i}_{tm}_{i}_{tm + 1}_{v}", BINARY)
                 outs[(i, tm)].append(idx)
                 ins[(i, tm + 1)].append(idx)
@@ -230,14 +247,19 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
     yvar: dict[tuple[int, int, int, int], int] = {}
     for ts_arc in sorted(move_users):
         k = len(move_users[ts_arc])
+        if k == 1:
+            continue
         cap = q if q is not None else k
-        ub = math.ceil(k / cap)
         i, tm, j, t2 = ts_arc
-        yvar[ts_arc] = m.add_var(f"y_{i}_{tm}_{j}_{t2}", INTEGER, 0, ub)
+        yvar[ts_arc] = m.add_var(f"y_{i}_{tm}_{j}_{t2}", INTEGER, 0, math.ceil(k / cap))
 
     obj = []
-    for (v, (i, tm, j, t2)), idx in xvar.items():
-        obj.append((idx, tsn.unit_cost[(i, j)]))
+    for (_v, ts_arc), idx in xvar.items():
+        arc = (ts_arc[0], ts_arc[2])
+        coef = tsn.unit_cost[arc]
+        if ts_arc not in yvar:
+            coef += tsn.fixed_cost[arc]
+        obj.append((idx, coef))
     for ts_arc, idx in yvar.items():
         obj.append((idx, tsn.fixed_cost[(ts_arc[0], ts_arc[2])]))
     m.set_objective(obj, sense="min")
@@ -252,14 +274,14 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
             rhs = 1.0 if node == source else -1.0 if node == sink else 0.0
             m.add_constr(terms, "=", rhs)
 
-    for ts_arc, vs in sorted(move_users.items()):
-        cap = q if q is not None else len(vs)
-        yidx = yvar[ts_arc]
-        m.add_constr(
-            [(xvar[v, ts_arc], 1.0) for v in vs] + [(yidx, -float(cap))],
-            "<=",
-            0.0,
-        )
+    for ts_arc, yidx in yvar.items():
+        vs = move_users[ts_arc]
+        if q is not None and len(vs) > q:
+            m.add_constr(
+                [(xvar[v, ts_arc], 1.0) for v in vs] + [(yidx, -float(q))],
+                "<=",
+                0.0,
+            )
         for v in vs:
             m.add_constr([(xvar[v, ts_arc], 1.0), (yidx, -1.0)], "<=", 0.0)
     return m

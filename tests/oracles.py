@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -260,3 +260,87 @@ def enumerate_mip(model: MipModel):
     if best is None:
         return False, None
     return True, best + model.objective_constant
+
+
+# -- the full time-expanded model --------------------------------------------
+
+
+def full_tsf(instance, tsn):
+    """The time-expanded model with every redundant row and column kept.
+
+    This is ``build_tsf`` as it was before it left out the implied slot
+    rows, the ``y`` of single-user time arcs and the waiting arcs at nodes a
+    truck cannot reach.  The reduced model must have the same LP bound and
+    optimum as this one.
+    """
+    q = instance.q_limit
+    adm = instance.admissible
+    m = MipModel("tsf")
+
+    move_users = defaultdict(list)
+    xvar = {}
+    out_at = []
+    in_at = []
+
+    for v, veh in enumerate(instance.vehicles):
+        win = tsn.admissible[v]
+        outs = defaultdict(list)
+        ins = defaultdict(list)
+        for (i, tm, j, t2) in tsn.move_arcs:
+            if (i, j) not in adm[v]:
+                continue
+            wi = win.get(i)
+            wj = win.get(j)
+            if wi is None or wj is None:
+                continue
+            if wi[0] <= tm <= wi[1] and wj[0] <= t2 <= wj[1]:
+                idx = m.add_var(f"x_{i}_{tm}_{j}_{t2}_{v}", BINARY)
+                xvar[v, (i, tm, j, t2)] = idx
+                move_users[(i, tm, j, t2)].append(v)
+                outs[(i, tm)].append(idx)
+                ins[(j, t2)].append(idx)
+        for (i, tm) in tsn.time_arcs:
+            wi = win.get(i)
+            if wi is not None and wi[0] <= tm and tm + 1 <= wi[1]:
+                idx = m.add_var(f"x_{i}_{tm}_{i}_{tm + 1}_{v}", BINARY)
+                outs[(i, tm)].append(idx)
+                ins[(i, tm + 1)].append(idx)
+        out_at.append(outs)
+        in_at.append(ins)
+
+    yvar = {}
+    for ts_arc in sorted(move_users):
+        k = len(move_users[ts_arc])
+        cap = q if q is not None else k
+        ub = math.ceil(k / cap)
+        i, tm, j, t2 = ts_arc
+        yvar[ts_arc] = m.add_var(f"y_{i}_{tm}_{j}_{t2}", INTEGER, 0, ub)
+
+    obj = []
+    for (v, (i, tm, j, t2)), idx in xvar.items():
+        obj.append((idx, tsn.unit_cost[(i, j)]))
+    for ts_arc, idx in yvar.items():
+        obj.append((idx, tsn.fixed_cost[(ts_arc[0], ts_arc[2])]))
+    m.set_objective(obj, sense="min")
+
+    for v, veh in enumerate(instance.vehicles):
+        source = (veh.origin, veh.earliest_departure)
+        sink = (veh.dest, veh.latest_arrival)
+        ts_nodes = sorted(set(out_at[v]) | set(in_at[v]) | {source, sink})
+        for node in ts_nodes:
+            terms = [(idx, 1.0) for idx in out_at[v].get(node, ())]
+            terms += [(idx, -1.0) for idx in in_at[v].get(node, ())]
+            rhs = 1.0 if node == source else -1.0 if node == sink else 0.0
+            m.add_constr(terms, "=", rhs)
+
+    for ts_arc, vs in sorted(move_users.items()):
+        cap = q if q is not None else len(vs)
+        yidx = yvar[ts_arc]
+        m.add_constr(
+            [(xvar[v, ts_arc], 1.0) for v in vs] + [(yidx, -float(cap))],
+            "<=",
+            0.0,
+        )
+        for v in vs:
+            m.add_constr([(xvar[v, ts_arc], 1.0), (yidx, -1.0)], "<=", 0.0)
+    return m

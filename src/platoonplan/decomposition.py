@@ -41,6 +41,7 @@ from typing import Mapping, Sequence
 from .errors import NoFeasibleSolution
 from .evaluate import (
     PlatoonSolution,
+    _tif_choice,
     _union_find_groups,
     assemble_timetable,
     total_cost,
@@ -458,13 +459,7 @@ def _solve_part(instance, routes, part, relax_capacity, gap, deadline):
             warm_start=_warm_schedule(instance, routes, part, relax_capacity),
         ),
     )
-    xkeys, slots = _tif_columns(routes, part)
-    values = list(res.values.values())  # in column order
-    chosen = {(v, arc): tm for (v, arc, tm), val in zip(xkeys, values) if val > 0.5}
-    counts = {
-        slot: n for slot, val in zip(slots, values[len(xkeys):]) if (n := int(round(val)))
-    }
-    return (res.objective, chosen, counts), res.status == OPTIMAL
+    return (res.objective, *_tif_choice(res)), res.status == OPTIMAL
 
 
 def run(instance: Instance, cfg: DecompositionConfig | None = None):

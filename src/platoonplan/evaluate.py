@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DecodeInconsistent, InvalidSolution
-from .formulations import FixedRoutes, _walk
+from .formulations import FixedRoutes, _x_paths
 from .instance import Instance
 
 Arc = tuple[int, int]
@@ -331,36 +331,16 @@ def _union_find_groups(vehicles: set[int], links: list[tuple[int, int]]) -> list
     return [tuple(sorted(vs)) for _r, vs in sorted(classes.items())]
 
 
-def _ints(name: str) -> list[int]:
-    return [int(p) for p in name.split("_")[1:]]
-
-
 def _decode_cpf(instance: Instance, result) -> PlatoonSolution:
-    used: dict[int, list[Arc]] = defaultdict(list)
     times: dict[tuple[int, int], float] = {}
     links: dict[Arc, list[tuple[int, int]]] = defaultdict(list)
-    for name, val in result.values.items():
-        if name.startswith("t_"):
-            i, v = _ints(name)
-            times[v, i] = val
-        elif name.startswith("x_") and val > 0.5:
-            i, j, v = _ints(name)
-            used[v].append((i, j))
-        elif name.startswith("y_") and val > 0.5:
-            i, j, v, w = _ints(name)
-            links[(i, j)].append((v, w))
-
-    paths = {}
-    for v, veh in enumerate(instance.vehicles):
-        nxt: dict[int, list[Arc]] = defaultdict(list)
-        for arc in used.get(v, ()):
-            nxt[arc[0]].append(arc)
-        for outs in nxt.values():
-            outs.sort()
-        path = _walk(veh.origin, veh.dest, nxt)
-        if path is None:
-            raise DecodeInconsistent(f"vehicle {v}: no usable path in the incumbent")
-        paths[v] = path
+    for key, val in result.values.items():
+        match key:
+            case ("t", i, v):
+                times[v, i] = val
+            case ("y", i, j, v, w) if val > 0.5:
+                links[i, j].append((v, w))
+    paths = _x_paths(instance, result.values, DecodeInconsistent)
 
     on_arc: dict[Arc, set[int]] = defaultdict(set)
     for v, path in paths.items():
@@ -389,16 +369,15 @@ def _decode_cpf(instance: Instance, result) -> PlatoonSolution:
 
 
 def _decode_tsf(instance: Instance, result) -> PlatoonSolution:
-    moves: dict[int, list[tuple[int, tuple]]] = defaultdict(list)
+    moves: dict[int, list[tuple[int, Arc]]] = defaultdict(list)
     counts: dict[tuple[Arc, int], int] = {}
-    for name, val in result.values.items():
-        if name.startswith("x_") and val > 0.5:
-            i, tm, j, t2, v = _ints(name)
-            if i != j:  # waiting legs carry no cost and join no platoon
+    for key, val in result.values.items():
+        match key:
+            # waiting legs (i == j) carry no cost and join no platoon
+            case ("x", i, tm, j, _, v) if val > 0.5 and i != j:
                 moves[v].append((tm, (i, j)))
-        elif name.startswith("y_"):
-            i, tm, j, _t2 = _ints(name)
-            counts[(i, j), tm] = int(round(val))
+            case ("y", i, tm, j, _):
+                counts[(i, j), tm] = int(round(val))
 
     paths = {}
     slots: dict[tuple[Arc, int], list[int]] = defaultdict(list)
@@ -420,17 +399,23 @@ def _decode_tsf(instance: Instance, result) -> PlatoonSolution:
     return PlatoonSolution(paths=paths, groups=groups)
 
 
-def _decode_tif(instance: Instance, result, routes: FixedRoutes) -> PlatoonSolution:
+def _tif_choice(result) -> tuple[dict[tuple[int, Arc], int], dict[tuple[Arc, int], int]]:
+    """What a scheduling incumbent picks: ``(chosen, counts)``.
+
+    ``chosen[v, arc]`` is the entry time of each modeled (vehicle, arc)
+    pair, and ``counts[arc, t]`` the platoon count of each slot that has
+    one, as :func:`assemble_timetable` takes them.
+    """
     chosen: dict[tuple[int, Arc], int] = {}
     counts: dict[tuple[Arc, int], int] = {}
-    for name, val in result.values.items():
-        if name.startswith("x_") and val > 0.5:
-            i, j, v, tm = _ints(name)
-            chosen[v, (i, j)] = tm
-        elif name.startswith("y_"):
-            i, j, tm = _ints(name)
-            counts[(i, j), tm] = int(round(val))
-    return _tif_timetable(instance, routes, chosen, counts)
+    for key, val in result.values.items():
+        if val > 0.5:
+            match key:
+                case ("x", i, j, v, tm):
+                    chosen[v, (i, j)] = tm
+                case ("y", i, j, tm):
+                    counts[(i, j), tm] = int(round(val))
+    return chosen, counts
 
 
 def _tif_timetable(
@@ -467,11 +452,11 @@ def _tif_timetable(
 def decode(instance: Instance, result, which: str, routes: FixedRoutes | None = None) -> PlatoonSolution:
     """Turn a solver incumbent into a validated :class:`PlatoonSolution`.
 
-    ``which`` picks the variable-name dialect: ``"cpf"``, ``"tsf"``, or
-    ``"tif"`` (the latter needs the fixed ``routes`` the model was built
-    on).  A decoded timetable that fails :func:`check` raises
-    :class:`DecodeInconsistent`: feasible models only produce feasible
-    incumbents, so that signals a solver or builder bug.
+    ``which`` names the model family whose column keys ``result.values``
+    holds: ``"cpf"``, ``"tsf"``, or ``"tif"`` (the latter needs the fixed
+    ``routes`` the model was built on).  A decoded timetable that fails
+    :func:`check` raises :class:`DecodeInconsistent`: feasible models only
+    produce feasible incumbents, so that signals a solver or builder bug.
     """
     if not result.values:
         raise InvalidSolution("result carries no incumbent to decode")
@@ -482,7 +467,7 @@ def decode(instance: Instance, result, which: str, routes: FixedRoutes | None = 
     elif which == "tif":
         if routes is None:
             raise InvalidSolution("decoding a scheduling incumbent requires routes")
-        sol = _decode_tif(instance, result, routes)
+        sol = _tif_timetable(instance, routes, *_tif_choice(result))
     else:
         raise InvalidSolution(f"unknown decode dialect {which!r}")
     return _consistent(instance, sol)
@@ -516,16 +501,4 @@ def _consistent(instance: Instance, sol: PlatoonSolution) -> PlatoonSolution:
 
 def canonical_schedule(instance: Instance, routes: FixedRoutes) -> PlatoonSolution:
     """Everyone departs as early as possible; platoons form only by accident."""
-    paths = {}
-    slots: dict[tuple[Arc, int], list[int]] = defaultdict(list)
-    for v, path in sorted(routes.paths.items()):
-        legs = []
-        for arc in path:
-            tm = routes.entry_lo[v, arc]
-            legs.append((arc, tm))
-            slots[arc, tm].append(v)
-        paths[v] = tuple(legs)
-    groups = {}
-    for (arc, tm), vs in sorted(slots.items()):
-        groups[arc, tm] = split_groups(vs, instance.q_limit)
-    return PlatoonSolution(paths=paths, groups=groups)
+    return _tif_timetable(instance, routes, {}, {})

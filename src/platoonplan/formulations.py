@@ -12,13 +12,19 @@ Four models, all over the same instance data:
 * ``build_tif``: scheduling only, on fixed routes, with one binary per
   admissible arc entry time; maximizes the fixed-cost share saved.
 
-Variable naming is part of the contract (decoders parse it): ``x_i_j_v`` and
-``t_i_v`` for routing/time variables, ``y_i_j_v_w`` for pair pledges,
-``x_i_t_j_t2_v`` and ``y_i_t_j_t2`` on the time-expanded network, and
-``x_i_j_v_t`` / ``y_i_j_t`` in the scheduling model.  All id fields are
-integers separated by underscores.  ``y_i_t_j_t2`` exists only for time
-arcs that two or more trucks can use; a truck alone on a time arc drives it
-as a platoon of one.
+Every column is keyed by a tuple, a tag and then integer ids, and the
+decoders unpack these keys:
+
+* ``("x", i, j, v)`` and ``("t", i, v)`` for routing and time variables,
+  ``("y", i, j, v, w)`` for pair pledges;
+* ``("x", i, t, j, t2, v)`` and ``("y", i, t, j, t2)`` on the time-expanded
+  network;
+* ``("y", i, j)`` for the routing model's arc flags;
+* ``("x", i, j, v, t)`` and ``("y", i, j, t)`` in the scheduling model;
+* ``("w", u, v)`` in the pair matching.
+
+``("y", i, t, j, t2)`` exists only for time arcs that two or more trucks
+can use; a truck alone on a time arc drives it as a platoon of one.
 """
 
 from __future__ import annotations
@@ -84,10 +90,10 @@ def build_cpf(instance: Instance) -> MipModel:
     """Joint routing/scheduling model with continuous entry times.
 
     Minimizes total arc cost minus ``eta`` times the cost refunded on every
-    pledged follower arc.  A pair variable ``y_i_j_v_w`` (``v`` leads ``w``)
-    may switch on only if both trucks drive the arc, and then their entry
-    times at the arc's tail are forced equal.  Pair variables are only
-    created where the trucks' node windows can overlap at all.
+    pledged follower arc.  A pair variable ``("y", i, j, v, w)`` (``v``
+    leads ``w``) may switch on only if both trucks drive the arc, and then
+    their entry times at the arc's tail are forced equal.  Pair variables
+    are only created where the trucks' node windows can overlap at all.
     """
     net = instance.network
     eta = instance.eta
@@ -107,9 +113,9 @@ def build_cpf(instance: Instance) -> MipModel:
             nodes.add(j)
         for i in sorted(nodes):
             lo, hi = bounds[v][i]
-            t[v, i] = m.add_var(f"t_{i}_{v}", CONTINUOUS, lo, hi)
+            t[v, i] = m.add_var(("t", i, v), CONTINUOUS, lo, hi)
         for arc in sorted(adm[v]):
-            x[v, arc] = m.add_var(f"x_{arc[0]}_{arc[1]}_{v}", BINARY)
+            x[v, arc] = m.add_var(("x", *arc, v), BINARY)
 
     y: dict[tuple[Arc, int, int], int] = {}
     for v in range(n_veh):
@@ -120,9 +126,7 @@ def build_cpf(instance: Instance) -> MipModel:
                     bounds[v][i][1], bounds[w][i][1]
                 ):
                     continue  # the two trucks can never be at i together
-                y[arc, v, w] = m.add_var(
-                    f"y_{arc[0]}_{arc[1]}_{v}_{w}", BINARY
-                )
+                y[arc, v, w] = m.add_var(("y", *arc, v, w), BINARY)
 
     obj = [(idx, net.cost[arc]) for (v, arc), idx in x.items()]
     obj += [(idx, -eta * net.cost[arc]) for (arc, _v, _w), idx in y.items()]
@@ -229,7 +233,7 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
             last = min(hi_i, hi_j - t_ij, horizon - t_ij)
             for tm in range(max(lo_i, lo_j - t_ij), last + 1):
                 t2 = tm + t_ij
-                idx = m.add_var(f"x_{i}_{tm}_{j}_{t2}_{v}", BINARY)
+                idx = m.add_var(("x", i, tm, j, t2, v), BINARY)
                 xvar[v, (i, tm, j, t2)] = idx
                 move_users[(i, tm, j, t2)].append(v)
                 outs[(i, tm)].append(idx)
@@ -238,7 +242,7 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
         for i in sorted(reach):
             lo_i, hi_i = win[i]
             for tm in range(lo_i, min(hi_i, horizon)):
-                idx = m.add_var(f"x_{i}_{tm}_{i}_{tm + 1}_{v}", BINARY)
+                idx = m.add_var(("x", i, tm, i, tm + 1, v), BINARY)
                 outs[(i, tm)].append(idx)
                 ins[(i, tm + 1)].append(idx)
         out_at.append(outs)
@@ -250,8 +254,7 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
         if k == 1:
             continue
         cap = q if q is not None else k
-        i, tm, j, t2 = ts_arc
-        yvar[ts_arc] = m.add_var(f"y_{i}_{tm}_{j}_{t2}", INTEGER, 0, math.ceil(k / cap))
+        yvar[ts_arc] = m.add_var(("y", *ts_arc), INTEGER, 0, math.ceil(k / cap))
 
     obj = []
     for (_v, ts_arc), idx in xvar.items():
@@ -318,8 +321,8 @@ def build_fcnf(instance: Instance, cost_table=None) -> MipModel:
     m = MipModel("fcnf")
 
     union, xkeys = _fcnf_columns(instance)
-    yvar = {arc: m.add_var(f"y_{arc[0]}_{arc[1]}", BINARY) for arc in union}
-    xvar = {(v, arc): m.add_var(f"x_{arc[0]}_{arc[1]}_{v}", BINARY) for v, arc in xkeys}
+    yvar = {arc: m.add_var(("y", *arc), BINARY) for arc in union}
+    xvar = {(v, arc): m.add_var(("x", *arc, v), BINARY) for v, arc in xkeys}
     price_fcnf(instance, m, cost_table)
 
     tt = net.travel_time
@@ -447,32 +450,32 @@ class FixedRoutes:
 
 
 def routes_from_result(instance: Instance, result) -> FixedRoutes:
-    """Turn a routing incumbent (``x_i_j_v`` values) into fixed routes."""
-    used: dict[int, list[Arc]] = defaultdict(list)
-    for name, val in result.values.items():
-        if val < 0.5 or not name.startswith("x_"):
-            continue
-        parts = name.split("_")
-        if len(parts) != 4:
-            continue
-        i, j, v = (int(p) for p in parts[1:])
-        used[v].append((i, j))
+    """Turn a routing incumbent (``("x", i, j, v)`` values) into fixed routes."""
+    return FixedRoutes.build(instance, _x_paths(instance, result.values, InfeasibleVehicle))
+
+
+def _x_paths(instance: Instance, values, error: type[Exception]) -> dict[int, tuple[Arc, ...]]:
+    """Each vehicle's path along the arcs its ``("x", i, j, v)`` values pick.
+
+    A depth-first walk from origin to destination drops spurious cycles; a
+    vehicle that has no such path raises ``error``.
+    """
+    nxt: dict[int, dict[int, list[Arc]]] = defaultdict(lambda: defaultdict(list))
+    for key, val in values.items():
+        if val > 0.5:
+            match key:
+                case ("x", i, j, v):
+                    nxt[v][i].append((i, j))
     paths = {}
     for v, veh in enumerate(instance.vehicles):
-        arcs = used.get(v, [])
-        nxt: dict[int, list[Arc]] = defaultdict(list)
-        for arc in arcs:
-            nxt[arc[0]].append(arc)
-        for outs in nxt.values():
-            outs.sort()
-        # depth-first walk to the destination; spurious cycles are dropped
-        path = _walk(veh.origin, veh.dest, nxt)
+        outs = nxt.get(v, {})
+        for arcs in outs.values():
+            arcs.sort()
+        path = _walk(veh.origin, veh.dest, outs)
         if path is None:
-            raise InfeasibleVehicle(
-                f"vehicle {v}: routing incumbent has no {veh.origin}->{veh.dest} path"
-            )
+            raise error(f"vehicle {v}: incumbent has no {veh.origin}->{veh.dest} path")
         paths[v] = path
-    return FixedRoutes.build(instance, paths)
+    return paths
 
 
 def _walk(origin: int, dest: int, nxt: Mapping[int, list[Arc]]) -> tuple[Arc, ...] | None:
@@ -570,7 +573,7 @@ def build_tif(
     xvar: dict[tuple[int, Arc, int], int] = {}
     slot_users: dict[tuple[Arc, int], list[int]] = defaultdict(list)
     for v, arc, tm in xkeys:
-        xvar[v, arc, tm] = m.add_var(f"x_{arc[0]}_{arc[1]}_{v}_{tm}", BINARY)
+        xvar[v, arc, tm] = m.add_var(("x", *arc, v, tm), BINARY)
         slot_users[arc, tm].append(v)
 
     yvar: dict[tuple[Arc, int], int] = {}
@@ -578,7 +581,7 @@ def build_tif(
         k = len(slot_users[arc, tm])
         cap = q if q is not None else k
         ub = 1 if relax_capacity else math.ceil(k / cap)
-        yvar[arc, tm] = m.add_var(f"y_{arc[0]}_{arc[1]}_{tm}", INTEGER, 0, ub)
+        yvar[arc, tm] = m.add_var(("y", *arc, tm), INTEGER, 0, ub)
 
     constant = sum(eta * net.cost[arc] for (_v, arc) in kept)
     m.set_objective(
@@ -634,7 +637,7 @@ def build_matching(pairs: Sequence[tuple[int, int, float]], gamma: float, n_vehi
     wvar = []
     touching: dict[int, list[int]] = defaultdict(list)
     for u, v, _s in pairs:
-        idx = m.add_var(f"w_{u}_{v}", BINARY)
+        idx = m.add_var(("w", u, v), BINARY)
         wvar.append(idx)
         touching[u].append(idx)
         touching[v].append(idx)

@@ -1,12 +1,14 @@
 """Mixed-integer linear models and a small deterministic solver.
 
-The model container is solver-agnostic: variables are named, constraints are
-sparse term lists, and the objective may carry a constant.  :func:`solve`
-runs branch and bound over LP relaxations (HiGHS via ``scipy.optimize``),
-with best-bound node selection and most-fractional branching, both with
-lowest-index tie breaks, so a given model and config always reproduce the
-same search on one scipy build.  :func:`lp_text` prints a model as
-CPLEX-style LP text for debugging.
+The model container is solver-agnostic: each variable has a name, which may
+be any hashable key (the builders key columns by tuples such as
+``("x", i, j, v)``), constraints are sparse term lists, and the objective
+may carry a constant.  :func:`solve` runs branch and bound over LP
+relaxations (HiGHS via ``scipy.optimize``), with best-bound node selection
+and most-fractional branching, both with lowest-index tie breaks, so a
+given model and config always reproduce the same search on one scipy
+build.  :func:`lp_text` prints a model as CPLEX-style LP text for
+debugging.
 
 A model compiles to solver arrays once: the constraint matrix, right-hand
 sides, bounds and integrality are kept on the model until the next
@@ -33,7 +35,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -67,19 +69,25 @@ NO_SOLUTION_TIME_LIMIT = "no_solution_time_limit"
 
 @dataclass
 class Variable:
-    name: str
+    name: Hashable
     kind: str
     lower: float
     upper: float
 
 
 class MipModel:
-    """Sparse MIP container with named variables."""
+    """Sparse MIP container with named variables.
+
+    A variable's name is its key: any hashable, unique within the model.
+    Terms, objectives and warm starts refer to a variable by that key or by
+    its column index (an integer); :func:`lp_text` prints a tuple key as
+    its parts joined by underscores.
+    """
 
     def __init__(self, name: str = "model"):
         self.name = name
         self.variables: list[Variable] = []
-        self._index: dict[str, int] = {}
+        self._index: dict[Hashable, int] = {}
         # each constraint: (var indices, coefficients, sense, rhs, name)
         self.constraints: list[tuple[tuple[int, ...], tuple[float, ...], str, float, str]] = []
         self.objective: dict[int, float] = {}
@@ -92,7 +100,7 @@ class MipModel:
 
     def add_var(
         self,
-        name: str,
+        name: Hashable,
         kind: str = CONTINUOUS,
         lower: float = 0.0,
         upper: float = math.inf,
@@ -113,15 +121,15 @@ class MipModel:
         return idx
 
     def _resolve(self, var) -> int:
-        if isinstance(var, str):
-            try:
-                return self._index[var]
-            except KeyError:
-                raise ModelInvalid(f"unknown variable {var!r}") from None
-        idx = int(var)
-        if not 0 <= idx < len(self.variables):
-            raise ModelInvalid(f"variable index {idx} out of range")
-        return idx
+        """Column of ``var``: an integer is an index, anything else a name."""
+        if isinstance(var, (int, np.integer)):
+            if not 0 <= var < len(self.variables):
+                raise ModelInvalid(f"variable index {var} out of range")
+            return int(var)
+        try:
+            return self._index[var]
+        except (KeyError, TypeError):
+            raise ModelInvalid(f"unknown variable {var!r}") from None
 
     def add_constr(self, terms: Iterable[tuple], sense: str, rhs: float, name: str | None = None) -> int:
         if sense not in _SENSES:
@@ -164,10 +172,10 @@ class MipModel:
     def num_constrs(self) -> int:
         return len(self.constraints)
 
-    def var_index(self, name: str) -> int:
+    def var_index(self, name: Hashable) -> int:
         return self._index[name]
 
-    def var_name(self, idx: int) -> str:
+    def var_name(self, idx: int) -> Hashable:
         return self.variables[idx].name
 
 
@@ -175,27 +183,29 @@ class MipModel:
 class SolveConfig:
     """Settings of one :func:`solve` call.
 
-    ``warm_start`` maps variables, by name or by index, to the values of a
-    candidate incumbent; unlisted variables take their lower bound.
+    ``warm_start`` maps variables, by name (key) or by column index, to the
+    values of a candidate incumbent; unlisted variables take their lower
+    bound.  An unknown name or an index out of range raises
+    :class:`ModelInvalid`.
     """
 
     time_limit: float | None = None
     gap_tol: float = 1e-9
-    warm_start: Mapping[str | int, float] | None = None
+    warm_start: Mapping[Hashable, float] | None = None
 
 
 @dataclass
 class MipResult:
     """Outcome of one :func:`solve` call.
 
-    ``values`` maps each variable's name to its incumbent value, in the
-    model's column order; it is empty when there is no incumbent.
+    ``values`` maps each variable's name, the key it was added under, to
+    its incumbent value; it is empty when there is no incumbent.
     """
 
     status: str
     objective: float | None
     bound: float | None
-    values: dict[str, float]
+    values: dict[Hashable, float]
     wall_time: float
     node_count: int
 
@@ -215,7 +225,7 @@ class _Arrays:
     lower: np.ndarray
     upper: np.ndarray
     int_mask: np.ndarray
-    names: list[str]
+    names: list[Hashable]
 
 
 @dataclass(frozen=True)
@@ -390,7 +400,7 @@ def _feasible_point(comp: _Compiled, x: np.ndarray) -> bool:
 
 
 def _result(comp, status, inc_x, inc_obj, bound_min, start, nodes):
-    values: dict[str, float] = {}
+    values: dict[Hashable, float] = {}
     objective = None
     if inc_x is not None:
         x = inc_x.copy()
@@ -557,33 +567,39 @@ def _lp_terms(pairs: Sequence[tuple[str, float]], constant: float = 0.0) -> str:
     return text[2:] if text.startswith("+ ") else text
 
 
+def _label(key: Hashable) -> str:
+    """The LP-text name of a variable: a tuple key's parts joined by ``_``."""
+    if isinstance(key, tuple):
+        return "_".join(map(str, key))
+    return str(key)
+
+
 def lp_text(model: MipModel) -> str:
     """CPLEX-style LP text of ``model``, for reading and debugging."""
+    labels = [_label(v.name) for v in model.variables]
     lines = [f"\\ {model.name}"]
     lines.append("Maximize" if model.sense == "max" else "Minimize")
-    obj_pairs = [
-        (model.var_name(i), c) for i, c in sorted(model.objective.items()) if c != 0.0
-    ]
+    obj_pairs = [(labels[i], c) for i, c in sorted(model.objective.items()) if c != 0.0]
     lines.append(f" obj: {_lp_terms(obj_pairs, model.objective_constant)}")
     lines.append("Subject To")
     for idxs, coefs, sense, rhs, name in model.constraints:
-        pairs = [(model.var_name(i), c) for i, c in zip(idxs, coefs) if c != 0.0]
+        pairs = [(labels[i], c) for i, c in zip(idxs, coefs) if c != 0.0]
         op = {"<=": "<=", ">=": ">=", "=": "="}[sense]
         lines.append(f" {name}: {_lp_terms(pairs)} {op} {_num(rhs)}")
     lines.append("Bounds")
-    for v in model.variables:
+    for v, label in zip(model.variables, labels):
         if v.kind == BINARY:
             continue
         if v.lower == -math.inf and v.upper == math.inf:
-            lines.append(f" {v.name} free")
+            lines.append(f" {label} free")
         elif v.upper == math.inf:
-            lines.append(f" {v.name} >= {_num(v.lower)}")
+            lines.append(f" {label} >= {_num(v.lower)}")
         elif v.lower == -math.inf:
-            lines.append(f" {v.name} <= {_num(v.upper)}")
+            lines.append(f" {label} <= {_num(v.upper)}")
         else:
-            lines.append(f" {_num(v.lower)} <= {v.name} <= {_num(v.upper)}")
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
-    generals = [v.name for v in model.variables if v.kind == INTEGER]
+            lines.append(f" {_num(v.lower)} <= {label} <= {_num(v.upper)}")
+    binaries = [label for v, label in zip(model.variables, labels) if v.kind == BINARY]
+    generals = [label for v, label in zip(model.variables, labels) if v.kind == INTEGER]
     if binaries:
         lines.append("Binary")
         lines.append(" " + " ".join(binaries))

@@ -287,19 +287,20 @@ def load_network(path) -> RoadNetwork:
 
 @dataclass(frozen=True, eq=False)
 class TimeSpaceNetwork:
-    """Time-expanded copy of a road network over an integral horizon.
+    """Time-expanded view of a road network over an integral horizon.
 
-    ``move_arcs`` holds every ``(i, t) -> (j, t + T_ij)`` copy of a road arc
-    that fits the horizon; waiting arcs ``(i, t) -> (i, t + 1)`` are listed as
-    their tail.  ``admissible`` gives, per vehicle, the time window in which
-    the vehicle may occupy each node, already narrowed by shortest travel
-    times from its origin and to its destination.
+    The time arcs are not listed: a copy ``(i, t) -> (j, t + T_ij)`` of a road
+    arc, or a waiting arc ``(i, t) -> (i, t + 1)``, exists for a vehicle when
+    it fits the horizon and the vehicle's node windows, and the model builder
+    enumerates only those.  ``admissible`` gives, per vehicle, the time window
+    in which the vehicle may occupy each node, already narrowed by shortest
+    travel times from its origin and to its destination.  ``fixed_cost`` and
+    ``unit_cost`` split each arc's cost into the share a platoon pays once and
+    the share every vehicle pays.
     """
 
     net: RoadNetwork
     horizon: int
-    move_arcs: tuple[tuple[int, int, int, int], ...]
-    time_arcs: tuple[tuple[int, int], ...]
     fixed_cost: Mapping[Arc, float]
     unit_cost: Mapping[Arc, float]
     admissible: tuple[dict[int, tuple[int, int]], ...]
@@ -318,24 +319,12 @@ def build_time_space(net: RoadNetwork, instance) -> TimeSpaceNetwork:
                 f"horizon is {horizon}"
             )
     admissible = tuple(dict(w.bounds) for w in instance.windows)
-
-    move_arcs = []
-    for arc in net.arcs:
-        i, j = arc
-        t_ij = net.travel_time[arc]
-        for t in range(0, horizon - t_ij + 1):
-            move_arcs.append((i, t, j, t + t_ij))
-    time_arcs = tuple(
-        (i, t) for i in range(net.n_nodes) for t in range(horizon)
-    )
     eta = instance.eta
     fixed = {arc: eta * net.cost[arc] for arc in net.arcs}
     unit = {arc: (1.0 - eta) * net.cost[arc] for arc in net.arcs}
     return TimeSpaceNetwork(
         net=net,
         horizon=horizon,
-        move_arcs=tuple(move_arcs),
-        time_arcs=time_arcs,
         fixed_cost=fixed,
         unit_cost=unit,
         admissible=admissible,

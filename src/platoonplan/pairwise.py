@@ -116,11 +116,7 @@ def select_pairs(
         [(c.u, c.v, c.savings) for c in candidates], gamma, n_vehicles
     )
     res = solve(model, SolveConfig(gap_tol=1e-9))
-    chosen = []
-    for c in candidates:
-        if res.values.get(f"w_{c.u}_{c.v}", 0.0) > 0.5:
-            chosen.append(c)
-    return chosen
+    return [c for c in candidates if res.values.get(("w", c.u, c.v), 0.0) > 0.5]
 
 
 def shrink_windows(

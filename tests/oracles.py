@@ -275,7 +275,17 @@ def full_tsf(instance, tsn):
     """
     q = instance.q_limit
     adm = instance.admissible
+    net, horizon = tsn.net, tsn.horizon
     m = MipModel("tsf")
+
+    # every time copy of every road arc that fits the horizon, and every
+    # waiting arc, in the order the time-space network once listed them
+    move_arcs = [
+        (i, tm, j, tm + net.travel_time[i, j])
+        for (i, j) in net.arcs
+        for tm in range(horizon - net.travel_time[i, j] + 1)
+    ]
+    time_arcs = [(i, tm) for i in range(net.n_nodes) for tm in range(horizon)]
 
     move_users = defaultdict(list)
     xvar = {}
@@ -286,7 +296,7 @@ def full_tsf(instance, tsn):
         win = tsn.admissible[v]
         outs = defaultdict(list)
         ins = defaultdict(list)
-        for (i, tm, j, t2) in tsn.move_arcs:
+        for (i, tm, j, t2) in move_arcs:
             if (i, j) not in adm[v]:
                 continue
             wi = win.get(i)
@@ -294,15 +304,15 @@ def full_tsf(instance, tsn):
             if wi is None or wj is None:
                 continue
             if wi[0] <= tm <= wi[1] and wj[0] <= t2 <= wj[1]:
-                idx = m.add_var(f"x_{i}_{tm}_{j}_{t2}_{v}", BINARY)
+                idx = m.add_var(("x", i, tm, j, t2, v), BINARY)
                 xvar[v, (i, tm, j, t2)] = idx
                 move_users[(i, tm, j, t2)].append(v)
                 outs[(i, tm)].append(idx)
                 ins[(j, t2)].append(idx)
-        for (i, tm) in tsn.time_arcs:
+        for (i, tm) in time_arcs:
             wi = win.get(i)
             if wi is not None and wi[0] <= tm and tm + 1 <= wi[1]:
-                idx = m.add_var(f"x_{i}_{tm}_{i}_{tm + 1}_{v}", BINARY)
+                idx = m.add_var(("x", i, tm, i, tm + 1, v), BINARY)
                 outs[(i, tm)].append(idx)
                 ins[(i, tm + 1)].append(idx)
         out_at.append(outs)
@@ -313,8 +323,7 @@ def full_tsf(instance, tsn):
         k = len(move_users[ts_arc])
         cap = q if q is not None else k
         ub = math.ceil(k / cap)
-        i, tm, j, t2 = ts_arc
-        yvar[ts_arc] = m.add_var(f"y_{i}_{tm}_{j}_{t2}", INTEGER, 0, ub)
+        yvar[ts_arc] = m.add_var(("y", *ts_arc), INTEGER, 0, ub)
 
     obj = []
     for (v, (i, tm, j, t2)), idx in xvar.items():

@@ -122,7 +122,23 @@ def test_solve_dump_model(method, demo, demo_file, tmp_path, capsys):
         model = build_cpf(demo)
     else:
         model = build_tsf(demo, build_time_space(demo.network, demo))
-    assert path.read_text() == lp_text(model)
+    text = path.read_text()
+    assert text == lp_text(model)
+    # a tuple key is printed as its parts joined by underscores
+    lines = text.splitlines()
+    if method == "cpf":
+        assert lines[2].endswith(" - 0.1 y_0_2_1_2")
+        assert " c10: 1 y_0_2_1_2 - 1 x_0_2_2 <= 0" in lines
+        assert " 500 <= t_0_1 <= 500" in lines
+        assert lines[-2].split() == [
+            "x_0_1_0", "x_0_2_1", "x_0_1_2", "x_0_2_2", "x_1_4_2",
+            "x_2_3_2", "x_3_5_2", "x_4_5_2", "y_0_2_1_2",
+        ]
+    else:
+        assert lines[2].startswith(" obj: 1 x_0_0_1_100_0 + 0.9 x_0_500_2_600_1 + ")
+        assert lines[2].endswith(" + 0.1 y_0_500_2_600")
+        assert " 0 <= y_0_500_2_600 <= 1" in lines
+        assert lines[-3:] == ["General", " y_0_500_2_600", "End"]
 
 
 def test_solve_dump_model_rejects_iterative_methods(demo_file, tmp_path, capsys):

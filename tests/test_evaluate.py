@@ -273,7 +273,7 @@ def test_decode_argument_errors(demo):
     empty = SimpleNamespace(values={})
     with pytest.raises(InvalidSolution, match="no incumbent"):
         decode(demo, empty, "cpf")
-    res = SimpleNamespace(values={"x_0_1_0": 1.0})
+    res = SimpleNamespace(values={("x", 0, 1, 0): 1.0})
     with pytest.raises(InvalidSolution, match="dialect"):
         decode(demo, res, "mystery")
     with pytest.raises(InvalidSolution, match="routes"):
@@ -283,15 +283,15 @@ def test_decode_argument_errors(demo):
 def test_decode_rejects_tampered_incumbent(demo):
     res = solve(build_cpf(demo), SolveConfig(gap_tol=1e-9))
     broken = dict(res.values)
-    for name, val in res.values.items():
-        if name.startswith("x_") and name.endswith("_0") and val > 0.5:
-            broken[name] = 0.0  # truck 0 loses its route entirely
+    for key, val in res.values.items():
+        if key[0] == "x" and key[-1] == 0 and val > 0.5:
+            broken[key] = 0.0  # truck 0 loses its route entirely
     with pytest.raises(DecodeInconsistent):
         decode(demo, SimpleNamespace(values=broken), "cpf")
 
 
 def test_decode_tsf_rejects_broken_chain(demo):
-    values = {"x_0_100_2_200_0": 1.0, "x_3_400_5_500_0": 1.0}
+    values = {("x", 0, 100, 2, 200, 0): 1.0, ("x", 3, 400, 5, 500, 0): 1.0}
     with pytest.raises(DecodeInconsistent):
         decode(demo, SimpleNamespace(values=values), "tsf")
 

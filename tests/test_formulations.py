@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from instgen import small_instance
+from instgen import small_instance, time_shortest_paths
 from oracles import brute_force_joint
 from platoonplan.errors import (
     EmptyEntrySet,
@@ -30,8 +30,9 @@ from platoonplan.formulations import (
     scheduling_preprocess,
 )
 from platoonplan.instance import Instance, Vehicle
-from platoonplan.mip import SolveConfig, solve
+from platoonplan.mip import SolveConfig, _label, solve
 from platoonplan.network import all_pairs_shortest_times, build_time_space, make_network
+from platoonplan.pairwise import enumerate_pairs
 
 
 def exact(model):
@@ -128,11 +129,11 @@ def test_cpf_demo_structure(demo):
     model = build_cpf(demo)
     names = var_names(model)
     # trucks 1 and 2 can meet at node 0, trucks 0 and 2 never can
-    assert "y_0_2_1_2" in names
-    assert "y_0_1_0_2" not in names
-    t1 = model.variables[model.var_index("t_0_1")]
+    assert ("y", 0, 2, 1, 2) in names
+    assert ("y", 0, 1, 0, 2) not in names
+    t1 = model.variables[model.var_index(("t", 0, 1))]
     assert (t1.lower, t1.upper) == (500.0, 500.0)
-    t2 = model.variables[model.var_index("t_2_2")]
+    t2 = model.variables[model.var_index(("t", 2, 2))]
     assert (t2.lower, t2.upper) == (600.0, 800.0)
 
 
@@ -262,16 +263,16 @@ def test_fixed_routes_rejects_slow_path(demo):
 
 def test_routes_from_result_drops_spurious_cycles(demo):
     values = {
-        "x_0_1_0": 1.0,
-        "x_2_3_0": 1.0,  # detached cycle, never reached from node 0
-        "x_3_2_0": 1.0,
-        "x_0_2_1": 1.0,
-        "x_0_1_2": 1.0,
-        "x_1_4_2": 1.0,
-        "x_4_5_2": 1.0,
-        "x_2_4_2": 0.4,  # fractional noise stays ignored
-        "t_0_1": 500.0,  # unrelated variables as well
-        "y_0_1": 1.0,
+        ("x", 0, 1, 0): 1.0,
+        ("x", 2, 3, 0): 1.0,  # detached cycle, never reached from node 0
+        ("x", 3, 2, 0): 1.0,
+        ("x", 0, 2, 1): 1.0,
+        ("x", 0, 1, 2): 1.0,
+        ("x", 1, 4, 2): 1.0,
+        ("x", 4, 5, 2): 1.0,
+        ("x", 2, 4, 2): 0.4,  # fractional noise stays ignored
+        ("t", 0, 1): 500.0,  # unrelated variables as well
+        ("y", 0, 1): 1.0,
     }
     routes = routes_from_result(demo, SimpleNamespace(values=values))
     assert routes.paths[0] == ((0, 1),)
@@ -280,7 +281,7 @@ def test_routes_from_result_drops_spurious_cycles(demo):
 
 def test_routes_from_result_requires_every_vehicle(demo):
     with pytest.raises(InfeasibleVehicle):
-        routes_from_result(demo, SimpleNamespace(values={"x_0_1_0": 1.0}))
+        routes_from_result(demo, SimpleNamespace(values={("x", 0, 1, 0): 1.0}))
 
 
 # -- scheduling stage ---------------------------------------------------------
@@ -300,16 +301,16 @@ def test_tif_demo(demo):
     kept, alone = scheduling_preprocess(demo, routes)
     model = build_tif(demo, routes, kept)
     names = var_names(model)
-    assert "x_0_2_1_500" in names
-    assert "x_0_2_2_500" in names and "x_0_2_2_700" in names
+    assert ("x", 0, 2, 1, 500) in names
+    assert ("x", 0, 2, 2, 500) in names and ("x", 0, 2, 2, 700) in names
     # 1 entry slot for truck 1, 201 for truck 2, one y per open slot
-    assert sum(n.startswith("x_") for n in names) == 202
-    assert sum(n.startswith("y_") for n in names) == 201
+    assert sum(n[0] == "x" for n in names) == 202
+    assert sum(n[0] == "y" for n in names) == 201
     res = exact(model)
     # both trucks enter (0, 2) at 500 and save one fixed share of 0.1
     assert res.objective == pytest.approx(0.1, abs=1e-9)
-    assert res.values["x_0_2_1_500"] == pytest.approx(1.0)
-    assert res.values["x_0_2_2_500"] == pytest.approx(1.0)
+    assert res.values["x", 0, 2, 1, 500] == pytest.approx(1.0)
+    assert res.values["x", 0, 2, 2, 500] == pytest.approx(1.0)
     assert alone + 0.1 == pytest.approx(0.4, abs=1e-12)
 
 
@@ -359,10 +360,10 @@ def test_tif_waiting_between_arcs_is_allowed():
     routes = FixedRoutes.build(instance, {0: ((0, 1), (1, 2)), 1: ((1, 2),)})
     res = exact(build_tif(instance, routes))
     assert res.objective == pytest.approx(0.1, abs=1e-9)
-    assert res.values["x_1_2_0_4"] == pytest.approx(1.0)
+    assert res.values["x", 1, 2, 0, 4] == pytest.approx(1.0)
     # truck 0 entered the first arc early enough to be at node 1 by 4
     entry = next(
-        tm for tm in range(0, 3) if res.values[f"x_0_1_0_{tm}"] > 0.5
+        tm for tm in range(0, 3) if res.values["x", 0, 1, 0, tm] > 0.5
     )
     assert entry + 2 <= 4
 
@@ -410,6 +411,46 @@ def test_exact_models_match_enumeration_property(seed):
         assert check(instance, decode(instance, res, which)).ok
 
 
+# -- column keys --------------------------------------------------------------
+
+# the arity of every tag, by builder
+KEY_ARITY = {
+    "cpf": {"t": 2, "x": 3, "y": 4},
+    "tsf": {"x": 5, "y": 4},
+    "fcnf": {"y": 2, "x": 3},
+    "tif": {"x": 4, "y": 3},
+    "pairing": {"w": 2},
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.integers(0, 2**16))
+def test_column_keys_are_tagged_int_tuples_property(seed):
+    """Every builder keys a column by ``(tag, *ints)``, each tag with one
+    arity, and no two columns share an LP-text label."""
+    instance = small_instance(seed)
+    assume(instance is not None)
+    routes = FixedRoutes.build(instance, time_shortest_paths(instance))
+    pairs = [(c.u, c.v, c.savings) for c in enumerate_pairs(instance, routes)]
+    models = (
+        build_cpf(instance),
+        build_tsf(instance, build_time_space(instance.network, instance)),
+        build_fcnf(instance),
+        build_tif(instance, routes),
+        build_matching(pairs, 0.5, len(instance.vehicles)),
+    )
+    for model in models:
+        arity = {}
+        for var in model.variables:
+            assert type(var.name) is tuple, var.name
+            tag, *ids = var.name
+            assert all(type(i) is int for i in ids), var.name
+            assert arity.setdefault(tag, len(ids)) == len(ids), var.name
+        assert arity.items() <= KEY_ARITY[model.name].items(), model.name
+        labels = {_label(var.name) for var in model.variables}
+        assert len(labels) == model.num_vars, model.name
+
+
 # -- pair matching ------------------------------------------------------------
 
 
@@ -417,9 +458,9 @@ def test_build_matching_degree_and_budget():
     pairs = [(0, 1, 5.0), (1, 2, 4.0), (2, 3, 3.0)]
     res = exact(build_matching(pairs, gamma=0.5, n_vehicles=4))
     assert res.objective == pytest.approx(8.0)
-    assert res.values["w_0_1"] == pytest.approx(1.0)
-    assert res.values["w_2_3"] == pytest.approx(1.0)
-    assert res.values["w_1_2"] == pytest.approx(0.0)
+    assert res.values["w", 0, 1] == pytest.approx(1.0)
+    assert res.values["w", 2, 3] == pytest.approx(1.0)
+    assert res.values["w", 1, 2] == pytest.approx(0.0)
     # a tighter budget keeps only the single best pair
     res = exact(build_matching(pairs, gamma=0.25, n_vehicles=4))
     assert res.objective == pytest.approx(5.0)

@@ -166,6 +166,31 @@ def test_model_validation_errors():
         m.set_objective([("x", 1.0)], sense="maximize")
 
 
+def test_only_integers_index_columns():
+    """A float is never truncated to an index; any other key is a name."""
+    m = knapsack()
+    with pytest.raises(ModelInvalid, match="unknown variable 1.7"):
+        m.add_constr([(1.7, 1.0)], "<=", 1.0)
+    with pytest.raises(ModelInvalid, match="unknown variable 0.9"):
+        solve(m, SolveConfig(warm_start={0.9: 1.0}))
+    with pytest.raises(ModelInvalid, match="unknown variable"):
+        m.set_objective([(["a"], 1.0)])  # unhashable
+    with pytest.raises(ModelInvalid, match="out of range"):
+        m.add_constr([(np.int64(3), 1.0)], "<=", 1.0)
+    assert m.num_constrs == 1
+    row = m.add_constr([(np.int64(1), 1.0), ("c", 1.0)], "<=", 1.0)
+    assert m.constraints[row][0] == (1, 2)
+    # tuple keys, as the builders use them, and their LP-text labels
+    m.add_var(("x", 0, 12, 3), BINARY)
+    m.add_var(2.5, CONTINUOUS, 0.0, 1.0)
+    assert m._resolve(("x", 0, 12, 3)) == 3 and m._resolve(2.5) == 4
+    with pytest.raises(ModelInvalid, match="unknown variable"):
+        m.add_constr([(("x", 0, 12), 1.0)], "<=", 1.0)
+    text = lp_text(m)
+    assert text.splitlines()[-2].split() == ["a", "b", "c", "x_0_12_3"]
+    assert " 0 <= 2.5 <= 1" in text.splitlines()
+
+
 def test_warm_start_becomes_incumbent():
     m = knapsack()
     res = solve(m, SolveConfig(time_limit=0.0, warm_start={"a": 1.0, "b": 1.0}))

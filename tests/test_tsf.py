@@ -46,10 +46,10 @@ def structure(model):
     users = defaultdict(list)
     waits = defaultdict(set)
     for var in model.variables:
-        kind, *ids = var.name.split("_")
+        kind, *ids = var.name
         if kind != "x":
             continue
-        i, tm, j, t2, v = map(int, ids)
+        i, tm, j, t2, v = ids
         if i == j:
             waits[v].add(i)
         else:
@@ -58,8 +58,8 @@ def structure(model):
     for idxs, coefs, _sense, _rhs, _name in model.constraints:
         if len(idxs) > 2:
             ys = [model.var_name(i) for i, c in zip(idxs, coefs) if c < 0]
-            if len(ys) == 1 and ys[0].startswith("y_"):
-                slot_rows.add(tuple(map(int, ys[0].split("_")[1:])))
+            if len(ys) == 1 and ys[0][0] == "y":
+                slot_rows.add(ys[0][1:])
     return users, waits, slot_rows
 
 
@@ -79,7 +79,7 @@ def assert_reduced_shape(instance, model):
     names = {var.name for var in model.variables}
     cap = instance.q_limit
     for (i, tm, j, t2), vs in users.items():
-        assert (f"y_{i}_{tm}_{j}_{t2}" in names) == (len(vs) >= 2)
+        assert (("y", i, tm, j, t2) in names) == (len(vs) >= 2)
     assert slot_rows == {
         arc for arc, vs in users.items() if cap is not None and len(vs) > cap
     }
@@ -135,9 +135,9 @@ def test_slot_rows_exactly_where_users_exceed_the_cap():
     assert (0, 1, 1, 2) in slot_rows
     assert (0, 0, 1, 1) not in slot_rows
     names = {var.name for var in model.variables}
-    assert "y_0_0_1_1" in names
-    assert "y_2_0_3_1" not in names
-    assert "y_2_0_3_1" in {var.name for var in full.variables}
+    assert ("y", 0, 0, 1, 1) in names
+    assert ("y", 2, 0, 3, 1) not in names
+    assert ("y", 2, 0, 3, 1) in {var.name for var in full.variables}
     res = solve(model, SolveConfig(gap_tol=1e-9))
     assert res.objective == pytest.approx(brute_force_joint(instance), abs=1e-9)
 

@@ -12,15 +12,18 @@ an estimate of what joining would cost.  Two estimate flavors exist:
 * ``llcmp`` charges a joiner the unit share alone, the lowest value any
   platoon member can ever pay, which steers aggressively toward sharing.
 
-The scheduling model splits exactly into parts: trucks kept on a common arc
-(see ``scheduling_preprocess``) are linked, and every scheduling row touches
-one truck or one (arc, slot).  Each part is built and solved on its own
-(:func:`schedule_by_part`), the round's savings are the sum over the parts,
-and the timetable put together from them is checked once.  The parts of a
-round share one stage deadline.  ``run`` keeps a memo for its own length:
-each part's optimal schedule, keyed by the part's trucks, their paths and
-entry windows, so a part that recurs in a later round is neither built nor
-solved again.  Public calls outside ``run`` use no memo.
+Both schedulers go through one pipeline whose only product is entry times;
+the pairwise one first narrows the windows of chosen truck pairs and drops
+the size cap.  The scheduling model splits exactly into parts: trucks kept
+on a common arc (see ``scheduling_preprocess``) are linked, and every
+scheduling row touches one truck or one (arc, slot).  Each part is built and
+solved on its own (:func:`schedule_by_part`), and the timetable put together
+from the parts' entry times is checked once.  That timetable alone prices
+the round: its savings are the base cost of the routes minus its cost.  The
+parts of a round share one stage deadline.  ``run`` keeps a memo for its own
+length: each part's optimal entry times, keyed by the part's trucks, their
+paths and entry windows, so a part that recurs in a later round is neither
+built nor solved again.  Public calls outside ``run`` use no memo.
 
 The loop stops once the same routing solution has appeared ``repeat_limit``
 times or the time budget runs out.
@@ -48,8 +51,6 @@ from .evaluate import (
 )
 from .formulations import (
     FixedRoutes,
-    _fcnf_columns,
-    _tif_columns,
     build_fcnf,
     build_tif,
     price_fcnf,
@@ -228,13 +229,22 @@ def _cycled_cost(v, arc, c, comp_now, history):
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """What one round of :func:`run` found.
+
+    ``routing_objective`` and ``routing_bound`` are the routing model's
+    incumbent and bound at the round's shaped costs.  ``feasible_cost`` is
+    the cost of the round's checked timetable, and ``scheduling_savings``
+    is the base cost of the round's routes minus that cost, for both
+    schedulers.  ``parts`` counts the parts of the round's scheduling model
+    and ``parts_reused`` the ones the run had already solved.
+    """
+
     index: int
     fingerprint: str
     routing_objective: float
     routing_bound: float | None
     scheduling_savings: float
     feasible_cost: float
-    # parts of the round's scheduling model, and those the run had solved
     parts: int = 0
     parts_reused: int = 0
 
@@ -320,8 +330,10 @@ def _trace(prev_arc, source, dest):
 def _warm_routing(instance, table):
     """Feasible routing start: per-vehicle cheapest path, time-safe fallback.
 
-    Returns a complete 0/1 assignment for the routing model's variables,
-    keyed by variable index in :func:`build_fcnf`'s column order.
+    Returns a complete 0/1 assignment for the variables of
+    :func:`build_fcnf`, keyed by column key: ``("y", i, j)`` for each arc of
+    the admissible union and ``("x", i, j, v)`` for each admissible arc of
+    each vehicle.
     """
     adm = instance.admissible
     tt = instance.network.travel_time
@@ -350,10 +362,10 @@ def _warm_routing(instance, table):
             _d2, prev2 = _dijkstra(out_arcs, twts, veh.origin)
             path = _trace(prev2, veh.origin, veh.dest)
         used[v] = set(path)
-    union, xkeys = _fcnf_columns(instance)
     union_used = set().union(*used.values())
-    warm = {i: float(arc in union_used) for i, arc in enumerate(union)}
-    warm.update({i: float(arc in used[v]) for i, (v, arc) in enumerate(xkeys, start=len(union))})
+    warm = {("y", *arc): float(arc in union_used) for arc in set().union(*adm.values())}
+    for v, arcs in adm.items():
+        warm.update({("x", *arc, v): float(arc in used[v]) for arc in arcs})
     return warm
 
 
@@ -361,17 +373,19 @@ def _warm_schedule(instance, routes, kept, relax_capacity=False):
     """Everyone-earliest start for the scheduling model of ``kept``.
 
     Returns a complete assignment for the variables of
-    ``build_tif(instance, routes, kept, relax_capacity)``, keyed by variable
-    index in its column order.
+    ``build_tif(instance, routes, kept, relax_capacity)``, keyed by column
+    key: ``("x", i, j, v, tm)`` for each kept (vehicle, arc) pair and entry
+    time in its window, and ``("y", i, j, tm)`` for each slot they use.
     """
-    xkeys, slots = _tif_columns(routes, kept)
-    lo = routes.entry_lo
-    warm = {i: float(tm == lo[v, arc]) for i, (v, arc, tm) in enumerate(xkeys)}
+    warm = {}
+    for v, arc in kept:
+        lo, hi = routes.entry_window(v, arc)
+        for tm in range(lo, hi + 1):
+            warm["x", *arc, v, tm] = float(tm == lo)
+            warm["y", *arc, tm] = 0.0
     q = None if relax_capacity else instance.q_limit
-    slot_count = Counter((arc, lo[v, arc]) for v, arc in kept)
-    for i, slot in enumerate(slots, start=len(xkeys)):
-        n = slot_count.get(slot, 0)
-        warm[i] = float(math.ceil(n / q)) if n and q is not None else float(n > 0)
+    for (arc, tm), n in Counter((arc, routes.entry_lo[v, arc]) for v, arc in kept).items():
+        warm["y", *arc, tm] = 1.0 if q is None else float(math.ceil(n / q))
     return warm
 
 
@@ -400,30 +414,30 @@ def _parts(routes, kept):
 class PartSchedule:
     """A timetable of fixed routes, scheduled one part at a time.
 
-    ``savings`` sums the parts' scheduling objectives; ``parts`` counts the
-    parts and ``reused`` the ones taken from the memo.
+    ``parts`` counts the parts and ``reused`` the ones taken from the memo.
     """
 
     solution: PlatoonSolution
-    savings: float
     parts: int
     reused: int
 
 
-def schedule_by_part(instance, routes, kept, relax_capacity, gap, deadline, memo):
-    """Schedule ``kept`` part by part and put the timetable together.
+def schedule_by_part(instance, routes, relax_capacity, gap, deadline, memo):
+    """Schedule fixed routes part by part and put the timetable together.
 
-    Each part's model, ``build_tif(instance, routes, part_kept,
-    relax_capacity)``, is built and solved on its own from the
-    everyone-earliest start, with the time left until ``deadline`` (a
-    ``perf_counter`` reading; None for no limit).  ``memo`` maps each part
-    (its trucks, their paths and entry windows) to its optimal schedule: a
+    The parts cover the pairs :func:`scheduling_preprocess` keeps.  Each
+    part's model, ``build_tif(instance, routes, part_kept,
+    relax_capacity)``, is built and solved on its own to relative gap
+    ``gap`` from the everyone-earliest start, with the time left until
+    ``deadline`` (a ``perf_counter`` reading; None for no limit), and
+    yields the entry times of its trucks.  ``memo`` maps each part (its
+    trucks, their paths and entry windows) to its optimal entry times: a
     part found there is neither built nor solved, and only optimal results
-    are stored.  The timetable is checked against ``instance`` once.
+    are stored.  :func:`assemble_timetable` puts the timetable together
+    from the entry times and checks it against ``instance`` once.
     """
+    kept, _alone = scheduling_preprocess(instance, routes)
     chosen: dict[tuple[int, Arc], int] = {}
-    counts: dict[tuple[Arc, int], int] = {}
-    savings = 0.0
     reused = 0
     parts = _parts(routes, kept)
     for trucks, part in parts:
@@ -438,17 +452,14 @@ def schedule_by_part(instance, routes, kept, relax_capacity, gap, deadline, memo
                 memo[key] = found
         else:
             reused += 1
-        part_savings, part_chosen, part_counts = found
-        savings += part_savings
-        chosen.update(part_chosen)
-        counts.update(part_counts)
-    solution = assemble_timetable(instance, routes, chosen, counts)
-    return PartSchedule(solution, savings, len(parts), reused)
+        chosen.update(found)
+    solution = assemble_timetable(instance, routes, chosen)
+    return PartSchedule(solution, len(parts), reused)
 
 
 def _solve_part(instance, routes, part, relax_capacity, gap, deadline):
-    """``(objective, entry times, slot counts)`` of one part, and whether
-    the solve proved them optimal."""
+    """The entry times of one part, and whether the solve proved them
+    optimal."""
     model = build_tif(instance, routes, part, relax_capacity)
     time_limit = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
     res = solve(
@@ -459,7 +470,7 @@ def _solve_part(instance, routes, part, relax_capacity, gap, deadline):
             warm_start=_warm_schedule(instance, routes, part, relax_capacity),
         ),
     )
-    return (res.objective, *_tif_choice(res)), res.status == OPTIMAL
+    return _tif_choice(res), res.status == OPTIMAL
 
 
 def run(instance: Instance, cfg: DecompositionConfig | None = None):
@@ -547,34 +558,23 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
 
 
 def _schedule(instance, routes, cfg, deadline, memo):
-    """Schedule fixed routes part by part.
+    """Schedule fixed routes part by part, to gap ``cfg.scheduling_gap``.
 
-    Returns the :class:`PartSchedule`, the round's savings and the cost of
-    its timetable.  The stage runs until ``deadline``, or for one second if
-    that has passed; its parts share that time.
+    The pairwise scheduler first narrows the windows of the pairs it picks
+    and drops the size cap.  Returns the :class:`PartSchedule`, the round's
+    savings (the routes' base cost minus the timetable's cost) and the
+    timetable's cost.  The stage runs until ``deadline``, or for one second
+    if that has passed; its parts share that time.
     """
     stage_deadline = max(deadline, time.perf_counter() + 1.0)
-    if cfg.scheduler == "pairwise":
-        from .pairwise import narrow_windows, relaxed_by_part
+    relax = cfg.scheduler == "pairwise"
+    if relax:
+        from .pairwise import narrow_windows
 
-        shrunk = narrow_windows(instance, routes, cfg.gamma)
-        by_part = relaxed_by_part(instance, routes, shrunk, stage_deadline, memo)
-        cost = total_cost(instance, by_part.solution)
-        base = sum(
-            instance.network.cost[arc]
-            for path in routes.paths.values()
-            for arc in path
-        )
-        return by_part, base - cost, cost
-
-    kept, _alone = scheduling_preprocess(instance, routes)
+        routes = FixedRoutes.build(narrow_windows(instance, routes, cfg.gamma), routes.paths)
     by_part = schedule_by_part(
-        instance,
-        routes,
-        kept,
-        relax_capacity=False,
-        gap=cfg.scheduling_gap,
-        deadline=stage_deadline,
-        memo=memo,
+        instance, routes, relax, cfg.scheduling_gap, stage_deadline, memo
     )
-    return by_part, by_part.savings, total_cost(instance, by_part.solution)
+    cost = total_cost(instance, by_part.solution)
+    base = sum(instance.network.cost[arc] for path in routes.paths.values() for arc in path)
+    return by_part, base - cost, cost

@@ -399,30 +399,25 @@ def _decode_tsf(instance: Instance, result) -> PlatoonSolution:
     return PlatoonSolution(paths=paths, groups=groups)
 
 
-def _tif_choice(result) -> tuple[dict[tuple[int, Arc], int], dict[tuple[Arc, int], int]]:
-    """What a scheduling incumbent picks: ``(chosen, counts)``.
+def _tif_choice(result) -> dict[tuple[int, Arc], int]:
+    """The entry time a scheduling incumbent picks for each modeled
+    (vehicle, arc) pair, as :func:`assemble_timetable` takes them.
 
-    ``chosen[v, arc]`` is the entry time of each modeled (vehicle, arc)
-    pair, and ``counts[arc, t]`` the platoon count of each slot that has
-    one, as :func:`assemble_timetable` takes them.
+    The model's platoon counts are not read: the timetable splits every
+    slot into the fewest platoons the cap allows.
     """
     chosen: dict[tuple[int, Arc], int] = {}
-    counts: dict[tuple[Arc, int], int] = {}
     for key, val in result.values.items():
-        if val > 0.5:
-            match key:
-                case ("x", i, j, v, tm):
-                    chosen[v, (i, j)] = tm
-                case ("y", i, j, tm):
-                    counts[(i, j), tm] = int(round(val))
-    return chosen, counts
+        match key:
+            case ("x", i, j, v, tm) if val > 0.5:
+                chosen[v, (i, j)] = tm
+    return chosen
 
 
 def _tif_timetable(
     instance: Instance,
     routes: FixedRoutes,
     chosen: Mapping[tuple[int, Arc], int],
-    counts: Mapping[tuple[Arc, int], int],
 ) -> PlatoonSolution:
     tt = instance.network.travel_time
     paths = {}
@@ -445,7 +440,7 @@ def _tif_timetable(
 
     groups = {}
     for (arc, tm), vs in sorted(slots.items()):
-        groups[arc, tm] = split_groups(vs, instance.q_limit, counts.get((arc, tm)))
+        groups[arc, tm] = split_groups(vs, instance.q_limit)
     return PlatoonSolution(paths=paths, groups=groups)
 
 
@@ -454,9 +449,12 @@ def decode(instance: Instance, result, which: str, routes: FixedRoutes | None = 
 
     ``which`` names the model family whose column keys ``result.values``
     holds: ``"cpf"``, ``"tsf"``, or ``"tif"`` (the latter needs the fixed
-    ``routes`` the model was built on).  A decoded timetable that fails
-    :func:`check` raises :class:`DecodeInconsistent`: feasible models only
-    produce feasible incumbents, so that signals a solver or builder bug.
+    ``routes`` the model was built on).  ``"tif"`` reads only the entry
+    times and ignores the model's platoon counts: each slot is split into
+    the fewest platoons the cap allows, as in :func:`assemble_timetable`.
+    A decoded timetable that fails :func:`check` raises
+    :class:`DecodeInconsistent`: feasible models only produce feasible
+    incumbents, so that signals a solver or builder bug.
     """
     if not result.values:
         raise InvalidSolution("result carries no incumbent to decode")
@@ -467,7 +465,7 @@ def decode(instance: Instance, result, which: str, routes: FixedRoutes | None = 
     elif which == "tif":
         if routes is None:
             raise InvalidSolution("decoding a scheduling incumbent requires routes")
-        sol = _tif_timetable(instance, routes, *_tif_choice(result))
+        sol = _tif_timetable(instance, routes, _tif_choice(result))
     else:
         raise InvalidSolution(f"unknown decode dialect {which!r}")
     return _consistent(instance, sol)
@@ -477,17 +475,17 @@ def assemble_timetable(
     instance: Instance,
     routes: FixedRoutes,
     chosen: Mapping[tuple[int, Arc], int],
-    counts: Mapping[tuple[Arc, int], int],
 ) -> PlatoonSolution:
-    """The timetable a scheduling model's solution describes, checked.
+    """The timetable of fixed routes with the given entry times, checked.
 
     ``chosen[v, arc]`` is the entry time picked for each modeled (vehicle,
-    arc) pair and ``counts[arc, t]`` the platoon count of a slot (absent
-    means none).  Unmodeled legs ride as early as their chain allows, so
-    with nothing chosen this is :func:`canonical_schedule`.  The result is
-    checked as :func:`decode` checks it, with the same error.
+    arc) pair.  Unmodeled legs ride as early as their chain allows, so
+    with nothing chosen this is :func:`canonical_schedule`.  The vehicles
+    entering an arc at one time form the fewest platoons the cap allows,
+    ``ceil(n / q)``, split by ascending id.  The result is checked as
+    :func:`decode` checks it, with the same error.
     """
-    return _consistent(instance, _tif_timetable(instance, routes, chosen, counts))
+    return _consistent(instance, _tif_timetable(instance, routes, chosen))
 
 
 def _consistent(instance: Instance, sol: PlatoonSolution) -> PlatoonSolution:
@@ -501,4 +499,4 @@ def _consistent(instance: Instance, sol: PlatoonSolution) -> PlatoonSolution:
 
 def canonical_schedule(instance: Instance, routes: FixedRoutes) -> PlatoonSolution:
     """Everyone departs as early as possible; platoons form only by accident."""
-    return _tif_timetable(instance, routes, {}, {})
+    return _tif_timetable(instance, routes, {})

@@ -132,15 +132,8 @@ def build_cpf(instance: Instance) -> MipModel:
     obj += [(idx, -eta * net.cost[arc]) for (arc, _v, _w), idx in y.items()]
     m.set_objective(obj, sense="min")
 
-    # flow conservation
-    for v, veh in enumerate(instance.vehicles):
-        nodes = sorted({n for arc in adm[v] for n in arc} | {veh.origin, veh.dest})
-        for node in nodes:
-            terms = [(x[v, a], 1.0) for a in adm[v] if a[0] == node]
-            terms += [(x[v, a], -1.0) for a in adm[v] if a[1] == node]
-            rhs = 1.0 if node == veh.origin else -1.0 if node == veh.dest else 0.0
-            if terms or rhs:
-                m.add_constr(terms, "=", rhs)
+    for v in range(n_veh):
+        _flow_rows(m, instance, v, x)
 
     # a pledge needs both trucks on the arc, and synchronized entry times
     for (arc, v, w), idx in y.items():
@@ -187,6 +180,27 @@ def build_cpf(instance: Instance) -> MipModel:
                 tt[arc] - m2,
             )
     return m
+
+
+def _flow_rows(m: MipModel, instance: Instance, v: int, x: Mapping[tuple[int, Arc], int]) -> None:
+    """Flow conservation of vehicle ``v`` over its admissible arcs.
+
+    ``x[v, arc]`` is the column of the vehicle's arc variable.  One row per
+    node an admissible arc touches, plus the origin and destination, in
+    node order; a row lists the out-arcs and then the in-arcs, each in the
+    iteration order of ``instance.admissible[v]``.
+    """
+    veh = instance.vehicles[v]
+    outs: dict[int, list[tuple[int, float]]] = defaultdict(list)
+    ins: dict[int, list[tuple[int, float]]] = defaultdict(list)
+    for arc in instance.admissible[v]:
+        outs[arc[0]].append((x[v, arc], 1.0))
+        ins[arc[1]].append((x[v, arc], -1.0))
+    for node in sorted(outs.keys() | ins.keys() | {veh.origin, veh.dest}):
+        terms = outs.get(node, []) + ins.get(node, [])
+        rhs = 1.0 if node == veh.origin else -1.0 if node == veh.dest else 0.0
+        if terms or rhs:
+            m.add_constr(terms, "=", rhs)
 
 
 def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
@@ -327,13 +341,7 @@ def build_fcnf(instance: Instance, cost_table=None) -> MipModel:
 
     tt = net.travel_time
     for v, veh in enumerate(instance.vehicles):
-        nodes = sorted({n for arc in adm[v] for n in arc} | {veh.origin, veh.dest})
-        for node in nodes:
-            terms = [(xvar[v, a], 1.0) for a in adm[v] if a[0] == node]
-            terms += [(xvar[v, a], -1.0) for a in adm[v] if a[1] == node]
-            rhs = 1.0 if node == veh.origin else -1.0 if node == veh.dest else 0.0
-            if terms or rhs:
-                m.add_constr(terms, "=", rhs)
+        _flow_rows(m, instance, v, xvar)
         # the route must fit the vehicle's time window even at full speed
         window = float(veh.latest_arrival - veh.earliest_departure)
         m.add_constr(
@@ -524,24 +532,6 @@ def scheduling_preprocess(instance: Instance, routes: FixedRoutes):
     return frozenset(kept), alone_fixed
 
 
-def _tif_columns(
-    routes: FixedRoutes, kept
-) -> tuple[list[tuple[int, Arc, int]], list[tuple[Arc, int]]]:
-    """Variable order of the scheduling model.
-
-    One ``x`` per kept (vehicle, arc) pair and entry time in its window,
-    sorted, then one ``y`` per (arc, entry time) slot that some ``x`` uses,
-    sorted.
-    """
-    xkeys = [
-        (v, arc, tm)
-        for v, arc in sorted(kept)
-        for tm in range(routes.entry_lo[v, arc], routes.entry_hi[v, arc] + 1)
-    ]
-    slots = sorted({(arc, tm) for _v, arc, tm in xkeys})
-    return xkeys, slots
-
-
 def build_tif(
     instance: Instance,
     routes: FixedRoutes,
@@ -569,15 +559,17 @@ def build_tif(
         lo, hi = routes.entry_window(v, arc)
         if lo > hi:
             raise EmptyEntrySet(f"vehicle {v} has no admissible entry time on {arc}")
-    xkeys, slots = _tif_columns(routes, kept)
+    # one x per kept (vehicle, arc) pair and entry time in its window, then
+    # one y per (arc, entry time) slot that some x uses, each sorted
     xvar: dict[tuple[int, Arc, int], int] = {}
     slot_users: dict[tuple[Arc, int], list[int]] = defaultdict(list)
-    for v, arc, tm in xkeys:
-        xvar[v, arc, tm] = m.add_var(("x", *arc, v, tm), BINARY)
-        slot_users[arc, tm].append(v)
+    for v, arc in sorted(kept):
+        for tm in range(routes.entry_lo[v, arc], routes.entry_hi[v, arc] + 1):
+            xvar[v, arc, tm] = m.add_var(("x", *arc, v, tm), BINARY)
+            slot_users[arc, tm].append(v)
 
     yvar: dict[tuple[Arc, int], int] = {}
-    for (arc, tm) in slots:
+    for (arc, tm) in sorted(slot_users):
         k = len(slot_users[arc, tm])
         cap = q if q is not None else k
         ub = 1 if relax_capacity else math.ceil(k / cap)

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     EmptyPathSet,
     GenerationFailed,
-    InfeasibleNode,
     InfeasibleVehicle,
     ParseError,
     ValidationError,
@@ -123,46 +122,20 @@ class TimeBounds:
         return node in self.bounds
 
 
-def node_time_bounds(instance: Instance, vehicle: Vehicle, path: Sequence[Arc] | None = None) -> TimeBounds:
+def node_time_bounds(instance: Instance, vehicle: Vehicle) -> TimeBounds:
     """Earliest and latest times a vehicle can occupy nodes.
 
-    Without ``path`` the bounds use shortest travel times through the whole
-    network and nodes the window rules out entirely are omitted.  With
-    ``path`` (the vehicle's fixed ordered arcs) the bounds use the cumulative
-    travel time along that path, which is tighter; an inverted bound there is
-    a genuine error because the vehicle must visit every path node.
+    The bounds use shortest travel times through the whole network; nodes
+    the window rules out entirely are omitted.  Windows along a fixed path
+    are :class:`~platoonplan.formulations.FixedRoutes` entry windows.
     """
-    if path is None:
-        st = instance.st
-        bounds = {}
-        for i in range(instance.network.n_nodes):
-            lo = vehicle.earliest_departure + st[vehicle.origin, i]
-            hi = vehicle.latest_arrival - st[i, vehicle.dest]
-            if math.isfinite(lo) and math.isfinite(hi) and lo <= hi:
-                bounds[i] = (int(lo), int(hi))
-        return TimeBounds(vehicle.id, bounds)
-
-    tt = instance.network.travel_time
-    nodes = [vehicle.origin]
-    for arc in path:
-        if arc[0] != nodes[-1]:
-            raise ValidationError(f"path of vehicle {vehicle.id} is not connected")
-        nodes.append(arc[1])
-    if nodes[-1] != vehicle.dest:
-        raise ValidationError(f"path of vehicle {vehicle.id} does not end at its destination")
-    cum = [0]
-    for arc in path:
-        cum.append(cum[-1] + tt[arc])
-    total = cum[-1]
+    st = instance.st
     bounds = {}
-    for node, offset in zip(nodes, cum):
-        lo = vehicle.earliest_departure + offset
-        hi = vehicle.latest_arrival - (total - offset)
-        if lo > hi:
-            raise InfeasibleNode(
-                f"vehicle {vehicle.id} cannot visit node {node} inside its window"
-            )
-        bounds[node] = (lo, hi)
+    for i in range(instance.network.n_nodes):
+        lo = vehicle.earliest_departure + st[vehicle.origin, i]
+        hi = vehicle.latest_arrival - st[i, vehicle.dest]
+        if math.isfinite(lo) and math.isfinite(hi) and lo <= hi:
+            bounds[i] = (int(lo), int(hi))
     return TimeBounds(vehicle.id, bounds)
 
 

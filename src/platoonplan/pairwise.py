@@ -4,8 +4,9 @@ Instead of timing every vehicle jointly, this pass picks a limited set of
 vehicle pairs that share a stretch of road, narrows each partner's window so
 both must cross the shared stretch together, and then times everyone with a
 capacity-relaxed scheduling model that is far smaller than the exact one.
-Oversized meets are split back into legal convoys afterwards, so the result
-is always a valid timetable for the original instance.
+The model yields entry times only; the timetable put together from them
+splits every meet into the fewest legal convoys, so the result is always a
+valid timetable for the original instance.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decomposition import PartSchedule, schedule_by_part
+from .decomposition import schedule_by_part
 from .errors import ShrinkInfeasible
 from .evaluate import PlatoonSolution
-from .formulations import FixedRoutes, build_matching, scheduling_preprocess
+from .formulations import FixedRoutes, build_matching
 from .instance import Instance, with_windows
 from .mip import SolveConfig, solve
 from .network import Arc
@@ -158,28 +159,6 @@ def narrow_windows(instance: Instance, routes: FixedRoutes, gamma: float) -> Ins
     return shrink_windows(instance, chosen)
 
 
-def relaxed_by_part(
-    instance: Instance,
-    routes: FixedRoutes,
-    shrunk: Instance,
-    deadline: float | None,
-    memo: dict,
-) -> PartSchedule:
-    """:func:`solve_relaxed_and_repair` with the scheduling parts it solved.
-
-    Runs until ``deadline`` (a ``perf_counter`` reading; None for no limit)
-    and reuses the parts found in ``memo``, see :func:`schedule_by_part`.
-    Only the fleet's windows differ between ``shrunk`` and ``instance``,
-    so the relaxed models are built from ``instance`` on the narrowed
-    routes.
-    """
-    narrowed = FixedRoutes.build(shrunk, routes.paths)
-    kept, _alone = scheduling_preprocess(shrunk, narrowed)
-    return schedule_by_part(
-        instance, narrowed, kept, relax_capacity=True, gap=1e-9, deadline=deadline, memo=memo
-    )
-
-
 def solve_relaxed_and_repair(
     instance: Instance,
     routes: FixedRoutes,
@@ -187,14 +166,19 @@ def solve_relaxed_and_repair(
     time_limit: float | None = None,
 ) -> PlatoonSolution:
     """Time the fixed routes on the narrowed instance without a convoy
-    size cap, then decode against the original instance, which splits any
-    oversized meet into legal ascending-id convoys.
+    size cap, then put the timetable together against the original
+    instance, which splits any oversized meet into legal ascending-id
+    convoys.
 
-    The relaxed model is solved one independent part at a time; the parts
-    share ``time_limit``.
+    Only the fleet's windows differ between ``shrunk`` and ``instance``, so
+    the routes are narrowed to ``shrunk``'s windows and scheduled by
+    :func:`~platoonplan.decomposition.schedule_by_part` on ``instance`` with
+    the capacity relaxed, one independent part at a time; the parts share
+    ``time_limit``.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
-    return relaxed_by_part(instance, routes, shrunk, deadline, {}).solution
+    narrowed = FixedRoutes.build(shrunk, routes.paths)
+    return schedule_by_part(instance, narrowed, True, 1e-9, deadline, {}).solution
 
 
 def schedule_with_pairwise(

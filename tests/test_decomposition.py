@@ -223,7 +223,7 @@ def test_modify_costs_join_estimate_splits_among_meeting_drivers():
 def test_warm_routing_covers_model_and_is_feasible(demo):
     warm = _warm_routing(demo, None)
     model = build_fcnf(demo)
-    assert list(warm) == list(range(model.num_vars))
+    assert set(warm) == {model.var_name(i) for i in range(model.num_vars)}
     # accepted as an incumbent without any branching
     res = solve(model, SolveConfig(time_limit=0.0, warm_start=warm))
     assert res.objective == pytest.approx(4.89, abs=1e-9)
@@ -236,8 +236,8 @@ def test_warm_start_by_index_equals_by_name(which):
     else:
         instance = generate_fleet(generate_grid(4, 4, seed=4), 8, seed=4)
     model = build_fcnf(instance)
-    by_index = _warm_routing(instance, None)
-    by_name = {model.var_name(i): val for i, val in by_index.items()}
+    by_name = _warm_routing(instance, None)
+    by_index = {model.var_index(key): val for key, val in by_name.items()}
     for time_limit in (0.0, None):
         r_index = solve(model, SolveConfig(time_limit=time_limit, warm_start=by_index))
         r_name = solve(model, SolveConfig(time_limit=time_limit, warm_start=by_name))
@@ -251,7 +251,7 @@ def test_warm_schedule_covers_model_and_is_feasible(demo):
     kept, _ = scheduling_preprocess(demo, routes)
     warm = _warm_schedule(demo, routes, kept)
     model = build_tif(demo, routes, kept)
-    assert list(warm) == list(range(model.num_vars))
+    assert set(warm) == {model.var_name(i) for i in range(model.num_vars)}
     res = solve(model, SolveConfig(time_limit=0.0, warm_start=warm))
     # everyone-earliest already meets at 500 here
     assert res.objective == pytest.approx(0.1, abs=1e-9)
@@ -285,26 +285,31 @@ def two_pairs_instance():
 
 
 def assert_parts_match_whole(instance, routes, gap=1e-9):
-    """Part-wise scheduling equals the single scheduling model."""
+    """The part-wise timetable saves what the single scheduling model does."""
     kept, _ = scheduling_preprocess(instance, routes)
     parts = _parts(routes, kept)
     assert sorted(pair for _trucks, part in parts for pair in part) == sorted(kept)
+    eta, c = instance.eta, instance.network.cost
+    base = sum(c[a] for path in routes.paths.values() for a in path)
     for relax in (False, True):
-        by_part = schedule_by_part(instance, routes, kept, relax, gap, None, {})
+        by_part = schedule_by_part(instance, routes, relax, gap, None, {})
+        sol = by_part.solution
         assert by_part.parts == len(parts) and by_part.reused == 0
-        assert check(instance, by_part.solution).ok
+        assert check(instance, sol).ok
+        if relax:
+            # without a cap, every slot of n trucks saves n - 1 fixed shares
+            savings = sum(
+                eta * c[arc] * (sum(map(len, gs)) - 1) for (arc, _t), gs in sol.groups.items()
+            )
+        else:
+            savings = base - total_cost(instance, sol)
         if kept:
             whole = solve(build_tif(instance, routes, kept, relax), SolveConfig(gap_tol=gap))
             assert whole.status == "optimal"
-            assert abs(by_part.savings - whole.objective) <= gap * max(1.0, abs(whole.objective))
+            assert abs(savings - whole.objective) <= gap * max(1.0, abs(whole.objective))
         else:
-            assert by_part.savings == 0.0
-            assert by_part.solution == canonical_schedule(instance, routes)
-        if not relax:
-            base = sum(instance.network.cost[a] for path in routes.paths.values() for a in path)
-            assert total_cost(instance, by_part.solution) == pytest.approx(
-                base - by_part.savings, abs=1e-9
-            )
+            assert savings == pytest.approx(0.0, abs=1e-9)
+            assert sol == canonical_schedule(instance, routes)
 
 
 def test_part_wise_savings_equal_single_model_on_demo_and_two_pairs(demo):

@@ -9,6 +9,7 @@ import pytest
 from platoonplan.errors import DecodeInconsistent, InvalidSolution
 from platoonplan.evaluate import (
     PlatoonSolution,
+    assemble_timetable,
     canonical_schedule,
     check,
     decode,
@@ -294,6 +295,18 @@ def test_decode_tsf_rejects_broken_chain(demo):
     values = {("x", 0, 100, 2, 200, 0): 1.0, ("x", 3, 400, 5, 500, 0): 1.0}
     with pytest.raises(DecodeInconsistent):
         decode(demo, SimpleNamespace(values=values), "tsf")
+
+
+def test_tif_timetable_ignores_surplus_platoon_counts():
+    # an incumbent that pays for two platoons where one holds both trucks
+    instance = tiny_shared_arc(2, q_limit=None)
+    routes = FixedRoutes.build(instance, {0: ((0, 1),), 1: ((0, 1),)})
+    values = {("x", 0, 1, 0, 0): 1.0, ("x", 0, 1, 1, 0): 1.0, ("y", 0, 1, 0): 2.0}
+    decoded = decode(instance, SimpleNamespace(values=values), "tif", routes)
+    assembled = assemble_timetable(instance, routes, {(0, (0, 1)): 0, (1, (0, 1)): 0})
+    for sol in (decoded, assembled):
+        assert sol.groups == {((0, 1), 0): ((0, 1),)}
+        assert total_cost(instance, sol) == pytest.approx(1.9, abs=1e-12)
 
 
 # -- canonical schedule -------------------------------------------------------

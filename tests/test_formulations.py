@@ -1,6 +1,7 @@
 """Model builders: admissible arcs, big-M constants, and the four MIPs."""
 
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from instgen import small_instance, time_shortest_paths
 from oracles import brute_force_joint
+from platoonplan import formulations
 from platoonplan.errors import (
     EmptyEntrySet,
     InfeasibleNode,
@@ -449,6 +451,14 @@ def test_column_keys_are_tagged_int_tuples_property(seed):
         assert arity.items() <= KEY_ARITY[model.name].items(), model.name
         labels = {_label(var.name) for var in model.variables}
         assert len(labels) == model.num_vars, model.name
+
+
+def test_only_the_builders_know_their_column_order():
+    # every other module refers to columns by key
+    for path in sorted(Path(formulations.__file__).parent.glob("*.py")):
+        if path.name != "formulations.py":
+            text = path.read_text()
+            assert "_tif_columns" not in text and "_fcnf_columns" not in text, path.name
 
 
 # -- pair matching ------------------------------------------------------------

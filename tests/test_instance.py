@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from platoonplan.errors import (
     GenerationFailed,
-    InfeasibleNode,
     ParseError,
     ValidationError,
 )
+from platoonplan.formulations import FixedRoutes
 from platoonplan.instance import (
     Instance,
     Vehicle,
@@ -80,14 +80,11 @@ def test_node_time_bounds_whole_graph(demo):
     assert b2[5] == (799, 1000)
 
 
-def test_node_time_bounds_along_path(demo):
-    tb = node_time_bounds(demo, demo.vehicles[2], path=[(0, 2), (2, 3), (3, 5)])
-    assert tb.bounds[0] == (500, 700)
-    assert tb.bounds[2] == (600, 800)
-    assert tb.bounds[3] == (700, 900)
-    assert tb.bounds[5] == (800, 1000)
-    with pytest.raises(InfeasibleNode):
-        node_time_bounds(demo, demo.vehicles[0], path=[(0, 2), (2, 1)])
+def test_fixed_route_windows_along_path(demo):
+    routes = FixedRoutes.build(demo, {2: ((0, 2), (2, 3), (3, 5))})
+    assert routes.entry_window(2, (0, 2)) == (500, 700)
+    assert routes.entry_window(2, (2, 3)) == (600, 800)
+    assert routes.entry_window(2, (3, 5)) == (700, 900)
 
 
 def test_generate_fleet_is_deterministic():

@@ -31,7 +31,6 @@ from .errors import (
     EmptyEntrySet,
     EmptyPathSet,
     GenerationFailed,
-    HorizonExceeded,
     InfeasibleNode,
     InfeasibleVehicle,
     InvalidSolution,
@@ -59,7 +58,6 @@ from .evaluate import (
 from .formulations import (
     FixedRoutes,
     admissible_arcs,
-    big_m_values,
     build_cpf,
     build_fcnf,
     build_matching,
@@ -70,7 +68,6 @@ from .formulations import (
 )
 from .instance import (
     Instance,
-    TimeBounds,
     Vehicle,
     generate_fleet,
     load_instance,
@@ -92,14 +89,12 @@ from .mip import (
 from .network import (
     RoadNetwork,
     TimeSpaceNetwork,
-    all_pairs_shortest_times,
     build_time_space,
     generate_grid,
     load_network,
     make_network,
     prune_arcs,
     save_network,
-    shortest_cost_matrix,
 )
 from .pairwise import (
     PairCandidate,
@@ -123,7 +118,6 @@ __all__ = [
     "EmptyPathSet",
     "FixedRoutes",
     "GenerationFailed",
-    "HorizonExceeded",
     "InfeasibleNode",
     "InfeasibleVehicle",
     "Instance",
@@ -143,7 +137,6 @@ __all__ = [
     "RoadNetwork",
     "ShrinkInfeasible",
     "SolveConfig",
-    "TimeBounds",
     "TimeSpaceNetwork",
     "Unbounded",
     "ValidationError",
@@ -151,8 +144,6 @@ __all__ = [
     "Vehicle",
     "Violation",
     "admissible_arcs",
-    "all_pairs_shortest_times",
-    "big_m_values",
     "build_cpf",
     "build_fcnf",
     "build_matching",
@@ -182,7 +173,6 @@ __all__ = [
     "schedule_with_pairwise",
     "scheduling_preprocess",
     "select_pairs",
-    "shortest_cost_matrix",
     "shortest_path_cost",
     "shrink_windows",
     "solve",

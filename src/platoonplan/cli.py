@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .decomposition import DecompositionConfig, run
-from .errors import PlatoonPlanError
+from .errors import PlatoonPlanError, ValidationError
 from .evaluate import (
     PlatoonSolution,
     check,
@@ -48,7 +48,17 @@ def _parse_q(text: str) -> int | None:
 
 def _parse_grid(text: str) -> tuple[int, int]:
     rows, _, cols = text.partition("x")
-    return int(rows), int(cols)
+    try:
+        return int(rows), int(cols)
+    except ValueError:
+        raise ValidationError(f"--grid expects ROWSxCOLS, got {text!r}") from None
+
+
+def _parse_hubs(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(h) for h in text.split(","))
+    except ValueError:
+        raise ValidationError(f"--hubs expects comma separated node ids, got {text!r}") from None
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -61,7 +71,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.od_mode == "hub":
         if not args.hubs:
             raise PlatoonPlanError("hub mode needs --hubs")
-        hubs = tuple(int(h) for h in args.hubs.split(","))
+        hubs = _parse_hubs(args.hubs)
     instance = generate_fleet(
         net,
         args.vehicles,

@@ -44,10 +44,10 @@ from typing import Mapping, Sequence
 from .errors import NoFeasibleSolution
 from .evaluate import (
     PlatoonSolution,
+    _price,
     _tif_choice,
     _union_find_groups,
     assemble_timetable,
-    total_cost,
 )
 from .formulations import (
     FixedRoutes,
@@ -575,6 +575,7 @@ def _schedule(instance, routes, cfg, deadline, memo):
     by_part = schedule_by_part(
         instance, routes, relax, cfg.scheduling_gap, stage_deadline, memo
     )
-    cost = total_cost(instance, by_part.solution)
+    # assemble_timetable has checked the timetable
+    cost = _price(instance, by_part.solution)
     base = sum(instance.network.cost[arc] for path in routes.paths.values() for arc in path)
     return by_part, base - cost, cost

@@ -27,10 +27,6 @@ class InfeasibleVehicle(PlatoonPlanError):
     """A vehicle cannot reach its destination inside its time window."""
 
 
-class HorizonExceeded(PlatoonPlanError):
-    """A vehicle's latest-arrival time lies beyond the discretized horizon."""
-
-
 class GenerationFailed(PlatoonPlanError):
     """Random instance generation exhausted its resampling budget."""
 

@@ -241,6 +241,11 @@ def total_cost(instance: Instance, sol: PlatoonSolution) -> float:
         raise InvalidSolution(
             f"solution fails validation ({report.violations[0].kind})", report
         )
+    return _price(instance, sol)
+
+
+def _price(instance: Instance, sol: PlatoonSolution) -> float:
+    """The cost :func:`total_cost` gives a timetable already checked."""
     eta = instance.eta
     cost = instance.network.cost
     total = 0.0
@@ -253,7 +258,7 @@ def total_cost(instance: Instance, sol: PlatoonSolution) -> float:
 
 def shortest_path_cost(instance: Instance) -> float:
     """Fleet cost if every vehicle drives its cheapest path alone."""
-    sc = instance.shortest_costs
+    sc = instance.network.shortest_costs
     return float(sum(sc[veh.origin, veh.dest] for veh in instance.vehicles))
 
 

@@ -48,44 +48,6 @@ from .mip import BINARY, CONTINUOUS, INTEGER, MipModel
 from .network import Arc, TimeSpaceNetwork
 
 
-@dataclass(frozen=True)
-class BigMSet:
-    """Big-M constants for the continuous-time model.
-
-    ``m0[v, w, i]`` and ``m1[v, w, i]`` deactivate the two entry-time
-    synchronization inequalities of a candidate pair at node ``i``; they are
-    exactly the largest values the respective time differences can take, so
-    the constraints are tight but never cut a valid schedule.  ``m2[i, j, v]``
-    plays the same role for the travel-time propagation along arc ``(i, j)``.
-    """
-
-    m0: Mapping[tuple[int, int, int], float]
-    m1: Mapping[tuple[int, int, int], float]
-    m2: Mapping[tuple[int, int, int], float]
-
-
-def big_m_values(instance: Instance) -> BigMSet:
-    adm = instance.admissible
-    bounds = instance.windows
-    m0, m1, m2 = {}, {}, {}
-    n_veh = len(instance.vehicles)
-    tt = instance.network.travel_time
-    for v in range(n_veh):
-        for w in range(v + 1, n_veh):
-            for arc in adm[v] & adm[w]:
-                i = arc[0]
-                lo_v, hi_v = bounds[v][i]
-                lo_w, hi_w = bounds[w][i]
-                m0[v, w, i] = hi_w - lo_v
-                m1[v, w, i] = hi_v - lo_w
-    for v in range(n_veh):
-        for (i, j) in adm[v]:
-            hi_i = bounds[v][i][1]
-            lo_j = bounds[v][j][0]
-            m2[i, j, v] = max(0, hi_i - lo_j + tt[(i, j)])
-    return BigMSet(m0=m0, m1=m1, m2=m2)
-
-
 def build_cpf(instance: Instance) -> MipModel:
     """Joint routing/scheduling model with continuous entry times.
 
@@ -94,6 +56,13 @@ def build_cpf(instance: Instance) -> MipModel:
     leads ``w``) may switch on only if both trucks drive the arc, and then
     their entry times at the arc's tail are forced equal.  Pair variables
     are only created where the trucks' node windows can overlap at all.
+
+    The big-M constants come from the node windows in ``instance.windows``
+    and are exactly the largest values the time differences they relax can
+    take, so the rows are tight but never cut a valid schedule: ``hi_w -
+    lo_v`` and ``hi_v - lo_w`` for the two synchronization rows of a pair
+    at node ``i``, and ``max(0, hi_i - lo_j + T_ij)`` for the travel-time
+    propagation of a truck along arc ``(i, j)``.
     """
     net = instance.network
     eta = instance.eta
@@ -101,7 +70,6 @@ def build_cpf(instance: Instance) -> MipModel:
     n_veh = len(instance.vehicles)
     adm = instance.admissible
     bounds = instance.windows
-    big_m = big_m_values(instance)
     m = MipModel("cpf")
 
     x: dict[tuple[int, Arc], int] = {}
@@ -140,8 +108,10 @@ def build_cpf(instance: Instance) -> MipModel:
         i = arc[0]
         m.add_constr([(idx, 1.0), (x[w, arc], -1.0)], "<=", 0.0)
         m.add_constr([(idx, 1.0), (x[v, arc], -1.0)], "<=", 0.0)
-        m0 = big_m.m0[v, w, i]
-        m1 = big_m.m1[v, w, i]
+        lo_v, hi_v = bounds[v][i]
+        lo_w, hi_w = bounds[w][i]
+        m0 = hi_w - lo_v
+        m1 = hi_v - lo_w
         m.add_constr(
             [(t[w, i], 1.0), (t[v, i], -1.0), (idx, m0)], "<=", m0
         )
@@ -173,7 +143,7 @@ def build_cpf(instance: Instance) -> MipModel:
             i, j = arc
             if j == veh.origin:
                 continue
-            m2 = big_m.m2[i, j, v]
+            m2 = max(0, bounds[v][i][1] - bounds[v][j][0] + tt[arc])
             m.add_constr(
                 [(t[v, j], 1.0), (t[v, i], -1.0), (x[v, arc], -m2)],
                 ">=",
@@ -208,8 +178,10 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
 
     One binary per vehicle and admissible time-arc copy (waiting arcs are the
     ``i == j`` case), plus an integer ``y`` per shared move arc counting how
-    many platoons drive it; each platoon pays the fixed share of the arc cost
-    once, each vehicle pays the unit share.
+    many platoons drive it; each platoon pays the fixed share ``eta * c`` of
+    the arc cost once, each vehicle pays the unit share ``(1 - eta) * c``.
+    Time arcs span ``tsn.horizon``; the node windows are the instance's
+    (``instance.windows``), and so are the cost shares.
 
     Three reductions leave out rows and columns that cannot change a
     solution, so the LP bound and the optimum are those of the full model:
@@ -223,6 +195,7 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
       ``x_v <= y`` imply it.
     """
     net = instance.network
+    eta = instance.eta
     q = instance.q_limit
     adm = instance.admissible
     tt = net.travel_time
@@ -235,7 +208,7 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
     in_at: list[dict[tuple[int, int], list[int]]] = []
 
     for v, veh in enumerate(instance.vehicles):
-        win = tsn.admissible[v]
+        win = instance.windows[v]
         outs: dict[tuple[int, int], list[int]] = defaultdict(list)
         ins: dict[tuple[int, int], list[int]] = defaultdict(list)
         for arc in net.arcs:
@@ -272,13 +245,13 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
 
     obj = []
     for (_v, ts_arc), idx in xvar.items():
-        arc = (ts_arc[0], ts_arc[2])
-        coef = tsn.unit_cost[arc]
+        c = net.cost[ts_arc[0], ts_arc[2]]
+        coef = (1.0 - eta) * c
         if ts_arc not in yvar:
-            coef += tsn.fixed_cost[arc]
+            coef += eta * c
         obj.append((idx, coef))
     for ts_arc, idx in yvar.items():
-        obj.append((idx, tsn.fixed_cost[(ts_arc[0], ts_arc[2])]))
+        obj.append((idx, eta * net.cost[ts_arc[0], ts_arc[2]]))
     m.set_objective(obj, sense="min")
 
     for v, veh in enumerate(instance.vehicles):

@@ -27,15 +27,12 @@ from .errors import (
 from .network import (
     Arc,
     RoadNetwork,
-    TravelTimeMatrix,
     _fmt,
     _parse_network_lines,
     _read_lines,
-    all_pairs_shortest_times,
     make_network,
     network_text,
     prune_arcs,
-    shortest_cost_matrix,
 )
 
 
@@ -66,7 +63,7 @@ class Instance:
             raise ValidationError("time_unit must be finite and positive")
         if self.horizon < 0:
             raise ValidationError("horizon must be non-negative")
-        st = all_pairs_shortest_times(self.network)
+        st = self.network.shortest_times
         n = self.network.n_nodes
         for pos, veh in enumerate(self.vehicles):
             if veh.id != pos:
@@ -86,20 +83,13 @@ class Instance:
                     f"fastest trip {st[veh.origin, veh.dest]:g}"
                 )
 
-    @cached_property
-    def st(self) -> TravelTimeMatrix:
-        return all_pairs_shortest_times(self.network)
-
-    @cached_property
-    def shortest_costs(self) -> np.ndarray:
-        return shortest_cost_matrix(self.network)
-
     # Admissibility is a fixed fact of the instance: every builder and the
-    # cost shaping read these two caches.  The sets are shared, so callers
-    # must not mutate them.
+    # cost shaping read these two caches.  The sets and dicts are shared, so
+    # callers must not mutate them.
     @cached_property
-    def windows(self) -> tuple[TimeBounds, ...]:
-        """Whole-network node windows, one :class:`TimeBounds` per vehicle."""
+    def windows(self) -> tuple[dict[int, tuple[int, int]], ...]:
+        """Whole-network node windows, one :func:`node_time_bounds` dict per
+        vehicle."""
         return tuple(node_time_bounds(self, veh) for veh in self.vehicles)
 
     @cached_property
@@ -108,44 +98,29 @@ class Instance:
         return admissible_arcs(self)
 
 
-@dataclass(frozen=True)
-class TimeBounds:
-    """Per-node earliest/latest visit times for one vehicle."""
-
-    vehicle: int
-    bounds: Mapping[int, tuple[int, int]]
-
-    def __getitem__(self, node: int) -> tuple[int, int]:
-        return self.bounds[node]
-
-    def __contains__(self, node: int) -> bool:
-        return node in self.bounds
-
-
-def node_time_bounds(instance: Instance, vehicle: Vehicle) -> TimeBounds:
-    """Earliest and latest times a vehicle can occupy nodes.
+def node_time_bounds(instance: Instance, vehicle: Vehicle) -> dict[int, tuple[int, int]]:
+    """Earliest and latest times a vehicle can occupy nodes, ``{node: (lo, hi)}``.
 
     The bounds use shortest travel times through the whole network; nodes
     the window rules out entirely are omitted.  Windows along a fixed path
     are :class:`~platoonplan.formulations.FixedRoutes` entry windows.
     """
-    st = instance.st
+    st = instance.network.shortest_times
     bounds = {}
     for i in range(instance.network.n_nodes):
         lo = vehicle.earliest_departure + st[vehicle.origin, i]
         hi = vehicle.latest_arrival - st[i, vehicle.dest]
         if math.isfinite(lo) and math.isfinite(hi) and lo <= hi:
             bounds[i] = (int(lo), int(hi))
-    return TimeBounds(vehicle.id, bounds)
+    return bounds
 
 
 def admissible_arcs(instance: Instance) -> dict[int, set[Arc]]:
     """Per-vehicle arc sets that survive the detour and time screens."""
-    st = instance.st
     out = {}
     for v, veh in enumerate(instance.vehicles):
         try:
-            out[v] = prune_arcs(instance.network, veh, st, instance.eta)
+            out[v] = prune_arcs(instance.network, veh, instance.eta)
         except EmptyPathSet as exc:
             raise InfeasibleVehicle(str(exc)) from exc
     return out
@@ -181,10 +156,15 @@ def generate_fleet(
     if od_mode == "hub":
         if not hubs:
             raise ValidationError("od_mode='hub' requires a non-empty hub list")
+        for h in hubs:
+            if not 0 <= h < net.n_nodes:
+                raise ValidationError(f"hub {h} is not a node of the network")
         if hub_radius is None:
+            if time_unit <= 0:
+                raise ValidationError("time_unit must be finite and positive")
             hub_radius = 60.0 / time_unit
     rng = np.random.default_rng(seed)
-    st = all_pairs_shortest_times(net)
+    st = net.shortest_times
 
     near_hub = None
     if od_mode == "hub":

@@ -3,6 +3,10 @@
 Nodes are dense integer ids ``0..n-1``.  Every arc is directed and carries a
 real-valued transport cost plus an integral travel time measured in scheduling
 units.  Undirected road segments are represented by one arc per direction.
+
+The network owns its all-pairs shortest travel times and costs
+(:attr:`RoadNetwork.shortest_times`, :attr:`RoadNetwork.shortest_costs`);
+every other module reads them from there.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import EmptyPathSet, HorizonExceeded, ParseError, ValidationError
+from .errors import EmptyPathSet, ParseError, ValidationError
 
 Arc = tuple[int, int]
 
@@ -55,11 +59,13 @@ class RoadNetwork:
     # The shortest-path closures live on the network itself, so they are
     # freed with it; RoadNetwork is frozen, so they never go stale.
     @cached_property
-    def shortest_times(self) -> TravelTimeMatrix:
-        return TravelTimeMatrix(_min_plus_closure(self.n_nodes, self.travel_time))
+    def shortest_times(self) -> np.ndarray:
+        """Shortest travel time between every node pair; ``inf`` if unreachable."""
+        return _min_plus_closure(self.n_nodes, self.travel_time)
 
     @cached_property
     def shortest_costs(self) -> np.ndarray:
+        """Shortest transport cost between every node pair; ``inf`` if unreachable."""
         return _min_plus_closure(self.n_nodes, self.cost)
 
 
@@ -92,16 +98,6 @@ def undirected(edge_data: Iterable[tuple[int, int, float, float]]):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class TravelTimeMatrix:
-    """All-pairs shortest travel times; ``inf`` marks unreachable pairs."""
-
-    st: np.ndarray
-
-    def __getitem__(self, key):
-        return self.st[key]
-
-
 def _min_plus_closure(n: int, weights: Mapping[Arc, float]) -> np.ndarray:
     # Floyd-Warshall; handles zero-cost arcs, which sparse Dijkstra wrappers
     # silently drop as absent entries.
@@ -113,16 +109,6 @@ def _min_plus_closure(n: int, weights: Mapping[Arc, float]) -> np.ndarray:
     for k in range(n):
         np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
     return d
-
-
-def all_pairs_shortest_times(net: RoadNetwork) -> TravelTimeMatrix:
-    """Shortest travel time between every node pair."""
-    return net.shortest_times
-
-
-def shortest_cost_matrix(net: RoadNetwork) -> np.ndarray:
-    """Shortest transport cost between every node pair."""
-    return net.shortest_costs
 
 
 def min_cost_within_time(net: RoadNetwork, origin: int, budget: int) -> np.ndarray:
@@ -151,7 +137,7 @@ def min_cost_within_time(net: RoadNetwork, origin: int, budget: int) -> np.ndarr
     return best[:, -1]
 
 
-def prune_arcs(net: RoadNetwork, vehicle, st: TravelTimeMatrix, eta: float) -> set[Arc]:
+def prune_arcs(net: RoadNetwork, vehicle, eta: float) -> set[Arc]:
     """Arcs a vehicle can use in some optimal joint plan.
 
     An arc survives when a path through it exists whose cost stays within
@@ -163,7 +149,7 @@ def prune_arcs(net: RoadNetwork, vehicle, st: TravelTimeMatrix, eta: float) -> s
     sound anchor here; it may be too slow for the window, and a feasible
     vehicle would then lose every arc it could actually use.
     """
-    sc = shortest_cost_matrix(net)
+    st, sc = net.shortest_times, net.shortest_costs
     o, d = vehicle.origin, vehicle.dest
     window = vehicle.latest_arrival - vehicle.earliest_departure
     if st[o, d] > window:
@@ -292,40 +278,15 @@ class TimeSpaceNetwork:
     The time arcs are not listed: a copy ``(i, t) -> (j, t + T_ij)`` of a road
     arc, or a waiting arc ``(i, t) -> (i, t + 1)``, exists for a vehicle when
     it fits the horizon and the vehicle's node windows, and the model builder
-    enumerates only those.  ``admissible`` gives, per vehicle, the time window
-    in which the vehicle may occupy each node, already narrowed by shortest
-    travel times from its origin and to its destination.  ``fixed_cost`` and
-    ``unit_cost`` split each arc's cost into the share a platoon pays once and
-    the share every vehicle pays.
+    enumerates only those.  The node windows and the split of arc costs into
+    a platoon's share and every vehicle's share are facts of the instance,
+    which :func:`~platoonplan.formulations.build_tsf` reads from it.
     """
 
     net: RoadNetwork
     horizon: int
-    fixed_cost: Mapping[Arc, float]
-    unit_cost: Mapping[Arc, float]
-    admissible: tuple[dict[int, tuple[int, int]], ...]
 
 
 def build_time_space(net: RoadNetwork, instance) -> TimeSpaceNetwork:
-    """Expand a network over ``instance.horizon`` scheduling units.
-
-    The per-vehicle node windows are copies of ``instance.windows``.
-    """
-    horizon = instance.horizon
-    for veh in instance.vehicles:
-        if veh.latest_arrival > horizon:
-            raise HorizonExceeded(
-                f"vehicle {veh.id} arrives up to {veh.latest_arrival}, "
-                f"horizon is {horizon}"
-            )
-    admissible = tuple(dict(w.bounds) for w in instance.windows)
-    eta = instance.eta
-    fixed = {arc: eta * net.cost[arc] for arc in net.arcs}
-    unit = {arc: (1.0 - eta) * net.cost[arc] for arc in net.arcs}
-    return TimeSpaceNetwork(
-        net=net,
-        horizon=horizon,
-        fixed_cost=fixed,
-        unit_cost=unit,
-        admissible=admissible,
-    )
+    """Expand a network over ``instance.horizon`` scheduling units."""
+    return TimeSpaceNetwork(net=net, horizon=instance.horizon)

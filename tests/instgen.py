@@ -8,7 +8,7 @@ import numpy as np
 
 from oracles import simple_paths, timed_trajectories
 from platoonplan.instance import Instance, Vehicle
-from platoonplan.network import all_pairs_shortest_times, make_network
+from platoonplan.network import make_network
 
 
 def small_network(rng, n_nodes):
@@ -50,7 +50,7 @@ def small_instance(seed, max_nodes=8, max_vehicles=6, slack_max=3,
     rng = np.random.default_rng(seed)
     n_nodes = int(rng.integers(4, max_nodes + 1))
     net = small_network(rng, n_nodes)
-    st = all_pairs_shortest_times(net)
+    st = net.shortest_times
     n_veh = int(rng.integers(2, max_vehicles + 1))
     vehicles = []
     for v in range(n_veh):

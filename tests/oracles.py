@@ -273,6 +273,7 @@ def full_tsf(instance, tsn):
     truck cannot reach.  The reduced model must have the same LP bound and
     optimum as this one.
     """
+    eta = instance.eta
     q = instance.q_limit
     adm = instance.admissible
     net, horizon = tsn.net, tsn.horizon
@@ -293,7 +294,7 @@ def full_tsf(instance, tsn):
     in_at = []
 
     for v, veh in enumerate(instance.vehicles):
-        win = tsn.admissible[v]
+        win = instance.windows[v]
         outs = defaultdict(list)
         ins = defaultdict(list)
         for (i, tm, j, t2) in move_arcs:
@@ -327,9 +328,9 @@ def full_tsf(instance, tsn):
 
     obj = []
     for (v, (i, tm, j, t2)), idx in xvar.items():
-        obj.append((idx, tsn.unit_cost[(i, j)]))
+        obj.append((idx, (1.0 - eta) * net.cost[i, j]))
     for ts_arc, idx in yvar.items():
-        obj.append((idx, tsn.fixed_cost[(ts_arc[0], ts_arc[2])]))
+        obj.append((idx, eta * net.cost[ts_arc[0], ts_arc[2]]))
     m.set_objective(obj, sense="min")
 
     for v, veh in enumerate(instance.vehicles):

@@ -57,6 +57,26 @@ def test_gen_hub_mode_needs_hubs(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--grid", "10"],
+        ["--grid", "3x3", "--od-mode", "hub", "--hubs", "0,x"],
+        ["--grid", "3x3", "--od-mode", "hub", "--hubs", "99"],
+        ["--grid", "3x3", "--od-mode", "hub", "--hubs", "-1"],
+        ["--grid", "3x3", "--od-mode", "hub", "--hubs", "0", "--tu", "0"],
+    ],
+    ids=["grid-without-cols", "hub-not-a-number", "hub-past-last-node", "hub-negative",
+         "hub-zero-time-unit"],
+)
+def test_gen_bad_input_is_an_input_error(extra, capsys):
+    # exit 1 would mean "violations found"; bad input exits 2
+    rc = main(["gen", "--vehicles", "2", *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # -- solve --------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import platoonplan.decomposition as decomposition_module
+import platoonplan.evaluate as evaluate_module
 import platoonplan.instance as instance_module
 from instgen import small_instance, time_shortest_paths
 from platoonplan.decomposition import (
@@ -340,7 +341,7 @@ def test_part_wise_savings_equal_single_model_every_round(mode, monkeypatch):
             assert_parts_match_whole(instance, routes)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(0, 100_000))
 def test_part_wise_savings_equal_single_model_on_random_draws(seed):
     instance = small_instance(seed)
@@ -496,9 +497,22 @@ def test_run_computes_admissibility_once_per_instance(demo, monkeypatch):
     monkeypatch.undo()
     # no caller mutated the shared sets or windows
     assert demo.admissible == admissible_arcs(demo)
-    assert [w.bounds for w in demo.windows] == [
-        node_time_bounds(demo, veh).bounds for veh in demo.vehicles
-    ]
+    assert list(demo.windows) == [node_time_bounds(demo, veh) for veh in demo.vehicles]
+
+
+@pytest.mark.parametrize("scheduler", ["exact", "pairwise"])
+def test_run_checks_each_round_timetable_once(demo, monkeypatch, scheduler):
+    checked = []
+    real = evaluate_module.check
+
+    def counting(instance, sol):
+        checked.append(sol)
+        return real(instance, sol)
+
+    monkeypatch.setattr(evaluate_module, "check", counting)
+    _best, log = run(demo, DecompositionConfig(scheduler=scheduler, gamma=0.5))
+    assert len(log.records) > 1
+    assert len(checked) == len(log.records)
 
 
 def test_run_builds_routing_model_once(demo, monkeypatch):

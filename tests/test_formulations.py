@@ -22,7 +22,6 @@ from platoonplan.evaluate import check, decode
 from platoonplan.formulations import (
     FixedRoutes,
     admissible_arcs,
-    big_m_values,
     build_cpf,
     build_fcnf,
     build_matching,
@@ -33,7 +32,7 @@ from platoonplan.formulations import (
 )
 from platoonplan.instance import Instance, Vehicle
 from platoonplan.mip import SolveConfig, _label, solve
-from platoonplan.network import all_pairs_shortest_times, build_time_space, make_network
+from platoonplan.network import build_time_space, make_network
 from platoonplan.pairwise import enumerate_pairs
 
 
@@ -107,21 +106,34 @@ def test_admissible_arcs_wraps_empty_path_set(demo):
         network=demo.network,
         vehicles=(Vehicle(0, 0, 5, 0, 100),),
         eta=0.1,
-        st=all_pairs_shortest_times(demo.network),
     )
     with pytest.raises(InfeasibleVehicle):
         admissible_arcs(broke)
 
 
+def big_m_row(model, plus, minus, switch):
+    """The big-M coefficient and right-hand side of the CPF row that reads
+    ``plus - minus`` against the 0/1 column ``switch``."""
+    cols = {model.var_index(plus): 1.0, model.var_index(minus): -1.0}
+    s = model.var_index(switch)
+    for idxs, coefs, _sense, rhs, _name in model.constraints:
+        row = dict(zip(idxs, coefs))
+        if row.keys() == cols.keys() | {s} and all(row[i] == c for i, c in cols.items()):
+            return abs(row[s]), rhs
+    raise AssertionError(f"no row {plus} - {minus} with {switch}")
+
+
 def test_big_m_demo_values(demo):
-    ms = big_m_values(demo)
+    model = build_cpf(demo)
+    pledge = ("y", 0, 2, 1, 2)
     # trucks 1 and 2 share node 0: windows [500, 500] and [500, 701]
-    assert ms.m0[1, 2, 0] == 201
-    assert ms.m1[1, 2, 0] == 0
+    assert big_m_row(model, ("t", 0, 2), ("t", 0, 1), pledge) == (201, 201)
+    assert big_m_row(model, ("t", 0, 1), ("t", 0, 2), pledge) == (0, 0)
     # truck 2 on (0, 2): window tops 701 at the tail, opens 600 at the head
-    assert ms.m2[0, 2, 2] == 201
+    # (0, 2) takes 100, so the row reads t_2 - t_0 - 201 x >= 100 - 201
+    assert big_m_row(model, ("t", 2, 2), ("t", 0, 2), ("x", 0, 2, 2)) == (201, 100 - 201)
     # truck 1 has zero slack, so its propagation constant clamps at zero
-    assert ms.m2[0, 2, 1] == 0
+    assert big_m_row(model, ("t", 2, 1), ("t", 0, 1), ("x", 0, 2, 1)) == (0, 100)
 
 
 # -- continuous-time joint model ----------------------------------------------

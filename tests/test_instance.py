@@ -23,7 +23,7 @@ from platoonplan.instance import (
     three_truck_demo,
     with_windows,
 )
-from platoonplan.network import all_pairs_shortest_times, generate_grid, make_network
+from platoonplan.network import generate_grid, make_network
 
 LINE = make_network(3, [(0, 1, 1.0, 2), (1, 2, 1.0, 2)])
 
@@ -69,13 +69,13 @@ def test_demo_shape(demo):
 
 
 def test_node_time_bounds_whole_graph(demo):
-    b1 = node_time_bounds(demo, demo.vehicles[1]).bounds
+    b1 = node_time_bounds(demo, demo.vehicles[1])
     assert b1[0] == (500, 500)
     assert b1[2] == (600, 600)
-    b0 = node_time_bounds(demo, demo.vehicles[0]).bounds
+    b0 = node_time_bounds(demo, demo.vehicles[0])
     assert b0[1] == (100, 100)
     assert 3 not in b0  # any ride through node 3 overshoots the window
-    b2 = node_time_bounds(demo, demo.vehicles[2]).bounds
+    b2 = node_time_bounds(demo, demo.vehicles[2])
     assert b2[0] == (500, 701)
     assert b2[5] == (799, 1000)
 
@@ -98,7 +98,7 @@ def test_generate_fleet_is_deterministic():
 
 def test_generate_fleet_window_rule():
     net = generate_grid(6, 6, seed=2)
-    st = all_pairs_shortest_times(net)
+    st = net.shortest_times
     inst = generate_fleet(net, 12, seed=5, horizon=144)
     for v in inst.vehicles:
         drive = v.latest_arrival - v.earliest_departure
@@ -109,7 +109,7 @@ def test_generate_fleet_window_rule():
 
 def test_generate_fleet_hub_bias():
     net = generate_grid(6, 6, seed=3)
-    st = all_pairs_shortest_times(net)
+    st = net.shortest_times
     hub = 14
     inst = generate_fleet(
         net, 15, seed=4, od_mode="hub", hubs=(hub,), hub_share=1.0, hub_radius=6.0
@@ -128,6 +128,17 @@ def test_generate_fleet_failure_paths():
         generate_fleet(net, 2, seed=0, od_mode="hub")
     with pytest.raises(ValidationError):
         generate_fleet(net, 2, seed=0, od_mode="nearest")
+    # the default hub radius, one hour of driving, divides by time_unit
+    with pytest.raises(ValidationError, match="time_unit"):
+        generate_fleet(net, 2, seed=0, od_mode="hub", hubs=[0], time_unit=0.0)
+
+
+@pytest.mark.parametrize("hub", [99, 9, -1])
+def test_generate_fleet_rejects_hubs_outside_the_network(hub):
+    # -1 would otherwise index the last node, and 99 raise a bare IndexError
+    net = generate_grid(3, 3, seed=0)
+    with pytest.raises(ValidationError, match=f"hub {hub} "):
+        generate_fleet(net, 2, seed=0, od_mode="hub", hubs=[hub])
 
 
 def test_with_windows_replaces_and_revalidates(demo):

@@ -3,8 +3,6 @@
 import gc
 import math
 import weakref
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -12,13 +10,11 @@ from instgen import small_network
 from oracles import bellman_ford, simple_paths
 from platoonplan.errors import (
     EmptyPathSet,
-    HorizonExceeded,
     ParseError,
     ValidationError,
 )
 from platoonplan.instance import Vehicle
 from platoonplan.network import (
-    all_pairs_shortest_times,
     build_time_space,
     generate_grid,
     load_network,
@@ -26,7 +22,6 @@ from platoonplan.network import (
     min_cost_within_time,
     network_text,
     prune_arcs,
-    shortest_cost_matrix,
     undirected,
 )
 
@@ -93,8 +88,8 @@ def test_grid_deterministic():
 def test_shortest_matrices_match_bellman_ford(seed):
     rng = np.random.default_rng(seed)
     net = small_network(rng, int(rng.integers(4, 9)))
-    st = all_pairs_shortest_times(net)
-    sc = shortest_cost_matrix(net)
+    st = net.shortest_times
+    sc = net.shortest_costs
     for source in range(net.n_nodes):
         ref_t = bellman_ford(net.n_nodes, net.travel_time, source)
         ref_c = bellman_ford(net.n_nodes, net.cost, source)
@@ -105,8 +100,7 @@ def test_shortest_matrices_match_bellman_ford(seed):
 
 def test_zero_cost_arcs_participate():
     net = make_network(3, [(0, 1, 0.0, 1), (1, 2, 0.0, 1), (0, 2, 5.0, 1)])
-    sc = shortest_cost_matrix(net)
-    assert sc[0, 2] == 0.0
+    assert net.shortest_costs[0, 2] == 0.0
 
 
 def test_min_cost_within_time_tightens_with_budget():
@@ -137,38 +131,36 @@ def test_min_cost_within_time_matches_path_enumeration(seed):
 
 def test_prune_keeps_only_window_reachable_arcs():
     net = make_network(4, SLOW_CHEAP)
-    st = all_pairs_shortest_times(net)
     # cheapest path 1 -> 3 costs 2 but takes 6; the window only allows 5,
     # so the bound must anchor at the direct arc's cost of 6
-    keep = prune_arcs(net, Vehicle(0, 1, 3, 3, 8), st, eta=0.2)
+    keep = prune_arcs(net, Vehicle(0, 1, 3, 3, 8), eta=0.2)
     assert keep == {(1, 3)}
     # with a window of 6 the cheap detour becomes the anchor and the
     # direct arc is too expensive to ever pay off
-    keep = prune_arcs(net, Vehicle(0, 1, 3, 3, 9), st, eta=0.2)
+    keep = prune_arcs(net, Vehicle(0, 1, 3, 3, 9), eta=0.2)
     assert keep == {(1, 2), (2, 3)}
 
 
 def test_prune_raises_on_unreachable_or_tight_window():
     net = make_network(3, [(0, 1, 1.0, 2), (1, 2, 1.0, 2)])
-    st = all_pairs_shortest_times(net)
     with pytest.raises(EmptyPathSet):
-        prune_arcs(net, Vehicle(0, 2, 0, 0, 10), st, eta=0.1)
+        prune_arcs(net, Vehicle(0, 2, 0, 0, 10), eta=0.1)
     with pytest.raises(EmptyPathSet):
-        prune_arcs(net, Vehicle(0, 0, 2, 0, 3), st, eta=0.1)
+        prune_arcs(net, Vehicle(0, 0, 2, 0, 3), eta=0.1)
 
 
 def test_prune_never_drops_an_optimal_route_arc():
     # every arc on a window-feasible path within the cost bound survives
     rng = np.random.default_rng(77)
     net = small_network(rng, 6)
-    st = all_pairs_shortest_times(net)
+    st = net.shortest_times
     eta = 0.1
     for o in range(net.n_nodes):
         for d in range(net.n_nodes):
             if o == d or not math.isfinite(st[o, d]):
                 continue
             window = int(st[o, d]) + 2
-            keep = prune_arcs(net, Vehicle(0, o, d, 0, window), st, eta)
+            keep = prune_arcs(net, Vehicle(0, o, d, 0, window), eta)
             feasible = [
                 p
                 for p in simple_paths(net.arcs, o, d)
@@ -233,8 +225,8 @@ def test_load_network_rejects_non_ascii(tmp_path):
 
 def test_shortest_matrices_are_freed_with_the_network():
     net = make_network(3, undirected([(0, 1, 1.0, 2), (1, 2, 1.0, 2)]))
-    assert all_pairs_shortest_times(net) is all_pairs_shortest_times(net)
-    assert shortest_cost_matrix(net) is shortest_cost_matrix(net)
+    assert net.shortest_times is net.shortest_times
+    assert net.shortest_costs is net.shortest_costs
     ref = weakref.ref(net)
     del net
     gc.collect()
@@ -243,21 +235,15 @@ def test_shortest_matrices_are_freed_with_the_network():
 
 def test_time_space_structure(demo):
     tsn = build_time_space(demo.network, demo)
+    assert tsn.net is demo.network
     assert tsn.horizon == 1000
-    # vehicle windows are narrowed by shortest times on both sides
-    assert tsn.admissible[2][0] == (500, 701)
-    assert tsn.admissible[2][5] == (799, 1000)
-    assert 4 in tsn.admissible[2]
-    assert 1 not in tsn.admissible[0] or tsn.admissible[0][1] == (100, 100)
-
-
-def test_time_space_rejects_over_horizon():
-    net = make_network(2, [(0, 1, 1.0, 1)])
-    fake = SimpleNamespace(
-        horizon=5, vehicles=(Vehicle(0, 0, 1, 0, 9),), eta=0.1
-    )
-    with pytest.raises(HorizonExceeded):
-        build_time_space(net, fake)
+    # the time-expanded model reads the vehicle windows from the instance;
+    # they are narrowed by shortest times on both sides
+    windows = demo.windows
+    assert windows[2][0] == (500, 701)
+    assert windows[2][5] == (799, 1000)
+    assert 4 in windows[2]
+    assert 1 not in windows[0] or windows[0][1] == (100, 100)
 
 
 def test_undirected_expands_both_ways():

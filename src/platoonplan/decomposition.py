@@ -14,16 +14,19 @@ an estimate of what joining would cost.  Two estimate flavors exist:
 
 Both schedulers go through one pipeline whose only product is entry times;
 the pairwise one first narrows the windows of chosen truck pairs and drops
-the size cap.  The scheduling model splits exactly into parts: trucks kept
-on a common arc (see ``scheduling_preprocess``) are linked, and every
-scheduling row touches one truck or one (arc, slot).  Each part is built and
-solved on its own (:func:`schedule_by_part`), and the timetable put together
-from the parts' entry times is checked once.  That timetable alone prices
-the round: its savings are the base cost of the routes minus its cost.  The
-parts of a round share one stage deadline.  ``run`` keeps a memo for its own
-length: each part's optimal entry times, keyed by the part's trucks, their
-paths and entry windows, so a part that recurs in a later round is neither
-built nor solved again.  Public calls outside ``run`` use no memo.
+the size cap.  The scheduling model splits exactly into parts: two trucks
+kept on a common arc (see ``scheduling_preprocess``) are linked when their
+entry windows there overlap, and every scheduling row touches one truck or
+one (arc, slot) that only trucks of one part can use.  Each part is built
+and solved on its own (:func:`schedule_by_part`), and the timetable put
+together from the parts' entry times is checked once.  That timetable alone
+prices the round: its savings are the base cost of the routes minus its
+cost.  The parts of a round share one stage deadline.  ``run`` keeps a memo
+for its own length: each part's optimal entry times, keyed by what the
+part's model reads (each truck's kept arcs with their entry windows), so a
+part whose model recurs in a later round is neither built nor solved again,
+even when one of its trucks drives elsewhere outside the part.  Public calls
+outside ``run`` use no memo.
 
 The loop stops once the same routing solution has appeared ``repeat_limit``
 times or the time budget runs out.
@@ -91,15 +94,43 @@ class CostTable:
     scenarios: Mapping[tuple[int, Arc], int]
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
-    """What one finished round leaves behind for cycle detection."""
-
-    compositions: Mapping[Arc, frozenset[frozenset[int]]]
-    table: CostTable
+Composition = frozenset[frozenset[int]]
 
 
-def _compositions(solution: PlatoonSolution) -> dict[Arc, frozenset[frozenset[int]]]:
+class History:
+    """What finished rounds leave behind for cycle detection.
+
+    ``tables[k - 1]`` is the cost table written after round ``k``.  An
+    index maps each arc and platoon composition that arc had after some
+    round to the vehicles that round's table tagged 3 there (offered the
+    join estimate), each with the first such round.
+    """
+
+    def __init__(self) -> None:
+        self.tables: list[CostTable] = []
+        self._lured: dict[tuple[Arc, Composition], dict[int, int]] = {}
+
+    def append(self, compositions: Mapping[Arc, Composition], table: CostTable) -> None:
+        """Record the next round: its platoons on each arc, and the table
+        written after it."""
+        self.tables.append(table)
+        k = len(self.tables)
+        lured: dict[Arc, list[int]] = defaultdict(list)
+        for (v, arc), tag in table.scenarios.items():
+            if tag == 3:
+                lured[arc].append(v)
+        for arc, comp in compositions.items():
+            first = self._lured.setdefault((arc, comp), {})
+            for v in lured.get(arc, ()):
+                first.setdefault(v, k)
+
+    def first_lure(self, v: int, arc: Arc, comp: Composition) -> int | None:
+        """The first round after which ``arc`` carried the platoons ``comp``
+        and the table tagged ``(v, arc)`` 3, if any."""
+        return self._lured.get((arc, comp), {}).get(v)
+
+
+def _compositions(solution: PlatoonSolution) -> dict[Arc, Composition]:
     by_arc: dict[Arc, set[frozenset[int]]] = defaultdict(set)
     for (arc, _t), groups in solution.groups.items():
         for g in groups:
@@ -114,7 +145,7 @@ def modify_costs(
     routes: FixedRoutes,
     solution: PlatoonSolution,
     mode: str,
-    history: Sequence[HistoryEntry] = (),
+    history: History | None = None,
 ) -> CostTable:
     """Shape next-round routing costs from this round's schedule.
 
@@ -172,7 +203,7 @@ def modify_costs(
                 if max(lo_v, routes.entry_lo[u, arc]) <= min(hi_v, routes.entry_hi[u, arc])
             ]
 
-            cycled = _cycled_cost(v, arc, c, comp_now, history)
+            cycled = _cycled_cost(v, arc, c, comp_now.get(arc), history)
             if cycled is not None:
                 modified[key] = cycled
                 scenarios[key] = 4
@@ -197,33 +228,27 @@ def modify_costs(
     )
 
 
-def _cycled_cost(v, arc, c, comp_now, history):
+def _cycled_cost(v, arc, c, now, history):
     """Scenario 4: cost to reuse when a platoon composition repeats.
 
-    If the exact platoons driving ``arc`` now already formed after some
+    If the exact platoons ``now`` driving ``arc`` already formed after some
     round ``k``, and this vehicle was then offered the join estimate but
     rerouted away, the estimate would lure it straight back.  Reusing the
     cost it saw one round later breaks that two-round cycle.
     """
-    now = comp_now.get(arc)
-    if not now or not history:
+    k = None if history is None else history.first_lure(v, arc, now)
+    if k is None:
         return None
-    for k, entry in enumerate(history, start=1):
-        if entry.compositions.get(arc) != now:
-            continue
-        if entry.table.scenarios.get((v, arc)) != 3:
-            continue
-        if k < len(history):
-            # history[k] holds the table written after round k + 1,
-            # which is exactly what round k + 2 priced this pair at
-            return history[k].table.modified.get((v, arc), c)
-        log.debug(
-            "composition on %s repeats round %d but its follow-up cost is "
-            "not recorded yet; falling back to the overlap rule",
-            arc,
-            k,
-        )
-        return None
+    if k < len(history.tables):
+        # tables[k] was written after round k + 1, which is exactly what
+        # round k + 2 priced this pair at
+        return history.tables[k].modified.get((v, arc), c)
+    log.debug(
+        "composition on %s repeats round %d but its follow-up cost is "
+        "not recorded yet; falling back to the overlap rule",
+        arc,
+        k,
+    )
     return None
 
 
@@ -392,15 +417,24 @@ def _warm_schedule(instance, routes, kept, relax_capacity=False):
 def _parts(routes, kept):
     """The independent parts of the scheduling model of ``kept``.
 
-    Trucks kept on a common arc can share its slots, so they belong to one
-    part.  Every scheduling row touches a single truck or a single (arc,
-    slot), so the model of ``kept`` is the disjoint union of its parts'
-    models.  Returns ``(trucks, part_kept)`` pairs, ordered by smallest truck.
+    Two trucks kept on one arc can share one of its slots only if their
+    entry windows there overlap.  On each arc, a sweep in order of window
+    start links each truck whose window starts by the latest end seen so
+    far, which gives the arc's groups of overlapping windows; the parts are
+    these groups, joined over all arcs.  Every scheduling row touches a
+    single truck or a single (arc, slot), and every truck whose window holds
+    that slot is in one part, so the model of ``kept`` is the disjoint union
+    of its parts' models.  Returns ``(trucks, part_kept)`` pairs, ordered by
+    smallest truck.
     """
     links = []
     for arc, vs in routes.vehicles_by_arc.items():
-        here = [v for v in vs if (v, arc) in kept]
-        links += zip(here, here[1:])
+        here = sorted((routes.entry_lo[v, arc], v) for v in vs if (v, arc) in kept)
+        reach, prev = -math.inf, None
+        for lo, v in here:
+            if lo <= reach:
+                links.append((prev, v))
+            reach, prev = max(reach, routes.entry_hi[v, arc]), v
     of_truck = defaultdict(list)
     for v, arc in kept:
         of_truck[v].append((v, arc))
@@ -408,6 +442,16 @@ def _parts(routes, kept):
         (trucks, frozenset(pair for v in trucks for pair in of_truck[v]))
         for trucks in _union_find_groups(set(of_truck), links)
     ]
+
+
+def _part_key(routes, trucks, part):
+    """What :func:`build_tif` reads of a part: each truck's kept arcs in
+    path order, with their entry windows."""
+    return tuple(
+        (v, tuple((arc, *routes.entry_window(v, arc))
+                  for arc in routes.paths[v] if (v, arc) in part))
+        for v in trucks
+    )
 
 
 @dataclass(frozen=True)
@@ -430,10 +474,11 @@ def schedule_by_part(instance, routes, relax_capacity, gap, deadline, memo):
     relax_capacity)``, is built and solved on its own to relative gap
     ``gap`` from the everyone-earliest start, with the time left until
     ``deadline`` (a ``perf_counter`` reading; None for no limit), and
-    yields the entry times of its trucks.  ``memo`` maps each part (its
-    trucks, their paths and entry windows) to its optimal entry times: a
-    part found there is neither built nor solved, and only optimal results
-    are stored.  :func:`assemble_timetable` puts the timetable together
+    yields the entry times of its trucks.  ``memo`` maps each part, by what
+    its model reads (each truck's kept arcs in path order with their entry
+    windows), to its optimal entry times: a part found there is neither
+    built nor solved, and only optimal results are stored.  The key does
+    not hold ``relax_capacity``, so one memo serves one scheduler.  :func:`assemble_timetable` puts the timetable together
     from the entry times and checks it against ``instance`` once.
     """
     kept, _alone = scheduling_preprocess(instance, routes)
@@ -441,10 +486,7 @@ def schedule_by_part(instance, routes, relax_capacity, gap, deadline, memo):
     reused = 0
     parts = _parts(routes, kept)
     for trucks, part in parts:
-        key = tuple(
-            (v, routes.paths[v], routes.entry_window(v, routes.paths[v][0]))
-            for v in trucks
-        )
+        key = _part_key(routes, trucks, part)
         found = memo.get(key)
         if found is None:
             found, optimal = _solve_part(instance, routes, part, relax_capacity, gap, deadline)
@@ -491,7 +533,7 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
     # optimal schedules of the scheduling model's parts, for this run only
     memo: dict = {}
     table: CostTable | None = None
-    history: list[HistoryEntry] = []
+    history = History()
     seen: Counter = Counter()
     logbook = IterationLog()
     best: PlatoonSolution | None = None
@@ -549,7 +591,7 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
 
         table = modify_costs(instance, table, routes, solution, cfg.mode, history)
         price_fcnf(instance, model, table)
-        history.append(HistoryEntry(compositions=_compositions(solution), table=table))
+        history.append(_compositions(solution), table)
 
     if best is None:
         raise NoFeasibleSolution("no round produced a feasible timetable")

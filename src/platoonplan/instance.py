@@ -151,6 +151,10 @@ def generate_fleet(
     """
     if n < 1:
         raise ValidationError("fleet size must be >= 1")
+    if horizon < 0:
+        raise ValidationError("horizon must be non-negative")
+    if not 0.0 <= hub_share <= 1.0:
+        raise ValidationError(f"hub_share must be in [0, 1], got {hub_share}")
     if od_mode not in ("uniform", "hub"):
         raise ValidationError(f"unknown od_mode {od_mode!r}")
     if od_mode == "hub":

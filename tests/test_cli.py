@@ -65,9 +65,11 @@ def test_gen_hub_mode_needs_hubs(capsys):
         ["--grid", "3x3", "--od-mode", "hub", "--hubs", "99"],
         ["--grid", "3x3", "--od-mode", "hub", "--hubs", "-1"],
         ["--grid", "3x3", "--od-mode", "hub", "--hubs", "0", "--tu", "0"],
+        ["--grid", "3x3", "--od-mode", "hub", "--hubs", "0", "--hub-share", "2"],
+        ["--grid", "3x3", "--horizon", "-1"],
     ],
     ids=["grid-without-cols", "hub-not-a-number", "hub-past-last-node", "hub-negative",
-         "hub-zero-time-unit"],
+         "hub-zero-time-unit", "hub-share-above-one", "negative-horizon"],
 )
 def test_gen_bad_input_is_an_input_error(extra, capsys):
     # exit 1 would mean "violations found"; bad input exits 2

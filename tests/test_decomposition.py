@@ -17,7 +17,7 @@ from instgen import small_instance, time_shortest_paths
 from platoonplan.decomposition import (
     CostTable,
     DecompositionConfig,
-    HistoryEntry,
+    History,
     IterationLog,
     IterationRecord,
     _parts,
@@ -178,30 +178,38 @@ def test_modify_costs_composition_repeat():
             scenarios={(2, (0, 1)): scenario},
         )
 
+    def history(*tables):
+        recorded = History()
+        for t in tables:
+            recorded.append(comps, t)
+        return recorded
+
     # the same platoon formed after round 1, lured truck 2 (tag 3), and the
     # post-lure round 2 priced the pair at 0.777: round 3 must reuse that
-    history = [
-        HistoryEntry(compositions=comps, table=table(1, 3, 0.9)),
-        HistoryEntry(compositions=comps, table=table(2, 2, 0.777)),
-    ]
-    out = modify_costs(instance, history[-1].table, routes, solution, "icmp", history)
+    lured = history(table(1, 3, 0.9), table(2, 2, 0.777))
+    out = modify_costs(instance, lured.tables[-1], routes, solution, "icmp", lured)
     assert out.scenarios[2, (0, 1)] == 4
     assert out.modified[2, (0, 1)] == pytest.approx(0.777, abs=1e-12)
 
     # without the follow-up round on record the overlap rule stays in force
-    short = history[:1]
-    out = modify_costs(instance, short[-1].table, routes, solution, "icmp", short)
+    short = history(table(1, 3, 0.9))
+    out = modify_costs(instance, short.tables[-1], routes, solution, "icmp", short)
     assert out.scenarios[2, (0, 1)] == 3
 
     # a lure tag other than 3 means the estimate never rerouted anyone
-    unlured = [
-        HistoryEntry(compositions=comps, table=table(1, 2, 0.9)),
-        HistoryEntry(compositions=comps, table=table(2, 2, 0.777)),
-    ]
+    unlured = history(table(1, 2, 0.9), table(2, 2, 0.777))
     out = modify_costs(
-        instance, unlured[-1].table, routes, solution, "icmp", unlured
+        instance, unlured.tables[-1], routes, solution, "icmp", unlured
     )
     assert out.scenarios[2, (0, 1)] == 3
+
+    # only the first lure counts: a later one does not move the reused cost
+    relured = history(table(1, 3, 0.9), table(2, 3, 0.777), table(3, 2, 0.6))
+    out = modify_costs(
+        instance, relured.tables[-1], routes, solution, "icmp", relured
+    )
+    assert out.scenarios[2, (0, 1)] == 4
+    assert out.modified[2, (0, 1)] == pytest.approx(0.777, abs=1e-12)
 
 
 def test_modify_costs_join_estimate_splits_among_meeting_drivers():
@@ -285,11 +293,51 @@ def two_pairs_instance():
     return instance, FixedRoutes.build(instance, paths)
 
 
+def one_arc_instance():
+    """Five trucks on one arc: a pair, then three whose windows all meet the
+    widest one but not each other.  Two scheduling parts."""
+    net = make_network(2, [(0, 1, 1.0, 1)])
+    vehicles = (
+        Vehicle(0, 0, 1, 0, 2),  # enters in [0, 1]
+        Vehicle(1, 0, 1, 0, 2),  # [0, 1]
+        Vehicle(2, 0, 1, 4, 10),  # [4, 9]
+        Vehicle(3, 0, 1, 5, 6),  # [5, 5]
+        Vehicle(4, 0, 1, 7, 8),  # [7, 7]
+    )
+    instance = Instance(
+        network=net, vehicles=vehicles, eta=0.25, q_limit=None, time_unit=1.0, horizon=10
+    )
+    return instance, FixedRoutes.build(instance, {v: ((0, 1),) for v in range(5)})
+
+
+def fork_instance(via):
+    """Trucks 0 and 1 meet on arc (0, 1), then truck 0 drives alone to node
+    4 through node ``via`` (2 or 3, equally fast) and truck 1 to node 5."""
+    net = make_network(
+        6,
+        [(0, 1, 1.0, 1), (1, 2, 1.0, 1), (1, 3, 1.0, 1), (2, 4, 1.0, 1), (3, 4, 1.0, 1),
+         (1, 5, 1.0, 1)],
+    )
+    vehicles = (Vehicle(0, 0, 4, 0, 4), Vehicle(1, 0, 5, 0, 3))
+    instance = Instance(
+        network=net, vehicles=vehicles, eta=0.25, q_limit=None, time_unit=1.0, horizon=4
+    )
+    paths = {0: ((0, 1), (1, via), (via, 4)), 1: ((0, 1), (1, 5))}
+    return instance, FixedRoutes.build(instance, paths)
+
+
 def assert_parts_match_whole(instance, routes, gap=1e-9):
     """The part-wise timetable saves what the single scheduling model does."""
     kept, _ = scheduling_preprocess(instance, routes)
     parts = _parts(routes, kept)
     assert sorted(pair for _trucks, part in parts for pair in part) == sorted(kept)
+    # no (arc, slot) is open to trucks of two parts
+    slots = [
+        {(arc, tm) for v, arc in part for tm in range(routes.entry_lo[v, arc],
+                                                       routes.entry_hi[v, arc] + 1)}
+        for _trucks, part in parts
+    ]
+    assert sum(map(len, slots)) == len(set().union(*slots))
     eta, c = instance.eta, instance.network.cost
     base = sum(c[a] for path in routes.paths.values() for a in path)
     for relax in (False, True):
@@ -320,6 +368,36 @@ def test_part_wise_savings_equal_single_model_on_demo_and_two_pairs(demo):
     kept, _ = scheduling_preprocess(instance, routes)
     assert [trucks for trucks, _part in _parts(routes, kept)] == [(0, 1), (2, 3)]
     assert_parts_match_whole(instance, routes)
+
+
+def test_trucks_whose_windows_never_meet_on_an_arc_are_apart():
+    instance, routes = one_arc_instance()
+    kept, _ = scheduling_preprocess(instance, routes)
+    assert len(kept) == 5
+    # truck 4 shares no slot with truck 3, but slot 7 with truck 2
+    assert [trucks for trucks, _part in _parts(routes, kept)] == [(0, 1), (2, 3, 4)]
+    assert_parts_match_whole(instance, routes)
+
+
+def test_part_is_reused_after_a_truck_reroutes_outside_its_kept_arcs(monkeypatch):
+    builds = []
+
+    def counting(*args):
+        builds.append(args)
+        return build_tif(*args)
+
+    monkeypatch.setattr(decomposition_module, "build_tif", counting)
+    memo = {}
+    instance, first = fork_instance(2)
+    by_part = schedule_by_part(instance, first, False, 1e-9, None, memo)
+    assert (by_part.parts, by_part.reused, len(builds)) == (1, 0, 1)
+    _instance, second = fork_instance(3)
+    assert second.entry_window(0, (0, 1)) == first.entry_window(0, (0, 1))
+    by_part = schedule_by_part(instance, second, False, 1e-9, None, memo)
+    assert (by_part.parts, by_part.reused, len(builds)) == (1, 1, 1)
+    # the pair platoons on (0, 1): one of its two fixed shares is saved
+    assert total_cost(instance, by_part.solution) == pytest.approx(5.0 - 0.25, abs=1e-12)
+    assert_parts_match_whole(instance, second)
 
 
 @pytest.mark.parametrize("mode", ["icmp", "llcmp"])
@@ -586,6 +664,26 @@ def test_price_fcnf_missing_cost_and_wrong_model(demo):
     other = generate_fleet(generate_grid(3, 3, seed=0), 2, seed=0)
     with pytest.raises(ModelInvalid):
         price_fcnf(other, model, None)
+
+
+@pytest.mark.parametrize(
+    "grid, mode, scheduler, rounds, best_cost",
+    [
+        (5, "icmp", "exact", 27, 1211.2),
+        (5, "icmp", "pairwise", 46, 1212.5),
+        (9, "icmp", "exact", 89, 1180.3),
+        (9, "llcmp", "exact", 11, 1183.2),
+    ],
+)
+def test_field_anchor_trajectories(grid, mode, scheduler, rounds, best_cost):
+    """The benchmark's four field anchors, run with no time limit."""
+    instance = generate_fleet(generate_grid(10, 10, seed=grid), 50, seed=grid)
+    best, log = run(
+        instance, DecompositionConfig(mode=mode, scheduler=scheduler, time_limit=math.inf)
+    )
+    assert (len(log.records), log.termination) == (rounds, "repeat")
+    assert log.best_cost == pytest.approx(best_cost, abs=1e-9)
+    assert total_cost(instance, best) == pytest.approx(log.best_cost, abs=1e-9)
 
 
 def test_run_rejects_unknown_scheduler(demo):

@@ -141,6 +141,21 @@ def test_generate_fleet_rejects_hubs_outside_the_network(hub):
         generate_fleet(net, 2, seed=0, od_mode="hub", hubs=[hub])
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"hub_share": 2.0}, "hub_share"),
+        ({"hub_share": -0.1}, "hub_share"),
+        ({"hub_share": math.nan}, "hub_share"),
+        ({"horizon": -1}, "horizon"),
+    ],
+)
+def test_generate_fleet_rejects_out_of_range_parameters(kwargs, match):
+    net = generate_grid(3, 3, seed=0)
+    with pytest.raises(ValidationError, match=match):
+        generate_fleet(net, 2, seed=0, od_mode="hub", hubs=[0], **kwargs)
+
+
 def test_with_windows_replaces_and_revalidates(demo):
     wider = with_windows(demo, {2: (500, 800)})
     assert wider.vehicles[2].latest_arrival == 800

@@ -59,7 +59,7 @@ print(f"  routing objective {rres.objective:.2f} (pretends the meeting happens)"
 # Scheduling exposes the lie: truck 0 must enter (0, 1) by 100, truck 2
 # cannot get there before 500, so no candidate pair survives and everyone
 # drives alone.
-kept, _fixed = scheduling_preprocess(inst, routes)
+kept = scheduling_preprocess(routes)
 print(f"  platoon candidates after window screening: {sorted(kept) or 'none'}")
 sol = canonical_schedule(inst, routes)
 print(f"  scheduled cost {total_cost(inst, sol):.2f}")
@@ -85,7 +85,7 @@ rres2 = solve(build_fcnf(inst, table), SolveConfig(gap_tol=1e-9))
 routes2 = routes_from_result(inst, rres2)
 for v, path in sorted(routes2.paths.items()):
     print(f"  truck {v}: {' '.join(map(str, path))}")
-kept2, _fixed2 = scheduling_preprocess(inst, routes2)
+kept2 = scheduling_preprocess(routes2)
 print(f"  platoon candidates after window screening: {sorted(kept2)}")
 
 sres = solve(build_tif(inst, routes2, kept2), SolveConfig(gap_tol=1e-9))

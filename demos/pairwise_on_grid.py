@@ -90,7 +90,7 @@ assert abs(total_cost(inst, wrapped) - cost) < 1e-9
 # recovers most of the coordination value but not quite all of it; the
 # exact model can form platoons the matching had to pass up.
 lazy = total_cost(inst, canonical_schedule(inst, routes))
-kept, _ = scheduling_preprocess(inst, routes)
+kept = scheduling_preprocess(routes)
 eres = solve(build_tif(inst, routes, kept), SolveConfig(gap_tol=1e-9))
 exact = total_cost(inst, decode(inst, eres, "tif", routes))
 print(f"no coordination {lazy:.3f}, pairwise {cost:.3f}, exact {exact:.3f}")

@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .decomposition import DecompositionConfig, run
-from .errors import PlatoonPlanError, ValidationError
+from .errors import ParseError, PlatoonPlanError, ValidationError
 from .evaluate import (
     PlatoonSolution,
     check,
@@ -172,10 +172,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_json(path: str):
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not JSON: {exc}") from None
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    with open(args.solution, "r", encoding="ascii") as fh:
-        solution = PlatoonSolution.from_json_dict(json.load(fh))
+    solution = PlatoonSolution.from_json_dict(_load_json(args.solution))
     report = check(instance, solution)
     if report.ok:
         cost = total_cost(instance, solution)
@@ -232,11 +239,12 @@ def _bench_row(row: dict) -> dict:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    with open(args.manifest, "r", encoding="ascii") as fh:
-        rows = json.load(fh)
+    rows = _load_json(args.manifest)
     if not isinstance(rows, list):
         raise PlatoonPlanError("manifest must be a JSON list of run rows")
     for row in rows:
+        if not isinstance(row, dict):
+            raise ParseError(f"manifest rows must be JSON objects, got {row!r}")
         if "instance" not in row or "method" not in row:
             raise PlatoonPlanError("each row needs 'instance' and 'method'")
         if row["method"] not in _METHODS:

@@ -15,18 +15,19 @@ an estimate of what joining would cost.  Two estimate flavors exist:
 Both schedulers go through one pipeline whose only product is entry times;
 the pairwise one first narrows the windows of chosen truck pairs and drops
 the size cap.  The scheduling model splits exactly into parts: two trucks
-kept on a common arc (see ``scheduling_preprocess``) are linked when their
-entry windows there overlap, and every scheduling row touches one truck or
-one (arc, slot) that only trucks of one part can use.  Each part is built
-and solved on its own (:func:`schedule_by_part`), and the timetable put
-together from the parts' entry times is checked once.  That timetable alone
-prices the round: its savings are the base cost of the routes minus its
-cost.  The parts of a round share one stage deadline.  ``run`` keeps a memo
-for its own length: each part's optimal entry times, keyed by what the
-part's model reads (each truck's kept arcs with their entry windows), so a
-part whose model recurs in a later round is neither built nor solved again,
-even when one of its trucks drives elsewhere outside the part.  Public calls
-outside ``run`` use no memo.
+on a common arc are linked when their entry windows there overlap (one
+sweep per arc, :attr:`FixedRoutes.meets`), and every scheduling row touches
+one truck or one (arc, slot) that only trucks of one part can use.  Each
+part is built and solved on its own (:func:`schedule_by_part`); a part
+whose solve ends without an incumbent rides at its earliest entry times.
+The timetable put together from the parts' entry times is checked once.
+That timetable alone prices the round: its savings are the base cost of the
+routes minus its cost.  The parts of a round share one stage deadline.
+``run`` keeps a memo for its own length: each part's optimal entry times,
+keyed by what the part's model reads (each truck's kept arcs with their
+entry windows), so a part whose model recurs in a later round is neither
+built nor solved again, even when one of its trucks drives elsewhere
+outside the part.  Public calls outside ``run`` use no memo.
 
 The loop stops once the same routing solution has appeared ``repeat_limit``
 times or the time budget runs out.
@@ -58,7 +59,6 @@ from .formulations import (
     build_tif,
     price_fcnf,
     routes_from_result,
-    scheduling_preprocess,
 )
 from .instance import Instance
 from .mip import OPTIMAL, SolveConfig, solve
@@ -321,8 +321,6 @@ class DecompositionConfig:
     repeat_limit: int = 3
     scheduler: str = "exact"  # or "pairwise"
     gamma: float = 0.2
-    routing_gap: float = 1e-9
-    scheduling_gap: float = 1e-9
 
 
 def _dijkstra(out_arcs, weights, source):
@@ -394,50 +392,23 @@ def _warm_routing(instance, table):
     return warm
 
 
-def _warm_schedule(instance, routes, kept, relax_capacity=False):
-    """Everyone-earliest start for the scheduling model of ``kept``.
+def _parts(routes):
+    """The independent parts of the scheduling model of ``routes``.
 
-    Returns a complete assignment for the variables of
-    ``build_tif(instance, routes, kept, relax_capacity)``, keyed by column
-    key: ``("x", i, j, v, tm)`` for each kept (vehicle, arc) pair and entry
-    time in its window, and ``("y", i, j, tm)`` for each slot they use.
-    """
-    warm = {}
-    for v, arc in kept:
-        lo, hi = routes.entry_window(v, arc)
-        for tm in range(lo, hi + 1):
-            warm["x", *arc, v, tm] = float(tm == lo)
-            warm["y", *arc, tm] = 0.0
-    q = None if relax_capacity else instance.q_limit
-    for (arc, tm), n in Counter((arc, routes.entry_lo[v, arc]) for v, arc in kept).items():
-        warm["y", *arc, tm] = 1.0 if q is None else float(math.ceil(n / q))
-    return warm
-
-
-def _parts(routes, kept):
-    """The independent parts of the scheduling model of ``kept``.
-
-    Two trucks kept on one arc can share one of its slots only if their
-    entry windows there overlap.  On each arc, a sweep in order of window
-    start links each truck whose window starts by the latest end seen so
-    far, which gives the arc's groups of overlapping windows; the parts are
-    these groups, joined over all arcs.  Every scheduling row touches a
-    single truck or a single (arc, slot), and every truck whose window holds
-    that slot is in one part, so the model of ``kept`` is the disjoint union
-    of its parts' models.  Returns ``(trucks, part_kept)`` pairs, ordered by
+    Two trucks can share a slot of an arc only if their entry windows there
+    overlap, so the parts are the chains of :attr:`FixedRoutes.meets`,
+    joined over all arcs.  Every scheduling row touches a single truck or a
+    single (arc, slot), and every truck whose window holds that slot is in
+    one chain, so the model of the kept pairs is the disjoint union of its
+    parts' models.  Returns ``(trucks, part_kept)`` pairs, ordered by
     smallest truck.
     """
-    links = []
-    for arc, vs in routes.vehicles_by_arc.items():
-        here = sorted((routes.entry_lo[v, arc], v) for v in vs if (v, arc) in kept)
-        reach, prev = -math.inf, None
-        for lo, v in here:
-            if lo <= reach:
-                links.append((prev, v))
-            reach, prev = max(reach, routes.entry_hi[v, arc]), v
     of_truck = defaultdict(list)
-    for v, arc in kept:
-        of_truck[v].append((v, arc))
+    links = []
+    for arc, chain in routes.meets:
+        for v in chain:
+            of_truck[v].append((v, arc))
+        links += zip(chain, chain[1:])
     return [
         (trucks, frozenset(pair for v in trucks for pair in of_truck[v]))
         for trucks in _union_find_groups(set(of_truck), links)
@@ -466,30 +437,30 @@ class PartSchedule:
     reused: int
 
 
-def schedule_by_part(instance, routes, relax_capacity, gap, deadline, memo):
+def schedule_by_part(instance, routes, relax_capacity, deadline, memo):
     """Schedule fixed routes part by part and put the timetable together.
 
-    The parts cover the pairs :func:`scheduling_preprocess` keeps.  Each
-    part's model, ``build_tif(instance, routes, part_kept,
-    relax_capacity)``, is built and solved on its own to relative gap
-    ``gap`` from the everyone-earliest start, with the time left until
-    ``deadline`` (a ``perf_counter`` reading; None for no limit), and
-    yields the entry times of its trucks.  ``memo`` maps each part, by what
-    its model reads (each truck's kept arcs in path order with their entry
-    windows), to its optimal entry times: a part found there is neither
-    built nor solved, and only optimal results are stored.  The key does
-    not hold ``relax_capacity``, so one memo serves one scheduler.  :func:`assemble_timetable` puts the timetable together
+    Each part of :func:`_parts`, a group of trucks that can meet, gets the
+    model ``build_tif(instance, routes, part_kept, relax_capacity)``, built
+    and solved on its own with the time left until ``deadline`` (a
+    ``perf_counter`` reading; None for no limit), and yields the entry
+    times of its trucks.  ``memo`` maps each part, by what its model reads
+    (each truck's kept arcs in path order with their entry windows), to its
+    optimal entry times: a part found there is neither built nor solved,
+    and only optimal results are stored.  The key does not hold
+    ``relax_capacity``, so one memo serves one scheduler.  A part whose
+    solve ends without an incumbent chooses no times, so its trucks ride at
+    their earliest.  :func:`assemble_timetable` puts the timetable together
     from the entry times and checks it against ``instance`` once.
     """
-    kept, _alone = scheduling_preprocess(instance, routes)
     chosen: dict[tuple[int, Arc], int] = {}
     reused = 0
-    parts = _parts(routes, kept)
+    parts = _parts(routes)
     for trucks, part in parts:
         key = _part_key(routes, trucks, part)
         found = memo.get(key)
         if found is None:
-            found, optimal = _solve_part(instance, routes, part, relax_capacity, gap, deadline)
+            found, optimal = _solve_part(instance, routes, part, relax_capacity, deadline)
             if optimal:
                 memo[key] = found
         else:
@@ -499,19 +470,12 @@ def schedule_by_part(instance, routes, relax_capacity, gap, deadline, memo):
     return PartSchedule(solution, len(parts), reused)
 
 
-def _solve_part(instance, routes, part, relax_capacity, gap, deadline):
+def _solve_part(instance, routes, part, relax_capacity, deadline):
     """The entry times of one part, and whether the solve proved them
     optimal."""
     model = build_tif(instance, routes, part, relax_capacity)
     time_limit = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
-    res = solve(
-        model,
-        SolveConfig(
-            time_limit=time_limit,
-            gap_tol=gap,
-            warm_start=_warm_schedule(instance, routes, part, relax_capacity),
-        ),
-    )
+    res = solve(model, SolveConfig(time_limit=time_limit))
     return _tif_choice(res), res.status == OPTIMAL
 
 
@@ -550,7 +514,7 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
         warm = _warm_routing(instance, table)
         rres = solve(
             model,
-            SolveConfig(time_limit=budget, gap_tol=cfg.routing_gap, warm_start=warm),
+            SolveConfig(time_limit=budget, warm_start=warm),
         )
         if rres.objective is None:
             if n_round == 1:
@@ -600,7 +564,7 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
 
 
 def _schedule(instance, routes, cfg, deadline, memo):
-    """Schedule fixed routes part by part, to gap ``cfg.scheduling_gap``.
+    """Schedule fixed routes part by part.
 
     The pairwise scheduler first narrows the windows of the pairs it picks
     and drops the size cap.  Returns the :class:`PartSchedule`, the round's
@@ -614,9 +578,7 @@ def _schedule(instance, routes, cfg, deadline, memo):
         from .pairwise import narrow_windows
 
         routes = FixedRoutes.build(narrow_windows(instance, routes, cfg.gamma), routes.paths)
-    by_part = schedule_by_part(
-        instance, routes, relax, cfg.scheduling_gap, stage_deadline, memo
-    )
+    by_part = schedule_by_part(instance, routes, relax, stage_deadline, memo)
     # assemble_timetable has checked the timetable
     cost = _price(instance, by_part.solution)
     base = sum(instance.network.cost[arc] for path in routes.paths.values() for arc in path)

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DecodeInconsistent, InvalidSolution
+from .errors import DecodeInconsistent, InvalidSolution, ParseError
 from .formulations import FixedRoutes, _x_paths
 from .instance import Instance
 
@@ -54,17 +54,34 @@ class PlatoonSolution:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PlatoonSolution":
-        paths = {
-            int(v): tuple(((i, j), t) for i, j, t in legs)
-            for v, legs in data.get("vehicles", {}).items()
-        }
-        groups = {
-            ((rec["arc"][0], rec["arc"][1]), rec["time"]): tuple(
-                tuple(g) for g in rec["groups"]
-            )
-            for rec in data.get("platoons", [])
-        }
+        """Read what :meth:`to_json_dict` writes; any other shape raises
+        :class:`ParseError`."""
+        try:
+            paths = {
+                int(v): tuple(((_int(i), _int(j)), _time(t)) for i, j, t in legs)
+                for v, legs in data.get("vehicles", {}).items()
+            }
+            groups = {
+                ((_int(rec["arc"][0]), _int(rec["arc"][1])), _time(rec["time"])): tuple(
+                    tuple(map(_int, g)) for g in rec["groups"]
+                )
+                for rec in data.get("platoons", [])
+            }
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed timetable: {exc}") from None
         return cls(paths=paths, groups=groups)
+
+
+def _int(x) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _time(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"expected a time, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)

@@ -373,14 +373,12 @@ class FixedRoutes:
     paths: Mapping[int, tuple[Arc, ...]]
     entry_lo: Mapping[tuple[int, Arc], int]
     entry_hi: Mapping[tuple[int, Arc], int]
-    duration: Mapping[int, int]
 
     @classmethod
     def build(cls, instance: Instance, paths: Mapping[int, Sequence[Arc]]) -> "FixedRoutes":
         tt = instance.network.travel_time
         entry_lo = {}
         entry_hi = {}
-        duration = {}
         ordered = {}
         for v, path in sorted(paths.items()):
             veh = instance.vehicles[v]
@@ -408,11 +406,10 @@ class FixedRoutes:
                     f"vehicle {v}: fixed path takes {cum}, window allows only {cum + slack}"
                 )
             ordered[v] = path
-            duration[v] = cum
             for arc, off in zip(path, offsets):
                 entry_lo[v, arc] = veh.earliest_departure + off
                 entry_hi[v, arc] = veh.earliest_departure + off + slack
-        return cls(paths=ordered, entry_lo=entry_lo, entry_hi=entry_hi, duration=duration)
+        return cls(paths=ordered, entry_lo=entry_lo, entry_hi=entry_hi)
 
     def entry_window(self, v: int, arc: Arc) -> tuple[int, int]:
         return self.entry_lo[v, arc], self.entry_hi[v, arc]
@@ -428,6 +425,28 @@ class FixedRoutes:
     @cached_property
     def arc_union(self) -> set[Arc]:
         return set(self.vehicles_by_arc)
+
+    @cached_property
+    def meets(self) -> tuple[tuple[Arc, tuple[int, ...]], ...]:
+        """The trucks that can share a slot: ``(arc, chain)`` pairs.
+
+        On each arc, a sweep in order of window start adds each truck to the
+        current chain if its window starts by the latest end seen in the
+        chain, and starts a new chain otherwise.  So two trucks share a
+        chain iff a run of overlapping windows joins them, and a truck is in
+        a chain of two or more iff its window overlaps another truck's.
+        Only those chains are returned, each in sweep order, arcs in the
+        order of :attr:`vehicles_by_arc`.
+        """
+        chains: list[tuple[Arc, list[int]]] = []
+        for arc, vs in self.vehicles_by_arc.items():
+            reach = -math.inf
+            for lo, v in sorted((self.entry_lo[v, arc], v) for v in vs):
+                if lo > reach:
+                    chains.append((arc, []))
+                chains[-1][1].append(v)
+                reach = max(reach, self.entry_hi[v, arc])
+        return tuple((arc, tuple(chain)) for arc, chain in chains if len(chain) > 1)
 
 
 def routes_from_result(instance: Instance, result) -> FixedRoutes:
@@ -478,31 +497,12 @@ def _walk(origin: int, dest: int, nxt: Mapping[int, list[Arc]]) -> tuple[Arc, ..
 # -- scheduling stage -------------------------------------------------------
 
 
-def scheduling_preprocess(instance: Instance, routes: FixedRoutes):
-    """Split (vehicle, arc) pairs into platoon candidates and sure loners.
-
-    A pair is kept only if some other vehicle drives the same arc with an
-    overlapping entry window.  Excluded pairs can never save anything; their
-    fixed cost is returned as a constant so objective bookkeeping stays
-    exact.
-    """
-    kept = set()
-    alone_fixed = 0.0
-    eta = instance.eta
-    cost = instance.network.cost
-    for arc, vs in routes.vehicles_by_arc.items():
-        for v in vs:
-            lo_v, hi_v = routes.entry_window(v, arc)
-            keep = any(
-                max(lo_v, routes.entry_lo[u, arc]) <= min(hi_v, routes.entry_hi[u, arc])
-                for u in vs
-                if u != v
-            )
-            if keep:
-                kept.add((v, arc))
-            else:
-                alone_fixed += eta * cost[arc]
-    return frozenset(kept), alone_fixed
+def scheduling_preprocess(routes: FixedRoutes) -> frozenset[tuple[int, Arc]]:
+    """The (vehicle, arc) pairs worth scheduling: those whose entry window
+    overlaps another vehicle's on the same arc (see
+    :attr:`FixedRoutes.meets`).  Every other pair drives alone and saves
+    nothing."""
+    return frozenset((v, arc) for arc, chain in routes.meets for v in chain)
 
 
 def build_tif(

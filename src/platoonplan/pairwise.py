@@ -116,7 +116,7 @@ def select_pairs(
     model = build_matching(
         [(c.u, c.v, c.savings) for c in candidates], gamma, n_vehicles
     )
-    res = solve(model, SolveConfig(gap_tol=1e-9))
+    res = solve(model, SolveConfig())
     return [c for c in candidates if res.values.get(("w", c.u, c.v), 0.0) > 0.5]
 
 
@@ -178,7 +178,7 @@ def solve_relaxed_and_repair(
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     narrowed = FixedRoutes.build(shrunk, routes.paths)
-    return schedule_by_part(instance, narrowed, True, 1e-9, deadline, {}).solution
+    return schedule_by_part(instance, narrowed, True, deadline, {}).solution
 
 
 def schedule_with_pairwise(

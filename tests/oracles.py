@@ -165,6 +165,69 @@ def brute_force_schedule(instance, paths, budget=200_000):
     return best
 
 
+# -- scheduling screen ------------------------------------------------------
+
+
+def _drivers_by_arc(routes):
+    by_arc = defaultdict(list)
+    for v, path in sorted(routes.paths.items()):
+        for arc in path:
+            by_arc[arc].append(v)
+    return by_arc
+
+
+def _windows_overlap(routes, u, v, arc):
+    lo = max(routes.entry_lo[u, arc], routes.entry_lo[v, arc])
+    return lo <= min(routes.entry_hi[u, arc], routes.entry_hi[v, arc])
+
+
+def overlapping_pairs(routes):
+    """Every ``(u, v, arc)`` with ``u < v`` both driving ``arc`` and their
+    entry windows there overlapping, found by comparing all pairs."""
+    return [
+        (u, v, arc)
+        for arc, vs in _drivers_by_arc(routes).items()
+        for u, v in itertools.combinations(vs, 2)
+        if _windows_overlap(routes, u, v, arc)
+    ]
+
+
+def kept_pairs(routes):
+    """The (truck, arc) pairs worth scheduling: a pair is kept iff another
+    driver's entry window on that arc overlaps its own (O(k^2) per arc)."""
+    return frozenset(
+        (v, arc)
+        for arc, vs in _drivers_by_arc(routes).items()
+        for v in vs
+        if any(_windows_overlap(routes, u, v, arc) for u in vs if u != v)
+    )
+
+
+def overlap_components(routes):
+    """Trucks joined by overlapping windows on any arc, each component as a
+    sorted tuple, ordered by smallest truck; trucks that overlap no one are
+    left out."""
+    neighbours = defaultdict(set)
+    for u, v, _arc in overlapping_pairs(routes):
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seen = set()
+    out = []
+    for start in sorted(neighbours):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in neighbours[u] - seen:
+                seen.add(w)
+                stack.append(w)
+        out.append(tuple(sorted(comp)))
+    return out
+
+
 # -- independent integer solving --------------------------------------------
 
 

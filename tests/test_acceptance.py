@@ -55,7 +55,7 @@ def solve_exact(instance, which):
 
 
 def schedule_exact(instance, routes):
-    kept, _ = scheduling_preprocess(instance, routes)
+    kept = scheduling_preprocess(routes)
     if not kept:
         return canonical_schedule(instance, routes)
     res = solve(
@@ -180,7 +180,7 @@ def test_criterion_5_scheduling_matches_enumeration(capsys):
     ):
         paths = time_shortest_paths(instance)
         routes = FixedRoutes.build(instance, paths)
-        kept, _ = scheduling_preprocess(instance, routes)
+        kept = scheduling_preprocess(routes)
         if kept:
             nontrivial += 1
         cost = total_cost(instance, schedule_exact(instance, routes))

@@ -239,6 +239,25 @@ def test_check_reports_violations(demo_file, tmp_path, capsys):
     assert "violation missing-vehicle" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        '{"vehicles": {"0": [[0, 1]]}}',  # a leg without its entry time
+        '{"vehicles": {"x": []}}',  # a vehicle id that is not a number
+        '{"vehicles": {"0": [[0, 1, "t"]]}}',  # an entry time that is not a number
+        '[1, 2]',  # not an object
+        '{"platoons": [{"arc": [0, 1], "time": 500}]}',  # no groups
+    ],
+)
+def test_check_malformed_solution_is_an_input_error(demo_file, tmp_path, capsys, text):
+    # exit 1 would mean "violations found"; bad input exits 2
+    path = tmp_path / "solution.json"
+    path.write_text(text)
+    assert main(["check", demo_file, str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # -- bench --------------------------------------------------------------------
 
 
@@ -299,6 +318,8 @@ def test_bench_parallel_jobs(demo_file, tmp_path):
         {"instance": "x.txt", "method": "cpf"},  # not a list
         [{"method": "cpf"}],  # missing instance
         [{"instance": "x.txt", "method": "magic"}],  # unknown method
+        [5],  # a row that is not an object
+        [{"instance": "x.txt", "method": "cpf"}, 5],
     ],
 )
 def test_bench_rejects_bad_manifest(tmp_path, capsys, payload):
@@ -307,6 +328,14 @@ def test_bench_rejects_bad_manifest(tmp_path, capsys, payload):
     rc = main(["bench", str(manifest), "-o", str(tmp_path / "t.csv")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_bench_manifest_that_is_not_json_is_an_input_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[1,2")
+    rc = main(["bench", str(manifest), "-o", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert "not JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exists", [True, False])

@@ -14,6 +14,7 @@ import platoonplan.decomposition as decomposition_module
 import platoonplan.evaluate as evaluate_module
 import platoonplan.instance as instance_module
 from instgen import small_instance, time_shortest_paths
+from oracles import kept_pairs, overlap_components
 from platoonplan.decomposition import (
     CostTable,
     DecompositionConfig,
@@ -23,7 +24,6 @@ from platoonplan.decomposition import (
     _parts,
     _schedule,
     _warm_routing,
-    _warm_schedule,
     fingerprint,
     modify_costs,
     real_cost,
@@ -255,17 +255,6 @@ def test_warm_start_by_index_equals_by_name(which):
             assert getattr(r_index, field) == getattr(r_name, field)
 
 
-def test_warm_schedule_covers_model_and_is_feasible(demo):
-    routes = demo_routes(demo, BOTTOM)
-    kept, _ = scheduling_preprocess(demo, routes)
-    warm = _warm_schedule(demo, routes, kept)
-    model = build_tif(demo, routes, kept)
-    assert set(warm) == {model.var_name(i) for i in range(model.num_vars)}
-    res = solve(model, SolveConfig(time_limit=0.0, warm_start=warm))
-    # everyone-earliest already meets at 500 here
-    assert res.objective == pytest.approx(0.1, abs=1e-9)
-
-
 # -- scheduling by part ---------------------------------------------------------
 
 
@@ -326,10 +315,22 @@ def fork_instance(via):
     return instance, FixedRoutes.build(instance, paths)
 
 
-def assert_parts_match_whole(instance, routes, gap=1e-9):
+def assert_screen_matches_oracle(routes):
+    """The sweep keeps and joins the trucks that comparing every two entry
+    windows on an arc does."""
+    kept = kept_pairs(routes)
+    assert scheduling_preprocess(routes) == kept
+    assert _parts(routes) == [
+        (trucks, frozenset((v, arc) for v, arc in kept if v in trucks))
+        for trucks in overlap_components(routes)
+    ]
+
+
+def assert_parts_match_whole(instance, routes):
     """The part-wise timetable saves what the single scheduling model does."""
-    kept, _ = scheduling_preprocess(instance, routes)
-    parts = _parts(routes, kept)
+    assert_screen_matches_oracle(routes)
+    kept = scheduling_preprocess(routes)
+    parts = _parts(routes)
     assert sorted(pair for _trucks, part in parts for pair in part) == sorted(kept)
     # no (arc, slot) is open to trucks of two parts
     slots = [
@@ -341,7 +342,7 @@ def assert_parts_match_whole(instance, routes, gap=1e-9):
     eta, c = instance.eta, instance.network.cost
     base = sum(c[a] for path in routes.paths.values() for a in path)
     for relax in (False, True):
-        by_part = schedule_by_part(instance, routes, relax, gap, None, {})
+        by_part = schedule_by_part(instance, routes, relax, None, {})
         sol = by_part.solution
         assert by_part.parts == len(parts) and by_part.reused == 0
         assert check(instance, sol).ok
@@ -353,9 +354,9 @@ def assert_parts_match_whole(instance, routes, gap=1e-9):
         else:
             savings = base - total_cost(instance, sol)
         if kept:
-            whole = solve(build_tif(instance, routes, kept, relax), SolveConfig(gap_tol=gap))
+            whole = solve(build_tif(instance, routes, kept, relax), SolveConfig())
             assert whole.status == "optimal"
-            assert abs(savings - whole.objective) <= gap * max(1.0, abs(whole.objective))
+            assert abs(savings - whole.objective) <= 1e-9 * max(1.0, abs(whole.objective))
         else:
             assert savings == pytest.approx(0.0, abs=1e-9)
             assert sol == canonical_schedule(instance, routes)
@@ -365,17 +366,15 @@ def test_part_wise_savings_equal_single_model_on_demo_and_two_pairs(demo):
     for truck2 in (TOP, BOTTOM):
         assert_parts_match_whole(demo, demo_routes(demo, truck2))
     instance, routes = two_pairs_instance()
-    kept, _ = scheduling_preprocess(instance, routes)
-    assert [trucks for trucks, _part in _parts(routes, kept)] == [(0, 1), (2, 3)]
+    assert [trucks for trucks, _part in _parts(routes)] == [(0, 1), (2, 3)]
     assert_parts_match_whole(instance, routes)
 
 
 def test_trucks_whose_windows_never_meet_on_an_arc_are_apart():
     instance, routes = one_arc_instance()
-    kept, _ = scheduling_preprocess(instance, routes)
-    assert len(kept) == 5
+    assert len(scheduling_preprocess(routes)) == 5
     # truck 4 shares no slot with truck 3, but slot 7 with truck 2
-    assert [trucks for trucks, _part in _parts(routes, kept)] == [(0, 1), (2, 3, 4)]
+    assert [trucks for trucks, _part in _parts(routes)] == [(0, 1), (2, 3, 4)]
     assert_parts_match_whole(instance, routes)
 
 
@@ -389,11 +388,11 @@ def test_part_is_reused_after_a_truck_reroutes_outside_its_kept_arcs(monkeypatch
     monkeypatch.setattr(decomposition_module, "build_tif", counting)
     memo = {}
     instance, first = fork_instance(2)
-    by_part = schedule_by_part(instance, first, False, 1e-9, None, memo)
+    by_part = schedule_by_part(instance, first, False, None, memo)
     assert (by_part.parts, by_part.reused, len(builds)) == (1, 0, 1)
     _instance, second = fork_instance(3)
     assert second.entry_window(0, (0, 1)) == first.entry_window(0, (0, 1))
-    by_part = schedule_by_part(instance, second, False, 1e-9, None, memo)
+    by_part = schedule_by_part(instance, second, False, None, memo)
     assert (by_part.parts, by_part.reused, len(builds)) == (1, 1, 1)
     # the pair platoons on (0, 1): one of its two fixed shares is saved
     assert total_cost(instance, by_part.solution) == pytest.approx(5.0 - 0.25, abs=1e-12)
@@ -425,6 +424,38 @@ def test_part_wise_savings_equal_single_model_on_random_draws(seed):
     instance = small_instance(seed)
     assume(instance is not None)
     assert_parts_match_whole(instance, FixedRoutes.build(instance, time_shortest_paths(instance)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 100_000))
+def test_screen_matches_pairwise_window_comparison_on_random_draws(seed):
+    instance = small_instance(seed)
+    assume(instance is not None)
+    assert_screen_matches_oracle(FixedRoutes.build(instance, time_shortest_paths(instance)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from((0, 1)), st.integers(0, 12), st.integers(0, 4)),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_screen_matches_pairwise_window_comparison_on_a_crowded_road(trucks):
+    """Up to twelve trucks with random windows on a two-arc road, some
+    joining at its middle node: long chains and many breaks between them."""
+    net = make_network(3, [(0, 1, 1.0, 1), (1, 2, 1.0, 2)])
+    paths = {0: ((0, 1), (1, 2)), 1: ((1, 2),)}
+    vehicles = tuple(
+        Vehicle(v, origin, 2, ed, ed + 3 - origin + slack)
+        for v, (origin, ed, slack) in enumerate(trucks)
+    )
+    instance = Instance(
+        network=net, vehicles=vehicles, eta=0.25, q_limit=None, time_unit=1.0, horizon=20
+    )
+    routes = FixedRoutes.build(instance, {veh.id: paths[veh.origin] for veh in vehicles})
+    assert_screen_matches_oracle(routes)
 
 
 @pytest.mark.parametrize("scheduler", ["exact", "pairwise"])
@@ -473,7 +504,8 @@ def test_parts_share_one_stage_deadline(scheduler, monkeypatch):
     cfg = DecompositionConfig(scheduler=scheduler, gamma=0.5)
     by_part, _savings, cost = _schedule(instance, routes, cfg, 50.0, memo)
     assert limits == [1.0, 0.0]
-    # the parts kept their everyone-earliest starts, which are not memoized
+    # parts that reach the deadline have no incumbent and ride at their
+    # earliest times, which are not memoized
     assert by_part.parts == 2 and memo == {}
     if scheduler == "pairwise":
         routes = FixedRoutes.build(narrow_windows(instance, routes, 0.5), routes.paths)

@@ -245,7 +245,6 @@ DEMO_ROUTES = {0: ((0, 1),), 1: ((0, 2),), 2: ((0, 2), (2, 3), (3, 5))}
 
 def test_fixed_routes_demo_windows(demo):
     routes = FixedRoutes.build(demo, DEMO_ROUTES)
-    assert routes.duration == {0: 100, 1: 100, 2: 300}
     # truck 2 has 200 slack, rigid along the whole path
     assert routes.entry_window(2, (0, 2)) == (500, 700)
     assert routes.entry_window(2, (2, 3)) == (600, 800)
@@ -303,16 +302,15 @@ def test_routes_from_result_requires_every_vehicle(demo):
 
 def test_scheduling_preprocess_demo(demo):
     routes = FixedRoutes.build(demo, DEMO_ROUTES)
-    kept, alone = scheduling_preprocess(demo, routes)
+    kept = scheduling_preprocess(routes)
     # only the (0, 2) legs of trucks 1 and 2 can ever meet
     assert kept == {(1, (0, 2)), (2, (0, 2))}
-    # truck 0 on (0,1) plus truck 2 on (2,3) and (3,5): 0.1 each
-    assert alone == pytest.approx(0.3, abs=1e-12)
+    assert routes.meets == (((0, 2), (1, 2)),)
 
 
 def test_tif_demo(demo):
     routes = FixedRoutes.build(demo, DEMO_ROUTES)
-    kept, alone = scheduling_preprocess(demo, routes)
+    kept = scheduling_preprocess(routes)
     model = build_tif(demo, routes, kept)
     names = var_names(model)
     assert ("x", 0, 2, 1, 500) in names
@@ -325,7 +323,6 @@ def test_tif_demo(demo):
     assert res.objective == pytest.approx(0.1, abs=1e-9)
     assert res.values["x", 0, 2, 1, 500] == pytest.approx(1.0)
     assert res.values["x", 0, 2, 2, 500] == pytest.approx(1.0)
-    assert alone + 0.1 == pytest.approx(0.4, abs=1e-12)
 
 
 def test_tif_empty_entry_window():
@@ -353,7 +350,7 @@ def test_tif_relax_capacity_lifts_the_cap():
     # the relaxation lets one y unit cover all three
     instance = line_instance(3, q_limit=2)
     routes = FixedRoutes.build(instance, {v: ((0, 1),) for v in range(3)})
-    kept, _ = scheduling_preprocess(instance, routes)
+    kept = scheduling_preprocess(routes)
     tight = exact(build_tif(instance, routes, kept))
     loose = exact(build_tif(instance, routes, kept, relax_capacity=True))
     assert tight.objective == pytest.approx(0.1, abs=1e-9)

@@ -7,8 +7,12 @@ may carry a constant.  :func:`solve` runs branch and bound over LP
 relaxations (HiGHS via ``scipy.optimize``), with best-bound node selection
 and most-fractional branching, both with lowest-index tie breaks, so a
 given model and config always reproduce the same search on one scipy
-build.  :func:`lp_text` prints a model as CPLEX-style LP text for
-debugging.
+build.  Best-bound search can run long without reaching an integral leaf,
+so a search that has processed 32 nodes without an incumbent dives from
+its current node: it floors the fractional integer column of smallest LP
+value and re-solves, until the LP is integral (the new incumbent) or
+infeasible.  The next dive waits for 64 LPs, then 128, and so on.
+:func:`lp_text` prints a model as CPLEX-style LP text for debugging.
 
 A model compiles to solver arrays once: the constraint matrix, right-hand
 sides, bounds and integrality are kept on the model until the next
@@ -21,11 +25,12 @@ All node LPs of one :func:`solve` call share one HiGHS LP object, loaded
 exactly as ``linprog(method="highs")`` loads it.  Each node changes only the
 column bounds that differ from the node solved before it and re-runs dual
 simplex from that node's optimal basis, which stays dual feasible under any
-bound change (a hot start).  The object comes from scipy's private
-``scipy.optimize._highspy._core``; where that import fails (scipy < 1.15 or a
-renaming), every node is a cold ``linprog`` call instead.  Both paths prove
-the same optima and bounds, but hot-started nodes may stop at other optimal
-vertices, so the search tree depends on the path and the scipy build.
+bound change (a hot start); the steps of a dive are solved the same way.
+The object comes from scipy's private ``scipy.optimize._highspy._core``;
+where that import fails (scipy < 1.15 or a renaming), every node is a cold
+``linprog`` call instead.  Both paths prove the same optima and bounds, but
+hot-started nodes may stop at other optimal vertices, so the search tree
+depends on the path and the scipy build.
 """
 
 from __future__ import annotations
@@ -60,6 +65,9 @@ CONTINUOUS = "continuous"
 _SENSES = ("<=", ">=", "=")
 _INT_TOL = 1e-6
 _FEAS_TOL = 1e-6
+# LPs a search solves without an incumbent before its first dive; the
+# threshold doubles at each dive
+_DIVE_AT = 32
 
 OPTIMAL = "optimal"
 FEASIBLE_TIME_LIMIT = "feasible_time_limit"
@@ -200,6 +208,8 @@ class MipResult:
 
     ``values`` maps each variable's name, the key it was added under, to
     its incumbent value; it is empty when there is no incumbent.
+    ``node_count`` counts the LPs solved: the search's nodes and the steps
+    of its dives.
     """
 
     status: str
@@ -399,6 +409,45 @@ def _feasible_point(comp: _Compiled, x: np.ndarray) -> bool:
     return True
 
 
+def _fractionality(comp: _Compiled, x: np.ndarray) -> np.ndarray:
+    """Distance of each integer column of ``x`` from its nearest integer."""
+    frac = np.abs(x - np.round(x))
+    frac[~comp.int_mask] = 0.0
+    return frac
+
+
+def _rounded(comp: _Compiled, x: np.ndarray) -> np.ndarray:
+    """A copy of ``x`` with its integer columns rounded to exact integers."""
+    x_int = x.copy()
+    x_int[comp.int_mask] = np.round(x_int[comp.int_mask])
+    return x_int
+
+
+def _dive(comp: _Compiled, node_lp, lower, upper, x, out_of_time):
+    """Floor dive from one node's LP point ``x`` under ``lower``/``upper``.
+
+    Each step sets the fractional integer column of smallest LP value to its
+    floor (lowest index on ties) and re-solves through ``node_lp``.  Returns
+    ``(point, lps)``: the rounded integral point, or None if an LP is
+    infeasible or fails or the clock runs out first, and the LPs solved.
+    """
+    upper = upper.copy()
+    lps = 0
+    while True:
+        frac = _fractionality(comp, x)
+        fractional = frac > _INT_TOL
+        if not fractional.any():
+            return _rounded(comp, x), lps
+        j = int(np.argmin(np.where(fractional, x, np.inf)))
+        upper[j] = math.floor(x[j])
+        if upper[j] < lower[j] or out_of_time():
+            return None, lps
+        lp_status, x, _fun = node_lp(lower, upper)
+        lps += 1
+        if lp_status != 0:
+            return None, lps
+
+
 def _result(comp, status, inc_x, inc_obj, bound_min, start, nodes):
     values: dict[Hashable, float] = {}
     objective = None
@@ -425,8 +474,16 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
     """Branch and bound to proven optimality, a limit, or infeasibility.
 
     ``optimal`` results satisfy ``|objective - bound| <= gap_tol * max(1,
-    |objective|)``.  Feasibility tolerance on any reported incumbent is 1e-6
-    per constraint; integer variables are reported as exact integers.
+    |objective|)``; a time limit that stops a search whose open nodes all
+    meet that gap also reports ``optimal``.  Feasibility tolerance on any
+    reported incumbent is 1e-6 per constraint; integer variables are
+    reported as exact integers.
+
+    The first incumbent comes from ``warm_start``, an integral node LP, or
+    a dive.  While there is none, the search dives from the node it is
+    processing once it has solved 32 LPs, then 64, 128 and so on (see
+    :func:`_dive`); the node is then pruned if the dive's plan closes the
+    gap, and branched otherwise.
     """
     cfg = cfg or SolveConfig()
     start = time.perf_counter()
@@ -445,8 +502,7 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
             cfg.warm_start.values(), np.float64, k
         )
         if _feasible_point(comp, x0):
-            x0 = x0.copy()
-            x0[comp.int_mask] = np.round(x0[comp.int_mask])
+            x0 = _rounded(comp, x0)
             inc_x, inc_obj = x0, float(comp.c @ x0)
 
     def out_of_time() -> bool:
@@ -461,21 +517,22 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
     heap = [(-math.inf, 0, ())]
     tick = 1
     nodes = 0
+    next_dive = _DIVE_AT
     node_lp = None  # built at the first node, so a zero time limit solves nothing
 
     status = None
     proven_lb = None
     while heap:
+        if inc_x is not None and gap_closed(heap[0][0]):
+            # remaining nodes can only be worse; the heap top proves it
+            status = OPTIMAL
+            proven_lb = min(heap[0][0], inc_obj)
+            break
         if out_of_time():
             status = FEASIBLE_TIME_LIMIT if inc_x is not None else NO_SOLUTION_TIME_LIMIT
             proven_lb = heap[0][0]
             break
-        prio, _, changes = heapq.heappop(heap)
-        if inc_x is not None and gap_closed(prio):
-            # remaining nodes can only be worse; the popped bound proves it
-            status = OPTIMAL
-            proven_lb = min(prio, inc_obj)
-            break
+        _, _, changes = heapq.heappop(heap)
 
         lower = comp.lower.copy()
         upper = comp.upper.copy()
@@ -501,25 +558,31 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
         if inc_x is not None and gap_closed(node_bound):
             continue
 
-        frac = np.abs(x - np.round(x))
-        frac[~comp.int_mask] = 0.0
+        frac = _fractionality(comp, x)
         if frac.max(initial=0.0) <= _INT_TOL:
-            x_int = x.copy()
-            x_int[comp.int_mask] = np.round(x_int[comp.int_mask])
+            x_int = _rounded(comp, x)
             obj = float(comp.c @ x_int)
             if obj < inc_obj:
                 inc_x, inc_obj = x_int, obj
-        else:
-            # most-fractional branching; argmax breaks ties on the lowest index
-            score = np.minimum(frac, 1.0 - frac)
-            score[frac <= _INT_TOL] = -1.0
-            j = int(np.argmax(score))
-            val = x[j]
-            down = changes + ((j, None, math.floor(val)),)
-            up = changes + ((j, math.ceil(val), None),)
-            heapq.heappush(heap, (node_bound, tick, down))
-            heapq.heappush(heap, (node_bound, tick + 1, up))
-            tick += 2
+            continue
+        if inc_x is None and nodes >= next_dive:
+            next_dive *= 2
+            dive_x, dive_lps = _dive(comp, node_lp, lower, upper, x, out_of_time)
+            nodes += dive_lps
+            if dive_x is not None:
+                inc_x, inc_obj = dive_x, float(comp.c @ dive_x)
+                if gap_closed(node_bound):
+                    continue
+        # most-fractional branching; argmax breaks ties on the lowest index
+        score = np.minimum(frac, 1.0 - frac)
+        score[frac <= _INT_TOL] = -1.0
+        j = int(np.argmax(score))
+        val = x[j]
+        down = changes + ((j, None, math.floor(val)),)
+        up = changes + ((j, math.ceil(val), None),)
+        heapq.heappush(heap, (node_bound, tick, down))
+        heapq.heappush(heap, (node_bound, tick + 1, up))
+        tick += 2
 
     if status is None:
         # open list exhausted: every leaf was solved or pruned

@@ -1,11 +1,14 @@
 """Branch and bound solver, model container, and LP text dump."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import platoonplan.mip as mip_module
 from oracles import enumerate_mip, milp_oracle, model_arrays
 from platoonplan.errors import ModelInfeasible, ModelInvalid, Unbounded
+from platoonplan.evaluate import check, decode, shortest_path_cost, total_cost
 from platoonplan.formulations import build_cpf
 from platoonplan.instance import generate_fleet, three_truck_demo
 from platoonplan.mip import (
@@ -19,6 +22,7 @@ from platoonplan.mip import (
     MipModel,
     SolveConfig,
     _compile,
+    _feasible_point,
     _lp,
     _node_lp,
     lp_bound,
@@ -453,3 +457,141 @@ def test_lp_bound_is_linprogs_value(which, lp_path):
         return
     want = (-fun if comp.flip else fun) + comp.const
     assert lp_bound(model) == want
+
+
+# -- the dive and the time-limit exit ------------------------------------------
+
+
+def dive_model(which: str) -> MipModel:
+    if which == "knapsack":
+        return knapsack()
+    if which.startswith("cpf"):
+        return build_cpf(cpf_fleets()[int(which[3:])])
+    if which.startswith("hub"):
+        n, trucks = (int(part) for part in which[3:].split("/"))
+        return build_cpf(hub_fleet(n, trucks, 1))
+    return random_model(int(which[4:]))
+
+
+def point(model: MipModel, res) -> np.ndarray:
+    """The result's incumbent as a vector in column order."""
+    return np.array([res.values[v.name] for v in model.variables])
+
+
+def watch_node_lps(monkeypatch, seen):
+    """Pass every node LP result of later searches to ``seen(comp, result)``."""
+    node_lp = mip_module._node_lp
+
+    def watched(comp):
+        lp = node_lp(comp)
+
+        def call(lower, upper):
+            result = lp(lower, upper)
+            seen(comp, result)
+            return result
+
+        return call
+
+    monkeypatch.setattr(mip_module, "_node_lp", watched)
+
+
+def dive_cases():
+    """Every model of the hot/fallback comparison plus the hub ladder rungs
+    that CPF proves beyond 5x5/10 (which is cpf1), on both LP paths; the
+    rungs' fallback solves take seconds each, so they are slow."""
+    names = [f"rand{seed}" for seed in range(30)] + ["knapsack"] + [f"cpf{k}" for k in range(4)]
+    rungs = ["hub6/15", "hub6/20", "hub7/25"]
+    cases = [(which, path) for which in names + rungs for path in ("hot", "fallback")]
+    return [
+        pytest.param(*case, marks=pytest.mark.slow)
+        if case[0] in rungs and case[1] == "fallback"
+        else case
+        for case in cases
+    ]
+
+
+@pytest.mark.parametrize("which, path", dive_cases())
+def test_every_search_dives_and_still_proves_the_optimum(which, path, monkeypatch):
+    """With a dive at node 1 and every doubling after it, each search ends
+    where the external solver does, and every dive's plan is feasible."""
+    model = dive_model(which)
+    comp = _compile(model)
+    found, want = milp_oracle(model)
+    monkeypatch.setattr(mip_module, "_DIVE_AT", 1)
+    if path == "fallback":
+        monkeypatch.setattr(mip_module, "_highs", None)
+    dive = mip_module._dive
+    dives = []
+
+    def spy(*args):
+        found_x, lps = dive(*args)
+        dives.append(lps)
+        assert found_x is None or _feasible_point(comp, found_x)
+        return found_x, lps
+
+    monkeypatch.setattr(mip_module, "_dive", spy)
+    lps = []
+    watch_node_lps(monkeypatch, lambda comp, result: lps.append(result[0]))
+    gap_tol = 1e-9
+    res = solve(model, SolveConfig(gap_tol=gap_tol))
+    assert dives or res.node_count == 1  # a fractional root always dives
+    assert res.node_count == len(lps)  # dive LPs count as nodes
+    if not found:
+        assert res.status == INFEASIBLE and res.objective is None
+        return
+    tol = gap_tol * max(1.0, abs(want))
+    assert res.status == OPTIMAL
+    assert res.objective == pytest.approx(want, abs=tol)
+    assert res.bound == pytest.approx(want, abs=tol)
+    assert _feasible_point(comp, point(model, res))
+
+
+@pytest.mark.parametrize("dive_at", [32, 1])
+@pytest.mark.parametrize(
+    "which", [f"rand{seed}" for seed in range(30)] + ["knapsack"] + [f"cpf{k}" for k in range(4)]
+)
+def test_clock_that_runs_out_at_the_first_incumbent(which, dive_at, lp_path, monkeypatch):
+    """The clock expires as soon as a leaf or a dive finds the first
+    incumbent.  The search then stops, proven optimal if every open node is
+    already at or above it, and its bound never passes its objective."""
+    model = dive_model(which)
+    found, want = milp_oracle(model)
+    clock = [0.0]
+    monkeypatch.setattr(mip_module, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(mip_module, "_DIVE_AT", dive_at)
+
+    def expire_at_integral_point(comp, result):
+        status, x, _fun = result
+        integral = status == 0 and mip_module._fractionality(comp, x).max(initial=0.0) <= 1e-6
+        if integral:
+            clock[0] = 10.0  # the first integral LP point is the first incumbent
+
+    watch_node_lps(monkeypatch, expire_at_integral_point)
+    res = solve(model, SolveConfig(time_limit=1.0, gap_tol=1e-9))
+    if not found:
+        assert res.status == INFEASIBLE and clock[0] == 0.0
+        return
+    assert clock[0] == 10.0
+    assert _feasible_point(_compile(model), point(model, res))
+    flip = -1.0 if model.sense == "max" else 1.0
+    assert flip * res.bound <= flip * res.objective
+    if res.status == OPTIMAL:
+        assert res.objective == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
+    else:
+        assert res.status == FEASIBLE_TIME_LIMIT
+        assert flip * res.bound < flip * res.objective
+
+
+@pytest.mark.slow
+def test_cpf_finds_a_plan_on_the_8x8_30_hub_rung():
+    """Best-bound search reaches no integral leaf on this rung within its
+    clock; the dive at node 32 does, long before the clock runs out."""
+    instance = hub_fleet(8, 30, 1)
+    assert shortest_path_cost(instance) == pytest.approx(934.0, abs=1e-9)
+    res = solve(build_cpf(instance), SolveConfig(time_limit=30.0, gap_tol=1e-9))
+    assert res.status in (OPTIMAL, FEASIBLE_TIME_LIMIT)
+    plan = decode(instance, res, "cpf")
+    assert check(instance, plan).ok
+    assert total_cost(instance, plan) == pytest.approx(res.objective, abs=1e-6)
+    assert total_cost(instance, plan) <= 934.0
+    assert res.bound <= res.objective

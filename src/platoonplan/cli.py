@@ -103,8 +103,9 @@ def _solve_exact(instance: Instance, method: str, time_limit: float, dump_model=
     res = solve(model, SolveConfig(time_limit=time_limit, gap_tol=1e-9))
     if res.objective is None:
         raise PlatoonPlanError(f"{method} found no timetable: {res.status}")
+    # the plan's cost, as check prints it; a TSF incumbent may pay for more platoons
     solution = decode(instance, res, method)
-    return solution, res.objective, res.bound, res.status, None
+    return solution, total_cost(instance, solution), res.bound, res.status, None
 
 
 def _solve_iterative(instance: Instance, method: str, args):

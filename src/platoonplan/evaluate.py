@@ -5,11 +5,17 @@ methods: per-vehicle timed paths plus, for every (arc, entry time) slot, a
 partition of the vehicles entering there into platoons.  ``check`` validates
 one against an instance, ``total_cost`` prices it, and ``decode`` builds one
 from a solver incumbent of any of the model families.
+
+The time-space and scheduling decoders, and the heuristic's timetables,
+read only each vehicle's timed path; one rule then forms their platoons,
+``ceil(n / q)`` per slot by ascending id (:func:`split_groups`).  The
+continuous-time decoder keeps the model's own pairing links instead: its
+entry times are continuous, and its objective prices exactly the platoons
+those links form.
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -310,28 +316,13 @@ def indicators(
 # -- decoding ----------------------------------------------------------------
 
 
-def split_groups(ids: Sequence[int], q: int | None, count: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """Partition co-located vehicles into platoons, ascending ids.
-
-    ``count`` (a solver's group count for the slot) can only raise the number
-    of groups above the minimum ``ceil(n / q)``; sizes stay within ``q``.
-    """
+def split_groups(ids: Sequence[int], q: int | None) -> tuple[tuple[int, ...], ...]:
+    """The platoons of the vehicles entering one slot: the fewest the cap
+    allows, ``ceil(n / q)``, filled in ascending id order."""
     ids = sorted(ids)
-    n = len(ids)
-    need = 1 if q is None else math.ceil(n / q)
-    k = max(need, count or 0)
-    if k <= 1:
+    if q is None:
         return (tuple(ids),)
-    if k == need and q is not None:
-        return tuple(tuple(ids[p : p + q]) for p in range(0, n, q))
-    base, rem = divmod(n, k)
-    out = []
-    pos = 0
-    for g in range(k):
-        size = base + (1 if g < rem else 0)
-        out.append(tuple(ids[pos : pos + size]))
-        pos += size
-    return tuple(g for g in out if g)
+    return tuple(tuple(ids[p : p + q]) for p in range(0, len(ids), q))
 
 
 def _union_find_groups(vehicles: set[int], links: list[tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -390,44 +381,33 @@ def _decode_cpf(instance: Instance, result) -> PlatoonSolution:
     )
 
 
-def _decode_tsf(instance: Instance, result) -> PlatoonSolution:
+def _decode_tsf(instance: Instance, result) -> dict[int, tuple[tuple[Arc, int], ...]]:
+    """Each vehicle's timed path along the moves of a time-space incumbent;
+    the model's platoon counts are not read."""
     moves: dict[int, list[tuple[int, Arc]]] = defaultdict(list)
-    counts: dict[tuple[Arc, int], int] = {}
     for key, val in result.values.items():
         match key:
             # waiting legs (i == j) carry no cost and join no platoon
             case ("x", i, tm, j, _, v) if val > 0.5 and i != j:
                 moves[v].append((tm, (i, j)))
-            case ("y", i, tm, j, _):
-                counts[(i, j), tm] = int(round(val))
 
     paths = {}
-    slots: dict[tuple[Arc, int], list[int]] = defaultdict(list)
     for v, veh in enumerate(instance.vehicles):
-        legs = sorted(moves.get(v, ()))
         node = veh.origin
         ordered = []
-        for tm, arc in legs:
+        for tm, arc in sorted(moves.get(v, ())):
             if arc[0] != node:
                 raise DecodeInconsistent(f"vehicle {v}: time-expanded legs do not chain")
             ordered.append((arc, tm))
             node = arc[1]
-            slots[arc, tm].append(v)
         paths[v] = tuple(ordered)
-
-    groups = {}
-    for (arc, tm), vs in sorted(slots.items()):
-        groups[arc, tm] = split_groups(vs, instance.q_limit, counts.get((arc, tm)))
-    return PlatoonSolution(paths=paths, groups=groups)
+    return paths
 
 
 def _tif_choice(result) -> dict[tuple[int, Arc], int]:
     """The entry time a scheduling incumbent picks for each modeled
-    (vehicle, arc) pair, as :func:`assemble_timetable` takes them.
-
-    The model's platoon counts are not read: the timetable splits every
-    slot into the fewest platoons the cap allows.
-    """
+    (vehicle, arc) pair, as :func:`assemble_timetable` takes them; the
+    model's platoon counts are not read."""
     chosen: dict[tuple[int, Arc], int] = {}
     for key, val in result.values.items():
         match key:
@@ -436,34 +416,17 @@ def _tif_choice(result) -> dict[tuple[int, Arc], int]:
     return chosen
 
 
-def _tif_timetable(
-    instance: Instance,
-    routes: FixedRoutes,
-    chosen: Mapping[tuple[int, Arc], int],
+def _timetable(
+    instance: Instance, paths: Mapping[int, tuple[tuple[Arc, int], ...]]
 ) -> PlatoonSolution:
-    tt = instance.network.travel_time
-    paths = {}
+    """The checked timetable of timed paths: the vehicles entering an arc at
+    one time form the platoons :func:`split_groups` gives them."""
     slots: dict[tuple[Arc, int], list[int]] = defaultdict(list)
-    for v, path in sorted(routes.paths.items()):
-        legs = []
-        prev_end: int | None = None
-        for arc in path:
-            if (v, arc) in chosen:
-                tm = chosen[v, arc]
-            else:
-                # loner legs ride as early as the chain allows
-                tm = routes.entry_lo[v, arc]
-                if prev_end is not None:
-                    tm = max(tm, prev_end)
-            legs.append((arc, tm))
-            slots[arc, tm].append(v)
-            prev_end = tm + tt[arc]
-        paths[v] = tuple(legs)
-
-    groups = {}
-    for (arc, tm), vs in sorted(slots.items()):
-        groups[arc, tm] = split_groups(vs, instance.q_limit)
-    return PlatoonSolution(paths=paths, groups=groups)
+    for v, legs in paths.items():
+        for slot in legs:
+            slots[slot].append(v)
+    groups = {slot: split_groups(vs, instance.q_limit) for slot, vs in sorted(slots.items())}
+    return _consistent(instance, PlatoonSolution(paths=paths, groups=groups))
 
 
 def decode(instance: Instance, result, which: str, routes: FixedRoutes | None = None) -> PlatoonSolution:
@@ -471,9 +434,13 @@ def decode(instance: Instance, result, which: str, routes: FixedRoutes | None = 
 
     ``which`` names the model family whose column keys ``result.values``
     holds: ``"cpf"``, ``"tsf"``, or ``"tif"`` (the latter needs the fixed
-    ``routes`` the model was built on).  ``"tif"`` reads only the entry
-    times and ignores the model's platoon counts: each slot is split into
-    the fewest platoons the cap allows, as in :func:`assemble_timetable`.
+    ``routes`` the model was built on).  ``"tsf"`` and ``"tif"`` read only
+    each vehicle's timed path, not the model's platoon counts: every slot
+    holds the fewest platoons the cap allows, as in
+    :func:`assemble_timetable`.  So their plan costs the model's objective
+    at an optimum, and at most that at an incumbent that pays for more
+    platoons than it needs.  ``"cpf"`` groups the vehicles of an arc by the
+    model's pairing links, so its plan costs the objective exactly.
     A decoded timetable that fails :func:`check` raises
     :class:`DecodeInconsistent`: feasible models only produce feasible
     incumbents, so that signals a solver or builder bug.
@@ -481,16 +448,14 @@ def decode(instance: Instance, result, which: str, routes: FixedRoutes | None = 
     if not result.values:
         raise InvalidSolution("result carries no incumbent to decode")
     if which == "cpf":
-        sol = _decode_cpf(instance, result)
-    elif which == "tsf":
-        sol = _decode_tsf(instance, result)
-    elif which == "tif":
+        return _consistent(instance, _decode_cpf(instance, result))
+    if which == "tsf":
+        return _timetable(instance, _decode_tsf(instance, result))
+    if which == "tif":
         if routes is None:
             raise InvalidSolution("decoding a scheduling incumbent requires routes")
-        sol = _tif_timetable(instance, routes, _tif_choice(result))
-    else:
-        raise InvalidSolution(f"unknown decode dialect {which!r}")
-    return _consistent(instance, sol)
+        return assemble_timetable(instance, routes, _tif_choice(result))
+    raise InvalidSolution(f"unknown decode dialect {which!r}")
 
 
 def assemble_timetable(
@@ -502,12 +467,27 @@ def assemble_timetable(
 
     ``chosen[v, arc]`` is the entry time picked for each modeled (vehicle,
     arc) pair.  Unmodeled legs ride as early as their chain allows, so
-    with nothing chosen this is :func:`canonical_schedule`.  The vehicles
-    entering an arc at one time form the fewest platoons the cap allows,
-    ``ceil(n / q)``, split by ascending id.  The result is checked as
-    :func:`decode` checks it, with the same error.
+    with nothing chosen this is :func:`canonical_schedule`.  Platoons form
+    by the one rule the time-space decoder uses too: the vehicles entering
+    an arc at one time split into ``ceil(n / q)`` platoons by ascending id.
+    The result is checked as :func:`decode` checks it, with the same error.
     """
-    return _consistent(instance, _tif_timetable(instance, routes, chosen))
+    tt = instance.network.travel_time
+    paths = {}
+    for v, path in sorted(routes.paths.items()):
+        legs = []
+        prev_end: int | None = None
+        for arc in path:
+            if (v, arc) in chosen:
+                tm = chosen[v, arc]
+            else:
+                tm = routes.entry_lo[v, arc]
+                if prev_end is not None:
+                    tm = max(tm, prev_end)
+            legs.append((arc, tm))
+            prev_end = tm + tt[arc]
+        paths[v] = tuple(legs)
+    return _timetable(instance, paths)
 
 
 def _consistent(instance: Instance, sol: PlatoonSolution) -> PlatoonSolution:
@@ -521,4 +501,4 @@ def _consistent(instance: Instance, sol: PlatoonSolution) -> PlatoonSolution:
 
 def canonical_schedule(instance: Instance, routes: FixedRoutes) -> PlatoonSolution:
     """Everyone departs as early as possible; platoons form only by accident."""
-    return _tif_timetable(instance, routes, {})
+    return assemble_timetable(instance, routes, {})

@@ -7,8 +7,10 @@ import math
 import numpy as np
 
 from oracles import simple_paths, timed_trajectories
+from platoonplan.formulations import build_tsf
 from platoonplan.instance import Instance, Vehicle
-from platoonplan.network import make_network
+from platoonplan.mip import FEASIBLE_TIME_LIMIT, MipResult
+from platoonplan.network import build_time_space, make_network
 
 
 def small_network(rng, n_nodes):
@@ -109,3 +111,39 @@ def time_shortest_paths(instance):
                 best = (dur, path)
         paths[v] = best[1]
     return paths
+
+
+def surplus_tsf_incumbent():
+    """A time-space incumbent that pays for a platoon it does not need.
+
+    Three trucks drive 0 -> 1 (cost 10, one step) and may enter at time 0
+    or 1, under a cap of two, so the time arc at 0 has a platoon count
+    ``y`` and a slot row.  Trucks 0 and 1 enter at 0 with ``y = 2`` there;
+    truck 2 waits and enters alone at 1.  The point is feasible for the
+    model and costs 30 in it; its plan is one platoon of two and a loner,
+    29, which is also the optimum.  Returns the instance, the model and the
+    incumbent as a clock-stopped result with bound 29.
+    """
+    net = make_network(2, [(0, 1, 10.0, 1)])
+    instance = Instance(
+        network=net,
+        vehicles=tuple(Vehicle(v, 0, 1, 0, 2) for v in range(3)),
+        eta=0.1,
+        q_limit=2,
+        time_unit=1.0,
+        horizon=2,
+    )
+    model = build_tsf(instance, build_time_space(net, instance))
+    values = {var.name: 0.0 for var in model.variables}
+    for v in (0, 1):
+        values["x", 0, 0, 1, 1, v] = 1.0  # drive together at 0
+        values["x", 1, 1, 1, 2, v] = 1.0  # then wait at the destination
+    values["x", 0, 0, 0, 1, 2] = 1.0
+    values["x", 0, 1, 1, 2, 2] = 1.0
+    values["y", 0, 0, 1, 1] = 2.0
+    values["y", 0, 1, 1, 2] = 1.0
+    objective = sum(
+        coef * values[model.variables[idx].name] for idx, coef in model.objective.items()
+    )
+    result = MipResult(FEASIBLE_TIME_LIMIT, objective, 29.0, values, 0.0, 1)
+    return instance, model, result

@@ -1,4 +1,5 @@
-"""The public names, and the entry points the benchmark traces, all exist."""
+"""The public names, the entry points the benchmark traces, and the README
+example all work."""
 
 import importlib
 import importlib.util
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import platoonplan
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing(monkeypatch):
@@ -28,3 +30,13 @@ def test_public_names_and_traced_hooks_resolve(monkeypatch):
         if not any(callable(getattr(home, name, None)) for name in hook.names):
             missing.append(f"{hook.span}: {hook.module}.{'|'.join(hook.names)}")
     assert not missing
+
+
+def test_readme_quick_start_prints_the_demo_optimum(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "4.9"
+    assert len(lines) == 4  # then one line per truck

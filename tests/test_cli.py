@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from instgen import surplus_tsf_incumbent
 from platoonplan import cli
 from platoonplan.cli import main
 from platoonplan.formulations import build_cpf, build_tsf
@@ -111,6 +112,34 @@ def test_solve_cpf_demo(demo_file, tmp_path, capsys):
     data = json.loads(solution_path.read_text())
     assert set(data) == {"vehicles", "platoons"}
     assert len(data["vehicles"]) == 3
+
+
+def test_exact_methods_report_the_cost_of_their_plan(tmp_path, capsys, monkeypatch):
+    # the model prices this incumbent at 30; its plan, one platoon where
+    # the incumbent pays for two, costs 29, and check prints 29 too
+    instance, _model, res = surplus_tsf_incumbent()
+    path = tmp_path / "surplus.txt"
+    save_instance(instance, path)
+    monkeypatch.setattr(cli, "solve", lambda model, config: res)
+    summary_path, solution_path = tmp_path / "summary.json", tmp_path / "plan.json"
+    rc = main(["solve", str(path), "--method", "tsf", "--out", str(summary_path),
+               "--solution", str(solution_path)])
+    assert rc == 0
+    assert "objective=29 " in capsys.readouterr().out
+    summary = json.loads(summary_path.read_text())
+    assert summary["objective"] == pytest.approx(29.0, abs=1e-9)
+    assert summary["saving_ratio"] == pytest.approx(1 / 30, abs=1e-9)
+    assert main(["check", str(path), str(solution_path)]) == 0
+    assert capsys.readouterr().out.startswith("ok cost=29 ")
+
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"instance": str(path), "method": "tsf"}]))
+    out = tmp_path / "table.csv"
+    assert main(["bench", str(manifest), "-o", str(out)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["sav"]) == pytest.approx(1 / 30, abs=1e-6)
+    assert float(row["gap"]) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_solve_iheur_writes_round_log(demo_file, tmp_path, capsys):

@@ -2,10 +2,16 @@
 
 import dataclasses
 import json
+import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import platoonplan.mip as mip_module
+from instgen import small_instance, surplus_tsf_incumbent, time_shortest_paths
 from platoonplan.errors import DecodeInconsistent, InvalidSolution
 from platoonplan.evaluate import (
     PlatoonSolution,
@@ -20,8 +26,9 @@ from platoonplan.evaluate import (
 )
 from platoonplan.formulations import FixedRoutes, build_cpf, build_tif, build_tsf
 from platoonplan.instance import Instance, Vehicle
-from platoonplan.mip import SolveConfig, solve
+from platoonplan.mip import SolveConfig, _compile, _feasible_point, solve
 from platoonplan.network import build_time_space, make_network
+from test_mip import watch_node_lps
 
 
 def demo_solution():
@@ -211,18 +218,6 @@ def test_split_groups_minimum_count():
     assert split_groups([2, 0, 1], q=None) == ((0, 1, 2),)
 
 
-def test_split_groups_solver_count_only_raises():
-    # a slot where the solver paid for more groups than strictly needed
-    assert split_groups([0, 1, 2, 3, 4, 5], q=None, count=3) == (
-        (0, 1),
-        (2, 3),
-        (4, 5),
-    )
-    assert split_groups([0, 1, 2, 3], q=None, count=2) == ((0, 1), (2, 3))
-    # a lower count than the cap demands is ignored
-    assert split_groups([0, 1, 2, 3, 4], q=2, count=1) == ((0, 1), (2, 3), (4,))
-
-
 # -- JSON round trips ---------------------------------------------------------
 
 
@@ -307,6 +302,68 @@ def test_tif_timetable_ignores_surplus_platoon_counts():
     for sol in (decoded, assembled):
         assert sol.groups == {((0, 1), 0): ((0, 1),)}
         assert total_cost(instance, sol) == pytest.approx(1.9, abs=1e-12)
+
+
+def test_decode_tsf_forms_the_fewest_platoons_whatever_the_count():
+    # the incumbent pays for two platoons where one holds both trucks
+    instance, model, res = surplus_tsf_incumbent()
+    x = np.array([res.values[var.name] for var in model.variables])
+    assert _feasible_point(_compile(model), x)
+    assert res.objective == pytest.approx(30.0, abs=1e-9)
+    sol = decode(instance, res, "tsf")
+    assert sol.groups == {((0, 1), 0): ((0, 1),), ((0, 1), 1): ((2,),)}
+    eta_c = instance.eta * instance.network.cost[0, 1]
+    assert total_cost(instance, sol) == pytest.approx(res.objective - eta_c, abs=1e-9)
+
+
+def solve_until_first_incumbent(model):
+    """``solve`` under a clock that runs out at the first integral node LP,
+    so a search that has not yet proven it returns its first incumbent."""
+    clock = [0.0]
+
+    def expire_at_integral_point(comp, result):
+        status, x, _fun = result
+        if status == 0 and mip_module._fractionality(comp, x).max(initial=0.0) <= 1e-6:
+            clock[0] = 10.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mip_module, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        watch_node_lps(mp, expire_at_integral_point)
+        return solve(model, SolveConfig(time_limit=1.0, gap_tol=1e-9))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(0, 2**16), st.sampled_from([2, 3, None]))
+def test_decoded_plans_cost_at_most_the_objective(seed, q_limit):
+    """Proven and first incumbents of all three models decode to checked
+    plans: CPF's costs its objective, TSF's at most its objective, and
+    TIF's at most the routes' base cost minus the saving it reports.
+
+    The draws are larger than brute force allows: at the default size the
+    time-space and scheduling models nearly always prove at the root, and
+    these let some of their searches branch before the first incumbent."""
+    instance = small_instance(
+        seed, max_vehicles=10, slack_max=4, q_pool=(q_limit,), budget=math.inf
+    )
+    assume(instance is not None)
+    routes = FixedRoutes.build(instance, time_shortest_paths(instance))
+    base = sum(instance.network.cost[arc] for path in routes.paths.values() for arc in path)
+    models = {
+        "cpf": build_cpf(instance),
+        "tsf": build_tsf(instance, build_time_space(instance.network, instance)),
+        "tif": build_tif(instance, routes),
+    }
+    for which, model in models.items():
+        for res in (solve(model, SolveConfig(gap_tol=1e-9)), solve_until_first_incumbent(model)):
+            sol = decode(instance, res, which, routes)
+            assert check(instance, sol).ok
+            cost = total_cost(instance, sol)
+            if which == "cpf":
+                assert cost == pytest.approx(res.objective, abs=1e-6)
+            elif which == "tsf":
+                assert cost <= res.objective + 1e-6
+            else:
+                assert cost <= base - res.objective + 1e-6
 
 
 # -- canonical schedule -------------------------------------------------------

@@ -29,6 +29,12 @@ entry windows), so a part whose model recurs in a later round is neither
 built nor solved again, even when one of its trucks drives elsewhere
 outside the part.  Public calls outside ``run`` use no memo.
 
+Between rounds ``run`` holds only the latest cost table.  Its
+:class:`History` keeps, for each (vehicle, arc) pair first lured into a
+platoon composition, the one follow-up cost that scenario 4 of
+:func:`modify_costs` reuses, so a run's memory does not grow by a table
+per round.
+
 The loop stops once the same routing solution has appeared ``repeat_limit``
 times or the time budget runs out.
 """
@@ -100,34 +106,58 @@ Composition = frozenset[frozenset[int]]
 class History:
     """What finished rounds leave behind for cycle detection.
 
-    ``tables[k - 1]`` is the cost table written after round ``k``.  An
-    index maps each arc and platoon composition that arc had after some
-    round to the vehicles that round's table tagged 3 there (offered the
-    join estimate), each with the first such round.
+    Round ``k`` is the ``k``-th :meth:`append`, with the platoons after
+    round ``k`` and the cost table written after it.  An index maps each
+    arc and platoon composition that arc had after some round to the
+    vehicles that round's table tagged 3 there (offered the join
+    estimate), each with the first such round.  For every vehicle and arc
+    first lured after round ``k``, the history keeps one number from the
+    table written after round ``k + 1``: the follow-up cost that scenario 4
+    reuses.  No table is kept, so memory grows with the lured pairs, not
+    with the rounds.
     """
 
     def __init__(self) -> None:
-        self.tables: list[CostTable] = []
+        self._rounds = 0
         self._lured: dict[tuple[Arc, Composition], dict[int, int]] = {}
+        # (v, arc) first lured after the last round appended
+        self._pending: list[tuple[int, Arc]] = []
+        # (v, arc, k) -> follow-up cost; None where the pair was not priced
+        self._follow_up: dict[tuple[int, Arc, int], float | None] = {}
 
     def append(self, compositions: Mapping[Arc, Composition], table: CostTable) -> None:
         """Record the next round: its platoons on each arc, and the table
         written after it."""
-        self.tables.append(table)
-        k = len(self.tables)
+        for v, arc in self._pending:
+            self._follow_up[v, arc, self._rounds] = table.modified.get((v, arc))
+        self._rounds += 1
+        k = self._rounds
         lured: dict[Arc, list[int]] = defaultdict(list)
         for (v, arc), tag in table.scenarios.items():
             if tag == 3:
                 lured[arc].append(v)
+        pending = []
         for arc, comp in compositions.items():
             first = self._lured.setdefault((arc, comp), {})
             for v in lured.get(arc, ()):
-                first.setdefault(v, k)
+                if first.setdefault(v, k) == k:
+                    pending.append((v, arc))
+        self._pending = pending
 
     def first_lure(self, v: int, arc: Arc, comp: Composition) -> int | None:
         """The first round after which ``arc`` carried the platoons ``comp``
         and the table tagged ``(v, arc)`` 3, if any."""
         return self._lured.get((arc, comp), {}).get(v)
+
+    def follow_up(self, v: int, arc: Arc, k: int, c: float) -> float | None:
+        """The cost the table written after round ``k + 1`` gave
+        ``(v, arc)``, or ``c`` if it gave none; None while round ``k + 1``
+        is not on record."""
+        key = (v, arc, k)
+        if key not in self._follow_up:
+            return None
+        cost = self._follow_up[key]
+        return c if cost is None else cost
 
 
 def _compositions(solution: PlatoonSolution) -> dict[Arc, Composition]:
@@ -158,7 +188,8 @@ def modify_costs(
        the fixed share (``icmp``) or the unit share (``llcmp``);
     4. the platoons on the arc repeat an earlier round's composition that
        already lured this vehicle (its tag was 3 right after round ``k``):
-       reuse the cost from the round after the lure failed, breaking the
+       reuse the follow-up cost ``history`` recorded from the table written
+       after round ``k + 1``, once the lure had failed, breaking the
        two-round cycle the bait would otherwise cause.
     """
     if mode not in ("icmp", "llcmp"):
@@ -188,7 +219,7 @@ def modify_costs(
             if arc not in traversed:
                 continue
             c = cost[arc]
-            # one key object for both maps: run keeps every round's table
+            # one key object for both maps, not two equal tuples
             key = (v, arc)
             drivers = vehicles_on[arc]
             if v in drivers:
@@ -234,22 +265,22 @@ def _cycled_cost(v, arc, c, now, history):
     If the exact platoons ``now`` driving ``arc`` already formed after some
     round ``k``, and this vehicle was then offered the join estimate but
     rerouted away, the estimate would lure it straight back.  Reusing the
-    cost it saw one round later breaks that two-round cycle.
+    cost it saw one round later (the follow-up cost the history recorded
+    from the table written after round ``k + 1``, or the base cost ``c``
+    if that table did not price the pair) breaks that two-round cycle.
     """
     k = None if history is None else history.first_lure(v, arc, now)
     if k is None:
         return None
-    if k < len(history.tables):
-        # tables[k] was written after round k + 1, which is exactly what
-        # round k + 2 priced this pair at
-        return history.tables[k].modified.get((v, arc), c)
-    log.debug(
-        "composition on %s repeats round %d but its follow-up cost is "
-        "not recorded yet; falling back to the overlap rule",
-        arc,
-        k,
-    )
-    return None
+    cost = history.follow_up(v, arc, k, c)
+    if cost is None:
+        log.debug(
+            "composition on %s repeats round %d but its follow-up cost is "
+            "not recorded yet; falling back to the overlap rule",
+            arc,
+            k,
+        )
+    return cost
 
 
 @dataclass(frozen=True)

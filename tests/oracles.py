@@ -417,3 +417,51 @@ def full_tsf(instance, tsn):
         for v in vs:
             m.add_constr([(xvar[v, ts_arc], 1.0), (yidx, -1.0)], "<=", 0.0)
     return m
+
+
+# -- the cost-shaping history that kept every table ----------------------------
+
+
+class FullTableHistory:
+    """The cycle-detection history as it was when it kept every round's
+    cost table, with scenario 4's follow-up lookup read straight from the
+    tables.
+
+    ``tables[k - 1]`` is the cost table written after round ``k``.  An
+    index maps each arc and platoon composition that arc had after some
+    round to the vehicles that round's table tagged 3 there (offered the
+    join estimate), each with the first such round.  It offers the same
+    calls as ``decomposition.History``, so ``modify_costs`` accepts either.
+    """
+
+    def __init__(self):
+        self.tables = []
+        self._lured = {}
+
+    def append(self, compositions, table):
+        """Record the next round: its platoons on each arc, and the table
+        written after it."""
+        self.tables.append(table)
+        k = len(self.tables)
+        lured = defaultdict(list)
+        for (v, arc), tag in table.scenarios.items():
+            if tag == 3:
+                lured[arc].append(v)
+        for arc, comp in compositions.items():
+            first = self._lured.setdefault((arc, comp), {})
+            for v in lured.get(arc, ()):
+                first.setdefault(v, k)
+
+    def first_lure(self, v, arc, comp):
+        """The first round after which ``arc`` carried the platoons ``comp``
+        and the table tagged ``(v, arc)`` 3, if any."""
+        return self._lured.get((arc, comp), {}).get(v)
+
+    def follow_up(self, v, arc, k, c):
+        """The cost round ``k + 2`` priced ``(v, arc)`` at, or None while
+        that table is not on record."""
+        if k < len(self.tables):
+            # tables[k] was written after round k + 1, which is exactly what
+            # round k + 2 priced this pair at
+            return self.tables[k].modified.get((v, arc), c)
+        return None

@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ import platoonplan.decomposition as decomposition_module
 import platoonplan.evaluate as evaluate_module
 import platoonplan.instance as instance_module
 from instgen import small_instance, time_shortest_paths
-from oracles import kept_pairs, overlap_components
+from oracles import FullTableHistory, kept_pairs, overlap_components
 from platoonplan.decomposition import (
     CostTable,
     DecompositionConfig,
@@ -178,38 +179,106 @@ def test_modify_costs_composition_repeat():
             scenarios={(2, (0, 1)): scenario},
         )
 
-    def history(*tables):
+    def history(*tables, compositions=None):
+        """The history of these rounds, and the last table."""
         recorded = History()
-        for t in tables:
-            recorded.append(comps, t)
-        return recorded
+        for t, comp in zip(tables, compositions or [comps] * len(tables)):
+            recorded.append(comp, t)
+        return recorded, tables[-1]
 
     # the same platoon formed after round 1, lured truck 2 (tag 3), and the
     # post-lure round 2 priced the pair at 0.777: round 3 must reuse that
-    lured = history(table(1, 3, 0.9), table(2, 2, 0.777))
-    out = modify_costs(instance, lured.tables[-1], routes, solution, "icmp", lured)
+    lured, last = history(table(1, 3, 0.9), table(2, 2, 0.777))
+    out = modify_costs(instance, last, routes, solution, "icmp", lured)
     assert out.scenarios[2, (0, 1)] == 4
     assert out.modified[2, (0, 1)] == pytest.approx(0.777, abs=1e-12)
 
     # without the follow-up round on record the overlap rule stays in force
-    short = history(table(1, 3, 0.9))
-    out = modify_costs(instance, short.tables[-1], routes, solution, "icmp", short)
+    short, last = history(table(1, 3, 0.9))
+    out = modify_costs(instance, last, routes, solution, "icmp", short)
     assert out.scenarios[2, (0, 1)] == 3
 
     # a lure tag other than 3 means the estimate never rerouted anyone
-    unlured = history(table(1, 2, 0.9), table(2, 2, 0.777))
-    out = modify_costs(
-        instance, unlured.tables[-1], routes, solution, "icmp", unlured
-    )
+    unlured, last = history(table(1, 2, 0.9), table(2, 2, 0.777))
+    out = modify_costs(instance, last, routes, solution, "icmp", unlured)
     assert out.scenarios[2, (0, 1)] == 3
 
     # only the first lure counts: a later one does not move the reused cost
-    relured = history(table(1, 3, 0.9), table(2, 3, 0.777), table(3, 2, 0.6))
-    out = modify_costs(
-        instance, relured.tables[-1], routes, solution, "icmp", relured
-    )
+    relured, last = history(table(1, 3, 0.9), table(2, 3, 0.777), table(3, 2, 0.6))
+    out = modify_costs(instance, last, routes, solution, "icmp", relured)
     assert out.scenarios[2, (0, 1)] == 4
     assert out.modified[2, (0, 1)] == pytest.approx(0.777, abs=1e-12)
+
+    # the pair is first lured under this platoon after round 1 and under
+    # another composition of the arc after round 2: this platoon reuses
+    # the cost of round 2's table, not that of the later lure's follow-up
+    other = frozenset({frozenset({0, 1}), frozenset({3, 4})})
+    twice, last = history(
+        table(1, 3, 0.9),
+        table(2, 3, 0.777),
+        table(3, 2, 0.6),
+        compositions=[comps, {(0, 1): other}, comps],
+    )
+    out = modify_costs(instance, last, routes, solution, "icmp", twice)
+    assert out.scenarios[2, (0, 1)] == 4
+    assert out.modified[2, (0, 1)] == pytest.approx(0.777, abs=1e-12)
+
+
+LURE_FLEETS = [
+    pytest.param("icmp", 8, 30, 1, id="8x8/30-icmp"),
+    pytest.param("llcmp", 8, 30, 1, id="8x8/30-llcmp"),
+    pytest.param("llcmp", 6, 15, 2, id="6x6/15-llcmp"),
+]
+
+
+@pytest.mark.parametrize("mode,n,k,seed", LURE_FLEETS)
+def test_history_shapes_costs_as_the_full_table_history(mode, n, k, seed, monkeypatch):
+    """Every round of a run is also shaped against the history that kept
+    every table; both give the same coefficients and scenario tags."""
+    instance = generate_fleet(generate_grid(n, n, seed=seed), k, seed=seed)
+    oracle = FullTableHistory()
+    fired = []
+    real = decomposition_module.modify_costs
+
+    def both(instance, prev, routes, solution, mode, history):
+        out = real(instance, prev, routes, solution, mode, history)
+        want = real(
+            instance, oracle.tables[-1] if oracle.tables else None,
+            routes, solution, mode, oracle,
+        )
+        oracle.append(decomposition_module._compositions(solution), want)
+        assert out.iteration == want.iteration
+        assert out.modified == want.modified
+        assert out.scenarios == want.scenarios
+        fired.append(sum(tag == 4 for tag in out.scenarios.values()))
+        return out
+
+    monkeypatch.setattr(decomposition_module, "modify_costs", both)
+    run(instance, DecompositionConfig(mode=mode))
+    assert len(fired) > 2
+    # the follow-up lookup was exercised, not only the lure index
+    assert sum(fired) > 0
+
+
+def test_no_cost_table_outlives_the_round_after_it(monkeypatch):
+    """When a round's costs are shaped, only the previous round's table is
+    still held; the history keeps numbers, not tables."""
+    instance = generate_fleet(generate_grid(8, 8, seed=1), 30, seed=1)
+    made = []
+    real = decomposition_module.modify_costs
+
+    def watched(instance, prev, routes, solution, mode, history):
+        alive = [ref() for ref in made if ref() is not None]
+        assert all(table is prev for table in alive), (
+            f"{len(alive)} tables alive at round {len(made) + 1}"
+        )
+        out = real(instance, prev, routes, solution, mode, history)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(decomposition_module, "modify_costs", watched)
+    run(instance, DecompositionConfig(mode="icmp"))
+    assert len(made) > 2
 
 
 def test_modify_costs_join_estimate_splits_among_meeting_drivers():
@@ -421,9 +490,17 @@ def test_part_wise_savings_equal_single_model_every_round(mode, monkeypatch):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(0, 100_000))
 def test_part_wise_savings_equal_single_model_on_random_draws(seed):
-    instance = small_instance(seed)
-    assume(instance is not None)
-    assert_parts_match_whole(instance, FixedRoutes.build(instance, time_shortest_paths(instance)))
+    # the second draw's larger, looser fleets with pairs capped branch the
+    # scheduling search more often: on seeds 0-99, 9 of its 54 accepted
+    # draws against 7 of the default draw's 96
+    draws = [
+        small_instance(seed),
+        small_instance(seed, max_vehicles=10, slack_max=4, q_pool=(2,)),
+    ]
+    draws = [instance for instance in draws if instance is not None]
+    assume(draws)
+    for instance in draws:
+        assert_parts_match_whole(instance, FixedRoutes.build(instance, time_shortest_paths(instance)))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -67,7 +67,7 @@ print(f"  scheduled cost {total_cost(inst, sol):.2f}")
 # Repricing: scenario 1 is a realized per-head cost, 2 a hopeless arc at
 # full price, 3 a reachable partner priced as an equal split of the fixed
 # share.  Truck 2's entry for (0, 2) is the lure: 0.9 + 0.1 / 2 = 0.95.
-table = modify_costs(inst, None, routes, sol, "icmp")
+table = modify_costs(inst, routes, sol, "icmp")
 print("  shaped prices for next round (truck, arc, base -> shaped, scenario):")
 for (v, arc), price in sorted(table.modified.items()):
     print(

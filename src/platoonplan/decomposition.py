@@ -35,14 +35,16 @@ platoon composition, the one follow-up cost that scenario 4 of
 :func:`modify_costs` reuses, so a run's memory does not grow by a table
 per round.
 
-The loop stops once the same routing solution has appeared ``repeat_limit``
-times or the time budget runs out.
+Each round's routing solve starts from its own LP, with no seeded plan;
+the loop stops once the same routing solution has appeared
+``repeat_limit`` times or the time budget runs out.  Each stage of a round
+gets at least one second, so a run whose budget is spent before its first
+round still returns that round's checked plan.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import logging
 import math
@@ -51,7 +53,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import NoFeasibleSolution
+from .errors import NoFeasibleSolution, ValidationError
 from .evaluate import (
     PlatoonSolution,
     _price,
@@ -94,7 +96,6 @@ class CostTable:
     in ``modified`` and the scenario tag (1-4) that produced it.
     """
 
-    iteration: int
     traversed: frozenset[Arc]
     modified: Mapping[tuple[int, Arc], float]
     scenarios: Mapping[tuple[int, Arc], int]
@@ -171,7 +172,6 @@ def _compositions(solution: PlatoonSolution) -> dict[Arc, Composition]:
 
 def modify_costs(
     instance: Instance,
-    prev: CostTable | None,
     routes: FixedRoutes,
     solution: PlatoonSolution,
     mode: str,
@@ -192,12 +192,10 @@ def modify_costs(
        after round ``k + 1``, once the lure had failed, breaking the
        two-round cycle the bait would otherwise cause.
     """
-    if mode not in ("icmp", "llcmp"):
-        raise ValueError(f"unknown cost shaping mode {mode!r}")
+    _check_mode(mode)
     eta = instance.eta
     q = instance.q_limit
     cost = instance.network.cost
-    n_round = (prev.iteration + 1) if prev is not None else 1
 
     adm = instance.admissible
     windows = instance.windows
@@ -252,11 +250,15 @@ def modify_costs(
                 scenarios[key] = 3
 
     return CostTable(
-        iteration=n_round,
         traversed=traversed,
         modified=modified,
         scenarios=scenarios,
     )
+
+
+def _check_mode(mode):
+    if mode not in ("icmp", "llcmp"):
+        raise ValidationError(f"unknown cost shaping mode {mode!r}")
 
 
 def _cycled_cost(v, arc, c, now, history):
@@ -352,75 +354,6 @@ class DecompositionConfig:
     repeat_limit: int = 3
     scheduler: str = "exact"  # or "pairwise"
     gamma: float = 0.2
-
-
-def _dijkstra(out_arcs, weights, source):
-    dist = {source: 0.0}
-    prev_arc: dict[int, Arc] = {}
-    heap = [(0.0, source)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist.get(node, math.inf):
-            continue
-        for arc in out_arcs.get(node, ()):
-            nd = d + weights[arc]
-            if nd < dist.get(arc[1], math.inf) - 1e-15:
-                dist[arc[1]] = nd
-                prev_arc[arc[1]] = arc
-                heapq.heappush(heap, (nd, arc[1]))
-    return dist, prev_arc
-
-
-def _trace(prev_arc, source, dest):
-    path = []
-    node = dest
-    while node != source:
-        arc = prev_arc[node]
-        path.append(arc)
-        node = arc[0]
-    return tuple(reversed(path))
-
-
-def _warm_routing(instance, table):
-    """Feasible routing start: per-vehicle cheapest path, time-safe fallback.
-
-    Returns a complete 0/1 assignment for the variables of
-    :func:`build_fcnf`, keyed by column key: ``("y", i, j)`` for each arc of
-    the admissible union and ``("x", i, j, v)`` for each admissible arc of
-    each vehicle.
-    """
-    adm = instance.admissible
-    tt = instance.network.travel_time
-    cost = instance.network.cost
-    shaped = table.traversed if table is not None else frozenset()
-    used: dict[int, set[Arc]] = {}
-    for v, veh in enumerate(instance.vehicles):
-        out_arcs: dict[int, list[Arc]] = defaultdict(list)
-        for arc in sorted(adm[v]):
-            out_arcs[arc[0]].append(arc)
-        coefs = {}
-        for arc in adm[v]:
-            if arc in shaped:
-                coefs[arc] = table.modified[v, arc]
-            else:
-                coefs[arc] = cost[arc]  # pessimistic: pay the fixed share too
-        window = veh.latest_arrival - veh.earliest_departure
-        _dist, prev_arc = _dijkstra(out_arcs, coefs, veh.origin)
-        path = None
-        if veh.dest in prev_arc:
-            cheap = _trace(prev_arc, veh.origin, veh.dest)
-            if sum(tt[a] for a in cheap) <= window:
-                path = cheap
-        if path is None:
-            twts = {arc: float(tt[arc]) for arc in adm[v]}
-            _d2, prev2 = _dijkstra(out_arcs, twts, veh.origin)
-            path = _trace(prev2, veh.origin, veh.dest)
-        used[v] = set(path)
-    union_used = set().union(*used.values())
-    warm = {("y", *arc): float(arc in union_used) for arc in set().union(*adm.values())}
-    for v, arcs in adm.items():
-        warm.update({("x", *arc, v): float(arc in used[v]) for arc in arcs})
-    return warm
 
 
 def _parts(routes):
@@ -519,7 +452,8 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
     """
     cfg = cfg or DecompositionConfig()
     if cfg.scheduler not in ("exact", "pairwise"):
-        raise ValueError(f"unknown scheduler {cfg.scheduler!r}")
+        raise ValidationError(f"unknown scheduler {cfg.scheduler!r}")
+    _check_mode(cfg.mode)
     start = time.perf_counter()
     deadline = start + cfg.time_limit
 
@@ -527,7 +461,6 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
     model = build_fcnf(instance, None)
     # optimal schedules of the scheduling model's parts, for this run only
     memo: dict = {}
-    table: CostTable | None = None
     history = History()
     seen: Counter = Counter()
     logbook = IterationLog()
@@ -542,11 +475,7 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
             break
         budget = max(remaining, 1.0)
 
-        warm = _warm_routing(instance, table)
-        rres = solve(
-            model,
-            SolveConfig(time_limit=budget, warm_start=warm),
-        )
+        rres = solve(model, SolveConfig(time_limit=budget))
         if rres.objective is None:
             if n_round == 1:
                 raise NoFeasibleSolution("routing stage found no plan at all")
@@ -584,7 +513,7 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
             logbook.termination = "time"
             break
 
-        table = modify_costs(instance, table, routes, solution, cfg.mode, history)
+        table = modify_costs(instance, routes, solution, cfg.mode, history)
         price_fcnf(instance, model, table)
         history.append(_compositions(solution), table)
 

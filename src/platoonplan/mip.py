@@ -7,11 +7,12 @@ may carry a constant.  :func:`solve` runs branch and bound over LP
 relaxations (HiGHS via ``scipy.optimize``), with best-bound node selection
 and most-fractional branching, both with lowest-index tie breaks, so a
 given model and config always reproduce the same search on one scipy
-build.  Best-bound search can run long without reaching an integral leaf,
-so a search that has processed 32 nodes without an incumbent dives from
-its current node: it floors the fractional integer column of smallest LP
-value and re-solves, until the LP is integral (the new incumbent) or
-infeasible.  The next dive waits for 64 LPs, then 128, and so on.
+build.  A search takes no start point.  Best-bound search can run long
+without reaching an integral leaf, so a search that has processed 32 nodes
+without an incumbent dives from its current node: it floors the fractional
+integer column of smallest LP value and re-solves, until the LP is
+integral (the new incumbent) or infeasible.  The next dive waits for 64
+LPs, then 128, and so on.
 :func:`lp_text` prints a model as CPLEX-style LP text for debugging.
 
 A model compiles to solver arrays once: the constraint matrix, right-hand
@@ -40,7 +41,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -64,7 +65,6 @@ CONTINUOUS = "continuous"
 
 _SENSES = ("<=", ">=", "=")
 _INT_TOL = 1e-6
-_FEAS_TOL = 1e-6
 # LPs a search solves without an incumbent before its first dive; the
 # threshold doubles at each dive
 _DIVE_AT = 32
@@ -87,9 +87,9 @@ class MipModel:
     """Sparse MIP container with named variables.
 
     A variable's name is its key: any hashable, unique within the model.
-    Terms, objectives and warm starts refer to a variable by that key or by
-    its column index (an integer); :func:`lp_text` prints a tuple key as
-    its parts joined by underscores.
+    Terms and objectives refer to a variable by that key or by its column
+    index (an integer); :func:`lp_text` prints a tuple key as its parts
+    joined by underscores.
     """
 
     def __init__(self, name: str = "model"):
@@ -189,17 +189,10 @@ class MipModel:
 
 @dataclass
 class SolveConfig:
-    """Settings of one :func:`solve` call.
-
-    ``warm_start`` maps variables, by name (key) or by column index, to the
-    values of a candidate incumbent; unlisted variables take their lower
-    bound.  An unknown name or an index out of range raises
-    :class:`ModelInvalid`.
-    """
+    """Settings of one :func:`solve` call."""
 
     time_limit: float | None = None
     gap_tol: float = 1e-9
-    warm_start: Mapping[Hashable, float] | None = None
 
 
 @dataclass
@@ -395,20 +388,6 @@ def _node_lp(comp: _Compiled):
     return _HotLp(comp)
 
 
-def _feasible_point(comp: _Compiled, x: np.ndarray) -> bool:
-    if np.any(x < comp.lower - _FEAS_TOL) or np.any(x > comp.upper + _FEAS_TOL):
-        return False
-    if comp.int_mask.any():
-        xi = x[comp.int_mask]
-        if np.max(np.abs(xi - np.round(xi)), initial=0.0) > _INT_TOL:
-            return False
-    if comp.a_ub is not None and np.any(comp.a_ub @ x > comp.b_ub + _FEAS_TOL):
-        return False
-    if comp.a_eq is not None and np.any(np.abs(comp.a_eq @ x - comp.b_eq) > _FEAS_TOL):
-        return False
-    return True
-
-
 def _fractionality(comp: _Compiled, x: np.ndarray) -> np.ndarray:
     """Distance of each integer column of ``x`` from its nearest integer."""
     frac = np.abs(x - np.round(x))
@@ -479,11 +458,11 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
     reported incumbent is 1e-6 per constraint; integer variables are
     reported as exact integers.
 
-    The first incumbent comes from ``warm_start``, an integral node LP, or
-    a dive.  While there is none, the search dives from the node it is
-    processing once it has solved 32 LPs, then 64, 128 and so on (see
-    :func:`_dive`); the node is then pruned if the dive's plan closes the
-    gap, and branched otherwise.
+    The first incumbent comes from an integral node LP or a dive.  While
+    there is none, the search dives from the node it is processing once it
+    has solved 32 LPs, then 64, 128 and so on (see :func:`_dive`); the node
+    is then pruned if the dive's plan closes the gap, and branched
+    otherwise.
     """
     cfg = cfg or SolveConfig()
     start = time.perf_counter()
@@ -495,15 +474,6 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
 
     inc_x = None
     inc_obj = math.inf  # in minimize space, without the constant
-    if cfg.warm_start is not None:
-        x0 = comp.lower.copy()
-        k = len(cfg.warm_start)
-        x0[np.fromiter(map(model._resolve, cfg.warm_start.keys()), np.intp, k)] = np.fromiter(
-            cfg.warm_start.values(), np.float64, k
-        )
-        if _feasible_point(comp, x0):
-            x0 = _rounded(comp, x0)
-            inc_x, inc_obj = x0, float(comp.c @ x0)
 
     def out_of_time() -> bool:
         return cfg.time_limit is not None and time.perf_counter() - start >= cfg.time_limit

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
-from platoonplan.mip import BINARY, CONTINUOUS, INTEGER, MipModel
+from platoonplan.mip import _INT_TOL, BINARY, CONTINUOUS, INTEGER, MipModel, _Compiled
 
 
 # -- graph primitives -------------------------------------------------------
@@ -323,6 +323,25 @@ def enumerate_mip(model: MipModel):
     if best is None:
         return False, None
     return True, best + model.objective_constant
+
+
+# the per-constraint tolerance solve promises for every reported incumbent;
+# integrality is checked at the solver's own _INT_TOL
+_FEAS_TOL = 1e-6
+
+
+def _feasible_point(comp: _Compiled, x: np.ndarray) -> bool:
+    if np.any(x < comp.lower - _FEAS_TOL) or np.any(x > comp.upper + _FEAS_TOL):
+        return False
+    if comp.int_mask.any():
+        xi = x[comp.int_mask]
+        if np.max(np.abs(xi - np.round(xi)), initial=0.0) > _INT_TOL:
+            return False
+    if comp.a_ub is not None and np.any(comp.a_ub @ x > comp.b_ub + _FEAS_TOL):
+        return False
+    if comp.a_eq is not None and np.any(np.abs(comp.a_eq @ x - comp.b_eq) > _FEAS_TOL):
+        return False
+    return True
 
 
 # -- the full time-expanded model --------------------------------------------

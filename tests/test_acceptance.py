@@ -150,9 +150,7 @@ def test_criterion_4_per_head_platoon_cost(demo, capsys):
     routes = FixedRoutes.build(
         demo, {0: ((0, 1),), 1: ((0, 2),), 2: ((0, 1), (1, 4), (4, 5))}
     )
-    table = modify_costs(
-        demo, None, routes, canonical_schedule(demo, routes), "icmp"
-    )
+    table = modify_costs(demo, routes, canonical_schedule(demo, routes), "icmp")
     estimate = table.modified[2, (0, 2)]
     ok = (
         abs(five - 0.92) <= 1e-12

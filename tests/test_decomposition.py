@@ -24,14 +24,13 @@ from platoonplan.decomposition import (
     IterationRecord,
     _parts,
     _schedule,
-    _warm_routing,
     fingerprint,
     modify_costs,
     real_cost,
     run,
     schedule_by_part,
 )
-from platoonplan.errors import MissingCost, ModelInvalid
+from platoonplan.errors import MissingCost, ModelInvalid, ValidationError
 from platoonplan.evaluate import canonical_schedule, check, total_cost
 from platoonplan.formulations import (
     FixedRoutes,
@@ -88,8 +87,7 @@ def test_modify_costs_first_round(demo):
     """Truck 2 rode the top corridor; (0, 2) gets the join estimate."""
     routes = demo_routes(demo, TOP)
     solution = canonical_schedule(demo, routes)
-    table = modify_costs(demo, None, routes, solution, "icmp")
-    assert table.iteration == 1
+    table = modify_costs(demo, routes, solution, "icmp")
     assert table.traversed == {(0, 1), (0, 2), (1, 4), (4, 5)}
     # every driven leg was a singleton group: realized cost is the full arc
     assert table.scenarios[0, (0, 1)] == 1
@@ -99,7 +97,7 @@ def test_modify_costs_first_round(demo):
     # half the fixed share, the estimate that makes round two reroute it
     assert table.scenarios[2, (0, 2)] == 3
     assert table.modified[2, (0, 2)] == pytest.approx(0.95, abs=1e-12)
-    lazy = modify_costs(demo, None, routes, solution, "llcmp")
+    lazy = modify_costs(demo, routes, solution, "llcmp")
     assert lazy.scenarios[2, (0, 2)] == 3
     assert lazy.modified[2, (0, 2)] == pytest.approx(0.9, abs=1e-12)
 
@@ -108,9 +106,7 @@ def test_modify_costs_second_round(demo):
     """After rerouting, truck 2 platoons with 1 and can never meet truck 0."""
     routes = demo_routes(demo, BOTTOM)
     solution = canonical_schedule(demo, routes)  # meets at 500 by accident
-    prev = CostTable(1, frozenset(), {}, {})
-    table = modify_costs(demo, prev, routes, solution, "icmp")
-    assert table.iteration == 2
+    table = modify_costs(demo, routes, solution, "icmp")
     # realized pair cost on the shared arc
     assert table.scenarios[1, (0, 2)] == 1
     assert table.modified[1, (0, 2)] == pytest.approx(0.95, abs=1e-12)
@@ -118,7 +114,7 @@ def test_modify_costs_second_round(demo):
     # truck 2 cannot meet truck 0 on (0, 1): full price under icmp
     assert table.scenarios[2, (0, 1)] == 2
     assert table.modified[2, (0, 1)] == pytest.approx(1.0, abs=1e-12)
-    lazy = modify_costs(demo, prev, routes, solution, "llcmp")
+    lazy = modify_costs(demo, routes, solution, "llcmp")
     assert lazy.scenarios[2, (0, 1)] == 2
     assert lazy.modified[2, (0, 1)] == pytest.approx(0.9, abs=1e-12)
 
@@ -126,8 +122,8 @@ def test_modify_costs_second_round(demo):
 def test_modify_costs_rejects_unknown_mode(demo):
     routes = demo_routes(demo, TOP)
     solution = canonical_schedule(demo, routes)
-    with pytest.raises(ValueError, match="mode"):
-        modify_costs(demo, None, routes, solution, "eager")
+    with pytest.raises(ValidationError, match="mode"):
+        modify_costs(demo, routes, solution, "eager")
 
 
 def lure_instance():
@@ -171,41 +167,40 @@ def test_modify_costs_composition_repeat():
     pair = frozenset({frozenset({0, 1})})
     comps = {(0, 1): pair, (1, 3): pair}
 
-    def table(iteration, scenario, modified):
+    def table(scenario, modified):
         return CostTable(
-            iteration=iteration,
             traversed=frozenset(routes.arc_union),
             modified={(2, (0, 1)): modified},
             scenarios={(2, (0, 1)): scenario},
         )
 
     def history(*tables, compositions=None):
-        """The history of these rounds, and the last table."""
+        """The history of these rounds."""
         recorded = History()
         for t, comp in zip(tables, compositions or [comps] * len(tables)):
             recorded.append(comp, t)
-        return recorded, tables[-1]
+        return recorded
 
     # the same platoon formed after round 1, lured truck 2 (tag 3), and the
     # post-lure round 2 priced the pair at 0.777: round 3 must reuse that
-    lured, last = history(table(1, 3, 0.9), table(2, 2, 0.777))
-    out = modify_costs(instance, last, routes, solution, "icmp", lured)
+    lured = history(table(3, 0.9), table(2, 0.777))
+    out = modify_costs(instance, routes, solution, "icmp", lured)
     assert out.scenarios[2, (0, 1)] == 4
     assert out.modified[2, (0, 1)] == pytest.approx(0.777, abs=1e-12)
 
     # without the follow-up round on record the overlap rule stays in force
-    short, last = history(table(1, 3, 0.9))
-    out = modify_costs(instance, last, routes, solution, "icmp", short)
+    short = history(table(3, 0.9))
+    out = modify_costs(instance, routes, solution, "icmp", short)
     assert out.scenarios[2, (0, 1)] == 3
 
     # a lure tag other than 3 means the estimate never rerouted anyone
-    unlured, last = history(table(1, 2, 0.9), table(2, 2, 0.777))
-    out = modify_costs(instance, last, routes, solution, "icmp", unlured)
+    unlured = history(table(2, 0.9), table(2, 0.777))
+    out = modify_costs(instance, routes, solution, "icmp", unlured)
     assert out.scenarios[2, (0, 1)] == 3
 
     # only the first lure counts: a later one does not move the reused cost
-    relured, last = history(table(1, 3, 0.9), table(2, 3, 0.777), table(3, 2, 0.6))
-    out = modify_costs(instance, last, routes, solution, "icmp", relured)
+    relured = history(table(3, 0.9), table(3, 0.777), table(2, 0.6))
+    out = modify_costs(instance, routes, solution, "icmp", relured)
     assert out.scenarios[2, (0, 1)] == 4
     assert out.modified[2, (0, 1)] == pytest.approx(0.777, abs=1e-12)
 
@@ -213,13 +208,13 @@ def test_modify_costs_composition_repeat():
     # another composition of the arc after round 2: this platoon reuses
     # the cost of round 2's table, not that of the later lure's follow-up
     other = frozenset({frozenset({0, 1}), frozenset({3, 4})})
-    twice, last = history(
-        table(1, 3, 0.9),
-        table(2, 3, 0.777),
-        table(3, 2, 0.6),
+    twice = history(
+        table(3, 0.9),
+        table(3, 0.777),
+        table(2, 0.6),
         compositions=[comps, {(0, 1): other}, comps],
     )
-    out = modify_costs(instance, last, routes, solution, "icmp", twice)
+    out = modify_costs(instance, routes, solution, "icmp", twice)
     assert out.scenarios[2, (0, 1)] == 4
     assert out.modified[2, (0, 1)] == pytest.approx(0.777, abs=1e-12)
 
@@ -240,14 +235,10 @@ def test_history_shapes_costs_as_the_full_table_history(mode, n, k, seed, monkey
     fired = []
     real = decomposition_module.modify_costs
 
-    def both(instance, prev, routes, solution, mode, history):
-        out = real(instance, prev, routes, solution, mode, history)
-        want = real(
-            instance, oracle.tables[-1] if oracle.tables else None,
-            routes, solution, mode, oracle,
-        )
+    def both(instance, routes, solution, mode, history):
+        out = real(instance, routes, solution, mode, history)
+        want = real(instance, routes, solution, mode, oracle)
         oracle.append(decomposition_module._compositions(solution), want)
-        assert out.iteration == want.iteration
         assert out.modified == want.modified
         assert out.scenarios == want.scenarios
         fired.append(sum(tag == 4 for tag in out.scenarios.values()))
@@ -267,12 +258,12 @@ def test_no_cost_table_outlives_the_round_after_it(monkeypatch):
     made = []
     real = decomposition_module.modify_costs
 
-    def watched(instance, prev, routes, solution, mode, history):
+    def watched(instance, routes, solution, mode, history):
         alive = [ref() for ref in made if ref() is not None]
-        assert all(table is prev for table in alive), (
+        assert all(table is made[-1]() for table in alive), (
             f"{len(alive)} tables alive at round {len(made) + 1}"
         )
-        out = real(instance, prev, routes, solution, mode, history)
+        out = real(instance, routes, solution, mode, history)
         made.append(weakref.ref(out))
         return out
 
@@ -288,40 +279,11 @@ def test_modify_costs_join_estimate_splits_among_meeting_drivers():
         {0: ((0, 1), (1, 3)), 1: ((0, 1), (1, 3)), 2: ((0, 2), (2, 3))},
     )
     solution = canonical_schedule(instance, routes)
-    table = modify_costs(instance, None, routes, solution, "icmp")
+    table = modify_costs(instance, routes, solution, "icmp")
     # truck 2 meets both drivers: unit share plus a third of the fixed share
     want = 0.75 * 0.8 + 0.25 * 0.8 / 3
     assert table.scenarios[2, (0, 1)] == 3
     assert table.modified[2, (0, 1)] == pytest.approx(want, abs=1e-12)
-
-
-# -- warm starts --------------------------------------------------------------
-
-
-def test_warm_routing_covers_model_and_is_feasible(demo):
-    warm = _warm_routing(demo, None)
-    model = build_fcnf(demo)
-    assert set(warm) == {model.var_name(i) for i in range(model.num_vars)}
-    # accepted as an incumbent without any branching
-    res = solve(model, SolveConfig(time_limit=0.0, warm_start=warm))
-    assert res.objective == pytest.approx(4.89, abs=1e-9)
-
-
-@pytest.mark.parametrize("which", ["demo", "grid4"])
-def test_warm_start_by_index_equals_by_name(which):
-    if which == "demo":
-        instance = three_truck_demo()
-    else:
-        instance = generate_fleet(generate_grid(4, 4, seed=4), 8, seed=4)
-    model = build_fcnf(instance)
-    by_name = _warm_routing(instance, None)
-    by_index = {model.var_index(key): val for key, val in by_name.items()}
-    for time_limit in (0.0, None):
-        r_index = solve(model, SolveConfig(time_limit=time_limit, warm_start=by_index))
-        r_name = solve(model, SolveConfig(time_limit=time_limit, warm_start=by_name))
-        assert r_index.objective is not None
-        for field in ("status", "objective", "bound", "values", "node_count"):
-            assert getattr(r_index, field) == getattr(r_name, field)
 
 
 # -- scheduling by part ---------------------------------------------------------
@@ -678,7 +640,7 @@ def test_run_computes_admissibility_once_per_instance(demo, monkeypatch):
     assert demo.admissible is demo.admissible
     _best, log = run(demo, DecompositionConfig(mode="icmp"))
     assert len(log.records) > 1
-    # every round's routing model, warm start and cost shaping share one pass
+    # every round's routing model and cost shaping share one pass
     assert sorted(calls["prune_arcs"]) == [0, 1, 2]
     assert sorted(calls["node_time_bounds"]) == [0, 1, 2]
     monkeypatch.undo()
@@ -765,7 +727,7 @@ def test_repriced_routing_model_equals_fresh_build(mode, which, monkeypatch):
 
 def test_price_fcnf_missing_cost_and_wrong_model(demo):
     model = build_fcnf(demo)
-    lacking = CostTable(1, frozenset({(0, 1)}), {}, {})
+    lacking = CostTable(frozenset({(0, 1)}), {}, {})
     with pytest.raises(MissingCost):
         price_fcnf(demo, model, lacking)
     with pytest.raises(MissingCost):
@@ -781,7 +743,7 @@ def test_price_fcnf_missing_cost_and_wrong_model(demo):
         (5, "icmp", "exact", 27, 1211.2),
         (5, "icmp", "pairwise", 46, 1212.5),
         (9, "icmp", "exact", 89, 1180.3),
-        (9, "llcmp", "exact", 11, 1183.2),
+        (9, "llcmp", "exact", 16, 1183.2),
     ],
 )
 def test_field_anchor_trajectories(grid, mode, scheduler, rounds, best_cost):
@@ -796,8 +758,37 @@ def test_field_anchor_trajectories(grid, mode, scheduler, rounds, best_cost):
 
 
 def test_run_rejects_unknown_scheduler(demo):
-    with pytest.raises(ValueError, match="scheduler"):
+    with pytest.raises(ValidationError, match="scheduler"):
         run(demo, DecompositionConfig(scheduler="greedy"))
+
+
+def test_run_rejects_unknown_mode_before_any_work(demo, monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return build_fcnf(*args)
+
+    monkeypatch.setattr(decomposition_module, "build_fcnf", counting)
+    with pytest.raises(ValidationError, match="mode"):
+        run(demo, DecompositionConfig(mode="eager"))
+    assert built == []
+
+
+@pytest.mark.parametrize("which", ["demo", "grid9"])
+def test_round_cut_by_the_clock_still_returns_a_plan(which):
+    """A run whose deadline has passed before it starts still routes and
+    schedules one round, on the one-second floor each stage gets, and
+    returns that round's checked plan."""
+    if which == "demo":
+        instance = three_truck_demo()
+    else:
+        instance = generate_fleet(generate_grid(10, 10, seed=9), 50, seed=9)
+    best, log = run(instance, DecompositionConfig(time_limit=0.0))
+    assert (len(log.records), log.termination) == (1, "time")
+    assert check(instance, best).ok
+    assert total_cost(instance, best) == pytest.approx(log.best_cost, abs=1e-9)
+    assert log.lower_bound <= log.best_cost
 
 
 def test_iteration_log_jsonl_shape():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import platoonplan.mip as mip_module
 from instgen import small_instance, surplus_tsf_incumbent, time_shortest_paths
+from oracles import _feasible_point
 from platoonplan.errors import DecodeInconsistent, InvalidSolution
 from platoonplan.evaluate import (
     PlatoonSolution,
@@ -26,7 +27,7 @@ from platoonplan.evaluate import (
 )
 from platoonplan.formulations import FixedRoutes, build_cpf, build_tif, build_tsf
 from platoonplan.instance import Instance, Vehicle
-from platoonplan.mip import SolveConfig, _compile, _feasible_point, solve
+from platoonplan.mip import SolveConfig, _compile, solve
 from platoonplan.network import build_time_space, make_network
 from test_mip import watch_node_lps
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import platoonplan.mip as mip_module
-from oracles import enumerate_mip, milp_oracle, model_arrays
+from oracles import _feasible_point, enumerate_mip, milp_oracle, model_arrays
 from platoonplan.errors import ModelInfeasible, ModelInvalid, Unbounded
 from platoonplan.evaluate import check, decode, shortest_path_cost, total_cost
 from platoonplan.formulations import build_cpf
@@ -22,7 +22,6 @@ from platoonplan.mip import (
     MipModel,
     SolveConfig,
     _compile,
-    _feasible_point,
     _lp,
     _node_lp,
     lp_bound,
@@ -175,8 +174,6 @@ def test_only_integers_index_columns():
     m = knapsack()
     with pytest.raises(ModelInvalid, match="unknown variable 1.7"):
         m.add_constr([(1.7, 1.0)], "<=", 1.0)
-    with pytest.raises(ModelInvalid, match="unknown variable 0.9"):
-        solve(m, SolveConfig(warm_start={0.9: 1.0}))
     with pytest.raises(ModelInvalid, match="unknown variable"):
         m.set_objective([(["a"], 1.0)])  # unhashable
     with pytest.raises(ModelInvalid, match="out of range"):
@@ -193,23 +190,6 @@ def test_only_integers_index_columns():
     text = lp_text(m)
     assert text.splitlines()[-2].split() == ["a", "b", "c", "x_0_12_3"]
     assert " 0 <= 2.5 <= 1" in text.splitlines()
-
-
-def test_warm_start_becomes_incumbent():
-    m = knapsack()
-    res = solve(m, SolveConfig(time_limit=0.0, warm_start={"a": 1.0, "b": 1.0}))
-    assert res.status == FEASIBLE_TIME_LIMIT
-    assert res.objective == pytest.approx(9.0)  # warm point happens to be best
-    res = solve(m, SolveConfig(time_limit=0.0, warm_start={"a": 1.0, "c": 1.0}))
-    assert res.objective == pytest.approx(8.0)
-
-
-def test_invalid_warm_start_is_dropped():
-    m = knapsack()
-    # violates the capacity row, so it must not become an incumbent
-    res = solve(m, SolveConfig(time_limit=0.0, warm_start={"a": 1.0, "b": 1.0, "c": 1.0}))
-    assert res.status == NO_SOLUTION_TIME_LIMIT
-    assert res.objective is None
 
 
 def test_zero_time_limit_without_warm():

@@ -58,25 +58,31 @@ print(f"\nmatching with gamma={gamma} keeps {len(chosen)} pairs:")
 for c in chosen:
     print(f"  trucks {c.u} and {c.v}, saving {c.savings:.3f}")
 
-# Stage 3: narrow each chosen pair's windows until their entry windows at
-# the merge node coincide; the platoon becomes unavoidable.
-shrunk = shrink_windows(inst, chosen)
+# Stage 3: narrow each chosen pair's entry windows until they coincide at
+# the merge node; the platoon becomes unavoidable.  Slack is uniform along a
+# fixed path, so every arc of a truck's route shifts by the same amounts.
+narrowed = shrink_windows(routes, chosen)
+
+
+def journey(r, v):
+    """Truck v's departure and arrival window on routes r."""
+    first, last = r.paths[v][0], r.paths[v][-1]
+    return r.entry_lo[v, first], r.entry_hi[v, last] + net.travel_time[last]
+
+
 tightened = [
-    (v, inst.vehicles[v], shrunk.vehicles[v])
+    (v, journey(routes, v), journey(narrowed, v))
     for v in range(len(inst.vehicles))
-    if inst.vehicles[v] != shrunk.vehicles[v]
+    if journey(routes, v) != journey(narrowed, v)
 ]
 print(f"\n{len(tightened)} trucks had their windows narrowed:")
-for v, before, after in tightened:
-    print(
-        f"  truck {v}: [{before.earliest_departure}, {before.latest_arrival}]"
-        f" -> [{after.earliest_departure}, {after.latest_arrival}]"
-    )
+for v, (lo, hi), (new_lo, new_hi) in tightened:
+    print(f"  truck {v}: [{lo}, {hi}] -> [{new_lo}, {new_hi}]")
 
-# Stage 4: time the fixed routes on the narrowed instance with the size
-# cap relaxed, then decode against the original instance, which splits
-# any oversized meet into legal convoys.
-sol = solve_relaxed_and_repair(inst, routes, shrunk)
+# Stage 4: time the narrowed routes with the size cap relaxed, then put
+# the timetable together against the original instance, which splits any
+# oversized meet into legal convoys.
+sol = solve_relaxed_and_repair(inst, narrowed)
 report = check(inst, sol)
 cost = total_cost(inst, sol)
 print(f"\npairwise schedule: cost {cost:.3f}, valid {report.ok}")

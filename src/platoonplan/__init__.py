@@ -74,7 +74,6 @@ from .instance import (
     node_time_bounds,
     save_instance,
     three_truck_demo,
-    with_windows,
 )
 from .mip import (
     BINARY,
@@ -179,5 +178,4 @@ __all__ = [
     "solve_relaxed_and_repair",
     "three_truck_demo",
     "total_cost",
-    "with_windows",
 ]

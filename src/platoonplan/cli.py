@@ -37,7 +37,15 @@ from .instance import (
 from .mip import SolveConfig, lp_text, solve
 from .network import build_time_space, generate_grid, load_network
 
-_METHODS = ("cpf", "tsf", "iheur", "lliter", "pairwise")
+# each method: None for an exact model, else the iterative (mode, scheduler)
+_METHODS = {
+    "cpf": None,
+    "tsf": None,
+    "iheur": ("icmp", "exact"),
+    "lliter": ("llcmp", "exact"),
+    "pairwise": ("icmp", "pairwise"),
+}
+_DEFAULTS = DecompositionConfig()
 
 
 def _parse_q(text: str) -> int | None:
@@ -91,12 +99,30 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solve_exact(instance: Instance, method: str, time_limit: float, dump_model=None):
+def _plan(instance: Instance, method: str, time_limit: float, repeat_limit: int,
+          gamma: float, dump_model=None):
+    """Plan ``instance`` with ``method``.
+
+    Returns the plan, its cost, a lower bound, the status and, for the
+    iterative methods, the round log.
+    """
+    heuristic = _METHODS[method]
+    if heuristic is not None:
+        mode, scheduler = heuristic
+        cfg = DecompositionConfig(
+            mode=mode,
+            time_limit=time_limit,
+            repeat_limit=repeat_limit,
+            scheduler=scheduler,
+            gamma=gamma,
+        )
+        solution, logbook = run(instance, cfg)
+        status = "heuristic-" + logbook.termination
+        return solution, logbook.best_cost, logbook.lower_bound, status, logbook
     if method == "cpf":
         model = build_cpf(instance)
     else:
-        tsn = build_time_space(instance.network, instance)
-        model = build_tsf(instance, tsn)
+        model = build_tsf(instance, build_time_space(instance.network, instance))
     if dump_model:
         with open(dump_model, "w", encoding="ascii") as fh:
             fh.write(lp_text(model))
@@ -108,36 +134,17 @@ def _solve_exact(instance: Instance, method: str, time_limit: float, dump_model=
     return solution, total_cost(instance, solution), res.bound, res.status, None
 
 
-def _solve_iterative(instance: Instance, method: str, args):
-    cfg = DecompositionConfig(
-        mode="llcmp" if method == "lliter" else "icmp",
-        time_limit=args.time_limit,
-        repeat_limit=args.repeat_limit,
-        scheduler="pairwise" if method == "pairwise" else "exact",
-        gamma=args.gamma,
-    )
-    solution, logbook = run(instance, cfg)
-    status = "heuristic-" + logbook.termination
-    return solution, logbook.best_cost, logbook.lower_bound, status, logbook
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
-    exact = args.method in ("cpf", "tsf")
-    if args.dump_model and not exact:
+    if args.dump_model and _METHODS[args.method] is not None:
         raise PlatoonPlanError(
             f"--dump-model needs --method cpf or tsf; {args.method} solves "
             "a routing and a scheduling model every round"
         )
     instance = load_instance(args.instance)
     start = time.perf_counter()
-    if exact:
-        solution, obj, bound, status, logbook = _solve_exact(
-            instance, args.method, args.time_limit, args.dump_model
-        )
-    else:
-        solution, obj, bound, status, logbook = _solve_iterative(
-            instance, args.method, args
-        )
+    solution, obj, bound, status, logbook = _plan(
+        instance, args.method, args.time_limit, args.repeat_limit, args.gamma, args.dump_model
+    )
     elapsed = time.perf_counter() - start
 
     stats = indicators(instance, obj, bound)
@@ -217,16 +224,13 @@ def _bench_row(row: dict) -> dict:
         record["V"] = len(instance.vehicles)
         record["Q"] = "inf" if instance.q_limit is None else instance.q_limit
         record["TU"] = f"{instance.time_unit:.6g}"
-        limit = float(row.get("time_limit", 60.0))
-        ns = argparse.Namespace(
-            time_limit=limit,
-            repeat_limit=int(row.get("repeat_limit", 3)),
-            gamma=float(row.get("gamma", 0.2)),
+        _sol, obj, bound, _status, _log = _plan(
+            instance,
+            method,
+            float(row.get("time_limit", 60.0)),
+            int(row.get("repeat_limit", _DEFAULTS.repeat_limit)),
+            float(row.get("gamma", _DEFAULTS.gamma)),
         )
-        if method in ("cpf", "tsf"):
-            _sol, obj, bound, _status, _ = _solve_exact(instance, method, limit)
-        else:
-            _sol, obj, bound, _status, _ = _solve_iterative(instance, method, ns)
         stats = indicators(instance, obj, bound)
         record["cpu_s"] = f"{time.process_time() - start:.3f}"
         if stats["relative_gap"] is not None:
@@ -302,9 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("instance")
     slv.add_argument("--method", choices=_METHODS, required=True)
     slv.add_argument("--time-limit", type=float, default=60.0)
-    slv.add_argument("--gamma", type=float, default=0.2,
+    slv.add_argument("--gamma", type=float, default=_DEFAULTS.gamma,
                      help="pairing budget as a share of the fleet")
-    slv.add_argument("--repeat-limit", type=int, default=3)
+    slv.add_argument("--repeat-limit", type=int, default=_DEFAULTS.repeat_limit)
     slv.add_argument("--out", help="write a JSON run summary here")
     slv.add_argument("--solution", help="write the timetable as JSON here")
     slv.add_argument("--log", help="write per-round JSON lines here")

@@ -537,7 +537,7 @@ def _schedule(instance, routes, cfg, deadline, memo):
     if relax:
         from .pairwise import narrow_windows
 
-        routes = FixedRoutes.build(narrow_windows(instance, routes, cfg.gamma), routes.paths)
+        routes = narrow_windows(instance, routes, cfg.gamma)
     by_part = schedule_by_part(instance, routes, relax, stage_deadline, memo)
     # assemble_timetable has checked the timetable
     cost = _price(instance, by_part.solution)

@@ -11,9 +11,9 @@ minutes one scheduling unit represents, and ``horizon`` bounds the clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .network import (
     make_network,
     network_text,
     prune_arcs,
+    undirected,
 )
 
 
@@ -235,12 +236,9 @@ def three_truck_demo() -> Instance:
         (3, 5, 1.0),
         (4, 5, 0.99),
     ]
-    arc_data = []
-    for u, v, length in edges:
-        t = int(round(length * 100))
-        arc_data.append((u, v, length, t))
-        arc_data.append((v, u, length, t))
-    net = make_network(6, arc_data)
+    net = make_network(
+        6, undirected((u, v, length, int(round(length * 100))) for u, v, length in edges)
+    )
     vehicles = (
         Vehicle(0, 0, 1, 0, 100),
         Vehicle(1, 0, 2, 500, 600),
@@ -314,20 +312,3 @@ def load_instance(path) -> Instance:
         horizon=horizon,
     )
 
-
-def with_windows(instance: Instance, windows: Mapping[int, tuple[int, int]]) -> Instance:
-    """Copy of ``instance`` with some vehicles' windows replaced."""
-    vehicles = tuple(
-        replace(v, earliest_departure=windows[v.id][0], latest_arrival=windows[v.id][1])
-        if v.id in windows
-        else v
-        for v in instance.vehicles
-    )
-    return Instance(
-        network=instance.network,
-        vehicles=vehicles,
-        eta=instance.eta,
-        q_limit=instance.q_limit,
-        time_unit=instance.time_unit,
-        horizon=instance.horizon,
-    )

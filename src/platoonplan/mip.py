@@ -96,8 +96,8 @@ class MipModel:
         self.name = name
         self.variables: list[Variable] = []
         self._index: dict[Hashable, int] = {}
-        # each constraint: (var indices, coefficients, sense, rhs, name)
-        self.constraints: list[tuple[tuple[int, ...], tuple[float, ...], str, float, str]] = []
+        # each constraint: (var indices, coefficients, sense, rhs)
+        self.constraints: list[tuple[tuple[int, ...], tuple[float, ...], str, float]] = []
         self.objective: dict[int, float] = {}
         self.objective_constant = 0.0
         self.sense = "min"
@@ -139,7 +139,7 @@ class MipModel:
         except (KeyError, TypeError):
             raise ModelInvalid(f"unknown variable {var!r}") from None
 
-    def add_constr(self, terms: Iterable[tuple], sense: str, rhs: float, name: str | None = None) -> int:
+    def add_constr(self, terms: Iterable[tuple], sense: str, rhs: float) -> int:
         if sense not in _SENSES:
             raise ModelInvalid(f"unknown constraint sense {sense!r}")
         merged: dict[int, float] = {}
@@ -147,15 +147,7 @@ class MipModel:
             idx = self._resolve(var)
             merged[idx] = merged.get(idx, 0.0) + float(coef)
         row = len(self.constraints)
-        self.constraints.append(
-            (
-                tuple(merged.keys()),
-                tuple(merged.values()),
-                sense,
-                float(rhs),
-                name or f"c{row}",
-            )
-        )
+        self.constraints.append((tuple(merged.keys()), tuple(merged.values()), sense, float(rhs)))
         self._arrays = None
         return row
 
@@ -615,10 +607,10 @@ def lp_text(model: MipModel) -> str:
     obj_pairs = [(labels[i], c) for i, c in sorted(model.objective.items()) if c != 0.0]
     lines.append(f" obj: {_lp_terms(obj_pairs, model.objective_constant)}")
     lines.append("Subject To")
-    for idxs, coefs, sense, rhs, name in model.constraints:
+    for row, (idxs, coefs, sense, rhs) in enumerate(model.constraints):
         pairs = [(labels[i], c) for i, c in zip(idxs, coefs) if c != 0.0]
         op = {"<=": "<=", ">=": ">=", "=": "="}[sense]
-        lines.append(f" {name}: {_lp_terms(pairs)} {op} {_num(rhs)}")
+        lines.append(f" c{row}: {_lp_terms(pairs)} {op} {_num(rhs)}")
     lines.append("Bounds")
     for v, label in zip(model.variables, labels):
         if v.kind == BINARY:

@@ -1,12 +1,13 @@
 """Pairwise scheduling heuristic for fixed routes.
 
 Instead of timing every vehicle jointly, this pass picks a limited set of
-vehicle pairs that share a stretch of road, narrows each partner's window so
-both must cross the shared stretch together, and then times everyone with a
-capacity-relaxed scheduling model that is far smaller than the exact one.
-The model yields entry times only; the timetable put together from them
-splits every meet into the fewest legal convoys, so the result is always a
-valid timetable for the original instance.
+vehicle pairs that share a stretch of road, narrows each partner's entry
+windows on its fixed route so both must cross the shared stretch together,
+and then times everyone with a capacity-relaxed scheduling model that is far
+smaller than the exact one.  Only the routes' windows change; the instance
+does not.  The model yields entry times only; the timetable put together
+from them splits every meet into the fewest legal convoys, so the result is
+always a valid timetable for the instance.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .decomposition import schedule_by_part
 from .errors import ShrinkInfeasible
 from .evaluate import PlatoonSolution
 from .formulations import FixedRoutes, build_matching
-from .instance import Instance, with_windows
+from .instance import Instance
 from .mip import SolveConfig, solve
 from .network import Arc
 
@@ -121,63 +122,64 @@ def select_pairs(
 
 
 def shrink_windows(
-    instance: Instance, chosen: Sequence[PairCandidate]
-) -> Instance:
-    """Narrow each chosen pair's journey windows until the two entry
-    windows at the merge node coincide with their intersection.
+    routes: FixedRoutes, chosen: Sequence[PairCandidate]
+) -> FixedRoutes:
+    """Narrow each chosen pair's entry windows until the two windows at the
+    merge node coincide with their intersection.
 
-    Slack is uniform along a fixed path, so shifting a vehicle's departure
-    up and its arrival deadline down moves the merge-node window by the
-    same amounts.
+    Slack is uniform along a fixed path, so a truck's windows on every arc
+    of its path move up by ``max(0, lo_other - lo_mine)`` at the start and
+    down by ``max(0, hi_mine - hi_other)`` at the end, the shifts that align
+    the merge-node windows.  Every shift is measured on the windows before
+    narrowing, so a truck listed in two pairs keeps the last one's.  Returns
+    ``routes`` itself if no pair is chosen; raises :class:`ShrinkInfeasible`
+    if a window empties.
     """
-    windows: dict[int, tuple[int, int]] = {}
+    shifts: dict[int, tuple[int, int]] = {}
     for c in chosen:
-        for me, other in ((c.u, c.v), (c.v, c.u)):
-            if me == c.u:
-                lo_m, hi_m, lo_o, hi_o = c.lo_u, c.hi_u, c.lo_v, c.hi_v
-            else:
-                lo_m, hi_m, lo_o, hi_o = c.lo_v, c.hi_v, c.lo_u, c.hi_u
-            veh = instance.vehicles[me]
-            ted = veh.earliest_departure + max(0, lo_o - lo_m)
-            tla = veh.latest_arrival - max(0, hi_m - hi_o)
-            if tla < ted:
+        sides = ((c.u, c.v, c.lo_v, c.hi_v), (c.v, c.u, c.lo_u, c.hi_u))
+        for me, other, lo_o, hi_o in sides:
+            lo_m, hi_m = routes.entry_window(me, c.segment[0])
+            up, down = max(0, lo_o - lo_m), max(0, hi_m - hi_o)
+            if lo_m + up > hi_m - down:
                 raise ShrinkInfeasible(
                     f"vehicle {me} cannot meet vehicle {other} at node "
-                    f"{c.merge_node}: window empties to [{ted}, {tla}]"
+                    f"{c.merge_node}: window empties to [{lo_m + up}, {hi_m - down}]"
                 )
-            windows[me] = (ted, tla)
-    if not windows:
-        return instance
-    return with_windows(instance, windows)
+            shifts[me] = (up, down)
+    if not shifts:
+        return routes
+    entry_lo = dict(routes.entry_lo)
+    entry_hi = dict(routes.entry_hi)
+    for v, (up, down) in shifts.items():
+        for arc in routes.paths[v]:
+            entry_lo[v, arc] += up
+            entry_hi[v, arc] -= down
+    return FixedRoutes(paths=routes.paths, entry_lo=entry_lo, entry_hi=entry_hi)
 
 
-def narrow_windows(instance: Instance, routes: FixedRoutes, gamma: float) -> Instance:
-    """Pick pairs and narrow their windows: ``instance`` with each chosen
-    pair's windows shrunk to meet (itself if no pair is chosen)."""
+def narrow_windows(instance: Instance, routes: FixedRoutes, gamma: float) -> FixedRoutes:
+    """Pick pairs and narrow their windows: ``routes`` with each chosen
+    pair's entry windows shrunk to meet (itself if no pair is chosen)."""
     candidates = enumerate_pairs(instance, routes)
     chosen = select_pairs(candidates, gamma, len(instance.vehicles))
-    return shrink_windows(instance, chosen)
+    return shrink_windows(routes, chosen)
 
 
 def solve_relaxed_and_repair(
     instance: Instance,
-    routes: FixedRoutes,
-    shrunk: Instance,
+    narrowed: FixedRoutes,
     time_limit: float | None = None,
 ) -> PlatoonSolution:
-    """Time the fixed routes on the narrowed instance without a convoy
-    size cap, then put the timetable together against the original
-    instance, which splits any oversized meet into legal ascending-id
-    convoys.
+    """Time the narrowed routes without a convoy size cap, then put the
+    timetable together against ``instance``, which splits any oversized
+    meet into legal ascending-id convoys.
 
-    Only the fleet's windows differ between ``shrunk`` and ``instance``, so
-    the routes are narrowed to ``shrunk``'s windows and scheduled by
-    :func:`~platoonplan.decomposition.schedule_by_part` on ``instance`` with
-    the capacity relaxed, one independent part at a time; the parts share
-    ``time_limit``.
+    :func:`~platoonplan.decomposition.schedule_by_part` schedules
+    ``narrowed`` on ``instance`` with the capacity relaxed, one independent
+    part at a time; the parts share ``time_limit``.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
-    narrowed = FixedRoutes.build(shrunk, routes.paths)
     return schedule_by_part(instance, narrowed, True, deadline, {}).solution
 
 
@@ -188,5 +190,5 @@ def schedule_with_pairwise(
     time_limit: float | None = None,
 ) -> PlatoonSolution:
     """Full pipeline: pick pairs, narrow windows, time, repair."""
-    shrunk = narrow_windows(instance, routes, gamma)
-    return solve_relaxed_and_repair(instance, routes, shrunk, time_limit)
+    narrowed = narrow_windows(instance, routes, gamma)
+    return solve_relaxed_and_repair(instance, narrowed, time_limit)

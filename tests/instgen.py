@@ -8,9 +8,13 @@ import numpy as np
 
 from oracles import simple_paths, timed_trajectories
 from platoonplan.formulations import build_tsf
-from platoonplan.instance import Instance, Vehicle
+from platoonplan.instance import Instance, Vehicle, generate_fleet
 from platoonplan.mip import FEASIBLE_TIME_LIMIT, MipResult
-from platoonplan.network import build_time_space, make_network
+from platoonplan.network import build_time_space, generate_grid, make_network
+
+# Optimal costs of the ten criterion-8 fleets, indexed by grid seed; build_tsf
+# proves each of them at the root node.
+FIELD_OPTIMA = (1258.6, 1211.9, 1139.2, 1247.4, 1367.6, 1209.9, 1080.6, 1158.9, 1110.4, 1179.0)
 
 
 def small_network(rng, n_nodes):
@@ -97,6 +101,12 @@ def collect_instances(n, seed_start=0, **kwargs):
         if inst is not None:
             out.append((seed - 1, inst))
     return out
+
+
+def field_fleet(grid):
+    """Criterion 8's fleet ``grid``: 50 trucks on a 10x10 grid, both seeded
+    with ``grid``."""
+    return generate_fleet(generate_grid(10, 10, seed=grid), 50, seed=grid)
 
 
 def time_shortest_paths(instance):

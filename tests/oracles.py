@@ -11,11 +11,15 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
+from platoonplan.errors import ShrinkInfeasible
+from platoonplan.formulations import FixedRoutes
+from platoonplan.instance import Instance
 from platoonplan.mip import _INT_TOL, BINARY, CONTINUOUS, INTEGER, MipModel, _Compiled
 
 
@@ -250,7 +254,7 @@ def model_arrays(model: MipModel):
         [1 if v.kind in (BINARY, INTEGER) else 0 for v in model.variables]
     )
     rows, cols, vals, lo, hi = [], [], [], [], []
-    for r, (idxs, coefs, sense, rhs, _name) in enumerate(model.constraints):
+    for r, (idxs, coefs, sense, rhs) in enumerate(model.constraints):
         for idx, coef in zip(idxs, coefs):
             rows.append(r)
             cols.append(idx)
@@ -305,7 +309,7 @@ def enumerate_mip(model: MipModel):
     best = None
     for point in itertools.product(*ranges):
         ok = True
-        for idxs, coefs, sense, rhs, _name in model.constraints:
+        for idxs, coefs, sense, rhs in model.constraints:
             lhs = sum(point[i] * c for i, c in zip(idxs, coefs))
             if sense == "<=" and lhs > rhs + 1e-9:
                 ok = False
@@ -484,3 +488,50 @@ class FullTableHistory:
             # round k + 2 priced this pair at
             return self.tables[k].modified.get((v, arc), c)
         return None
+
+
+# -- pairwise narrowing through a copied instance -----------------------------
+
+
+def shrink_by_instance(instance, routes, chosen):
+    """Pairwise window narrowing the long way: shift each chosen truck's
+    journey window on a copy of ``instance``, then rebuild the routes'
+    entry windows from that copy.
+
+    The truck's departure moves up by ``max(0, lo_other - lo_mine)`` and its
+    arrival deadline down by ``max(0, hi_mine - hi_other)``, from the
+    candidates' merge-node windows; a truck in two pairs keeps the last.
+    Returns ``routes`` itself if no pair is chosen.  A journey window that
+    empties raises ``ShrinkInfeasible``; one shorter than the path raises
+    ``InfeasibleNode`` from the rebuild.
+    """
+    windows = {}
+    for c in chosen:
+        for me, other in ((c.u, c.v), (c.v, c.u)):
+            if me == c.u:
+                lo_m, hi_m, lo_o, hi_o = c.lo_u, c.hi_u, c.lo_v, c.hi_v
+            else:
+                lo_m, hi_m, lo_o, hi_o = c.lo_v, c.hi_v, c.lo_u, c.hi_u
+            veh = instance.vehicles[me]
+            ted = veh.earliest_departure + max(0, lo_o - lo_m)
+            tla = veh.latest_arrival - max(0, hi_m - hi_o)
+            if tla < ted:
+                raise ShrinkInfeasible(f"vehicle {me} cannot meet vehicle {other}")
+            windows[me] = (ted, tla)
+    if not windows:
+        return routes
+    vehicles = tuple(
+        replace(v, earliest_departure=windows[v.id][0], latest_arrival=windows[v.id][1])
+        if v.id in windows
+        else v
+        for v in instance.vehicles
+    )
+    shrunk = Instance(
+        network=instance.network,
+        vehicles=vehicles,
+        eta=instance.eta,
+        q_limit=instance.q_limit,
+        time_unit=instance.time_unit,
+        horizon=instance.horizon,
+    )
+    return FixedRoutes.build(shrunk, routes.paths)

@@ -220,12 +220,9 @@ def test_criterion_6_pairwise_contracts(capsys):
             problems.append((seed, "budget"))
         if len(touched) != len(set(touched)):
             problems.append((seed, "degree"))
-        shrunk = shrink_windows(instance, chosen)
-        for old, new in zip(instance.vehicles, shrunk.vehicles):
-            if (
-                new.earliest_departure < old.earliest_departure
-                or new.latest_arrival > old.latest_arrival
-            ):
+        narrowed = shrink_windows(routes, chosen)
+        for key, lo in narrowed.entry_lo.items():
+            if not routes.entry_lo[key] <= lo <= narrowed.entry_hi[key] <= routes.entry_hi[key]:
                 problems.append((seed, "window"))
         sol = schedule_with_pairwise(instance, routes, gamma)
         if not check(instance, sol).ok:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import platoonplan.decomposition as decomposition_module
 import platoonplan.evaluate as evaluate_module
 import platoonplan.instance as instance_module
-from instgen import small_instance, time_shortest_paths
+from instgen import FIELD_OPTIMA, field_fleet, small_instance, time_shortest_paths
 from oracles import FullTableHistory, kept_pairs, overlap_components
 from platoonplan.decomposition import (
     CostTable,
@@ -547,7 +547,7 @@ def test_parts_share_one_stage_deadline(scheduler, monkeypatch):
     # earliest times, which are not memoized
     assert by_part.parts == 2 and memo == {}
     if scheduler == "pairwise":
-        routes = FixedRoutes.build(narrow_windows(instance, routes, 0.5), routes.paths)
+        routes = narrow_windows(instance, routes, 0.5)
     assert by_part.solution == canonical_schedule(instance, routes)
     assert cost == pytest.approx(total_cost(instance, by_part.solution), abs=1e-12)
 
@@ -748,12 +748,13 @@ def test_price_fcnf_missing_cost_and_wrong_model(demo):
 )
 def test_field_anchor_trajectories(grid, mode, scheduler, rounds, best_cost):
     """The benchmark's four field anchors, run with no time limit."""
-    instance = generate_fleet(generate_grid(10, 10, seed=grid), 50, seed=grid)
+    instance = field_fleet(grid)
     best, log = run(
         instance, DecompositionConfig(mode=mode, scheduler=scheduler, time_limit=math.inf)
     )
     assert (len(log.records), log.termination) == (rounds, "repeat")
     assert log.best_cost == pytest.approx(best_cost, abs=1e-9)
+    assert log.best_cost >= FIELD_OPTIMA[grid] - 1e-6
     assert total_cost(instance, best) == pytest.approx(log.best_cost, abs=1e-9)
 
 
@@ -783,7 +784,7 @@ def test_round_cut_by_the_clock_still_returns_a_plan(which):
     if which == "demo":
         instance = three_truck_demo()
     else:
-        instance = generate_fleet(generate_grid(10, 10, seed=9), 50, seed=9)
+        instance = field_fleet(9)
     best, log = run(instance, DecompositionConfig(time_limit=0.0))
     assert (len(log.records), log.termination) == (1, "time")
     assert check(instance, best).ok

@@ -116,7 +116,7 @@ def big_m_row(model, plus, minus, switch):
     ``plus - minus`` against the 0/1 column ``switch``."""
     cols = {model.var_index(plus): 1.0, model.var_index(minus): -1.0}
     s = model.var_index(switch)
-    for idxs, coefs, _sense, rhs, _name in model.constraints:
+    for idxs, coefs, _sense, rhs in model.constraints:
         row = dict(zip(idxs, coefs))
         if row.keys() == cols.keys() | {s} and all(row[i] == c for i, c in cols.items()):
             return abs(row[s]), rhs

@@ -21,7 +21,6 @@ from platoonplan.instance import (
     node_time_bounds,
     save_instance,
     three_truck_demo,
-    with_windows,
 )
 from platoonplan.network import generate_grid, make_network
 
@@ -154,15 +153,6 @@ def test_generate_fleet_rejects_out_of_range_parameters(kwargs, match):
     net = generate_grid(3, 3, seed=0)
     with pytest.raises(ValidationError, match=match):
         generate_fleet(net, 2, seed=0, od_mode="hub", hubs=[0], **kwargs)
-
-
-def test_with_windows_replaces_and_revalidates(demo):
-    wider = with_windows(demo, {2: (500, 800)})
-    assert wider.vehicles[2].latest_arrival == 800
-    assert wider.vehicles[1] == demo.vehicles[1]
-    assert demo.vehicles[2].latest_arrival == 1000  # original untouched
-    with pytest.raises(ValidationError):
-        with_windows(demo, {0: (0, 50)})  # shorter than the trip
 
 
 def test_instance_text_round_trip(tmp_path, demo):

@@ -145,7 +145,7 @@ def test_constraint_terms_merge():
     m = MipModel()
     m.add_var("x", CONTINUOUS, 0.0, 10.0)
     row = m.add_constr([("x", 1.0), ("x", 2.0)], "<=", 6.0)
-    idxs, coefs, sense, rhs, _ = m.constraints[row]
+    idxs, coefs, sense, rhs = m.constraints[row]
     assert idxs == (0,) and coefs == (3.0,)
     m.set_objective([("x", 1.0), ("x", 1.0)], sense="max")
     res = solve(m)

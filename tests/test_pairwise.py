@@ -1,11 +1,16 @@
 """Pair enumeration, matching, window shrinking, and the relaxed scheduler."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from platoonplan.errors import ShrinkInfeasible
+from instgen import field_fleet, small_instance, time_shortest_paths
+from oracles import shrink_by_instance
+from platoonplan.errors import ShrinkInfeasible, ValidationError
 from platoonplan.evaluate import check, total_cost
-from platoonplan.formulations import FixedRoutes
+from platoonplan.formulations import FixedRoutes, build_fcnf, routes_from_result
 from platoonplan.instance import Instance, Vehicle
+from platoonplan.mip import SolveConfig, solve
 from platoonplan.network import make_network
 from platoonplan.pairwise import (
     PairCandidate,
@@ -112,33 +117,107 @@ def test_select_pairs_respects_degree():
 def test_shrink_windows_demo(demo):
     routes = FixedRoutes.build(demo, BOTTOM)
     chosen = select_pairs(enumerate_pairs(demo, routes), 0.5, 3)
-    shrunk = shrink_windows(demo, chosen)
+    narrowed = shrink_windows(routes, chosen)
     # truck 1 had no slack and keeps its window
-    assert shrunk.vehicles[1].earliest_departure == 500
-    assert shrunk.vehicles[1].latest_arrival == 600
-    # truck 2 gives up the slack that would let it dodge the meet
-    assert shrunk.vehicles[2].earliest_departure == 500
-    assert shrunk.vehicles[2].latest_arrival == 800
-    assert shrunk.vehicles[0] == demo.vehicles[0]
-    assert demo.vehicles[2].latest_arrival == 1000  # original untouched
-    # on the narrowed instance the two entry windows coincide
-    narrowed = FixedRoutes.build(shrunk, routes.paths)
-    assert narrowed.entry_window(2, (0, 2)) == (500, 500)
+    assert narrowed.entry_window(1, (0, 2)) == (500, 500)
+    # truck 2 gives up the slack that would let it dodge the meet, on every
+    # arc of its path: it may still leave at 500 but must arrive by 800
+    assert [narrowed.entry_window(2, arc) for arc in BOTTOM[2]] == [
+        (500, 500),
+        (600, 600),
+        (700, 700),
+    ]
+    assert narrowed.entry_window(0, (0, 1)) == routes.entry_window(0, (0, 1))
+    assert routes.entry_window(2, (0, 2)) == (500, 700)  # original untouched
+    assert narrowed.paths == routes.paths
+    # the long way round, through a copied instance, gives the same windows
+    reference = shrink_by_instance(demo, routes, chosen)
+    assert narrowed.entry_lo == reference.entry_lo
+    assert narrowed.entry_hi == reference.entry_hi
 
 
-def test_shrink_windows_no_pairs_returns_instance(demo):
-    assert shrink_windows(demo, []) is demo
+def test_shrink_windows_no_pairs_returns_routes(demo):
+    routes = FixedRoutes.build(demo, BOTTOM)
+    assert shrink_windows(routes, []) is routes
 
 
 def test_shrink_windows_infeasible(demo):
-    # a meet the vehicles' journey windows cannot absorb (synthetic: real
-    # candidates always overlap, this guards the arithmetic)
+    # a meet the vehicles' windows cannot absorb (synthetic: real candidates
+    # always overlap, this guards the arithmetic)
+    routes = FixedRoutes.build(demo, BOTTOM)
     bogus = PairCandidate(
         u=1, v=2, segment=((0, 2),), merge_node=0, savings=0.1,
         lo_u=500, hi_u=500, lo_v=999, hi_v=1500,
     )
     with pytest.raises(ShrinkInfeasible, match="vehicle 1"):
-        shrink_windows(demo, [bogus])
+        shrink_windows(routes, [bogus])
+
+
+def test_shrink_windows_empty_entry_window_is_shrink_infeasible(demo):
+    # truck 2's slack is 200 and the bogus partner window [650, 550] shifts
+    # it by 150 at each end: its journey window [650, 850] is not empty, but
+    # too short for the 300-step path, so every entry window empties; the
+    # copied instance rejects that window as shorter than the fastest trip
+    routes = FixedRoutes.build(demo, BOTTOM)
+    bogus = PairCandidate(
+        u=2, v=1, segment=((0, 2),), merge_node=0, savings=0.1,
+        lo_u=500, hi_u=700, lo_v=650, hi_v=550,
+    )
+    with pytest.raises(ShrinkInfeasible, match="vehicle 2"):
+        shrink_windows(routes, [bogus])
+    with pytest.raises(ValidationError, match="fastest trip"):
+        shrink_by_instance(demo, routes, [bogus])
+
+
+def assert_narrowing_matches_reference(instance, routes, chosen):
+    """Route-shift narrowing equals the copied-instance rebuild, and every
+    narrowed window is a non-empty part of the original one."""
+    narrowed = shrink_windows(routes, chosen)
+    reference = shrink_by_instance(instance, routes, chosen)
+    assert narrowed.paths == reference.paths
+    assert narrowed.entry_lo == reference.entry_lo
+    assert narrowed.entry_hi == reference.entry_hi
+    for key, lo in narrowed.entry_lo.items():
+        assert routes.entry_lo[key] <= lo <= narrowed.entry_hi[key] <= routes.entry_hi[key]
+    for c in chosen:
+        # the pair's windows at the merge node now coincide
+        assert narrowed.entry_window(c.u, c.segment[0]) == narrowed.entry_window(
+            c.v, c.segment[0]
+        )
+    return narrowed
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2**16), st.sampled_from([0.2, 0.5, 1.0]))
+def test_shrink_windows_matches_reference_on_random_draws(seed, gamma):
+    draws = [
+        small_instance(seed),
+        small_instance(seed, max_vehicles=10, slack_max=4, q_pool=(2,)),
+    ]
+    draws = [instance for instance in draws if instance is not None]
+    assume(draws)
+    for instance in draws:
+        routes = FixedRoutes.build(instance, time_shortest_paths(instance))
+        candidates = enumerate_pairs(instance, routes)
+        chosen = select_pairs(candidates, gamma, len(instance.vehicles))
+        assert_narrowing_matches_reference(instance, routes, chosen)
+        # every candidate at once lists trucks in several pairs: the last
+        # pair's shifts win in both, and no window empties
+        narrowed = shrink_windows(routes, candidates)
+        reference = shrink_by_instance(instance, routes, candidates)
+        assert (narrowed.entry_lo, narrowed.entry_hi) == (reference.entry_lo, reference.entry_hi)
+
+
+@pytest.mark.parametrize("grid", range(10))
+def test_shrink_windows_matches_reference_on_field_round_one(grid):
+    """The criterion-8 fleets' first routes, narrowed at three budgets."""
+    instance = field_fleet(grid)
+    routes = routes_from_result(instance, solve(build_fcnf(instance), SolveConfig()))
+    candidates = enumerate_pairs(instance, routes)
+    for gamma in (0.2, 0.4, 1.0):
+        chosen = select_pairs(candidates, gamma, len(instance.vehicles))
+        assert chosen
+        assert_narrowing_matches_reference(instance, routes, chosen)
 
 
 # -- full pipeline ------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from instgen import small_instance
+from instgen import FIELD_OPTIMA, field_fleet, small_instance
 from oracles import brute_force_joint, full_tsf
 from platoonplan.evaluate import check, decode, total_cost
 from platoonplan.formulations import build_tsf
@@ -55,7 +55,7 @@ def structure(model):
         else:
             users[i, tm, j, t2].append(v)
     slot_rows = set()
-    for idxs, coefs, _sense, _rhs, _name in model.constraints:
+    for idxs, coefs, _sense, _rhs in model.constraints:
         if len(idxs) > 2:
             ys = [model.var_name(i) for i, c in zip(idxs, coefs) if c < 0]
             if len(ys) == 1 and ys[0][0] == "y":
@@ -167,6 +167,21 @@ def test_hub_ladder_proves_optimum_at_the_root(rung):
     assert res.status == "optimal"
     assert res.node_count == 1
     assert res.objective == pytest.approx(HUB_OPTIMA[rung], abs=1e-6)
+    plan = decode(instance, res, "tsf")
+    assert check(instance, plan).ok
+    assert total_cost(instance, plan) == pytest.approx(res.objective, abs=1e-6)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("grid", range(10))
+def test_field_fleets_prove_optimum_at_the_root(grid):
+    """The criterion-8 optima, the yardstick of every heuristic plan there."""
+    instance = field_fleet(grid)
+    model = build_tsf(instance, build_time_space(instance.network, instance))
+    res = solve(model, SolveConfig(gap_tol=1e-9))
+    assert res.status == "optimal"
+    assert res.node_count == 1
+    assert res.objective == pytest.approx(FIELD_OPTIMA[grid], abs=1e-6)
     plan = decode(instance, res, "tsf")
     assert check(instance, plan).ok
     assert total_cost(instance, plan) == pytest.approx(res.objective, abs=1e-6)

@@ -33,7 +33,10 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyEntrySet,
@@ -173,6 +176,56 @@ def _flow_rows(m: MipModel, instance: Instance, v: int, x: Mapping[tuple[int, Ar
             m.add_constr(terms, "=", rhs)
 
 
+def _ragged(first: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ranges ``first[k], first[k] + 1, ...``, ``counts[k]``
+    long each: returns ``(k, value)`` per element."""
+    seg = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return seg, first[seg] + np.arange(len(seg)) - starts[seg]
+
+
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group positions by key: ``(order, starts, counts)``.
+
+    ``order`` lists the positions by ascending key, equal keys in position
+    order; group ``g`` is ``order[starts[g]:starts[g] + counts[g]]``, and
+    the groups come in key order.
+    """
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(new)
+    return order, starts, np.diff(np.append(starts, len(keys)))
+
+
+def _usage_rows(m: MipModel, users, counts, ycols, slot, caps) -> None:
+    """Rows tying user columns to their group's usage column ``y``.
+
+    Group ``g`` owns the next ``counts[g]`` columns of ``users`` and the
+    column ``ycols[g]``.  Its rows, groups in order: if ``slot[g]``, the
+    slot row ``sum(x) - caps[g] * y <= 0``; then ``x - y <= 0`` per user.
+    """
+    n_groups = len(counts)
+    group = np.repeat(np.arange(n_groups), counts)
+    rank = np.arange(len(users)) - np.repeat(np.cumsum(counts) - counts, counts)
+    per_group = slot + counts
+    base = np.cumsum(per_group) - per_group
+    user_rows = base[group] + slot[group] + rank
+    in_slot = slot[group]
+    slot_groups = np.flatnonzero(slot)
+    m.add_rows(
+        np.concatenate([base[group[in_slot]], base[slot_groups], user_rows, user_rows]),
+        np.concatenate([users[in_slot], ycols[slot_groups], users, ycols[group]]),
+        np.concatenate([
+            np.ones(int(in_slot.sum())), -caps[slot_groups],
+            np.ones(len(users)), np.full(len(users), -1.0),
+        ]),
+        "<=",
+        np.zeros(int(per_group.sum())),
+    )
+
+
 def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
     """Joint model on the time-expanded network.
 
@@ -193,6 +246,15 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
     * the slot row ``sum_v x_v <= cap * y`` is stated only where more than
       ``cap`` vehicles can use the time arc; elsewhere the per-vehicle rows
       ``x_v <= y`` imply it.
+
+    The model is built in blocks.  Each vehicle's columns are its move arcs
+    (road arcs in network order, each over its range of entry times) and
+    then its waiting arcs (reachable nodes in order, each over its times).
+    The ``y`` columns follow, one per shared time arc, found by a stable
+    sort of the move columns by encoded ``(i, t, j)``.  The rows are the
+    flow rows, vehicle by vehicle and time-space node by node, each listing
+    its out-arcs and then its in-arcs, and then the usage rows of each
+    shared time arc.
     """
     net = instance.network
     eta = instance.eta
@@ -202,94 +264,116 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
     horizon = tsn.horizon
     m = MipModel("tsf")
 
-    move_users: dict[tuple[int, int, int, int], list[int]] = defaultdict(list)
-    xvar: dict[tuple[int, tuple], int] = {}
-    out_at: list[dict[tuple[int, int], list[int]]] = []
-    in_at: list[dict[tuple[int, int], list[int]]] = []
-
+    # one segment per vehicle and arc: (v, i, j, travel time, first entry,
+    # entries, cost); a waiting arc has j == i, travel time 1 and cost 0
+    segs = []
     for v, veh in enumerate(instance.vehicles):
         win = instance.windows[v]
-        outs: dict[tuple[int, int], list[int]] = defaultdict(list)
-        ins: dict[tuple[int, int], list[int]] = defaultdict(list)
         for arc in net.arcs:
             if arc not in adm[v]:
                 continue
             i, j = arc
             t_ij = tt[arc]
             (lo_i, hi_i), (lo_j, hi_j) = win[i], win[j]
+            first = max(lo_i, lo_j - t_ij)
             last = min(hi_i, hi_j - t_ij, horizon - t_ij)
-            for tm in range(max(lo_i, lo_j - t_ij), last + 1):
-                t2 = tm + t_ij
-                idx = m.add_var(("x", i, tm, j, t2, v), BINARY)
-                xvar[v, (i, tm, j, t2)] = idx
-                move_users[(i, tm, j, t2)].append(v)
-                outs[(i, tm)].append(idx)
-                ins[(j, t2)].append(idx)
+            segs.append((v, i, j, t_ij, first, last - first + 1, net.cost[arc]))
         reach = {n for arc in adm[v] for n in arc} | {veh.origin, veh.dest}
         for i in sorted(reach):
             lo_i, hi_i = win[i]
-            for tm in range(lo_i, min(hi_i, horizon)):
-                idx = m.add_var(("x", i, tm, i, tm + 1, v), BINARY)
-                outs[(i, tm)].append(idx)
-                ins[(i, tm + 1)].append(idx)
-        out_at.append(outs)
-        in_at.append(ins)
+            segs.append((v, i, i, 1, lo_i, min(hi_i, horizon) - lo_i, 0.0))
+    seg_v, seg_i, seg_j, seg_t, seg_first, seg_count = (
+        np.array([s[:6] for s in segs], dtype=np.int64).reshape(-1, 6).T
+    )
+    seg_cost = np.array([s[6] for s in segs], dtype=np.float64)
+    seg, tm = _ragged(seg_first, np.maximum(seg_count, 0))
+    xv, xi, xj, t2 = seg_v[seg], seg_i[seg], seg_j[seg], tm + seg_t[seg]
+    n_x = len(seg)
+    xcols = m.add_vars(
+        list(zip(repeat("x"), xi.tolist(), tm.tolist(), xj.tolist(), t2.tolist(), xv.tolist())),
+        BINARY,
+    )
 
-    yvar: dict[tuple[int, int, int, int], int] = {}
-    for ts_arc in sorted(move_users):
-        k = len(move_users[ts_arc])
-        if k == 1:
-            continue
-        cap = q if q is not None else k
-        yvar[ts_arc] = m.add_var(("y", *ts_arc), INTEGER, 0, math.ceil(k / cap))
+    # y per move time arc with two or more possible users, in (i, t, j) order
+    moves = np.flatnonzero(xi != xj)
+    # every time in the model is below span: keys encode (i, t, j) and (v, i, t)
+    span = 1 + max([horizon] + [veh.latest_arrival for veh in instance.vehicles])
+    order, starts, counts = _groups((xi[moves] * span + tm[moves]) * net.n_nodes + xj[moves])
+    shared = counts >= 2
+    first_user = moves[order[starts[shared]]]
+    k = counts[shared]
+    upper = np.ones(len(k)) if q is None else -(-k // q)
+    ycols = m.add_vars(
+        list(zip(
+            repeat("y"), xi[first_user].tolist(), tm[first_user].tolist(),
+            xj[first_user].tolist(), t2[first_user].tolist(),
+        )),
+        INTEGER,
+        0.0,
+        upper,
+    )
 
-    obj = []
-    for (_v, ts_arc), idx in xvar.items():
-        c = net.cost[ts_arc[0], ts_arc[2]]
-        coef = (1.0 - eta) * c
-        if ts_arc not in yvar:
-            coef += eta * c
-        obj.append((idx, coef))
-    for ts_arc, idx in yvar.items():
-        obj.append((idx, eta * net.cost[ts_arc[0], ts_arc[2]]))
-    m.set_objective(obj, sense="min")
+    # each vehicle pays its unit share; a lone user also the fixed share
+    c = seg_cost[seg[moves]]
+    coef = (1.0 - eta) * c
+    alone = np.empty(len(moves), dtype=bool)
+    alone[order] = np.repeat(~shared, counts)
+    coef[alone] = coef[alone] + eta * c[alone]
+    m.set_objective(
+        cols=np.concatenate([xcols[moves], ycols]),
+        coefs=np.concatenate([coef, eta * seg_cost[seg[first_user]]]),
+        sense="min",
+    )
 
-    for v, veh in enumerate(instance.vehicles):
-        source = (veh.origin, veh.earliest_departure)
-        sink = (veh.dest, veh.latest_arrival)
-        ts_nodes = sorted(set(out_at[v]) | set(in_at[v]) | {source, sink})
-        for node in ts_nodes:
-            terms = [(idx, 1.0) for idx in out_at[v].get(node, ())]
-            terms += [(idx, -1.0) for idx in in_at[v].get(node, ())]
-            rhs = 1.0 if node == source else -1.0 if node == sink else 0.0
-            m.add_constr(terms, "=", rhs)
+    # flow conservation per vehicle and time-space node (i, t), in order
+    def node_key(v, i, t):
+        return (v * net.n_nodes + i) * span + t
 
-    for ts_arc, yidx in yvar.items():
-        vs = move_users[ts_arc]
-        if q is not None and len(vs) > q:
-            m.add_constr(
-                [(xvar[v, ts_arc], 1.0) for v in vs] + [(yidx, -float(q))],
-                "<=",
-                0.0,
-            )
-        for v in vs:
-            m.add_constr([(xvar[v, ts_arc], 1.0), (yidx, -1.0)], "<=", 0.0)
+    v_all = np.arange(len(instance.vehicles))
+    source = node_key(v_all, np.array([veh.origin for veh in instance.vehicles]),
+                      np.array([veh.earliest_departure for veh in instance.vehicles]))
+    sink = node_key(v_all, np.array([veh.dest for veh in instance.vehicles]),
+                    np.array([veh.latest_arrival for veh in instance.vehicles]))
+    tails = node_key(xv, xi, tm)
+    heads = node_key(xv, xj, t2)
+    nodes = np.unique(np.concatenate([tails, heads, source, sink]))
+    rhs = np.zeros(len(nodes))
+    rhs[np.searchsorted(nodes, sink)] = -1.0
+    rhs[np.searchsorted(nodes, source)] = 1.0
+    m.add_rows(
+        np.concatenate([np.searchsorted(nodes, tails), np.searchsorted(nodes, heads)]),
+        np.concatenate([xcols, xcols]),
+        np.concatenate([np.ones(n_x), np.full(n_x, -1.0)]),
+        "=",
+        rhs,
+    )
+
+    users = moves[order[np.repeat(shared, counts)]]
+    cap = np.full(len(k), math.inf if q is None else float(q))
+    _usage_rows(m, xcols[users], k, ycols, k > cap, cap)
     return m
 
 
 # -- routing stage ----------------------------------------------------------
 
 
-def _fcnf_columns(instance: Instance) -> tuple[list[Arc], list[tuple[int, Arc]]]:
-    """Variable order of the routing model.
+def _fcnf_columns(instance: Instance) -> tuple[list[Arc], np.ndarray, np.ndarray]:
+    """Variable order of the routing model: ``(union, x_v, x_arc)``.
 
     One ``y`` per arc of the admissible union, sorted, then one ``x`` per
-    vehicle and admissible arc, sorted by vehicle and arc.
+    vehicle and admissible arc, sorted by vehicle and arc; ``x_v`` and
+    ``x_arc`` give each ``x`` column's vehicle and its arc's position in
+    ``union``.
     """
     adm = instance.admissible
     union = sorted(set().union(*adm.values())) if adm else []
-    xkeys = [(v, arc) for v in range(len(instance.vehicles)) for arc in sorted(adm[v])]
-    return union, xkeys
+    position = {arc: k for k, arc in enumerate(union)}
+    x_v, x_arc = [], []
+    for v in range(len(instance.vehicles)):
+        arcs = sorted(position[arc] for arc in adm[v])
+        x_v += [v] * len(arcs)
+        x_arc += arcs
+    return union, np.array(x_v, dtype=np.int64), np.array(x_arc, dtype=np.int64)
 
 
 def build_fcnf(instance: Instance, cost_table=None) -> MipModel:
@@ -302,27 +386,56 @@ def build_fcnf(instance: Instance, cost_table=None) -> MipModel:
     the previous round instead charge each vehicle its shaped coefficient.
     Only the objective depends on the table, so one model can be repriced
     for each round with :func:`price_fcnf`.
+
+    The rows are, vehicle by vehicle, one flow row per node its admissible
+    arcs touch (out-arcs then in-arcs, each by column) and its window row,
+    then ``x <= y`` per ``x`` column; all are added as one block.
     """
     net = instance.network
-    adm = instance.admissible
     m = MipModel("fcnf")
 
-    union, xkeys = _fcnf_columns(instance)
-    yvar = {arc: m.add_var(("y", *arc), BINARY) for arc in union}
-    xvar = {(v, arc): m.add_var(("x", *arc, v), BINARY) for v, arc in xkeys}
+    union, x_v, x_arc = _fcnf_columns(instance)
+    tails, heads = np.array(union, dtype=np.int64).reshape(-1, 2).T
+    ycols = m.add_vars([("y", *arc) for arc in union], BINARY)
+    xcols = m.add_vars(
+        list(zip(repeat("x"), tails[x_arc].tolist(), heads[x_arc].tolist(), x_v.tolist())),
+        BINARY,
+    )
     price_fcnf(instance, m, cost_table)
 
-    tt = net.travel_time
-    for v, veh in enumerate(instance.vehicles):
-        _flow_rows(m, instance, v, xvar)
-        # the route must fit the vehicle's time window even at full speed
-        window = float(veh.latest_arrival - veh.earliest_departure)
-        m.add_constr(
-            [(xvar[v, a], float(tt[a])) for a in sorted(adm[v])], "<=", window
-        )
-
-    for (v, arc), idx in xvar.items():
-        m.add_constr([(idx, 1.0), (yvar[arc], -1.0)], "<=", 0.0)
+    # one row key per (vehicle, node), and (vehicle, n_nodes) for its window row
+    vehicles = instance.vehicles
+    n_x = len(xcols)
+    stride = net.n_nodes + 1
+    v_all = np.arange(len(vehicles))
+    origins = v_all * stride + np.array([veh.origin for veh in vehicles], dtype=np.int64)
+    dests = v_all * stride + np.array([veh.dest for veh in vehicles], dtype=np.int64)
+    windows = v_all * stride + net.n_nodes
+    outs = x_v * stride + tails[x_arc]
+    ins = x_v * stride + heads[x_arc]
+    keys = np.unique(np.concatenate([outs, ins, origins, dests, windows]))
+    rhs = np.zeros(len(keys))
+    rhs[np.searchsorted(keys, dests)] = -1.0
+    rhs[np.searchsorted(keys, origins)] = 1.0
+    at_window = np.searchsorted(keys, windows)
+    # the route must fit the vehicle's time window even at full speed
+    rhs[at_window] = [float(veh.latest_arrival - veh.earliest_departure) for veh in vehicles]
+    sense = np.full(len(keys), "=", dtype="<U2")
+    sense[at_window] = "<="
+    travel = np.array([net.travel_time[arc] for arc in union], dtype=np.float64)
+    n_flow = len(keys)
+    m.add_rows(
+        np.concatenate([
+            np.searchsorted(keys, outs), np.searchsorted(keys, ins),
+            at_window[x_v], n_flow + np.arange(n_x), n_flow + np.arange(n_x),
+        ]),
+        np.concatenate([xcols, xcols, xcols, xcols, ycols[x_arc]]),
+        np.concatenate([
+            np.ones(n_x), np.full(n_x, -1.0), travel[x_arc], np.ones(n_x), np.full(n_x, -1.0),
+        ]),
+        np.concatenate([sense, np.full(n_x, "<=")]),
+        np.concatenate([rhs, np.zeros(n_x)]),
+    )
     return m
 
 
@@ -330,35 +443,37 @@ def price_fcnf(instance: Instance, model: MipModel, cost_table=None) -> None:
     """Set the objective of a :func:`build_fcnf` model of ``instance``.
 
     Prices exactly as ``build_fcnf(instance, cost_table)`` does, so the
-    repriced model and a freshly built one compile to the same arrays.
-    Raises :class:`MissingCost` if the table marks an arc as traversed but
-    lacks a vehicle's coefficient on it.
+    repriced model and a freshly built one compile to the same arrays.  The
+    base costs are computed on arrays; the table's coefficients then
+    replace the ``x`` costs on the arcs it marks as traversed, whose ``y``
+    costs drop to 0.  Raises :class:`MissingCost` if the table lacks one of
+    those coefficients.
     """
-    union, xkeys = _fcnf_columns(instance)
-    if model.num_vars != len(union) + len(xkeys):
+    union, x_v, x_arc = _fcnf_columns(instance)
+    n_cols = len(union) + len(x_v)
+    if model.num_vars != n_cols:
         raise ModelInvalid(
             f"model {model.name!r} has {model.num_vars} variables; "
-            f"the routing model of this instance has {len(union) + len(xkeys)}"
+            f"the routing model of this instance has {n_cols}"
         )
-    cost = instance.network.cost
     eta = instance.eta
-    shaped = cost_table.traversed if cost_table is not None else frozenset()
-    obj = []
-    for idx, (v, arc) in enumerate(xkeys, start=len(union)):
-        if arc in shaped:
+    arc_cost = np.array([instance.network.cost[arc] for arc in union], dtype=np.float64)
+    y_cost = eta * arc_cost
+    x_cost = (1.0 - eta) * arc_cost[x_arc]
+    if cost_table is not None and cost_table.traversed:
+        shaped = np.array([arc in cost_table.traversed for arc in union], dtype=bool)
+        y_cost[shaped] = 0.0
+        for k in np.flatnonzero(shaped[x_arc]).tolist():
+            v, arc = int(x_v[k]), union[x_arc[k]]
             try:
-                coef = cost_table.modified[(v, arc)]
+                x_cost[k] = cost_table.modified[(v, arc)]
             except KeyError:
                 raise MissingCost(
                     f"cost table lacks a coefficient for vehicle {v} on arc {arc}"
                 ) from None
-            obj.append((idx, coef))
-        else:
-            obj.append((idx, (1.0 - eta) * cost[arc]))
-    for idx, arc in enumerate(union):
-        if arc not in shaped:
-            obj.append((idx, eta * cost[arc]))
-    model.set_objective(obj, sense="min")
+    model.set_objective(
+        cols=np.arange(n_cols), coefs=np.concatenate([y_cost, x_cost]), sense="min"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,6 +633,16 @@ def build_tif(
     that actually drives (one ``y`` unit per group and time slot) buys its
     share back.  ``relax_capacity`` drops the size cap and uses ``y`` as a
     0/1 usage flag, which is the relaxation the pairwise heuristic solves.
+
+    The model is built in blocks.  The columns are one ``x`` per kept
+    (vehicle, arc) pair, in sorted order, and entry time in its window, then
+    one ``y`` per (arc, entry time) slot that some ``x`` uses, found by a
+    stable sort of the ``x`` columns by encoded slot.  The rows are one
+    entry-time choice per kept pair; the precedence rows of each truck's
+    consecutive kept arcs ``a`` and ``b``, where row ``r`` reads
+    ``sum(x_a[:r+1]) - sum(x_b[:r+1]) >= 0`` over the two entry windows (a
+    triangle of terms, from ``tril_indices``); and the usage rows of each
+    slot.
     """
     net = instance.network
     eta = instance.eta
@@ -528,67 +653,70 @@ def build_tif(
         )
     m = MipModel("tif")
 
-    for v, arc in sorted(kept):
-        lo, hi = routes.entry_window(v, arc)
-        if lo > hi:
-            raise EmptyEntrySet(f"vehicle {v} has no admissible entry time on {arc}")
-    # one x per kept (vehicle, arc) pair and entry time in its window, then
-    # one y per (arc, entry time) slot that some x uses, each sorted
-    xvar: dict[tuple[int, Arc, int], int] = {}
-    slot_users: dict[tuple[Arc, int], list[int]] = defaultdict(list)
-    for v, arc in sorted(kept):
-        for tm in range(routes.entry_lo[v, arc], routes.entry_hi[v, arc] + 1):
-            xvar[v, arc, tm] = m.add_var(("x", *arc, v, tm), BINARY)
-            slot_users[arc, tm].append(v)
-
-    yvar: dict[tuple[Arc, int], int] = {}
-    for (arc, tm) in sorted(slot_users):
-        k = len(slot_users[arc, tm])
-        cap = q if q is not None else k
-        ub = 1 if relax_capacity else math.ceil(k / cap)
-        yvar[arc, tm] = m.add_var(("y", *arc, tm), INTEGER, 0, ub)
-
-    constant = sum(eta * net.cost[arc] for (_v, arc) in kept)
-    m.set_objective(
-        [(idx, -eta * net.cost[arc]) for (arc, _tm), idx in yvar.items()],
-        sense="max",
-        constant=constant,
+    pairs = sorted(kept)
+    lo = np.array([routes.entry_lo[p] for p in pairs], dtype=np.int64)
+    hi = np.array([routes.entry_hi[p] for p in pairs], dtype=np.int64)
+    if (lo > hi).any():
+        v, arc = pairs[int(np.argmax(lo > hi))]
+        raise EmptyEntrySet(f"vehicle {v} has no admissible entry time on {arc}")
+    # one x per kept pair and entry time in its window
+    pair_v, pair_i, pair_j = (
+        np.array([(v, *arc) for v, arc in pairs], dtype=np.int64).reshape(-1, 3).T
+    )
+    width = hi - lo + 1
+    base = np.cumsum(width) - width
+    seg, tm = _ragged(lo, width)
+    xv, xi, xj = pair_v[seg], pair_i[seg], pair_j[seg]
+    m.add_vars(
+        list(zip(repeat("x"), xi.tolist(), xj.tolist(), xv.tolist(), tm.tolist())), BINARY
     )
 
+    # one y per (arc, entry time) slot, in that order; users by vehicle
+    span = int(hi.max(initial=0)) + 1
+    order, starts, counts = _groups((xi * net.n_nodes + xj) * span + tm)
+    first = order[starts]
+    cap = counts if q is None or relax_capacity else np.full(len(counts), q)
+    upper = np.ones(len(counts)) if relax_capacity else -(-counts // cap)
+    ycols = m.add_vars(
+        list(zip(repeat("y"), xi[first].tolist(), xj[first].tolist(), tm[first].tolist())),
+        INTEGER,
+        0.0,
+        upper,
+    )
+
+    constant = sum(eta * net.cost[arc] for (_v, arc) in kept)
+    arc_cost = np.array([net.cost[i, j] for i, j in zip(xi[first].tolist(), xj[first].tolist())])
+    m.set_objective(cols=ycols, coefs=-eta * arc_cost, sense="max", constant=constant)
+
     # exactly one entry time per kept traversal
-    for v, arc in sorted(kept):
-        lo, hi = routes.entry_window(v, arc)
-        m.add_constr(
-            [(xvar[v, arc, tm], 1.0) for tm in range(lo, hi + 1)], "=", 1.0
-        )
+    m.add_rows(seg, np.arange(len(seg)), np.ones(len(seg)), "=", np.ones(len(pairs)))
 
     # a vehicle cannot enter a later arc before driving the earlier ones;
-    # offsets use cumulative path time, also across arcs modeled as loners
+    # offsets use cumulative path time, also across arcs modeled as loners.
+    # Row r of consecutive kept arcs a and b reads
+    # sum(x_a[:r + 1]) - sum(x_b[:r + 1]) >= 0, for r below the width of
+    # a's window minus one, so the rows' terms form a lower triangle.
+    index = {p: k for k, p in enumerate(pairs)}
+    links = []
     for v, path in sorted(routes.paths.items()):
         kept_arcs = [arc for arc in path if (v, arc) in kept]
-        for a, b in zip(kept_arcs, kept_arcs[1:]):
-            lo_a, hi_a = routes.entry_window(v, a)
-            delta = routes.entry_lo[v, b] - lo_a
-            for tm in range(lo_a, hi_a):
-                terms = [(xvar[v, a, tau], 1.0) for tau in range(lo_a, tm + 1)]
-                terms += [
-                    (xvar[v, b, tau], -1.0)
-                    for tau in range(routes.entry_lo[v, b], tm + delta + 1)
-                ]
-                m.add_constr(terms, ">=", 0.0)
+        links += [(index[v, a], index[v, b]) for a, b in zip(kept_arcs, kept_arcs[1:])]
+    pa, pb = np.array(links, dtype=np.int64).reshape(-1, 2).T
+    if (width[pb] < width[pa] - 1).any():
+        raise ValidationError("a truck's entry window narrows along its path")
+    n_rows = width[pa] - 1
+    tri_r, tri_s = np.tril_indices(int(n_rows.max(initial=0)))
+    link, entry = _ragged(np.zeros(len(n_rows), dtype=np.int64), n_rows * (n_rows + 1) // 2)
+    row = (np.cumsum(n_rows) - n_rows)[link] + tri_r[entry]
+    m.add_rows(
+        np.tile(row, 2),
+        np.concatenate([base[pa[link]], base[pb[link]]]) + np.tile(tri_s[entry], 2),
+        np.concatenate([np.ones(len(row)), np.full(len(row), -1.0)]),
+        ">=",
+        np.zeros(int(n_rows.sum())),
+    )
 
-    for (arc, tm), vs in sorted(slot_users.items()):
-        cap = q if q is not None else len(vs)
-        if relax_capacity:
-            cap = len(vs)
-        yidx = yvar[arc, tm]
-        m.add_constr(
-            [(xvar[v, arc, tm], 1.0) for v in vs] + [(yidx, -float(cap))],
-            "<=",
-            0.0,
-        )
-        for v in vs:
-            m.add_constr([(xvar[v, arc, tm], 1.0), (yidx, -1.0)], "<=", 0.0)
+    _usage_rows(m, order, counts, ycols, np.ones(len(counts), dtype=bool), cap.astype(np.float64))
     return m
 
 

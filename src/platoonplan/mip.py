@@ -2,8 +2,22 @@
 
 The model container is solver-agnostic: each variable has a name, which may
 be any hashable key (the builders key columns by tuples such as
-``("x", i, j, v)``), constraints are sparse term lists, and the objective
-may carry a constant.  :func:`solve` runs branch and bound over LP
+``("x", i, j, v)``), and the objective may carry a constant.  A model is
+stored as arrays, not as one object per column or row: a list of names with
+arrays of kinds and bounds for the columns, one COO entry (row, column,
+coefficient) per constraint term with an array of senses and right-hand
+sides for the rows, and one dense cost array for the objective.  The
+builders of large models fill these in blocks with
+:meth:`MipModel.add_vars`, :meth:`MipModel.add_rows` and the array form of
+:meth:`MipModel.set_objective`; :meth:`MipModel.add_var`,
+:meth:`MipModel.add_constr` and the term-list form of ``set_objective`` add
+one item to the same arrays.  Every coefficient, cost and right-hand side
+must be finite; a NaN or an infinity raises :class:`ModelInvalid` where it
+is added.  :attr:`MipModel.variables`, :attr:`MipModel.constraints` and
+:attr:`MipModel.objective` are read-only views built on each access, for
+reading a model, never for a hot path.
+
+:func:`solve` runs branch and bound over LP
 relaxations (HiGHS via ``scipy.optimize``), with best-bound node selection
 and most-fractional branching, both with lowest-index tie breaks, so a
 given model and config always reproduce the same search on one scipy
@@ -16,11 +30,11 @@ LPs, then 128, and so on.
 :func:`lp_text` prints a model as CPLEX-style LP text for debugging.
 
 A model compiles to solver arrays once: the constraint matrix, right-hand
-sides, bounds and integrality are kept on the model until the next
-:meth:`MipModel.add_var` or :meth:`MipModel.add_constr`, so re-solving a model
-whose objective alone was reset with :meth:`MipModel.set_objective` recomputes
-only the cost vector.  The iterative heuristic relies on this: it builds its
-routing model once per run and reprices it every round.
+sides, bounds and integrality are kept on the model until the next column
+or row is added, so re-solving a model whose objective alone was reset
+with :meth:`MipModel.set_objective` recomputes only the cost vector.  The
+iterative heuristic relies on this: it builds its routing model once per
+run and reprices it every round.
 
 All node LPs of one :func:`solve` call share one HiGHS LP object, loaded
 exactly as ``linprog(method="highs")`` loads it.  Each node changes only the
@@ -39,8 +53,8 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -63,7 +77,10 @@ BINARY = "binary"
 INTEGER = "integer"
 CONTINUOUS = "continuous"
 
+# a column's kind and a row's sense are stored as their index in these
+_KINDS = (CONTINUOUS, BINARY, INTEGER)
 _SENSES = ("<=", ">=", "=")
+_GE, _EQ = _SENSES.index(">="), _SENSES.index("=")
 _INT_TOL = 1e-6
 # LPs a search solves without an incumbent before its first dive; the
 # threshold doubles at each dive
@@ -83,28 +100,114 @@ class Variable:
     upper: float
 
 
+def _floats(values, size: int, what: str) -> np.ndarray:
+    """``values`` as a float array of ``size`` entries; a scalar is repeated."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim == 0:
+        return np.full(size, arr)
+    if arr.shape != (size,):
+        raise ModelInvalid(f"{what} has shape {arr.shape}, expected ({size},)")
+    return arr
+
+
+def _ids(values, what: str) -> np.ndarray:
+    """``values`` as a one-dimensional int64 array; floats are refused."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ModelInvalid(f"{what} must be a one-dimensional array of integers")
+    return arr.astype(np.int64, copy=False)
+
+
+def _finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise ModelInvalid(f"{what} must be finite, got {values[~np.isfinite(values)][0]}")
+
+
+def _extend(buf: array, values: np.ndarray) -> None:
+    buf.frombytes(memoryview(np.ascontiguousarray(values)).cast("B"))
+
+
 class MipModel:
-    """Sparse MIP container with named variables.
+    """Sparse MIP container with named variables, stored as arrays.
 
     A variable's name is its key: any hashable, unique within the model.
     Terms and objectives refer to a variable by that key or by its column
     index (an integer); :func:`lp_text` prints a tuple key as its parts
     joined by underscores.
+
+    Columns are a list of names and typed arrays of kinds and bounds.  Rows
+    are COO entries, one (row, column, coefficient) per term in the order
+    the terms were added, with one sense and right-hand side per row.  The
+    objective is one dense cost array over the columns that existed when it
+    was set; later columns cost 0.  ``num_vars`` and ``num_constrs`` are
+    O(1); ``variables``, ``constraints`` and ``objective`` are views built
+    on each access.
     """
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.variables: list[Variable] = []
+        self._names: list[Hashable] = []
         self._index: dict[Hashable, int] = {}
-        # each constraint: (var indices, coefficients, sense, rhs)
-        self.constraints: list[tuple[tuple[int, ...], tuple[float, ...], str, float]] = []
-        self.objective: dict[int, float] = {}
+        self._kind = array("b")
+        self._lower = array("d")
+        self._upper = array("d")
+        self._row = array("q")
+        self._col = array("q")
+        self._coef = array("d")
+        self._sense = array("b")
+        self._rhs = array("d")
+        self._cost = np.zeros(0)
         self.objective_constant = 0.0
         self.sense = "min"
         # solver arrays of the variables and constraints; see _compile
         self._arrays: _Arrays | None = None
 
     # -- construction -----------------------------------------------------
+
+    def add_vars(
+        self,
+        names: Sequence[Hashable],
+        kind: str = CONTINUOUS,
+        lower=0.0,
+        upper=math.inf,
+    ) -> np.ndarray:
+        """Add one column per name, all of ``kind``; return their indices.
+
+        ``lower`` and ``upper`` are scalars or arrays with one entry per
+        name.  Binary bounds are clipped to [0, 1].  A name that is already
+        in the model or repeated in ``names``, arrays of the wrong length
+        and empty bounds raise :class:`ModelInvalid` and add nothing.
+        """
+        names = list(names)
+        k = len(names)
+        if kind not in _KINDS:
+            raise ModelInvalid(f"unknown variable kind {kind!r}")
+        lower = _floats(lower, k, "lower")
+        upper = _floats(upper, k, "upper")
+        if kind == BINARY:
+            lower = np.where(lower < 0.0, 0.0, lower)
+            upper = np.where(upper > 1.0, 1.0, upper)
+        empty = ~(lower <= upper)
+        if empty.any():
+            at = int(np.argmax(empty))
+            raise ModelInvalid(
+                f"variable {names[at]!r} has empty bounds [{lower[at]}, {upper[at]}]"
+            )
+        start = len(self._names)
+        new = dict(zip(names, range(start, start + k)))
+        if len(new) < k or not self._index.keys().isdisjoint(new):
+            seen = set(self._index)
+            for name in names:
+                if name in seen:
+                    raise ModelInvalid(f"duplicate variable name {name!r}")
+                seen.add(name)
+        self._names += names
+        self._index.update(new)
+        self._kind.extend([_KINDS.index(kind)] * k)
+        _extend(self._lower, lower)
+        _extend(self._upper, upper)
+        self._arrays = None
+        return np.arange(start, start + k)
 
     def add_var(
         self,
@@ -113,25 +216,29 @@ class MipModel:
         lower: float = 0.0,
         upper: float = math.inf,
     ) -> int:
+        """Add one column, checked as :meth:`add_vars` checks a block."""
         if name in self._index:
             raise ModelInvalid(f"duplicate variable name {name!r}")
-        if kind not in (BINARY, INTEGER, CONTINUOUS):
+        if kind not in _KINDS:
             raise ModelInvalid(f"unknown variable kind {kind!r}")
         if kind == BINARY:
             lower = max(lower, 0.0)
             upper = min(upper, 1.0)
         if not lower <= upper:
             raise ModelInvalid(f"variable {name!r} has empty bounds [{lower}, {upper}]")
-        idx = len(self.variables)
-        self.variables.append(Variable(name, kind, float(lower), float(upper)))
+        idx = len(self._names)
+        self._names.append(name)
         self._index[name] = idx
+        self._kind.append(_KINDS.index(kind))
+        self._lower.append(lower)
+        self._upper.append(upper)
         self._arrays = None
         return idx
 
     def _resolve(self, var) -> int:
         """Column of ``var``: an integer is an index, anything else a name."""
         if isinstance(var, (int, np.integer)):
-            if not 0 <= var < len(self.variables):
+            if not 0 <= var < len(self._names):
                 raise ModelInvalid(f"variable index {var} out of range")
             return int(var)
         try:
@@ -139,44 +246,161 @@ class MipModel:
         except (KeyError, TypeError):
             raise ModelInvalid(f"unknown variable {var!r}") from None
 
+    def _columns(self, cols, what: str) -> np.ndarray:
+        cols = _ids(cols, what)
+        if cols.size and (cols.min() < 0 or cols.max() >= len(self._names)):
+            raise ModelInvalid(f"{what} holds a variable index out of range")
+        return cols
+
+    def add_rows(self, rows, cols, coefs, sense, rhs) -> int:
+        """Add a block of constraint rows; return the index of its first row.
+
+        ``rhs`` has one entry per new row.  ``sense`` is ``"<="``, ``">="``
+        or ``"="`` for every row of the block, or a sequence of them, one
+        per row.  Entry ``e`` of the equally long arrays ``rows``, ``cols``
+        and ``coefs`` puts ``coefs[e]`` at column ``cols[e]`` of the
+        block's row ``rows[e]``, counted from 0 within the block.  A row
+        keeps its terms in the order given (:func:`lp_text` prints them
+        so); duplicate terms of a row are summed when the model compiles.
+        Coefficients and right-hand sides must be finite.  A bad block
+        raises :class:`ModelInvalid` and adds nothing.
+        """
+        rhs = np.asarray(rhs, dtype=np.float64)
+        if rhs.ndim != 1:
+            raise ModelInvalid("rhs must be one-dimensional")
+        k = len(rhs)
+        rows = _ids(rows, "rows")
+        cols = self._columns(cols, "cols")
+        coefs = np.asarray(coefs, dtype=np.float64)
+        if not rows.shape == cols.shape == coefs.shape:
+            raise ModelInvalid(
+                f"rows, cols and coefs have lengths {len(rows)}, {len(cols)} and {coefs.size}"
+            )
+        if rows.size and (rows.min() < 0 or rows.max() >= k):
+            raise ModelInvalid(f"rows must lie in [0, {k})")
+        if isinstance(sense, str):
+            if sense not in _SENSES:
+                raise ModelInvalid(f"unknown constraint sense {sense!r}")
+            codes = np.full(k, _SENSES.index(sense), dtype=np.int8)
+        else:
+            named = np.asarray(sense)
+            if named.shape != (k,):
+                raise ModelInvalid(f"sense has shape {named.shape}, expected ({k},)")
+            codes = np.full(k, -1, dtype=np.int8)
+            for code, text in enumerate(_SENSES):
+                codes[named == text] = code
+            if (codes < 0).any():
+                raise ModelInvalid(f"unknown constraint sense {named[codes < 0][0]!r}")
+        _finite(coefs, "constraint coefficients")
+        _finite(rhs, "right-hand sides")
+        first = len(self._sense)
+        _extend(self._row, rows + first)
+        _extend(self._col, cols)
+        _extend(self._coef, coefs)
+        _extend(self._sense, codes)
+        _extend(self._rhs, rhs)
+        self._arrays = None
+        return first
+
     def add_constr(self, terms: Iterable[tuple], sense: str, rhs: float) -> int:
+        """Add one row of (variable, coefficient) terms, summing the terms
+        of each variable; checked as :meth:`add_rows` checks a block."""
         if sense not in _SENSES:
             raise ModelInvalid(f"unknown constraint sense {sense!r}")
         merged: dict[int, float] = {}
         for var, coef in terms:
             idx = self._resolve(var)
             merged[idx] = merged.get(idx, 0.0) + float(coef)
-        row = len(self.constraints)
-        self.constraints.append((tuple(merged.keys()), tuple(merged.values()), sense, float(rhs)))
+        rhs = float(rhs)
+        if not all(map(math.isfinite, merged.values())):
+            raise ModelInvalid("constraint coefficients must be finite")
+        if not math.isfinite(rhs):
+            raise ModelInvalid(f"right-hand sides must be finite, got {rhs}")
+        row = len(self._sense)
+        self._row.extend([row] * len(merged))
+        self._col.extend(merged.keys())
+        self._coef.extend(merged.values())
+        self._sense.append(_SENSES.index(sense))
+        self._rhs.append(rhs)
         self._arrays = None
         return row
 
-    def set_objective(self, terms: Iterable[tuple], sense: str = "min", constant: float = 0.0) -> None:
+    def set_objective(
+        self,
+        terms: Iterable[tuple] = (),
+        sense: str = "min",
+        constant: float = 0.0,
+        *,
+        cols=None,
+        coefs=None,
+    ) -> None:
+        """Replace the objective.
+
+        The costs are either ``terms``, (variable, coefficient) pairs, or
+        the equally long arrays ``cols`` (column indices) and ``coefs``;
+        the costs of a column are summed.  Costs and ``constant`` must be
+        finite.
+        """
         if sense not in ("min", "max"):
             raise ModelInvalid(f"objective sense must be min or max, got {sense!r}")
-        obj: dict[int, float] = {}
-        for var, coef in terms:
-            idx = self._resolve(var)
-            obj[idx] = obj.get(idx, 0.0) + float(coef)
-        self.objective = obj
-        self.objective_constant = float(constant)
+        if cols is None:
+            pairs = [(self._resolve(var), float(coef)) for var, coef in terms]
+            cols = np.fromiter((c for c, _ in pairs), np.int64, len(pairs))
+            coefs = np.fromiter((c for _, c in pairs), np.float64, len(pairs))
+        cols = self._columns(cols, "cols")
+        coefs = np.asarray(coefs, dtype=np.float64)
+        if coefs.shape != cols.shape:
+            raise ModelInvalid(f"cols and coefs have lengths {len(cols)} and {coefs.size}")
+        _finite(coefs, "objective coefficients")
+        constant = float(constant)
+        _finite(np.array([constant]), "the objective constant")
+        self._cost = np.bincount(cols, weights=coefs, minlength=len(self._names))
+        self.objective_constant = constant
         self.sense = sense
 
     # -- introspection ----------------------------------------------------
 
     @property
     def num_vars(self) -> int:
-        return len(self.variables)
+        return len(self._names)
 
     @property
     def num_constrs(self) -> int:
-        return len(self.constraints)
+        return len(self._sense)
 
     def var_index(self, name: Hashable) -> int:
         return self._index[name]
 
     def var_name(self, idx: int) -> Hashable:
-        return self.variables[idx].name
+        return self._names[idx]
+
+    @property
+    def variables(self) -> list[Variable]:
+        """The columns, one :class:`Variable` each; built on each access."""
+        kinds = [_KINDS[k] for k in self._kind]
+        return list(map(Variable, self._names, kinds, self._lower, self._upper))
+
+    @property
+    def constraints(self) -> list[tuple[tuple[int, ...], tuple[float, ...], str, float]]:
+        """The rows as ``(columns, coefficients, sense, rhs)``, each row's
+        terms in the order they were added; built on each access."""
+        row = np.array(self._row, dtype=np.int64)
+        order = np.argsort(row, kind="stable")
+        cols = np.array(self._col, dtype=np.int64)[order].tolist()
+        coefs = np.array(self._coef, dtype=np.float64)[order].tolist()
+        ends = np.cumsum(np.bincount(row, minlength=self.num_constrs)).tolist()
+        out = []
+        at = 0
+        for end, code, rhs in zip(ends, self._sense, self._rhs):
+            out.append((tuple(cols[at:end]), tuple(coefs[at:end]), _SENSES[code], rhs))
+            at = end
+        return out
+
+    @property
+    def objective(self) -> dict[int, float]:
+        """The nonzero costs by column index; built on each access."""
+        nonzero = np.flatnonzero(self._cost)
+        return dict(zip(nonzero.tolist(), self._cost[nonzero].tolist()))
 
 
 @dataclass
@@ -210,7 +434,7 @@ class _Arrays:
     """The solver arrays of a model's variables and constraints.
 
     They do not depend on the objective, so a model keeps them until its
-    next :meth:`MipModel.add_var` or :meth:`MipModel.add_constr`.
+    next column or row is added.
     """
 
     a_ub: csr_matrix | None
@@ -232,43 +456,45 @@ class _Compiled(_Arrays):
     flip: bool
 
 
-def _block(rows, n: int, signs: np.ndarray | None):
-    """One COO block of constraint rows as CSR, rows scaled by ``signs``."""
-    if not rows:
+def _block(keep, pos, row, col, coef, rhs, n: int, signs: np.ndarray | None):
+    """The rows ``keep`` selects as one CSR matrix, each row at its ``pos``
+    and scaled by its sign in ``signs``, and their right-hand sides."""
+    count = int(keep.sum())
+    if not count:
         return None, None
-    lengths = np.fromiter((len(r[0]) for r in rows), np.int64, len(rows))
-    nnz = int(lengths.sum())
-    cols = np.fromiter(chain.from_iterable(r[0] for r in rows), np.int64, nnz)
-    vals = np.fromiter(chain.from_iterable(r[1] for r in rows), np.float64, nnz)
-    rhs = np.fromiter((r[3] for r in rows), np.float64, len(rows))
+    entries = keep[row]
+    row = row[entries]
+    vals = coef[entries]
+    rhs = rhs[keep]
     if signs is not None:
-        vals = np.repeat(signs, lengths) * vals
-        rhs = signs * rhs
-    row_ids = np.repeat(np.arange(len(rows), dtype=np.int64), lengths)
-    return csr_matrix((vals, (row_ids, cols)), shape=(len(rows), n)), rhs
+        vals = signs[row] * vals
+        rhs = signs[keep] * rhs
+    return csr_matrix((vals, (pos[row], col[entries])), shape=(count, n)), rhs
 
 
 def _compile_arrays(model: MipModel) -> _Arrays:
     n = model.num_vars
-    variables = model.variables
-    lower = np.fromiter((v.lower for v in variables), np.float64, n)
-    upper = np.fromiter((v.upper for v in variables), np.float64, n)
-    int_mask = np.fromiter((v.kind != CONTINUOUS for v in variables), bool, n)
-    # ">=" rows are negated into "<=" rows; equalities keep their own block
-    eq_rows = [con for con in model.constraints if con[2] == "="]
-    ub_rows = [con for con in model.constraints if con[2] != "="]
-    signs = np.array([1.0 if con[2] == "<=" else -1.0 for con in ub_rows])
-    a_ub, b_ub = _block(ub_rows, n, signs)
-    a_eq, b_eq = _block(eq_rows, n, None)
+    sense = np.array(model._sense, dtype=np.int8)
+    rhs = np.array(model._rhs, dtype=np.float64)
+    row = np.array(model._row, dtype=np.int64)
+    col = np.array(model._col, dtype=np.int64)
+    coef = np.array(model._coef, dtype=np.float64)
+    # ">=" rows are negated into "<=" rows; equalities keep their own block,
+    # and each block keeps the model's row order
+    is_eq = sense == _EQ
+    pos = np.where(is_eq, np.cumsum(is_eq), np.cumsum(~is_eq)) - 1
+    signs = np.where(sense == _GE, -1.0, 1.0)
+    a_ub, b_ub = _block(~is_eq, pos, row, col, coef, rhs, n, signs)
+    a_eq, b_eq = _block(is_eq, pos, row, col, coef, rhs, n, None)
     return _Arrays(
         a_ub=a_ub,
         b_ub=b_ub,
         a_eq=a_eq,
         b_eq=b_eq,
-        lower=lower,
-        upper=upper,
-        int_mask=int_mask,
-        names=[v.name for v in variables],
+        lower=np.array(model._lower, dtype=np.float64),
+        upper=np.array(model._upper, dtype=np.float64),
+        int_mask=np.array(model._kind, dtype=np.int8) != _KINDS.index(CONTINUOUS),
+        names=list(model._names),
     )
 
 
@@ -277,11 +503,7 @@ def _compile(model: MipModel) -> _Compiled:
     if model._arrays is None:
         model._arrays = _compile_arrays(model)
     c = np.zeros(model.num_vars)
-    k = len(model.objective)
-    if k:
-        c[np.fromiter(model.objective.keys(), np.intp, k)] = np.fromiter(
-            model.objective.values(), np.float64, k
-        )
+    c[: len(model._cost)] = model._cost
     flip = model.sense == "max"
     if flip:
         c = -c
@@ -601,7 +823,8 @@ def _label(key: Hashable) -> str:
 
 def lp_text(model: MipModel) -> str:
     """CPLEX-style LP text of ``model``, for reading and debugging."""
-    labels = [_label(v.name) for v in model.variables]
+    variables = model.variables
+    labels = [_label(v.name) for v in variables]
     lines = [f"\\ {model.name}"]
     lines.append("Maximize" if model.sense == "max" else "Minimize")
     obj_pairs = [(labels[i], c) for i, c in sorted(model.objective.items()) if c != 0.0]
@@ -612,7 +835,7 @@ def lp_text(model: MipModel) -> str:
         op = {"<=": "<=", ">=": ">=", "=": "="}[sense]
         lines.append(f" c{row}: {_lp_terms(pairs)} {op} {_num(rhs)}")
     lines.append("Bounds")
-    for v, label in zip(model.variables, labels):
+    for v, label in zip(variables, labels):
         if v.kind == BINARY:
             continue
         if v.lower == -math.inf and v.upper == math.inf:
@@ -623,8 +846,8 @@ def lp_text(model: MipModel) -> str:
             lines.append(f" {label} <= {_num(v.upper)}")
         else:
             lines.append(f" {_num(v.lower)} <= {label} <= {_num(v.upper)}")
-    binaries = [label for v, label in zip(model.variables, labels) if v.kind == BINARY]
-    generals = [label for v, label in zip(model.variables, labels) if v.kind == INTEGER]
+    binaries = [label for v, label in zip(variables, labels) if v.kind == BINARY]
+    generals = [label for v, label in zip(variables, labels) if v.kind == INTEGER]
     if binaries:
         lines.append("Binary")
         lines.append(" " + " ".join(binaries))

@@ -89,6 +89,11 @@ def small_instance(seed, max_nodes=8, max_vehicles=6, slack_max=3,
     return instance
 
 
+# small_instance arguments of a draw whose TSF models branch; the default
+# draw nearly always proves TSF at the root node
+BRANCHING_DRAW = {"max_vehicles": 10, "slack_max": 4, "q_pool": (2,)}
+
+
 def collect_instances(n, seed_start=0, **kwargs):
     """First ``n`` acceptable draws from consecutive seeds."""
     out = []

@@ -535,3 +535,226 @@ def shrink_by_instance(instance, routes, chosen):
         horizon=instance.horizon,
     )
     return FixedRoutes.build(shrunk, routes.paths)
+
+
+# -- the row-by-row builders ---------------------------------------------------
+#
+# build_tsf, build_tif and build_fcnf as they were when they added one column
+# and one row at a time.  The columnar builders must compile to the same
+# arrays and names.
+
+
+def tsf_by_rows(instance, tsn):
+    """``build_tsf``, one ``add_var`` and ``add_constr`` per column and row."""
+    net = instance.network
+    eta = instance.eta
+    q = instance.q_limit
+    adm = instance.admissible
+    tt = net.travel_time
+    horizon = tsn.horizon
+    m = MipModel("tsf")
+
+    move_users = defaultdict(list)
+    xvar = {}
+    out_at = []
+    in_at = []
+
+    for v, veh in enumerate(instance.vehicles):
+        win = instance.windows[v]
+        outs = defaultdict(list)
+        ins = defaultdict(list)
+        for arc in net.arcs:
+            if arc not in adm[v]:
+                continue
+            i, j = arc
+            t_ij = tt[arc]
+            (lo_i, hi_i), (lo_j, hi_j) = win[i], win[j]
+            last = min(hi_i, hi_j - t_ij, horizon - t_ij)
+            for tm in range(max(lo_i, lo_j - t_ij), last + 1):
+                t2 = tm + t_ij
+                idx = m.add_var(("x", i, tm, j, t2, v), BINARY)
+                xvar[v, (i, tm, j, t2)] = idx
+                move_users[(i, tm, j, t2)].append(v)
+                outs[(i, tm)].append(idx)
+                ins[(j, t2)].append(idx)
+        reach = {n for arc in adm[v] for n in arc} | {veh.origin, veh.dest}
+        for i in sorted(reach):
+            lo_i, hi_i = win[i]
+            for tm in range(lo_i, min(hi_i, horizon)):
+                idx = m.add_var(("x", i, tm, i, tm + 1, v), BINARY)
+                outs[(i, tm)].append(idx)
+                ins[(i, tm + 1)].append(idx)
+        out_at.append(outs)
+        in_at.append(ins)
+
+    yvar = {}
+    for ts_arc in sorted(move_users):
+        k = len(move_users[ts_arc])
+        if k == 1:
+            continue
+        cap = q if q is not None else k
+        yvar[ts_arc] = m.add_var(("y", *ts_arc), INTEGER, 0, math.ceil(k / cap))
+
+    obj = []
+    for (_v, ts_arc), idx in xvar.items():
+        c = net.cost[ts_arc[0], ts_arc[2]]
+        coef = (1.0 - eta) * c
+        if ts_arc not in yvar:
+            coef += eta * c
+        obj.append((idx, coef))
+    for ts_arc, idx in yvar.items():
+        obj.append((idx, eta * net.cost[ts_arc[0], ts_arc[2]]))
+    m.set_objective(obj, sense="min")
+
+    for v, veh in enumerate(instance.vehicles):
+        source = (veh.origin, veh.earliest_departure)
+        sink = (veh.dest, veh.latest_arrival)
+        ts_nodes = sorted(set(out_at[v]) | set(in_at[v]) | {source, sink})
+        for node in ts_nodes:
+            terms = [(idx, 1.0) for idx in out_at[v].get(node, ())]
+            terms += [(idx, -1.0) for idx in in_at[v].get(node, ())]
+            rhs = 1.0 if node == source else -1.0 if node == sink else 0.0
+            m.add_constr(terms, "=", rhs)
+
+    for ts_arc, yidx in yvar.items():
+        vs = move_users[ts_arc]
+        if q is not None and len(vs) > q:
+            m.add_constr(
+                [(xvar[v, ts_arc], 1.0) for v in vs] + [(yidx, -float(q))],
+                "<=",
+                0.0,
+            )
+        for v in vs:
+            m.add_constr([(xvar[v, ts_arc], 1.0), (yidx, -1.0)], "<=", 0.0)
+    return m
+
+
+def _flow_rows_by_rows(m, instance, v, x):
+    veh = instance.vehicles[v]
+    outs = defaultdict(list)
+    ins = defaultdict(list)
+    for arc in instance.admissible[v]:
+        outs[arc[0]].append((x[v, arc], 1.0))
+        ins[arc[1]].append((x[v, arc], -1.0))
+    for node in sorted(outs.keys() | ins.keys() | {veh.origin, veh.dest}):
+        terms = outs.get(node, []) + ins.get(node, [])
+        rhs = 1.0 if node == veh.origin else -1.0 if node == veh.dest else 0.0
+        if terms or rhs:
+            m.add_constr(terms, "=", rhs)
+
+
+def fcnf_by_rows(instance, cost_table=None):
+    """``build_fcnf``, one ``add_var`` and ``add_constr`` per column and
+    row, priced term by term."""
+    net = instance.network
+    adm = instance.admissible
+    cost = net.cost
+    eta = instance.eta
+    m = MipModel("fcnf")
+
+    union = sorted(set().union(*adm.values())) if adm else []
+    xkeys = [(v, arc) for v in range(len(instance.vehicles)) for arc in sorted(adm[v])]
+    yvar = {arc: m.add_var(("y", *arc), BINARY) for arc in union}
+    xvar = {(v, arc): m.add_var(("x", *arc, v), BINARY) for v, arc in xkeys}
+
+    shaped = cost_table.traversed if cost_table is not None else frozenset()
+    obj = []
+    for (v, arc), idx in xvar.items():
+        if arc in shaped:
+            obj.append((idx, cost_table.modified[(v, arc)]))
+        else:
+            obj.append((idx, (1.0 - eta) * cost[arc]))
+    for arc, idx in yvar.items():
+        if arc not in shaped:
+            obj.append((idx, eta * cost[arc]))
+    m.set_objective(obj, sense="min")
+
+    tt = net.travel_time
+    for v, veh in enumerate(instance.vehicles):
+        _flow_rows_by_rows(m, instance, v, xvar)
+        window = float(veh.latest_arrival - veh.earliest_departure)
+        m.add_constr([(xvar[v, a], float(tt[a])) for a in sorted(adm[v])], "<=", window)
+
+    for (v, arc), idx in xvar.items():
+        m.add_constr([(idx, 1.0), (yvar[arc], -1.0)], "<=", 0.0)
+    return m
+
+
+def tif_by_rows(instance, routes, kept=None, relax_capacity=False):
+    """``build_tif``, one ``add_var`` and ``add_constr`` per column and row."""
+    net = instance.network
+    eta = instance.eta
+    q = instance.q_limit
+    if kept is None:
+        kept = frozenset((v, arc) for v, path in routes.paths.items() for arc in path)
+    m = MipModel("tif")
+
+    xvar = {}
+    slot_users = defaultdict(list)
+    for v, arc in sorted(kept):
+        for tm in range(routes.entry_lo[v, arc], routes.entry_hi[v, arc] + 1):
+            xvar[v, arc, tm] = m.add_var(("x", *arc, v, tm), BINARY)
+            slot_users[arc, tm].append(v)
+
+    yvar = {}
+    for (arc, tm) in sorted(slot_users):
+        k = len(slot_users[arc, tm])
+        cap = q if q is not None else k
+        ub = 1 if relax_capacity else math.ceil(k / cap)
+        yvar[arc, tm] = m.add_var(("y", *arc, tm), INTEGER, 0, ub)
+
+    constant = sum(eta * net.cost[arc] for (_v, arc) in kept)
+    m.set_objective(
+        [(idx, -eta * net.cost[arc]) for (arc, _tm), idx in yvar.items()],
+        sense="max",
+        constant=constant,
+    )
+
+    for v, arc in sorted(kept):
+        lo, hi = routes.entry_window(v, arc)
+        m.add_constr([(xvar[v, arc, tm], 1.0) for tm in range(lo, hi + 1)], "=", 1.0)
+
+    for v, path in sorted(routes.paths.items()):
+        kept_arcs = [arc for arc in path if (v, arc) in kept]
+        for a, b in zip(kept_arcs, kept_arcs[1:]):
+            lo_a, hi_a = routes.entry_window(v, a)
+            delta = routes.entry_lo[v, b] - lo_a
+            for tm in range(lo_a, hi_a):
+                terms = [(xvar[v, a, tau], 1.0) for tau in range(lo_a, tm + 1)]
+                terms += [
+                    (xvar[v, b, tau], -1.0)
+                    for tau in range(routes.entry_lo[v, b], tm + delta + 1)
+                ]
+                m.add_constr(terms, ">=", 0.0)
+
+    for (arc, tm), vs in sorted(slot_users.items()):
+        cap = q if q is not None else len(vs)
+        if relax_capacity:
+            cap = len(vs)
+        yidx = yvar[arc, tm]
+        m.add_constr(
+            [(xvar[v, arc, tm], 1.0) for v in vs] + [(yidx, -float(cap))], "<=", 0.0
+        )
+        for v in vs:
+            m.add_constr([(xvar[v, arc, tm], 1.0), (yidx, -1.0)], "<=", 0.0)
+    return m
+
+
+def assert_same_arrays(got: _Compiled, want: _Compiled) -> None:
+    """Two compiled models are identical: every array's dtype and bytes,
+    the sparse structure, the constant, the sense and the names."""
+    for name in ("c", "b_ub", "b_eq", "lower", "upper", "int_mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("a_ub", "a_eq"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape, name
+            for part in ("indptr", "indices", "data"):
+                x, y = getattr(a, part), getattr(b, part)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, part)
+    assert (got.const, got.flip, got.names) == (want.const, want.flip, want.names)
+    assert all(type(a) is type(b) for a, b in zip(got.names, want.names))

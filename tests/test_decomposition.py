@@ -6,7 +6,6 @@ import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,7 +14,7 @@ import platoonplan.decomposition as decomposition_module
 import platoonplan.evaluate as evaluate_module
 import platoonplan.instance as instance_module
 from instgen import FIELD_OPTIMA, field_fleet, small_instance, time_shortest_paths
-from oracles import FullTableHistory, kept_pairs, overlap_components
+from oracles import FullTableHistory, assert_same_arrays, kept_pairs, overlap_components
 from platoonplan.decomposition import (
     CostTable,
     DecompositionConfig,
@@ -675,23 +674,6 @@ def test_run_builds_routing_model_once(demo, monkeypatch):
     _best, log = run(demo, DecompositionConfig(mode="icmp"))
     assert len(log.records) > 1
     assert calls == [(demo, None)]
-
-
-def assert_same_arrays(got, want):
-    for name in ("c", "b_ub", "b_eq", "lower", "upper", "int_mask"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-    for name in ("a_ub", "a_eq"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert a.shape == b.shape, name
-            for part in ("indptr", "indices", "data"):
-                x, y = getattr(a, part), getattr(b, part)
-                assert x.dtype == y.dtype and np.array_equal(x, y), (name, part)
-    assert (got.const, got.flip, got.names) == (want.const, want.flip, want.names)
 
 
 @pytest.mark.parametrize("mode", ["icmp", "llcmp"])

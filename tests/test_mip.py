@@ -1,12 +1,19 @@
 """Branch and bound solver, model container, and LP text dump."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import platoonplan.mip as mip_module
-from oracles import _feasible_point, enumerate_mip, milp_oracle, model_arrays
+from oracles import (
+    _feasible_point,
+    assert_same_arrays,
+    enumerate_mip,
+    milp_oracle,
+    model_arrays,
+)
 from platoonplan.errors import ModelInfeasible, ModelInvalid, Unbounded
 from platoonplan.evaluate import check, decode, shortest_path_cost, total_cost
 from platoonplan.formulations import build_cpf
@@ -279,6 +286,114 @@ def test_lp_text_structure():
     assert text.rstrip().endswith("End")
 
 
+# -- bulk construction ----------------------------------------------------------
+
+
+def bulk_copy(model: MipModel) -> MipModel:
+    """``model`` rebuilt by add_vars, one block per run of columns of one
+    kind, one add_rows block whose entries come last row first, and the
+    array form of set_objective."""
+    copy = MipModel(model.name)
+    variables = model.variables
+    start = 0
+    for k, var in enumerate(variables + [None]):
+        if var is None or var.kind != variables[start].kind:
+            run = variables[start:k]
+            copy.add_vars(
+                [v.name for v in run],
+                run[0].kind,
+                [v.lower for v in run],
+                [v.upper for v in run],
+            )
+            start = k
+    rows, cols, coefs = [], [], []
+    for r, (idxs, vals, _sense, _rhs) in reversed(list(enumerate(model.constraints))):
+        rows += [r] * len(idxs)
+        cols += idxs
+        coefs += vals
+    copy.add_rows(
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        coefs,
+        [con[2] for con in model.constraints],
+        [con[3] for con in model.constraints],
+    )
+    copy.set_objective(
+        sense=model.sense,
+        constant=model.objective_constant,
+        cols=np.array(list(model.objective), dtype=np.int64),
+        coefs=list(model.objective.values()),
+    )
+    return copy
+
+
+@pytest.mark.parametrize(
+    "which", [f"rand{seed}" for seed in range(30)] + ["knapsack"] + [f"cpf{k}" for k in range(4)]
+)
+def test_bulk_and_one_item_construction_compile_alike(which):
+    if which == "knapsack":
+        model = knapsack()
+    elif which.startswith("cpf"):
+        model = build_cpf(cpf_fleets()[int(which[3:])])
+    else:
+        model = random_model(int(which[4:]))
+    copy = bulk_copy(model)
+    assert_same_arrays(_compile(copy), _compile(model))
+    assert lp_text(copy) == lp_text(model)
+
+
+def test_rows_keep_their_terms_in_order():
+    m = MipModel()
+    assert list(m.add_vars(["a", "b", "c"], INTEGER, 0.0, [1.0, 2.0, 3.0])) == [0, 1, 2]
+    first = m.add_rows([1, 0, 1, 0], [2, 1, 0, 2], [1.0, 2.0, 3.0, 4.0], [">=", "="], [1.0, 2.0])
+    assert first == 0 and m.num_constrs == 2
+    assert m.constraints == [((1, 2), (2.0, 4.0), ">=", 1.0), ((2, 0), (1.0, 3.0), "=", 2.0)]
+    assert m.add_constr([("b", 1.0), ("a", 1.0), ("b", 1.0)], "<=", 4.0) == 2
+    assert m.constraints[2] == ((1, 0), (2.0, 1.0), "<=", 4.0)
+    assert [(v.name, v.kind, v.upper) for v in m.variables] == [
+        ("a", INTEGER, 1.0), ("b", INTEGER, 2.0), ("c", INTEGER, 3.0)
+    ]
+
+
+def test_bulk_additions_after_a_solve_are_seen():
+    m = knapsack()
+    assert solve(m).objective == pytest.approx(9.0)
+    (d,) = m.add_vars(["d"], BINARY)
+    m.add_rows([0, 0], [d, 0], [1.0, 1.0], "<=", [1.0])
+    m.set_objective(cols=[0, 1, 2, d], coefs=[5.0, 4.0, 3.0, 10.0], sense="max")
+    res = solve(m)
+    assert res.objective == pytest.approx(17.0)
+    assert res.values["d"] == 1.0 and res.values["a"] == 0.0
+
+
+def test_bad_blocks_raise_and_add_nothing():
+    m = knapsack()
+    before = lp_text(m)
+    cases = {
+        "name twice in the block": lambda: m.add_vars(["d", "d"], BINARY),
+        "name already in the model": lambda: m.add_vars(["d", "a"], BINARY),
+        "unknown kind": lambda: m.add_vars(["d"], "semicontinuous"),
+        "short lower": lambda: m.add_vars(["d", "e"], INTEGER, [0.0], 1.0),
+        "long upper": lambda: m.add_vars(["d", "e"], INTEGER, 0.0, [1.0, 2.0, 3.0]),
+        "empty bounds": lambda: m.add_vars(["d", "e"], INTEGER, [0.0, 2.0], [1.0, 1.0]),
+        "nan bound": lambda: m.add_vars(["d"], CONTINUOUS, np.nan, 1.0),
+        "short coefs": lambda: m.add_rows([0, 0], [0, 1], [1.0], "<=", [1.0]),
+        "row past the block": lambda: m.add_rows([0, 1], [0, 1], [1.0, 1.0], "<=", [1.0]),
+        "column out of range": lambda: m.add_rows([0], [3], [1.0], "<=", [1.0]),
+        "float column": lambda: m.add_rows([0], [0.0], [1.0], "<=", [1.0]),
+        "unknown sense": lambda: m.add_rows([0, 1], [0, 1], [1.0, 1.0], ["<=", "<"], [1.0, 1.0]),
+        "short senses": lambda: m.add_rows([0, 1], [0, 1], [1.0, 1.0], ["<="], [1.0, 1.0]),
+        "short costs": lambda: m.set_objective(cols=[0, 1], coefs=[1.0]),
+        "cost column out of range": lambda: m.set_objective(cols=[0, 5], coefs=[1.0, 1.0]),
+    }
+    for case, add in cases.items():
+        with pytest.raises(ModelInvalid):
+            add()
+            pytest.fail(case)
+    assert lp_text(m) == before
+    assert (m.num_vars, m.num_constrs) == (3, 1)
+
+
 # -- the two LP paths: hot-started HiGHS and the cold linprog fallback -------
 
 
@@ -297,6 +412,32 @@ def hub_fleet(n, trucks, seed):
 def cpf_fleets():
     """The demo and three hub fleets whose CPF models branch (3 to 15 nodes)."""
     return [three_truck_demo(), hub_fleet(5, 10, 1), hub_fleet(5, 8, 1), hub_fleet(4, 6, 3)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_model_data_is_refused_where_it_is_added(bad, lp_path):
+    """A NaN coefficient once solved to a wrong "optimal" or "infeasible",
+    and an infinite one failed inside HiGHS.  Now every coefficient, cost,
+    constant and right-hand side must be finite when it is added; the
+    refused item leaves the model as it was."""
+    m = MipModel()
+    m.add_var("a", CONTINUOUS, 0.0, 5.0)
+    m.set_objective([("a", 1.0)], sense="max")
+    for add in (
+        lambda: m.add_constr([("a", bad)], "<=", 1.0),
+        lambda: m.add_constr([("a", 1.0)], "<=", bad),
+        lambda: m.add_rows([0], [0], [bad], "<=", [1.0]),
+        lambda: m.add_rows([0, 1], [0, 0], [1.0, 1.0], "<=", [1.0, bad]),
+        lambda: m.set_objective([("a", bad)], sense="max"),
+        lambda: m.set_objective(cols=[0], coefs=[bad], sense="max"),
+        lambda: m.set_objective([("a", 1.0)], sense="max", constant=bad),
+    ):
+        with pytest.raises(ModelInvalid, match="finite"):
+            add()
+    assert m.num_constrs == 0
+    res = solve(m)
+    assert res.status == OPTIMAL and res.objective == 5.0
+    assert lp_bound(m) == 5.0
 
 
 def infeasible_after_branching() -> MipModel:

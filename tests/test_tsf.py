@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from instgen import FIELD_OPTIMA, field_fleet, small_instance
+from instgen import BRANCHING_DRAW, FIELD_OPTIMA, field_fleet, small_instance
 from oracles import brute_force_joint, full_tsf
 from platoonplan.evaluate import check, decode, total_cost
 from platoonplan.formulations import build_tsf
@@ -100,6 +100,16 @@ def test_reduction_keeps_bound_and_optimum(instance):
 @given(st.integers(0, 2**16), st.sampled_from([2, 3, None]))
 def test_reduction_keeps_bound_and_optimum_property(seed, q_limit):
     instance = small_instance(seed, q_pool=(q_limit,))
+    assume(instance is not None)
+    model, _full = assert_same_bound_and_optimum(instance)
+    assert_reduced_shape(instance, model)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(0, 2**16))
+def test_reduction_keeps_bound_and_optimum_on_branching_draws(seed):
+    """More trucks, more slack and a cap of two: draws whose models branch."""
+    instance = small_instance(seed, **BRANCHING_DRAW)
     assume(instance is not None)
     model, _full = assert_same_bound_and_optimum(instance)
     assert_reduced_shape(instance, model)

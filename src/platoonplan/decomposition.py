@@ -225,29 +225,30 @@ def modify_costs(
                 scenarios[key] = 1
                 continue
 
-            lo_v, hi_v = windows[v][arc[0]]
-            meet = [
-                u
-                for u in drivers
-                if max(lo_v, routes.entry_lo[u, arc]) <= min(hi_v, routes.entry_hi[u, arc])
-            ]
-
             cycled = _cycled_cost(v, arc, c, comp_now.get(arc), history)
             if cycled is not None:
                 modified[key] = cycled
                 scenarios[key] = 4
-            elif mode == "llcmp":
+                continue
+
+            # the drivers of the arc whose entry windows overlap the truck's:
+            # llcmp asks whether there is one, icmp how many there are
+            lo_v, hi_v = windows[v][arc[0]]
+            meets = (
+                max(lo_v, routes.entry_lo[u, arc]) <= min(hi_v, routes.entry_hi[u, arc])
+                for u in drivers
+            )
+            met = any(meets) if mode == "llcmp" else sum(meets)
+            scenarios[key] = 3 if met else 2
+            if mode == "llcmp":
                 modified[key] = (1.0 - eta) * c
-                scenarios[key] = 3 if meet else 2
-            elif not meet:
+            elif not met:
                 modified[key] = c
-                scenarios[key] = 2
             else:
-                k = 1 + len(meet)
+                k = 1 + met
                 if q is not None:
                     k = min(q, k)
                 modified[key] = (1.0 - eta) * c + eta * c / k
-                scenarios[key] = 3
 
     return CostTable(
         traversed=traversed,
@@ -448,12 +449,20 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
 
     Returns the best feasible :class:`PlatoonSolution` and the per-round
     log.  The first round's routing bound, taken at base costs, is a valid
-    lower bound on the joint optimum.
+    lower bound on the joint optimum.  An unknown mode or scheduler, a
+    ``gamma`` outside [0, 1], a ``time_limit`` that is NaN or negative and a
+    ``repeat_limit`` below 1 raise :class:`ValidationError` before any work.
     """
     cfg = cfg or DecompositionConfig()
     if cfg.scheduler not in ("exact", "pairwise"):
         raise ValidationError(f"unknown scheduler {cfg.scheduler!r}")
     _check_mode(cfg.mode)
+    if not 0.0 <= cfg.gamma <= 1.0:
+        raise ValidationError(f"gamma must lie in [0, 1], got {cfg.gamma}")
+    if not cfg.time_limit >= 0.0:
+        raise ValidationError(f"time_limit must be at least 0, got {cfg.time_limit}")
+    if not cfg.repeat_limit >= 1:
+        raise ValidationError(f"repeat_limit must be at least 1, got {cfg.repeat_limit}")
     start = time.perf_counter()
     deadline = start + cfg.time_limit
 

@@ -29,23 +29,23 @@ integral (the new incumbent) or infeasible.  The next dive waits for 64
 LPs, then 128, and so on.
 :func:`lp_text` prints a model as CPLEX-style LP text for debugging.
 
-A model compiles to solver arrays once: the constraint matrix, right-hand
-sides, bounds and integrality are kept on the model until the next column
-or row is added, so re-solving a model whose objective alone was reset
-with :meth:`MipModel.set_objective` recomputes only the cost vector.  The
-iterative heuristic relies on this: it builds its routing model once per
-run and reprices it every round.
+A model compiles to solver arrays once, straight to the form HiGHS loads:
+the column-wise constraint matrix, row and column bounds and integrality
+are kept on the model until the next column or row is added, so re-solving
+a model whose objective alone was reset with :meth:`MipModel.set_objective`
+recomputes only the cost vector.  The iterative heuristic relies on this:
+it builds its routing model once per run and reprices it every round.
 
 All node LPs of one :func:`solve` call share one HiGHS LP object, loaded
 exactly as ``linprog(method="highs")`` loads it.  Each node changes only the
 column bounds that differ from the node solved before it and re-runs dual
 simplex from that node's optimal basis, which stays dual feasible under any
 bound change (a hot start); the steps of a dive are solved the same way.
-The object comes from scipy's private ``scipy.optimize._highspy._core``;
-where that import fails (scipy < 1.15 or a renaming), every node is a cold
-``linprog`` call instead.  Both paths prove the same optima and bounds, but
-hot-started nodes may stop at other optimal vertices, so the search tree
-depends on the path and the scipy build.
+The object comes from scipy's private ``scipy.optimize._highspy._core``,
+first shipped in scipy 1.15; if that module or any name this module uses
+from it is missing, importing the package fails with an :class:`ImportError`
+that names the scipy floor.  There is no other LP path, so a model and a
+config give one search tree on a given HiGHS build.
 """
 
 from __future__ import annotations
@@ -58,20 +58,24 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
+# linprog solves only the test reference _lp; perfbench's mip.highs hook also
+# looks it up here until that hook times _HotLp
 from scipy.optimize import linprog
-from scipy.sparse import csc_matrix, csr_matrix, vstack
+from scipy.sparse import csc_matrix
 
-from .errors import ModelInfeasible, ModelInvalid, Unbounded
+from .errors import ModelInfeasible, ModelInvalid, Unbounded, ValidationError
 
 try:
     from scipy.optimize._highspy import _core as _highs
 
-    # every name _HotLp uses: a renamed one falls back like a missing module
+    # every name _HotLp uses, so a renamed one fails here and not mid-search
     _highs._Highs.changeColsBounds, _highs.HighsLp, _highs.HighsModelStatus
     _highs.HighsStatus, _highs.MatrixFormat, _highs.kHighsInf
-except (ImportError, AttributeError):
-    # no hot start: every node LP is a cold ``linprog`` call
-    _highs = None
+except (ImportError, AttributeError) as exc:
+    raise ImportError(
+        "platoonplan needs scipy>=1.15, whose scipy.optimize._highspy._core "
+        f"it loads its LPs into: {exc}"
+    ) from exc
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -433,14 +437,15 @@ class MipResult:
 class _Arrays:
     """The solver arrays of a model's variables and constraints.
 
-    They do not depend on the objective, so a model keeps them until its
-    next column or row is added.
+    ``a`` holds the "<=" and ">=" rows first, in model order and with the
+    ">=" rows negated, then the equality rows.  A "<=" row has lower bound
+    ``-inf``; an equality row has equal bounds.  They do not depend on the
+    objective, so a model keeps them until its next column or row is added.
     """
 
-    a_ub: csr_matrix | None
-    b_ub: np.ndarray | None
-    a_eq: csr_matrix | None
-    b_eq: np.ndarray | None
+    a: csc_matrix
+    row_lower: np.ndarray
+    row_upper: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     int_mask: np.ndarray
@@ -449,48 +454,32 @@ class _Arrays:
 
 @dataclass(frozen=True)
 class _Compiled(_Arrays):
-    """A model in the array form ``linprog`` takes, minimizing ``c @ x``."""
+    """A model in the form HiGHS loads, minimizing ``c @ x``."""
 
     c: np.ndarray
     const: float
     flip: bool
 
 
-def _block(keep, pos, row, col, coef, rhs, n: int, signs: np.ndarray | None):
-    """The rows ``keep`` selects as one CSR matrix, each row at its ``pos``
-    and scaled by its sign in ``signs``, and their right-hand sides."""
-    count = int(keep.sum())
-    if not count:
-        return None, None
-    entries = keep[row]
-    row = row[entries]
-    vals = coef[entries]
-    rhs = rhs[keep]
-    if signs is not None:
-        vals = signs[row] * vals
-        rhs = signs[keep] * rhs
-    return csr_matrix((vals, (pos[row], col[entries])), shape=(count, n)), rhs
-
-
 def _compile_arrays(model: MipModel) -> _Arrays:
-    n = model.num_vars
     sense = np.array(model._sense, dtype=np.int8)
-    rhs = np.array(model._rhs, dtype=np.float64)
     row = np.array(model._row, dtype=np.int64)
-    col = np.array(model._col, dtype=np.int64)
-    coef = np.array(model._coef, dtype=np.float64)
-    # ">=" rows are negated into "<=" rows; equalities keep their own block,
-    # and each block keeps the model's row order
+    # the model's rows in their HiGHS order, and each row's place in it
     is_eq = sense == _EQ
-    pos = np.where(is_eq, np.cumsum(is_eq), np.cumsum(~is_eq)) - 1
-    signs = np.where(sense == _GE, -1.0, 1.0)
-    a_ub, b_ub = _block(~is_eq, pos, row, col, coef, rhs, n, signs)
-    a_eq, b_eq = _block(is_eq, pos, row, col, coef, rhs, n, None)
+    order = np.argsort(is_eq, kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    sign = np.where(sense == _GE, -1.0, 1.0)
+    a = csc_matrix(
+        (sign[row] * np.array(model._coef, dtype=np.float64), (pos[row], np.array(model._col))),
+        shape=(len(sense), model.num_vars),
+    )
+    row_upper = (sign * np.array(model._rhs, dtype=np.float64))[order]
+    row_lower = np.where(is_eq[order], row_upper, -np.inf)
     return _Arrays(
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=a_eq,
-        b_eq=b_eq,
+        a=a,
+        row_lower=row_lower,
+        row_upper=row_upper,
         lower=np.array(model._lower, dtype=np.float64),
         upper=np.array(model._upper, dtype=np.float64),
         int_mask=np.array(model._kind, dtype=np.int8) != _KINDS.index(CONTINUOUS),
@@ -511,13 +500,17 @@ def _compile(model: MipModel) -> _Compiled:
 
 
 def _lp(comp: _Compiled, lower: np.ndarray, upper: np.ndarray):
-    """Cold ``linprog`` solve of the relaxation under column bounds."""
+    """Cold ``linprog`` solve of the relaxation under column bounds.
+
+    The tests' reference for :class:`_HotLp`; no library path calls it.
+    """
+    ub = np.isneginf(comp.row_lower)
     res = linprog(
         comp.c,
-        A_ub=comp.a_ub,
-        b_ub=comp.b_ub,
-        A_eq=comp.a_eq,
-        b_eq=comp.b_eq,
+        A_ub=comp.a[ub],
+        b_ub=comp.row_upper[ub],
+        A_eq=comp.a[~ub],
+        b_eq=comp.row_upper[~ub],
         bounds=np.column_stack([lower, upper]),
         method="highs",
     )
@@ -535,32 +528,26 @@ def _highs_inf(x: np.ndarray) -> np.ndarray:
 class _HotLp:
     """One HiGHS LP of a compiled model, re-solved under changing column bounds.
 
-    Called like :func:`_lp`, with the same ``(status, x, fun)`` result and
-    ``linprog``'s status codes.  The first call is the cold solve ``linprog``
-    makes; later calls change only the bounds that differ from the previous
-    call's, so HiGHS starts dual simplex from the last optimal basis.
+    Called with column bounds; returns ``(status, x, fun)`` with
+    ``linprog``'s status codes.  The first call is the cold solve
+    ``linprog`` makes of the same model; later calls change only the bounds
+    that differ from the previous call's, so HiGHS starts dual simplex from
+    the last optimal basis.
     """
 
     def __init__(self, comp: _Compiled):
-        n = len(comp.c)
-        b_ub = comp.b_ub if comp.b_ub is not None else np.empty(0)
-        b_eq = comp.b_eq if comp.b_eq is not None else np.empty(0)
-        blocks = [a for a in (comp.a_ub, comp.a_eq) if a is not None]
-        a = csc_matrix(vstack(blocks)) if blocks else csc_matrix((0, n))
         lp = _highs.HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = len(b_ub) + len(b_eq)
-        lp.a_matrix_.num_col_ = n
-        lp.a_matrix_.num_row_ = lp.num_row_
+        lp.num_row_, lp.num_col_ = comp.a.shape
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = comp.a.shape
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = a.indptr
-        lp.a_matrix_.index_ = a.indices
-        lp.a_matrix_.value_ = a.data
+        lp.a_matrix_.start_ = comp.a.indptr
+        lp.a_matrix_.index_ = comp.a.indices
+        lp.a_matrix_.value_ = comp.a.data
         lp.col_cost_ = comp.c
         lp.col_lower_ = _highs_inf(comp.lower)
         lp.col_upper_ = _highs_inf(comp.upper)
-        lp.row_lower_ = _highs_inf(np.concatenate([np.full(len(b_ub), -np.inf), b_eq]))
-        lp.row_upper_ = _highs_inf(np.concatenate([b_ub, b_eq]))
+        lp.row_lower_ = _highs_inf(comp.row_lower)
+        lp.row_upper_ = _highs_inf(comp.row_upper)
         self._highs = _highs._Highs()
         # the options linprog(method="highs") sets; logging off
         self._highs.setOptionValue("output_flag", False)
@@ -593,13 +580,6 @@ class _HotLp:
         if model_status in (codes.kUnbounded, codes.kUnboundedOrInfeasible):
             return 3, None, None
         return 4, None, None
-
-
-def _node_lp(comp: _Compiled):
-    """The LP entry of one search: hot-started HiGHS, or cold ``linprog``."""
-    if _highs is None:
-        return lambda lower, upper: _lp(comp, lower, upper)
-    return _HotLp(comp)
 
 
 def _fractionality(comp: _Compiled, x: np.ndarray) -> np.ndarray:
@@ -677,8 +657,15 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
     has solved 32 LPs, then 64, 128 and so on (see :func:`_dive`); the node
     is then pruned if the dive's plan closes the gap, and branched
     otherwise.
+
+    A ``time_limit`` that is NaN or negative, or a ``gap_tol`` that is
+    negative or not finite, raises :class:`ValidationError` before any work.
     """
     cfg = cfg or SolveConfig()
+    if cfg.time_limit is not None and not cfg.time_limit >= 0.0:
+        raise ValidationError(f"time_limit must be at least 0, got {cfg.time_limit}")
+    if not 0.0 <= cfg.gap_tol < math.inf:
+        raise ValidationError(f"gap_tol must be finite and at least 0, got {cfg.gap_tol}")
     start = time.perf_counter()
     comp = _compile(model)
     n = model.num_vars
@@ -729,7 +716,7 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
             continue
 
         if node_lp is None:
-            node_lp = _node_lp(comp)
+            node_lp = _HotLp(comp)
         lp_status, x, fun = node_lp(lower, upper)
         nodes += 1
         if lp_status == 2:  # infeasible subproblem
@@ -783,7 +770,7 @@ def lp_bound(model: MipModel) -> float:
     comp = _compile(model)
     if model.num_vars == 0:
         return comp.const
-    lp_status, _x, fun = _node_lp(comp)(comp.lower, comp.upper)
+    lp_status, _x, fun = _HotLp(comp)(comp.lower, comp.upper)
     if lp_status == 2:
         raise ModelInfeasible(f"model {model.name!r}: LP relaxation infeasible")
     if lp_status == 3:

@@ -15,12 +15,22 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix, vstack
 
 from platoonplan.errors import ShrinkInfeasible
 from platoonplan.formulations import FixedRoutes
 from platoonplan.instance import Instance
-from platoonplan.mip import _INT_TOL, BINARY, CONTINUOUS, INTEGER, MipModel, _Compiled
+from platoonplan.mip import (
+    _EQ,
+    _GE,
+    _INT_TOL,
+    BINARY,
+    CONTINUOUS,
+    INTEGER,
+    MipModel,
+    _Compiled,
+    _highs_inf,
+)
 
 
 # -- graph primitives -------------------------------------------------------
@@ -341,11 +351,10 @@ def _feasible_point(comp: _Compiled, x: np.ndarray) -> bool:
         xi = x[comp.int_mask]
         if np.max(np.abs(xi - np.round(xi)), initial=0.0) > _INT_TOL:
             return False
-    if comp.a_ub is not None and np.any(comp.a_ub @ x > comp.b_ub + _FEAS_TOL):
-        return False
-    if comp.a_eq is not None and np.any(np.abs(comp.a_eq @ x - comp.b_eq) > _FEAS_TOL):
-        return False
-    return True
+    ax = comp.a @ x
+    return not (
+        np.any(ax > comp.row_upper + _FEAS_TOL) or np.any(ax < comp.row_lower - _FEAS_TOL)
+    )
 
 
 # -- the full time-expanded model --------------------------------------------
@@ -743,18 +752,71 @@ def tif_by_rows(instance, routes, kept=None, relax_capacity=False):
 def assert_same_arrays(got: _Compiled, want: _Compiled) -> None:
     """Two compiled models are identical: every array's dtype and bytes,
     the sparse structure, the constant, the sense and the names."""
-    for name in ("c", "b_ub", "b_eq", "lower", "upper", "int_mask"):
+    for name in ("c", "row_lower", "row_upper", "lower", "upper", "int_mask"):
         a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    for name in ("a_ub", "a_eq"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert a.shape == b.shape, name
-            for part in ("indptr", "indices", "data"):
-                x, y = getattr(a, part), getattr(b, part)
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.a.shape == want.a.shape
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(got.a, part), getattr(want.a, part)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), part
     assert (got.const, got.flip, got.names) == (want.const, want.flip, want.names)
     assert all(type(a) is type(b) for a, b in zip(got.names, want.names))
+
+
+# -- the two-block compile -----------------------------------------------------
+
+
+def _block(keep, pos, row, col, coef, rhs, n: int, signs):
+    """The rows ``keep`` selects as one CSR matrix, each row at its ``pos``
+    and scaled by its sign in ``signs``, and their right-hand sides."""
+    count = int(keep.sum())
+    if not count:
+        return None, None
+    entries = keep[row]
+    row = row[entries]
+    vals = coef[entries]
+    rhs = rhs[keep]
+    if signs is not None:
+        vals = signs[row] * vals
+        rhs = signs[keep] * rhs
+    return csr_matrix((vals, (pos[row], col[entries])), shape=(count, n)), rhs
+
+
+def two_block_load(model: MipModel) -> dict[str, np.ndarray]:
+    """The arrays the LP of ``model`` was handed to HiGHS's ``passModel`` as
+    when the package compiled a model to ``linprog``'s form.
+
+    The rows split into a "<=" block (">=" rows negated) and an "=" block,
+    each a CSR matrix in model order; the LP stacked the two and converted
+    the result to CSC, and concatenated the blocks' right-hand sides into
+    row bounds.  The columns' arrays are those of the same compile.
+    """
+    n = model.num_vars
+    sense = np.array(model._sense, dtype=np.int8)
+    rhs = np.array(model._rhs, dtype=np.float64)
+    row = np.array(model._row, dtype=np.int64)
+    col = np.array(model._col, dtype=np.int64)
+    coef = np.array(model._coef, dtype=np.float64)
+    is_eq = sense == _EQ
+    pos = np.where(is_eq, np.cumsum(is_eq), np.cumsum(~is_eq)) - 1
+    signs = np.where(sense == _GE, -1.0, 1.0)
+    a_ub, b_ub = _block(~is_eq, pos, row, col, coef, rhs, n, signs)
+    a_eq, b_eq = _block(is_eq, pos, row, col, coef, rhs, n, None)
+    b_ub = b_ub if b_ub is not None else np.empty(0)
+    b_eq = b_eq if b_eq is not None else np.empty(0)
+    blocks = [a for a in (a_ub, a_eq) if a is not None]
+    a = csc_matrix(vstack(blocks)) if blocks else csc_matrix((0, n))
+    cost = np.zeros(n)
+    cost[: len(model._cost)] = model._cost
+    return {
+        "num_col_": np.array([n]),
+        "num_row_": np.array([len(b_ub) + len(b_eq)]),
+        "start_": a.indptr,
+        "index_": a.indices,
+        "value_": a.data,
+        "col_cost_": -cost if model.sense == "max" else cost,
+        "col_lower_": _highs_inf(np.array(model._lower, dtype=np.float64)),
+        "col_upper_": _highs_inf(np.array(model._upper, dtype=np.float64)),
+        "row_lower_": _highs_inf(np.concatenate([np.full(len(b_ub), -np.inf), b_eq])),
+        "row_upper_": _highs_inf(np.concatenate([b_ub, b_eq])),
+    }

@@ -214,6 +214,28 @@ def test_solve_rejects_nan_travel_time(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "method, option, value",
+    [
+        ("pairwise", "--gamma", "nan"),
+        ("pairwise", "--gamma", "inf"),
+        ("pairwise", "--gamma", "-1"),
+        ("iheur", "--time-limit", "nan"),
+        ("pairwise", "--time-limit", "-1"),
+        ("iheur", "--repeat-limit", "0"),
+        ("cpf", "--time-limit", "nan"),
+        ("tsf", "--time-limit", "-1"),
+    ],
+)
+def test_solve_rejects_bad_run_settings(method, option, value, demo_file, capsys):
+    """Each once ran unchecked: a traceback for a NaN or infinite gamma, no
+    pairs for a negative one, no clock for a NaN time limit."""
+    rc = main(["solve", demo_file, "--method", method, option, value])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {option[2:].replace('-', '_')} must ")
+
+
 def test_solve_unknown_method_is_an_argparse_error(demo_file):
     with pytest.raises(SystemExit) as exc:
         main(["solve", demo_file, "--method", "magic"])

@@ -758,6 +758,46 @@ def test_run_rejects_unknown_mode_before_any_work(demo, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("scheduler", ["exact", "pairwise"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("gamma", math.nan),
+        ("gamma", math.inf),
+        ("gamma", -1.0),
+        ("gamma", 1.5),
+        ("time_limit", math.nan),
+        ("time_limit", -1.0),
+        ("repeat_limit", 0),
+        ("repeat_limit", -2),
+    ],
+)
+def test_run_rejects_bad_settings_before_any_work(field, value, scheduler, demo, monkeypatch):
+    """A NaN gamma once crashed select_pairs and an infinite one overflowed;
+    a negative gamma picked no pairs, a NaN time limit never expired and a
+    repeat limit of 0 acted as 1."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return build_fcnf(*args)
+
+    monkeypatch.setattr(decomposition_module, "build_fcnf", counting)
+    cfg = DecompositionConfig(mode="icmp", scheduler=scheduler, **{field: value})
+    with pytest.raises(ValidationError, match=field):
+        run(demo, cfg)
+    assert built == []
+
+
+def test_run_accepts_the_edges_of_its_settings(demo):
+    for cfg in (
+        DecompositionConfig(scheduler="pairwise", gamma=0.0, time_limit=math.inf, repeat_limit=1),
+        DecompositionConfig(scheduler="pairwise", gamma=1.0, time_limit=0.0),
+    ):
+        _best, log = run(demo, cfg)
+        assert log.records
+
+
 @pytest.mark.parametrize("which", ["demo", "grid9"])
 def test_round_cut_by_the_clock_still_returns_a_plan(which):
     """A run whose deadline has passed before it starts still routes and

@@ -14,7 +14,7 @@ from oracles import (
     milp_oracle,
     model_arrays,
 )
-from platoonplan.errors import ModelInfeasible, ModelInvalid, Unbounded
+from platoonplan.errors import ModelInfeasible, ModelInvalid, Unbounded, ValidationError
 from platoonplan.evaluate import check, decode, shortest_path_cost, total_cost
 from platoonplan.formulations import build_cpf
 from platoonplan.instance import generate_fleet, three_truck_demo
@@ -30,16 +30,11 @@ from platoonplan.mip import (
     SolveConfig,
     _compile,
     _lp,
-    _node_lp,
     lp_bound,
     lp_text,
     solve,
 )
 from platoonplan.network import generate_grid
-
-needs_highs = pytest.mark.skipif(
-    mip_module._highs is None, reason="scipy's HiGHS bindings are not importable"
-)
 
 
 def knapsack() -> MipModel:
@@ -206,6 +201,23 @@ def test_zero_time_limit_without_warm():
     assert res.objective is None and res.bound is None
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("time_limit", math.nan),
+        ("time_limit", -1.0),
+        ("gap_tol", -1e-9),
+        ("gap_tol", math.nan),
+        ("gap_tol", math.inf),
+    ],
+)
+def test_solve_rejects_bad_settings(field, value, monkeypatch):
+    """A NaN time limit once never expired and a NaN gap never closed."""
+    monkeypatch.setattr(mip_module, "_compile", lambda model: pytest.fail("compiled"))
+    with pytest.raises(ValidationError, match=field):
+        solve(knapsack(), SolveConfig(**{field: value}))
+
+
 def test_loose_gap_stops_early_but_stays_feasible():
     m = knapsack()
     res = solve(m, SolveConfig(gap_tol=0.5))
@@ -254,21 +266,17 @@ def test_compile_matches_oracle_matrix(seed):
     c, lower, upper, integrality, a, lo, hi = model_arrays(m)
     comp = _compile(m)
     senses = [con[2] for con in m.constraints]
-    dense = a.toarray()
-    ub = [r for r, s in enumerate(senses) if s != "="]
-    eq = [r for r, s in enumerate(senses) if s == "="]
-    sign = np.array([1.0 if senses[r] == "<=" else -1.0 for r in ub])
+    # the inequalities in model order, ">=" rows negated, then the equalities
+    order = [r for r, s in enumerate(senses) if s != "="] + [
+        r for r, s in enumerate(senses) if s == "="
+    ]
+    sign = np.array([-1.0 if senses[r] == ">=" else 1.0 for r in order])
+    is_eq = np.array([senses[r] == "=" for r in order], dtype=bool)
     rhs = np.where(np.isfinite(hi), hi, lo)
-    if ub:
-        assert np.array_equal(comp.a_ub.toarray(), sign[:, None] * dense[ub])
-        assert np.array_equal(comp.b_ub, sign * rhs[ub])
-    else:
-        assert comp.a_ub is None and comp.b_ub is None
-    if eq:
-        assert np.array_equal(comp.a_eq.toarray(), dense[eq])
-        assert np.array_equal(comp.b_eq, rhs[eq])
-    else:
-        assert comp.a_eq is None and comp.b_eq is None
+    assert comp.a.shape == (len(senses), m.num_vars)
+    assert np.array_equal(comp.a.toarray(), sign[:, None] * a.toarray()[order])
+    assert np.array_equal(comp.row_upper, sign * rhs[order])
+    assert np.array_equal(comp.row_lower, np.where(is_eq, comp.row_upper, -np.inf))
     assert np.array_equal(comp.c, c)
     assert np.array_equal(comp.lower, lower)
     assert np.array_equal(comp.upper, upper)
@@ -394,13 +402,28 @@ def test_bad_blocks_raise_and_add_nothing():
     assert (m.num_vars, m.num_constrs) == (3, 1)
 
 
-# -- the two LP paths: hot-started HiGHS and the cold linprog fallback -------
+# -- hot-started HiGHS against cold linprog node LPs ----------------------------
+
+
+class ColdLp:
+    """Node LPs as cold ``linprog`` solves of the reference ``_lp``.
+
+    The package once fell back to these when scipy's HiGHS bindings did not
+    import; the tests keep them as an LP path independent of the hot start.
+    """
+
+    def __init__(self, comp):
+        self.comp = comp
+
+    def __call__(self, lower, upper):
+        return _lp(self.comp, lower, upper)
 
 
 @pytest.fixture(params=["hot", "fallback"])
 def lp_path(request, monkeypatch):
+    """``fallback`` runs every search of the test on :class:`ColdLp`."""
     if request.param == "fallback":
-        monkeypatch.setattr(mip_module, "_highs", None)
+        monkeypatch.setattr(mip_module, "_HotLp", ColdLp)
     return request.param
 
 
@@ -462,7 +485,7 @@ def test_hot_start_and_fallback_prove_the_same_optimum(which, monkeypatch):
     found, want = milp_oracle(model)
     gap_tol = 1e-9
     hot = solve(model, SolveConfig(gap_tol=gap_tol))
-    monkeypatch.setattr(mip_module, "_highs", None)
+    monkeypatch.setattr(mip_module, "_HotLp", ColdLp)
     cold = solve(model, SolveConfig(gap_tol=gap_tol))
     assert hot.status == cold.status == (OPTIMAL if found else INFEASIBLE)
     if not found:
@@ -476,7 +499,6 @@ def test_hot_start_and_fallback_prove_the_same_optimum(which, monkeypatch):
         assert res.bound == pytest.approx(want, abs=1e-6)
 
 
-@needs_highs
 @pytest.mark.parametrize("which", [f"rand{seed}" for seed in range(30)] + ["knapsack", "cpf"])
 def test_direct_root_lp_is_linprogs(which):
     """A cold solve on the HiGHS object returns linprog's vertex, bit for bit."""
@@ -503,7 +525,7 @@ def test_node_lp_follows_every_bound_change(seed, lp_path):
     model = random_model(seed)
     comp = _compile(model)
     rng = np.random.default_rng(seed)
-    node_lp = _node_lp(comp)
+    node_lp = mip_module._HotLp(comp)
     for _ in range(12):
         lower, upper = comp.lower.copy(), comp.upper.copy()
         for j in rng.choice(len(lower), size=int(rng.integers(0, 3)), replace=False):
@@ -522,7 +544,6 @@ def test_node_lp_follows_every_bound_change(seed, lp_path):
             assert np.all(x >= lower - 1e-9) and np.all(x <= upper + 1e-9)
 
 
-@needs_highs
 def test_one_highs_lp_per_solve(monkeypatch):
     built = []
 
@@ -544,7 +565,7 @@ def test_infeasible_node_model_and_unbounded_lp(lp_path):
     assert res.status == INFEASIBLE and res.objective is None
     assert res.node_count == 3  # the root and its two infeasible children
     comp = _compile(infeasible_after_branching())
-    status, x, fun = _node_lp(comp)(comp.lower, np.array([1.0]))
+    status, x, fun = mip_module._HotLp(comp)(comp.lower, np.array([1.0]))
     assert status == 2 and x is None and fun is None
 
     m = MipModel()
@@ -601,7 +622,7 @@ def point(model: MipModel, res) -> np.ndarray:
 
 def watch_node_lps(monkeypatch, seen):
     """Pass every node LP result of later searches to ``seen(comp, result)``."""
-    node_lp = mip_module._node_lp
+    node_lp = mip_module._HotLp
 
     def watched(comp):
         lp = node_lp(comp)
@@ -613,13 +634,14 @@ def watch_node_lps(monkeypatch, seen):
 
         return call
 
-    monkeypatch.setattr(mip_module, "_node_lp", watched)
+    monkeypatch.setattr(mip_module, "_HotLp", watched)
 
 
 def dive_cases():
     """Every model of the hot/fallback comparison plus the hub ladder rungs
-    that CPF proves beyond 5x5/10 (which is cpf1), on both LP paths; the
-    rungs' fallback solves take seconds each, so they are slow."""
+    that CPF proves beyond 5x5/10 (which is cpf1), hot and on
+    :class:`ColdLp`; the rungs' cold solves take seconds each, so they are
+    slow."""
     names = [f"rand{seed}" for seed in range(30)] + ["knapsack"] + [f"cpf{k}" for k in range(4)]
     rungs = ["hub6/15", "hub6/20", "hub7/25"]
     cases = [(which, path) for which in names + rungs for path in ("hot", "fallback")]
@@ -640,7 +662,7 @@ def test_every_search_dives_and_still_proves_the_optimum(which, path, monkeypatc
     found, want = milp_oracle(model)
     monkeypatch.setattr(mip_module, "_DIVE_AT", 1)
     if path == "fallback":
-        monkeypatch.setattr(mip_module, "_highs", None)
+        monkeypatch.setattr(mip_module, "_HotLp", ColdLp)
     dive = mip_module._dive
     dives = []
 

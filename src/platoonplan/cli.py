@@ -244,6 +244,8 @@ def _bench_row(row: dict) -> dict:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     rows = _load_json(args.manifest)
     if not isinstance(rows, list):
         raise PlatoonPlanError("manifest must be a JSON list of run rows")
@@ -255,8 +257,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if row["method"] not in _METHODS:
             raise PlatoonPlanError(f"unknown method {row['method']!r}")
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts all of its workers at the first submit, so it gets no
+    # more than there are rows
+    workers = min(args.jobs, len(rows))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_bench_row, rows))
     else:
         records = [_bench_row(row) for row in rows]

@@ -66,114 +66,150 @@ def build_cpf(instance: Instance) -> MipModel:
     lo_v`` and ``hi_v - lo_w`` for the two synchronization rows of a pair
     at node ``i``, and ``max(0, hi_i - lo_j + T_ij)`` for the travel-time
     propagation of a truck along arc ``(i, j)``.
+
+    The model is built in blocks.  Each truck's columns are its entry times
+    ``t`` (reachable nodes in order) and then its arcs ``x`` (admissible
+    arcs in order); the pledges ``y`` follow, by leader, follower and arc.
+    The rows are the flow rows, truck by truck and node by node; four rows
+    per pledge ``k`` at rows ``4k`` to ``4k + 3``: ``y <= x_w``, ``y <=
+    x_v`` and the two synchronization rows; one row per follower and arc,
+    in that order, allowing one leader; with a size cap, one row per leader
+    and arc, listing its pledges as leader and then as follower; and the
+    propagation row of every ``x`` whose arc does not enter the truck's
+    origin.
     """
     net = instance.network
     eta = instance.eta
     q = instance.q_limit
     n_veh = len(instance.vehicles)
+    n_nodes = net.n_nodes
     adm = instance.admissible
     bounds = instance.windows
+    tt = net.travel_time
     m = MipModel("cpf")
 
-    x: dict[tuple[int, Arc], int] = {}
     t: dict[tuple[int, int], int] = {}
+    x: dict[tuple[int, Arc], int] = {}
     for v, veh in enumerate(instance.vehicles):
-        nodes = {veh.origin, veh.dest}
-        for (i, j) in adm[v]:
-            nodes.add(i)
-            nodes.add(j)
-        for i in sorted(nodes):
-            lo, hi = bounds[v][i]
-            t[v, i] = m.add_var(("t", i, v), CONTINUOUS, lo, hi)
-        for arc in sorted(adm[v]):
-            x[v, arc] = m.add_var(("x", *arc, v), BINARY)
-
-    y: dict[tuple[Arc, int, int], int] = {}
-    for v in range(n_veh):
-        for w in range(v + 1, n_veh):
-            for arc in sorted(adm[v] & adm[w]):
-                i = arc[0]
-                if max(bounds[v][i][0], bounds[w][i][0]) > min(
-                    bounds[v][i][1], bounds[w][i][1]
-                ):
-                    continue  # the two trucks can never be at i together
-                y[arc, v, w] = m.add_var(("y", *arc, v, w), BINARY)
-
-    obj = [(idx, net.cost[arc]) for (v, arc), idx in x.items()]
-    obj += [(idx, -eta * net.cost[arc]) for (arc, _v, _w), idx in y.items()]
-    m.set_objective(obj, sense="min")
-
-    for v in range(n_veh):
-        _flow_rows(m, instance, v, x)
-
-    # a pledge needs both trucks on the arc, and synchronized entry times
-    for (arc, v, w), idx in y.items():
-        i = arc[0]
-        m.add_constr([(idx, 1.0), (x[w, arc], -1.0)], "<=", 0.0)
-        m.add_constr([(idx, 1.0), (x[v, arc], -1.0)], "<=", 0.0)
-        lo_v, hi_v = bounds[v][i]
-        lo_w, hi_w = bounds[w][i]
-        m0 = hi_w - lo_v
-        m1 = hi_v - lo_w
-        m.add_constr(
-            [(t[w, i], 1.0), (t[v, i], -1.0), (idx, m0)], "<=", m0
+        nodes = sorted({veh.origin, veh.dest}.union(*adm[v]))
+        win = [bounds[v][i] for i in nodes]
+        cols = m.add_vars(
+            [("t", i, v) for i in nodes], CONTINUOUS, [lo for lo, _ in win], [hi for _, hi in win]
         )
-        m.add_constr(
-            [(t[v, i], 1.0), (t[w, i], -1.0), (idx, m1)], "<=", m1
-        )
+        t.update(zip([(v, i) for i in nodes], cols.tolist()))
+        arcs = sorted(adm[v])
+        cols = m.add_vars([("x", *arc, v) for arc in arcs], BINARY)
+        x.update(zip([(v, arc) for arc in arcs], cols.tolist()))
+
+    # (arc, leader, follower) per pledge, where both can be at the tail together
+    pledges = [
+        (arc, v, w)
+        for v in range(n_veh)
+        for w in range(v + 1, n_veh)
+        for arc in sorted(adm[v] & adm[w])
+        if max(bounds[v][arc[0]][0], bounds[w][arc[0]][0])
+        <= min(bounds[v][arc[0]][1], bounds[w][arc[0]][1])
+    ]
+    ycols = m.add_vars([("y", *arc, v, w) for arc, v, w in pledges], BINARY)
+
+    x_v, x_i, x_j = np.array([(v, *arc) for v, arc in x], dtype=np.int64).reshape(-1, 3).T
+    xcols = np.array(list(x.values()), dtype=np.int64)
+    x_cost = np.array([net.cost[arc] for _v, arc in x], dtype=np.float64)
+    y_cost = np.array([net.cost[arc] for arc, _v, _w in pledges], dtype=np.float64)
+    m.set_objective(np.concatenate([xcols, ycols]), np.concatenate([x_cost, -eta * y_cost]))
+
+    v_all = np.arange(n_veh)
+    _flow_rows(
+        m, xcols, x_v * n_nodes + x_i, x_v * n_nodes + x_j,
+        v_all * n_nodes + [veh.origin for veh in instance.vehicles],
+        v_all * n_nodes + [veh.dest for veh in instance.vehicles],
+    )
+
+    # a pledge needs both trucks on the arc, and synchronized entry times;
+    # the big-Ms are integers, so a zero one compiles as +0.0
+    p_v, p_w, p_i, p_j, x_lead, x_follow, t_lead, t_follow, lo_v, hi_v, lo_w, hi_w = np.array(
+        [
+            (v, w, *arc, x[v, arc], x[w, arc], t[v, arc[0]], t[w, arc[0]],
+             *bounds[v][arc[0]], *bounds[w][arc[0]])
+            for arc, v, w in pledges
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 12).T
+    m0, m1, one, zero = hi_w - lo_v, hi_v - lo_w, np.ones_like(p_v), np.zeros_like(p_v)
+    m.add_rows(
+        (4 * np.arange(len(pledges))[:, None] + [0, 0, 1, 1, 2, 2, 2, 3, 3, 3]).ravel(),
+        np.column_stack([
+            ycols, x_follow, ycols, x_lead, t_follow, t_lead, ycols, t_lead, t_follow, ycols,
+        ]).ravel(),
+        np.column_stack([one, -one, one, -one, one, -one, m0, one, -one, m1]).ravel(),
+        "<=",
+        np.column_stack([zero, zero, m0, m1]).ravel(),
+    )
 
     # each follower has at most one leader per arc
-    followers = defaultdict(list)
-    leaders = defaultdict(list)
-    for (arc, v, w), idx in y.items():
-        followers[w, arc].append(idx)
-        leaders[v, arc].append(idx)
-    for (w, arc), idxs in sorted(followers.items()):
-        m.add_constr([(i, 1.0) for i in idxs], "<=", 1.0)
+    follow_key = (p_w * n_nodes + p_i) * n_nodes + p_j
+    order, _starts, counts = _groups(follow_key)
+    m.add_rows(
+        np.repeat(np.arange(len(counts)), counts), ycols[order], one, "<=", np.ones(len(counts))
+    )
 
     # a leader's platoon stays within the size cap, and a follower leads no one
     if q is not None:
-        for (v, arc), idxs in sorted(leaders.items()):
-            terms = [(i, 1.0) for i in idxs]
-            terms += [(i, float(q - 1)) for i in followers.get((v, arc), ())]
-            m.add_constr(terms, "<=", float(q - 1))
+        lead_key = (p_v * n_nodes + p_i) * n_nodes + p_j
+        order, starts, counts = _groups(lead_key)
+        led = lead_key[order[starts]]
+        also = np.isin(follow_key, led)
+        m.add_rows(
+            np.concatenate([
+                np.repeat(np.arange(len(counts)), counts), np.searchsorted(led, follow_key[also]),
+            ]),
+            np.concatenate([ycols[order], ycols[also]]),
+            np.concatenate([one, np.full(int(also.sum()), q - 1)]),
+            "<=",
+            np.full(len(counts), q - 1),
+        )
 
     # entry times propagate along every used arc (including into the
     # destination, so the arrival deadline binds on the final leg)
-    tt = net.travel_time
-    for v, veh in enumerate(instance.vehicles):
-        for arc in sorted(adm[v]):
-            i, j = arc
-            if j == veh.origin:
-                continue
-            m2 = max(0, bounds[v][i][1] - bounds[v][j][0] + tt[arc])
-            m.add_constr(
-                [(t[v, j], 1.0), (t[v, i], -1.0), (x[v, arc], -m2)],
-                ">=",
-                tt[arc] - m2,
-            )
+    t_j, t_i, xs, travel, m2 = np.array(
+        [
+            (t[v, j], t[v, i], col, tt[i, j], max(0, bounds[v][i][1] - bounds[v][j][0] + tt[i, j]))
+            for (v, (i, j)), col in x.items()
+            if j != instance.vehicles[v].origin
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 5).T
+    one = np.ones_like(m2)
+    m.add_rows(
+        np.repeat(np.arange(len(m2)), 3),
+        np.column_stack([t_j, t_i, xs]).ravel(),
+        np.column_stack([one, -one, -m2]).ravel(),
+        ">=",
+        travel - m2,
+    )
     return m
 
 
-def _flow_rows(m: MipModel, instance: Instance, v: int, x: Mapping[tuple[int, Arc], int]) -> None:
-    """Flow conservation of vehicle ``v`` over its admissible arcs.
+def _flow_rows(m: MipModel, cols, tails, heads, sources, sinks) -> None:
+    """Flow conservation: one ``=`` row per node key, in key order.
 
-    ``x[v, arc]`` is the column of the vehicle's arc variable.  One row per
-    node an admissible arc touches, plus the origin and destination, in
-    node order; a row lists the out-arcs and then the in-arcs, each in the
-    iteration order of ``instance.admissible[v]``.
+    Column ``cols[e]`` leaves node key ``tails[e]`` and enters ``heads[e]``;
+    a row lists its out-columns and then its in-columns, each in the order
+    given.  The nodes are every key in ``tails``, ``heads``, ``sources``
+    and ``sinks``; a source's row has right-hand side 1, a sink's -1 and
+    any other row 0.
     """
-    veh = instance.vehicles[v]
-    outs: dict[int, list[tuple[int, float]]] = defaultdict(list)
-    ins: dict[int, list[tuple[int, float]]] = defaultdict(list)
-    for arc in instance.admissible[v]:
-        outs[arc[0]].append((x[v, arc], 1.0))
-        ins[arc[1]].append((x[v, arc], -1.0))
-    for node in sorted(outs.keys() | ins.keys() | {veh.origin, veh.dest}):
-        terms = outs.get(node, []) + ins.get(node, [])
-        rhs = 1.0 if node == veh.origin else -1.0 if node == veh.dest else 0.0
-        if terms or rhs:
-            m.add_constr(terms, "=", rhs)
+    nodes = np.unique(np.concatenate([tails, heads, sources, sinks]))
+    rhs = np.zeros(len(nodes))
+    rhs[np.searchsorted(nodes, sinks)] = -1.0
+    rhs[np.searchsorted(nodes, sources)] = 1.0
+    m.add_rows(
+        np.concatenate([np.searchsorted(nodes, tails), np.searchsorted(nodes, heads)]),
+        np.concatenate([cols, cols]),
+        np.concatenate([np.ones(len(cols)), np.full(len(cols), -1.0)]),
+        "=",
+        rhs,
+    )
 
 
 def _ragged(first: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +324,6 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
     seg_cost = np.array([s[6] for s in segs], dtype=np.float64)
     seg, tm = _ragged(seg_first, np.maximum(seg_count, 0))
     xv, xi, xj, t2 = seg_v[seg], seg_i[seg], seg_j[seg], tm + seg_t[seg]
-    n_x = len(seg)
     xcols = m.add_vars(
         list(zip(repeat("x"), xi.tolist(), tm.tolist(), xj.tolist(), t2.tolist(), xv.tolist())),
         BINARY,
@@ -334,19 +369,7 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
                       np.array([veh.earliest_departure for veh in instance.vehicles]))
     sink = node_key(v_all, np.array([veh.dest for veh in instance.vehicles]),
                     np.array([veh.latest_arrival for veh in instance.vehicles]))
-    tails = node_key(xv, xi, tm)
-    heads = node_key(xv, xj, t2)
-    nodes = np.unique(np.concatenate([tails, heads, source, sink]))
-    rhs = np.zeros(len(nodes))
-    rhs[np.searchsorted(nodes, sink)] = -1.0
-    rhs[np.searchsorted(nodes, source)] = 1.0
-    m.add_rows(
-        np.concatenate([np.searchsorted(nodes, tails), np.searchsorted(nodes, heads)]),
-        np.concatenate([xcols, xcols]),
-        np.concatenate([np.ones(n_x), np.full(n_x, -1.0)]),
-        "=",
-        rhs,
-    )
+    _flow_rows(m, xcols, node_key(xv, xi, tm), node_key(xv, xj, t2), source, sink)
 
     users = moves[order[np.repeat(shared, counts)]]
     cap = np.full(len(k), math.inf if q is None else float(q))
@@ -724,21 +747,25 @@ def build_matching(pairs: Sequence[tuple[int, int, float]], gamma: float, n_vehi
     """Cardinality-capped matching over candidate pair savings.
 
     At most ``gamma * n_vehicles`` pairs may be chosen and no vehicle may
-    appear in two of them; maximizes total pledged savings.
+    appear in two of them; maximizes total pledged savings.  The rows are
+    one per vehicle that some pair names, in vehicle order, each listing
+    its pairs in order, and then the budget row if there is any pair.
     """
     m = MipModel("pairing")
-    wvar = []
-    touching: dict[int, list[int]] = defaultdict(list)
-    for u, v, _s in pairs:
-        idx = m.add_var(("w", u, v), BINARY)
-        wvar.append(idx)
-        touching[u].append(idx)
-        touching[v].append(idx)
-    m.set_objective(
-        [(idx, float(s)) for idx, (_u, _v, s) in zip(wvar, pairs)], sense="max"
+    wcols = m.add_vars([("w", u, v) for u, v, _s in pairs], BINARY)
+    m.set_objective(wcols, [float(s) for _u, _v, s in pairs], sense="max")
+    ends = np.array([(u, v) for u, v, _s in pairs], dtype=np.int64).reshape(-1, 2)
+    order, _starts, counts = _groups(ends.ravel())
+    m.add_rows(
+        np.repeat(np.arange(len(counts)), counts),
+        np.repeat(wcols, 2)[order],
+        np.ones(len(order)),
+        "<=",
+        np.ones(len(counts)),
     )
-    for veh in sorted(touching):
-        m.add_constr([(idx, 1.0) for idx in touching[veh]], "<=", 1.0)
-    if wvar:
-        m.add_constr([(idx, 1.0) for idx in wvar], "<=", gamma * n_vehicles)
+    if len(wcols):
+        m.add_rows(
+            np.zeros(len(wcols), dtype=np.int64), wcols, np.ones(len(wcols)), "<=",
+            [gamma * n_vehicles],
+        )
     return m

@@ -6,14 +6,13 @@ be any hashable key (the builders key columns by tuples such as
 stored as arrays, not as one object per column or row: a list of names with
 arrays of kinds and bounds for the columns, one COO entry (row, column,
 coefficient) per constraint term with an array of senses and right-hand
-sides for the rows, and one dense cost array for the objective.  The
-builders of large models fill these in blocks with
-:meth:`MipModel.add_vars`, :meth:`MipModel.add_rows` and the array form of
-:meth:`MipModel.set_objective`; :meth:`MipModel.add_var`,
-:meth:`MipModel.add_constr` and the term-list form of ``set_objective`` add
-one item to the same arrays.  Every coefficient, cost and right-hand side
-must be finite; a NaN or an infinity raises :class:`ModelInvalid` where it
-is added.  :attr:`MipModel.variables`, :attr:`MipModel.constraints` and
+sides for the rows, and one dense cost array for the objective.  There is
+one way to add each: :meth:`MipModel.add_vars` adds a block of columns,
+:meth:`MipModel.add_rows` a block of rows and
+:meth:`MipModel.set_objective` replaces the costs, the last two over column
+indices.  Every coefficient, cost and right-hand side must be finite; a NaN
+or an infinity raises :class:`ModelInvalid` where it is added.
+:attr:`MipModel.variables`, :attr:`MipModel.constraints` and
 :attr:`MipModel.objective` are read-only views built on each access, for
 reading a model, never for a hot path.
 
@@ -55,7 +54,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 # linprog solves only the test reference _lp; perfbench's mip.highs hook also
@@ -135,9 +134,9 @@ class MipModel:
     """Sparse MIP container with named variables, stored as arrays.
 
     A variable's name is its key: any hashable, unique within the model.
-    Terms and objectives refer to a variable by that key or by its column
-    index (an integer); :func:`lp_text` prints a tuple key as its parts
-    joined by underscores.
+    Rows and the objective refer to a variable by its column index, which
+    :meth:`add_vars` returns and :meth:`var_index` looks up;
+    :func:`lp_text` prints a tuple key as its parts joined by underscores.
 
     Columns are a list of names and typed arrays of kinds and bounds.  Rows
     are COO entries, one (row, column, coefficient) per term in the order
@@ -213,43 +212,6 @@ class MipModel:
         self._arrays = None
         return np.arange(start, start + k)
 
-    def add_var(
-        self,
-        name: Hashable,
-        kind: str = CONTINUOUS,
-        lower: float = 0.0,
-        upper: float = math.inf,
-    ) -> int:
-        """Add one column, checked as :meth:`add_vars` checks a block."""
-        if name in self._index:
-            raise ModelInvalid(f"duplicate variable name {name!r}")
-        if kind not in _KINDS:
-            raise ModelInvalid(f"unknown variable kind {kind!r}")
-        if kind == BINARY:
-            lower = max(lower, 0.0)
-            upper = min(upper, 1.0)
-        if not lower <= upper:
-            raise ModelInvalid(f"variable {name!r} has empty bounds [{lower}, {upper}]")
-        idx = len(self._names)
-        self._names.append(name)
-        self._index[name] = idx
-        self._kind.append(_KINDS.index(kind))
-        self._lower.append(lower)
-        self._upper.append(upper)
-        self._arrays = None
-        return idx
-
-    def _resolve(self, var) -> int:
-        """Column of ``var``: an integer is an index, anything else a name."""
-        if isinstance(var, (int, np.integer)):
-            if not 0 <= var < len(self._names):
-                raise ModelInvalid(f"variable index {var} out of range")
-            return int(var)
-        try:
-            return self._index[var]
-        except (KeyError, TypeError):
-            raise ModelInvalid(f"unknown variable {var!r}") from None
-
     def _columns(self, cols, what: str) -> np.ndarray:
         cols = _ids(cols, what)
         if cols.size and (cols.min() < 0 or cols.max() >= len(self._names)):
@@ -306,51 +268,15 @@ class MipModel:
         self._arrays = None
         return first
 
-    def add_constr(self, terms: Iterable[tuple], sense: str, rhs: float) -> int:
-        """Add one row of (variable, coefficient) terms, summing the terms
-        of each variable; checked as :meth:`add_rows` checks a block."""
-        if sense not in _SENSES:
-            raise ModelInvalid(f"unknown constraint sense {sense!r}")
-        merged: dict[int, float] = {}
-        for var, coef in terms:
-            idx = self._resolve(var)
-            merged[idx] = merged.get(idx, 0.0) + float(coef)
-        rhs = float(rhs)
-        if not all(map(math.isfinite, merged.values())):
-            raise ModelInvalid("constraint coefficients must be finite")
-        if not math.isfinite(rhs):
-            raise ModelInvalid(f"right-hand sides must be finite, got {rhs}")
-        row = len(self._sense)
-        self._row.extend([row] * len(merged))
-        self._col.extend(merged.keys())
-        self._coef.extend(merged.values())
-        self._sense.append(_SENSES.index(sense))
-        self._rhs.append(rhs)
-        self._arrays = None
-        return row
+    def set_objective(self, cols, coefs, sense: str = "min", constant: float = 0.0) -> None:
+        """Replace the objective by ``coefs[e]`` on column ``cols[e]``.
 
-    def set_objective(
-        self,
-        terms: Iterable[tuple] = (),
-        sense: str = "min",
-        constant: float = 0.0,
-        *,
-        cols=None,
-        coefs=None,
-    ) -> None:
-        """Replace the objective.
-
-        The costs are either ``terms``, (variable, coefficient) pairs, or
-        the equally long arrays ``cols`` (column indices) and ``coefs``;
-        the costs of a column are summed.  Costs and ``constant`` must be
-        finite.
+        ``cols`` and ``coefs`` are equally long; the costs of a column are
+        summed, and columns not in ``cols`` cost 0.  Costs and ``constant``
+        must be finite.
         """
         if sense not in ("min", "max"):
             raise ModelInvalid(f"objective sense must be min or max, got {sense!r}")
-        if cols is None:
-            pairs = [(self._resolve(var), float(coef)) for var, coef in terms]
-            cols = np.fromiter((c for c, _ in pairs), np.int64, len(pairs))
-            coefs = np.fromiter((c for _, c in pairs), np.float64, len(pairs))
         cols = self._columns(cols, "cols")
         coefs = np.asarray(coefs, dtype=np.float64)
         if coefs.shape != cols.shape:
@@ -621,6 +547,11 @@ def _dive(comp: _Compiled, node_lp, lower, upper, x, out_of_time):
             return None, lps
 
 
+def _zero_fits(comp: _Compiled) -> bool:
+    """Whether every row of a model without columns admits its activity 0."""
+    return bool((comp.row_lower <= 0.0).all() and (comp.row_upper >= 0.0).all())
+
+
 def _result(comp, status, inc_x, inc_obj, bound_min, start, nodes):
     values: dict[Hashable, float] = {}
     objective = None
@@ -660,6 +591,8 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
 
     A ``time_limit`` that is NaN or negative, or a ``gap_tol`` that is
     negative or not finite, raises :class:`ValidationError` before any work.
+    A model without columns is decided without HiGHS: every row reads 0, so
+    it is infeasible if a row's bounds exclude 0 and optimal otherwise.
     """
     cfg = cfg or SolveConfig()
     if cfg.time_limit is not None and not cfg.time_limit >= 0.0:
@@ -670,7 +603,9 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
     comp = _compile(model)
     n = model.num_vars
 
-    if n == 0:
+    if n == 0:  # HiGHS solves no model without columns
+        if not _zero_fits(comp):
+            return _result(comp, INFEASIBLE, None, math.inf, None, start, 0)
         return MipResult(OPTIMAL, comp.const, comp.const, {}, time.perf_counter() - start, 0)
 
     inc_x = None
@@ -766,9 +701,15 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
 
 
 def lp_bound(model: MipModel) -> float:
-    """Objective of the LP relaxation; a valid dual bound on the MIP."""
+    """Objective of the LP relaxation; a valid dual bound on the MIP.
+
+    Raises :class:`ModelInfeasible` if the relaxation is infeasible,
+    including a model without columns one of whose rows excludes 0.
+    """
     comp = _compile(model)
     if model.num_vars == 0:
+        if not _zero_fits(comp):
+            raise ModelInfeasible(f"model {model.name!r}: a row excludes 0")
         return comp.const
     lp_status, _x, fun = _HotLp(comp)(comp.lower, comp.upper)
     if lp_status == 2:

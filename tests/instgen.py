@@ -8,7 +8,7 @@ import numpy as np
 
 from oracles import simple_paths, timed_trajectories
 from platoonplan.formulations import build_tsf
-from platoonplan.instance import Instance, Vehicle, generate_fleet
+from platoonplan.instance import Instance, Vehicle, generate_fleet, three_truck_demo
 from platoonplan.mip import FEASIBLE_TIME_LIMIT, MipResult
 from platoonplan.network import build_time_space, generate_grid, make_network
 
@@ -112,6 +112,22 @@ def field_fleet(grid):
     """Criterion 8's fleet ``grid``: 50 trucks on a 10x10 grid, both seeded
     with ``grid``."""
     return generate_fleet(generate_grid(10, 10, seed=grid), 50, seed=grid)
+
+
+def hub_fleet(n, trucks, seed=1, **kwargs):
+    """``trucks`` hub-biased trucks on an ``n`` x ``n`` grid whose hubs are
+    two opposite corners; grid and fleet both seeded with ``seed``."""
+    grid = generate_grid(n, n, seed=seed)
+    return generate_fleet(grid, trucks, seed=seed, od_mode="hub", hubs=[0, n * n - 1], **kwargs)
+
+
+# the hub ladder, 5x5/10 up to 8x8/30, as (grid side, trucks)
+HUB_RUNGS = ((5, 10), (6, 15), (6, 20), (7, 25), (8, 30))
+
+
+def cpf_fleets():
+    """The demo and three hub fleets whose CPF models branch (3 to 15 nodes)."""
+    return [three_truck_demo(), hub_fleet(5, 10), hub_fleet(5, 8), hub_fleet(4, 6, 3)]
 
 
 def time_shortest_paths(instance):

@@ -357,6 +357,27 @@ def _feasible_point(comp: _Compiled, x: np.ndarray) -> bool:
     )
 
 
+# -- one column and one row at a time ------------------------------------------
+
+
+def one_col(m, name, kind=CONTINUOUS, lower=0.0, upper=math.inf) -> int:
+    """Add one column and return its index."""
+    return int(m.add_vars([name], kind, lower, upper)[0])
+
+
+def terms_arrays(terms):
+    """(column, coefficient) pairs as the arrays ``(cols, coefs)``, the
+    form ``add_rows`` and ``set_objective`` take."""
+    cols = np.array([col for col, _coef in terms], dtype=np.int64)
+    return cols, np.array([coef for _col, coef in terms], dtype=np.float64)
+
+
+def one_row(m, terms, sense, rhs) -> int:
+    """Add one row of (column, coefficient) terms and return its index."""
+    cols, coefs = terms_arrays(terms)
+    return m.add_rows(np.zeros(len(cols), dtype=np.int64), cols, coefs, sense, [rhs])
+
+
 # -- the full time-expanded model --------------------------------------------
 
 
@@ -400,7 +421,7 @@ def full_tsf(instance, tsn):
             if wi is None or wj is None:
                 continue
             if wi[0] <= tm <= wi[1] and wj[0] <= t2 <= wj[1]:
-                idx = m.add_var(("x", i, tm, j, t2, v), BINARY)
+                idx = one_col(m, ("x", i, tm, j, t2, v), BINARY)
                 xvar[v, (i, tm, j, t2)] = idx
                 move_users[(i, tm, j, t2)].append(v)
                 outs[(i, tm)].append(idx)
@@ -408,7 +429,7 @@ def full_tsf(instance, tsn):
         for (i, tm) in time_arcs:
             wi = win.get(i)
             if wi is not None and wi[0] <= tm and tm + 1 <= wi[1]:
-                idx = m.add_var(("x", i, tm, i, tm + 1, v), BINARY)
+                idx = one_col(m, ("x", i, tm, i, tm + 1, v), BINARY)
                 outs[(i, tm)].append(idx)
                 ins[(i, tm + 1)].append(idx)
         out_at.append(outs)
@@ -419,14 +440,14 @@ def full_tsf(instance, tsn):
         k = len(move_users[ts_arc])
         cap = q if q is not None else k
         ub = math.ceil(k / cap)
-        yvar[ts_arc] = m.add_var(("y", *ts_arc), INTEGER, 0, ub)
+        yvar[ts_arc] = one_col(m, ("y", *ts_arc), INTEGER, 0, ub)
 
     obj = []
     for (v, (i, tm, j, t2)), idx in xvar.items():
         obj.append((idx, (1.0 - eta) * net.cost[i, j]))
     for ts_arc, idx in yvar.items():
         obj.append((idx, eta * net.cost[ts_arc[0], ts_arc[2]]))
-    m.set_objective(obj, sense="min")
+    m.set_objective(*terms_arrays(obj), sense="min")
 
     for v, veh in enumerate(instance.vehicles):
         source = (veh.origin, veh.earliest_departure)
@@ -436,18 +457,18 @@ def full_tsf(instance, tsn):
             terms = [(idx, 1.0) for idx in out_at[v].get(node, ())]
             terms += [(idx, -1.0) for idx in in_at[v].get(node, ())]
             rhs = 1.0 if node == source else -1.0 if node == sink else 0.0
-            m.add_constr(terms, "=", rhs)
+            one_row(m, terms, "=", rhs)
 
     for ts_arc, vs in sorted(move_users.items()):
         cap = q if q is not None else len(vs)
         yidx = yvar[ts_arc]
-        m.add_constr(
+        one_row(m, 
             [(xvar[v, ts_arc], 1.0) for v in vs] + [(yidx, -float(cap))],
             "<=",
             0.0,
         )
         for v in vs:
-            m.add_constr([(xvar[v, ts_arc], 1.0), (yidx, -1.0)], "<=", 0.0)
+            one_row(m, [(xvar[v, ts_arc], 1.0), (yidx, -1.0)], "<=", 0.0)
     return m
 
 
@@ -548,13 +569,13 @@ def shrink_by_instance(instance, routes, chosen):
 
 # -- the row-by-row builders ---------------------------------------------------
 #
-# build_tsf, build_tif and build_fcnf as they were when they added one column
-# and one row at a time.  The columnar builders must compile to the same
-# arrays and names.
+# build_tsf, build_tif, build_fcnf, build_cpf and build_matching as they were
+# when they added one column and one row at a time.  The columnar builders
+# must compile to the same arrays and names.
 
 
 def tsf_by_rows(instance, tsn):
-    """``build_tsf``, one ``add_var`` and ``add_constr`` per column and row."""
+    """``build_tsf``, one column and one row at a time."""
     net = instance.network
     eta = instance.eta
     q = instance.q_limit
@@ -581,7 +602,7 @@ def tsf_by_rows(instance, tsn):
             last = min(hi_i, hi_j - t_ij, horizon - t_ij)
             for tm in range(max(lo_i, lo_j - t_ij), last + 1):
                 t2 = tm + t_ij
-                idx = m.add_var(("x", i, tm, j, t2, v), BINARY)
+                idx = one_col(m, ("x", i, tm, j, t2, v), BINARY)
                 xvar[v, (i, tm, j, t2)] = idx
                 move_users[(i, tm, j, t2)].append(v)
                 outs[(i, tm)].append(idx)
@@ -590,7 +611,7 @@ def tsf_by_rows(instance, tsn):
         for i in sorted(reach):
             lo_i, hi_i = win[i]
             for tm in range(lo_i, min(hi_i, horizon)):
-                idx = m.add_var(("x", i, tm, i, tm + 1, v), BINARY)
+                idx = one_col(m, ("x", i, tm, i, tm + 1, v), BINARY)
                 outs[(i, tm)].append(idx)
                 ins[(i, tm + 1)].append(idx)
         out_at.append(outs)
@@ -602,7 +623,7 @@ def tsf_by_rows(instance, tsn):
         if k == 1:
             continue
         cap = q if q is not None else k
-        yvar[ts_arc] = m.add_var(("y", *ts_arc), INTEGER, 0, math.ceil(k / cap))
+        yvar[ts_arc] = one_col(m, ("y", *ts_arc), INTEGER, 0, math.ceil(k / cap))
 
     obj = []
     for (_v, ts_arc), idx in xvar.items():
@@ -613,7 +634,7 @@ def tsf_by_rows(instance, tsn):
         obj.append((idx, coef))
     for ts_arc, idx in yvar.items():
         obj.append((idx, eta * net.cost[ts_arc[0], ts_arc[2]]))
-    m.set_objective(obj, sense="min")
+    m.set_objective(*terms_arrays(obj), sense="min")
 
     for v, veh in enumerate(instance.vehicles):
         source = (veh.origin, veh.earliest_departure)
@@ -623,18 +644,18 @@ def tsf_by_rows(instance, tsn):
             terms = [(idx, 1.0) for idx in out_at[v].get(node, ())]
             terms += [(idx, -1.0) for idx in in_at[v].get(node, ())]
             rhs = 1.0 if node == source else -1.0 if node == sink else 0.0
-            m.add_constr(terms, "=", rhs)
+            one_row(m, terms, "=", rhs)
 
     for ts_arc, yidx in yvar.items():
         vs = move_users[ts_arc]
         if q is not None and len(vs) > q:
-            m.add_constr(
+            one_row(m, 
                 [(xvar[v, ts_arc], 1.0) for v in vs] + [(yidx, -float(q))],
                 "<=",
                 0.0,
             )
         for v in vs:
-            m.add_constr([(xvar[v, ts_arc], 1.0), (yidx, -1.0)], "<=", 0.0)
+            one_row(m, [(xvar[v, ts_arc], 1.0), (yidx, -1.0)], "<=", 0.0)
     return m
 
 
@@ -649,12 +670,12 @@ def _flow_rows_by_rows(m, instance, v, x):
         terms = outs.get(node, []) + ins.get(node, [])
         rhs = 1.0 if node == veh.origin else -1.0 if node == veh.dest else 0.0
         if terms or rhs:
-            m.add_constr(terms, "=", rhs)
+            one_row(m, terms, "=", rhs)
 
 
 def fcnf_by_rows(instance, cost_table=None):
-    """``build_fcnf``, one ``add_var`` and ``add_constr`` per column and
-    row, priced term by term."""
+    """``build_fcnf``, one column and one row at a time, priced term by
+    term."""
     net = instance.network
     adm = instance.admissible
     cost = net.cost
@@ -663,8 +684,8 @@ def fcnf_by_rows(instance, cost_table=None):
 
     union = sorted(set().union(*adm.values())) if adm else []
     xkeys = [(v, arc) for v in range(len(instance.vehicles)) for arc in sorted(adm[v])]
-    yvar = {arc: m.add_var(("y", *arc), BINARY) for arc in union}
-    xvar = {(v, arc): m.add_var(("x", *arc, v), BINARY) for v, arc in xkeys}
+    yvar = {arc: one_col(m, ("y", *arc), BINARY) for arc in union}
+    xvar = {(v, arc): one_col(m, ("x", *arc, v), BINARY) for v, arc in xkeys}
 
     shaped = cost_table.traversed if cost_table is not None else frozenset()
     obj = []
@@ -676,21 +697,21 @@ def fcnf_by_rows(instance, cost_table=None):
     for arc, idx in yvar.items():
         if arc not in shaped:
             obj.append((idx, eta * cost[arc]))
-    m.set_objective(obj, sense="min")
+    m.set_objective(*terms_arrays(obj), sense="min")
 
     tt = net.travel_time
     for v, veh in enumerate(instance.vehicles):
         _flow_rows_by_rows(m, instance, v, xvar)
         window = float(veh.latest_arrival - veh.earliest_departure)
-        m.add_constr([(xvar[v, a], float(tt[a])) for a in sorted(adm[v])], "<=", window)
+        one_row(m, [(xvar[v, a], float(tt[a])) for a in sorted(adm[v])], "<=", window)
 
     for (v, arc), idx in xvar.items():
-        m.add_constr([(idx, 1.0), (yvar[arc], -1.0)], "<=", 0.0)
+        one_row(m, [(idx, 1.0), (yvar[arc], -1.0)], "<=", 0.0)
     return m
 
 
 def tif_by_rows(instance, routes, kept=None, relax_capacity=False):
-    """``build_tif``, one ``add_var`` and ``add_constr`` per column and row."""
+    """``build_tif``, one column and one row at a time."""
     net = instance.network
     eta = instance.eta
     q = instance.q_limit
@@ -702,7 +723,7 @@ def tif_by_rows(instance, routes, kept=None, relax_capacity=False):
     slot_users = defaultdict(list)
     for v, arc in sorted(kept):
         for tm in range(routes.entry_lo[v, arc], routes.entry_hi[v, arc] + 1):
-            xvar[v, arc, tm] = m.add_var(("x", *arc, v, tm), BINARY)
+            xvar[v, arc, tm] = one_col(m, ("x", *arc, v, tm), BINARY)
             slot_users[arc, tm].append(v)
 
     yvar = {}
@@ -710,18 +731,18 @@ def tif_by_rows(instance, routes, kept=None, relax_capacity=False):
         k = len(slot_users[arc, tm])
         cap = q if q is not None else k
         ub = 1 if relax_capacity else math.ceil(k / cap)
-        yvar[arc, tm] = m.add_var(("y", *arc, tm), INTEGER, 0, ub)
+        yvar[arc, tm] = one_col(m, ("y", *arc, tm), INTEGER, 0, ub)
 
     constant = sum(eta * net.cost[arc] for (_v, arc) in kept)
     m.set_objective(
-        [(idx, -eta * net.cost[arc]) for (arc, _tm), idx in yvar.items()],
+        *terms_arrays([(idx, -eta * net.cost[arc]) for (arc, _tm), idx in yvar.items()]),
         sense="max",
         constant=constant,
     )
 
     for v, arc in sorted(kept):
         lo, hi = routes.entry_window(v, arc)
-        m.add_constr([(xvar[v, arc, tm], 1.0) for tm in range(lo, hi + 1)], "=", 1.0)
+        one_row(m, [(xvar[v, arc, tm], 1.0) for tm in range(lo, hi + 1)], "=", 1.0)
 
     for v, path in sorted(routes.paths.items()):
         kept_arcs = [arc for arc in path if (v, arc) in kept]
@@ -734,18 +755,115 @@ def tif_by_rows(instance, routes, kept=None, relax_capacity=False):
                     (xvar[v, b, tau], -1.0)
                     for tau in range(routes.entry_lo[v, b], tm + delta + 1)
                 ]
-                m.add_constr(terms, ">=", 0.0)
+                one_row(m, terms, ">=", 0.0)
 
     for (arc, tm), vs in sorted(slot_users.items()):
         cap = q if q is not None else len(vs)
         if relax_capacity:
             cap = len(vs)
         yidx = yvar[arc, tm]
-        m.add_constr(
+        one_row(m, 
             [(xvar[v, arc, tm], 1.0) for v in vs] + [(yidx, -float(cap))], "<=", 0.0
         )
         for v in vs:
-            m.add_constr([(xvar[v, arc, tm], 1.0), (yidx, -1.0)], "<=", 0.0)
+            one_row(m, [(xvar[v, arc, tm], 1.0), (yidx, -1.0)], "<=", 0.0)
+    return m
+
+
+def cpf_by_rows(instance):
+    """``build_cpf``, one column and one row at a time."""
+    net = instance.network
+    eta = instance.eta
+    q = instance.q_limit
+    n_veh = len(instance.vehicles)
+    adm = instance.admissible
+    bounds = instance.windows
+    m = MipModel("cpf")
+
+    x = {}
+    t = {}
+    for v, veh in enumerate(instance.vehicles):
+        nodes = {veh.origin, veh.dest}
+        for (i, j) in adm[v]:
+            nodes.add(i)
+            nodes.add(j)
+        for i in sorted(nodes):
+            lo, hi = bounds[v][i]
+            t[v, i] = one_col(m, ("t", i, v), CONTINUOUS, lo, hi)
+        for arc in sorted(adm[v]):
+            x[v, arc] = one_col(m, ("x", *arc, v), BINARY)
+
+    y = {}
+    for v in range(n_veh):
+        for w in range(v + 1, n_veh):
+            for arc in sorted(adm[v] & adm[w]):
+                i = arc[0]
+                if max(bounds[v][i][0], bounds[w][i][0]) > min(
+                    bounds[v][i][1], bounds[w][i][1]
+                ):
+                    continue
+                y[arc, v, w] = one_col(m, ("y", *arc, v, w), BINARY)
+
+    obj = [(idx, net.cost[arc]) for (v, arc), idx in x.items()]
+    obj += [(idx, -eta * net.cost[arc]) for (arc, _v, _w), idx in y.items()]
+    m.set_objective(*terms_arrays(obj), sense="min")
+
+    for v in range(n_veh):
+        _flow_rows_by_rows(m, instance, v, x)
+
+    for (arc, v, w), idx in y.items():
+        i = arc[0]
+        one_row(m, [(idx, 1.0), (x[w, arc], -1.0)], "<=", 0.0)
+        one_row(m, [(idx, 1.0), (x[v, arc], -1.0)], "<=", 0.0)
+        lo_v, hi_v = bounds[v][i]
+        lo_w, hi_w = bounds[w][i]
+        m0 = hi_w - lo_v
+        m1 = hi_v - lo_w
+        one_row(m, [(t[w, i], 1.0), (t[v, i], -1.0), (idx, m0)], "<=", m0)
+        one_row(m, [(t[v, i], 1.0), (t[w, i], -1.0), (idx, m1)], "<=", m1)
+
+    followers = defaultdict(list)
+    leaders = defaultdict(list)
+    for (arc, v, w), idx in y.items():
+        followers[w, arc].append(idx)
+        leaders[v, arc].append(idx)
+    for (w, arc), idxs in sorted(followers.items()):
+        one_row(m, [(i, 1.0) for i in idxs], "<=", 1.0)
+
+    if q is not None:
+        for (v, arc), idxs in sorted(leaders.items()):
+            terms = [(i, 1.0) for i in idxs]
+            terms += [(i, float(q - 1)) for i in followers.get((v, arc), ())]
+            one_row(m, terms, "<=", float(q - 1))
+
+    tt = net.travel_time
+    for v, veh in enumerate(instance.vehicles):
+        for arc in sorted(adm[v]):
+            i, j = arc
+            if j == veh.origin:
+                continue
+            m2 = max(0, bounds[v][i][1] - bounds[v][j][0] + tt[arc])
+            one_row(m, [(t[v, j], 1.0), (t[v, i], -1.0), (x[v, arc], -m2)], ">=", tt[arc] - m2)
+    return m
+
+
+def matching_by_rows(pairs, gamma, n_vehicles):
+    """``build_matching``, one column and one row at a time."""
+    m = MipModel("pairing")
+    wvar = []
+    touching = defaultdict(list)
+    for u, v, _s in pairs:
+        idx = one_col(m, ("w", u, v), BINARY)
+        wvar.append(idx)
+        touching[u].append(idx)
+        touching[v].append(idx)
+    m.set_objective(
+        *terms_arrays([(idx, float(s)) for idx, (_u, _v, s) in zip(wvar, pairs)]), sense="max"
+    )
+    for veh in sorted(touching):
+        one_row(m, [(idx, 1.0) for idx in touching[veh]], "<=", 1.0)
+    if wvar:
+        one_row(m, [(idx, 1.0) for idx in wvar], "<=", gamma * n_vehicles)
     return m
 
 

@@ -363,6 +363,47 @@ def test_bench_parallel_jobs(demo_file, tmp_path):
     assert all(r["sav"] for r in rows)
 
 
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records the workers asked for
+    and maps in this process, starting none."""
+
+    def __init__(self, asked, max_workers):
+        asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, rows):
+        return map(fn, rows)
+
+
+@pytest.mark.parametrize("jobs, rows, want", [(500, 2, [2]), (2, 2, [2]), (1, 2, []), (4, 1, [])])
+def test_bench_asks_for_no_more_workers_than_rows(demo_file, tmp_path, monkeypatch, jobs, rows, want):
+    asked = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: RecordingPool(asked, max_workers))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"instance": demo_file, "method": "cpf"}] * rows))
+    out = tmp_path / "table.csv"
+    assert main(["bench", str(manifest), "-o", str(out), "--jobs", str(jobs)]) == 0
+    assert asked == want
+    with open(out, newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == rows
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_bench_rejects_fewer_than_one_job(demo_file, tmp_path, monkeypatch, capsys, jobs):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: pytest.fail("pool"))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"instance": demo_file, "method": "cpf"}]))
+    out = tmp_path / "table.csv"
+    assert main(["bench", str(manifest), "-o", str(out), "--jobs", str(jobs)]) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "payload",
     [

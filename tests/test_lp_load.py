@@ -19,13 +19,13 @@ import numpy as np
 import pytest
 
 import platoonplan.mip as mip_module
-from instgen import field_fleet
+from instgen import HUB_RUNGS, field_fleet, hub_fleet
 from oracles import two_block_load
 from platoonplan.decomposition import DecompositionConfig, run
 from platoonplan.formulations import build_cpf, build_fcnf, build_tsf
-from platoonplan.instance import generate_fleet, three_truck_demo
+from platoonplan.instance import three_truck_demo
 from platoonplan.mip import _compile, lp_bound, solve
-from platoonplan.network import build_time_space, generate_grid
+from platoonplan.network import build_time_space
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -86,11 +86,6 @@ def load(model) -> None:
     mip_module._HotLp(mip_module._compile(model))
 
 
-def hub_fleet(n, trucks):
-    grid = generate_grid(n, n, seed=1)
-    return generate_fleet(grid, trucks, seed=1, od_mode="hub", hubs=[0, n * n - 1])
-
-
 def exact_models(instance):
     tsn = build_time_space(instance.network, instance)
     return [build_cpf(instance), build_tsf(instance, tsn), build_fcnf(instance)]
@@ -105,7 +100,7 @@ def test_demo_models_load_as_two_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rung", [(5, 10), (6, 15), (6, 20), (7, 25), (8, 30)], ids=lambda r: f"{r[0]}x{r[0]}/{r[1]}"
+    "rung", HUB_RUNGS, ids=lambda r: f"{r[0]}x{r[0]}/{r[1]}"
 )
 def test_hub_ladder_models_load_as_two_blocks(rung, monkeypatch):
     compared = watch_loads(monkeypatch)

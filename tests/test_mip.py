@@ -7,17 +7,21 @@ import numpy as np
 import pytest
 
 import platoonplan.mip as mip_module
+from instgen import cpf_fleets, hub_fleet
 from oracles import (
     _feasible_point,
     assert_same_arrays,
+    cpf_by_rows,
     enumerate_mip,
     milp_oracle,
     model_arrays,
+    one_col,
+    one_row,
 )
 from platoonplan.errors import ModelInfeasible, ModelInvalid, Unbounded, ValidationError
 from platoonplan.evaluate import check, decode, shortest_path_cost, total_cost
 from platoonplan.formulations import build_cpf
-from platoonplan.instance import generate_fleet, three_truck_demo
+from platoonplan.instance import three_truck_demo
 from platoonplan.mip import (
     BINARY,
     CONTINUOUS,
@@ -34,30 +38,29 @@ from platoonplan.mip import (
     lp_text,
     solve,
 )
-from platoonplan.network import generate_grid
 
 
 def knapsack() -> MipModel:
     m = MipModel("knapsack")
-    for name in ("a", "b", "c"):
-        m.add_var(name, BINARY)
-    m.add_constr([("a", 2.0), ("b", 3.0), ("c", 1.0)], "<=", 5.0)
-    m.set_objective([("a", 5.0), ("b", 4.0), ("c", 3.0)], sense="max")
+    m.add_vars(["a", "b", "c"], BINARY)
+    m.add_rows([0, 0, 0], [0, 1, 2], [2.0, 3.0, 1.0], "<=", [5.0])
+    m.set_objective([0, 1, 2], [5.0, 4.0, 3.0], sense="max")
     return m
 
 
 def random_model(seed: int) -> MipModel:
+    """A small random MIP, built one column and one row at a time."""
     rng = np.random.default_rng(seed)
     m = MipModel(f"rand{seed}")
     n = int(rng.integers(3, 7))
     for i in range(n):
         r = rng.random()
         if r < 0.5:
-            m.add_var(f"v{i}", BINARY)
+            one_col(m, f"v{i}", BINARY)
         elif r < 0.8:
-            m.add_var(f"v{i}", INTEGER, 0.0, float(rng.integers(1, 5)))
+            one_col(m, f"v{i}", INTEGER, 0.0, float(rng.integers(1, 5)))
         else:
-            m.add_var(f"v{i}", CONTINUOUS, 0.0, float(rng.integers(2, 6)))
+            one_col(m, f"v{i}", CONTINUOUS, 0.0, float(rng.integers(2, 6)))
     for _ in range(int(rng.integers(2, 6))):
         size = int(rng.integers(1, n + 1))
         idxs = rng.choice(n, size=size, replace=False)
@@ -66,13 +69,22 @@ def random_model(seed: int) -> MipModel:
         if not terms:
             continue
         sense = ("<=", ">=", "=")[int(rng.integers(0, 3))]
-        m.add_constr(terms, sense, float(rng.integers(-3, 8)))
-    obj = [(i, float(c)) for i, c in enumerate(rng.integers(-5, 6, size=n))]
+        one_row(m, terms, sense, float(rng.integers(-3, 8)))
     m.set_objective(
-        obj,
+        np.arange(n),
+        rng.integers(-5, 6, size=n).astype(float),
         sense="max" if rng.random() < 0.5 else "min",
         constant=float(rng.integers(-3, 4)),
     )
+    return m
+
+
+def binary_at_least_two() -> MipModel:
+    """min x with x binary and x >= 2: infeasible, already as an LP."""
+    m = MipModel()
+    m.add_vars(["x"], BINARY)
+    m.add_rows([0], [0], [1.0], ">=", [2.0])
+    m.set_objective([0], [1.0])
     return m
 
 
@@ -113,19 +125,15 @@ def test_solver_is_deterministic():
 
 
 def test_infeasible_model():
-    m = MipModel()
-    m.add_var("x", BINARY)
-    m.add_constr([("x", 1.0)], ">=", 2.0)
-    m.set_objective([("x", 1.0)])
-    res = solve(m)
+    res = solve(binary_at_least_two())
     assert res.status == INFEASIBLE
     assert res.objective is None and res.values == {}
 
 
 def test_unbounded_model_raises():
     m = MipModel()
-    m.add_var("x", CONTINUOUS)
-    m.set_objective([("x", 1.0)], sense="max")
+    m.add_vars(["x"], CONTINUOUS)
+    m.set_objective([0], [1.0], sense="max")
     with pytest.raises(Unbounded):
         solve(m)
     with pytest.raises(Unbounded):
@@ -135,60 +143,61 @@ def test_unbounded_model_raises():
 def test_lp_bound_relaxes():
     m = knapsack()
     assert lp_bound(m) == pytest.approx(32.0 / 3.0, abs=1e-6)
-    m2 = MipModel()
-    m2.add_var("x", BINARY)
-    m2.add_constr([("x", 1.0)], ">=", 2.0)
-    m2.set_objective([("x", 1.0)])
     with pytest.raises(ModelInfeasible):
-        lp_bound(m2)
+        lp_bound(binary_at_least_two())
 
 
 def test_constraint_terms_merge():
+    """A row keeps a column's repeated terms, and the compile sums them;
+    the objective sums a column's costs."""
     m = MipModel()
-    m.add_var("x", CONTINUOUS, 0.0, 10.0)
-    row = m.add_constr([("x", 1.0), ("x", 2.0)], "<=", 6.0)
-    idxs, coefs, sense, rhs = m.constraints[row]
-    assert idxs == (0,) and coefs == (3.0,)
-    m.set_objective([("x", 1.0), ("x", 1.0)], sense="max")
+    m.add_vars(["x"], CONTINUOUS, 0.0, 10.0)
+    row = m.add_rows([0, 0], [0, 0], [1.0, 2.0], "<=", [6.0])
+    assert m.constraints[row] == ((0, 0), (1.0, 2.0), "<=", 6.0)
+    assert _compile(m).a.toarray().tolist() == [[3.0]]
+    m.set_objective([0, 0], [1.0, 1.0], sense="max")
+    assert m.objective == {0: 2.0}
     res = solve(m)
     assert res.objective == pytest.approx(4.0)  # 2x at x = 2
 
 
 def test_model_validation_errors():
     m = MipModel()
-    m.add_var("x", BINARY)
+    m.add_vars(["x"], BINARY)
     with pytest.raises(ModelInvalid):
-        m.add_var("x", BINARY)
+        m.add_vars(["x"], BINARY)
     with pytest.raises(ModelInvalid):
-        m.add_var("y", "semicontinuous")
+        m.add_vars(["y"], "semicontinuous")
     with pytest.raises(ModelInvalid):
-        m.add_var("z", CONTINUOUS, 2.0, 1.0)
+        m.add_vars(["z"], CONTINUOUS, 2.0, 1.0)
     with pytest.raises(ModelInvalid):
-        m.add_constr([("ghost", 1.0)], "<=", 1.0)
+        m.add_rows([0], [1], [1.0], "<=", [1.0])
     with pytest.raises(ModelInvalid):
-        m.add_constr([("x", 1.0)], "<", 1.0)
+        m.add_rows([0], [0], [1.0], "<", [1.0])
     with pytest.raises(ModelInvalid):
-        m.set_objective([("x", 1.0)], sense="maximize")
+        m.set_objective([0], [1.0], sense="maximize")
 
 
 def test_only_integers_index_columns():
-    """A float is never truncated to an index; any other key is a name."""
+    """A column is an integer index: a float, a name or an index out of
+    range is refused, never truncated or looked up."""
     m = knapsack()
-    with pytest.raises(ModelInvalid, match="unknown variable 1.7"):
-        m.add_constr([(1.7, 1.0)], "<=", 1.0)
-    with pytest.raises(ModelInvalid, match="unknown variable"):
-        m.set_objective([(["a"], 1.0)])  # unhashable
+    with pytest.raises(ModelInvalid, match="integers"):
+        m.add_rows([0], [1.7], [1.0], "<=", [1.0])
+    with pytest.raises(ModelInvalid, match="integers"):
+        m.add_rows([0], ["a"], [1.0], "<=", [1.0])
+    with pytest.raises(ModelInvalid, match="integers"):
+        m.set_objective(["a"], [1.0])
     with pytest.raises(ModelInvalid, match="out of range"):
-        m.add_constr([(np.int64(3), 1.0)], "<=", 1.0)
+        m.add_rows([0], [np.int64(3)], [1.0], "<=", [1.0])
     assert m.num_constrs == 1
-    row = m.add_constr([(np.int64(1), 1.0), ("c", 1.0)], "<=", 1.0)
+    row = m.add_rows([0, 0], np.array([1, 2], dtype=np.int32), [1.0, 1.0], "<=", [1.0])
     assert m.constraints[row][0] == (1, 2)
     # tuple keys, as the builders use them, and their LP-text labels
-    m.add_var(("x", 0, 12, 3), BINARY)
-    m.add_var(2.5, CONTINUOUS, 0.0, 1.0)
-    assert m._resolve(("x", 0, 12, 3)) == 3 and m._resolve(2.5) == 4
-    with pytest.raises(ModelInvalid, match="unknown variable"):
-        m.add_constr([(("x", 0, 12), 1.0)], "<=", 1.0)
+    (x,) = m.add_vars([("x", 0, 12, 3)], BINARY)
+    (y,) = m.add_vars([2.5], CONTINUOUS, 0.0, 1.0)
+    assert (x, y) == (3, 4)
+    assert m.var_index(("x", 0, 12, 3)) == 3 and m.var_index(2.5) == 4
     text = lp_text(m)
     assert text.splitlines()[-2].split() == ["a", "b", "c", "x_0_12_3"]
     assert " 0 <= 2.5 <= 1" in text.splitlines()
@@ -228,10 +237,39 @@ def test_loose_gap_stops_early_but_stays_feasible():
 
 def test_empty_model_solves_to_constant():
     m = MipModel()
-    m.set_objective([], constant=7.5)
+    m.set_objective([], [], constant=7.5)
     res = solve(m)
     assert res.status == OPTIMAL
     assert res.objective == 7.5
+
+
+@pytest.mark.parametrize("sense, rhs", [(">=", 1.0), ("<=", -1.0), ("=", 0.5)])
+def test_a_model_without_columns_keeps_its_rows(sense, rhs):
+    """Every row of a model without columns reads 0; a row whose bounds
+    exclude 0 makes the model infeasible, as it does with a column."""
+    m = MipModel()
+    m.add_rows([], [], [], sense, [rhs])
+    m.set_objective([], [], constant=7.5)
+    res = solve(m)
+    assert res.status == INFEASIBLE and res.node_count == 0
+    assert res.objective is None and res.bound is None and res.values == {}
+    with pytest.raises(ModelInfeasible):
+        lp_bound(m)
+    # the same row over a column that is fixed at 0
+    m.add_vars(["x"], CONTINUOUS, 0.0, 0.0)
+    assert solve(m).status == INFEASIBLE
+    with pytest.raises(ModelInfeasible):
+        lp_bound(m)
+
+
+def test_rows_that_admit_0_leave_a_model_without_columns_feasible():
+    m = MipModel()
+    m.add_rows([], [], [], ["<=", ">=", "="], [0.0, 0.0, 0.0])
+    m.add_rows([], [], [], ["<=", ">="], [1.0, -1.0])
+    m.set_objective([], [], sense="max", constant=-2.0)
+    res = solve(m)
+    assert (res.status, res.objective, res.bound) == (OPTIMAL, -2.0, -2.0)
+    assert lp_bound(m) == -2.0
 
 
 def test_solve_sees_changes_made_after_a_solve():
@@ -240,21 +278,21 @@ def test_solve_sees_changes_made_after_a_solve():
     res = solve(m)
     assert res.objective == pytest.approx(9.0) and res.values["b"] == 1.0
     # a new row that cuts off the old optimum
-    m.add_constr([("b", 1.0)], "<=", 0.0)
+    m.add_rows([0], [m.var_index("b")], [1.0], "<=", [0.0])
     res = solve(m)
     assert res.objective == pytest.approx(8.0)
     assert res.values["b"] == 0.0
     # a new variable
-    m.add_var("d", BINARY)
+    (d,) = m.add_vars(["d"], BINARY)
     res = solve(m)
     assert set(res.values) == {"a", "b", "c", "d"}
     assert res.objective == pytest.approx(8.0)
     # a new objective, including the new variable
-    m.set_objective([("a", 5.0), ("b", 4.0), ("c", 3.0), ("d", 10.0)], sense="max")
+    m.set_objective([0, 1, 2, d], [5.0, 4.0, 3.0, 10.0], sense="max")
     res = solve(m)
     assert res.objective == pytest.approx(18.0)
     assert res.values["d"] == 1.0
-    m.set_objective([("a", 1.0), ("d", -1.0)], sense="min", constant=2.0)
+    m.set_objective([0, d], [1.0, -1.0], sense="min", constant=2.0)
     res = solve(m)
     assert res.objective == pytest.approx(1.0)
     assert lp_bound(m) == pytest.approx(1.0)
@@ -298,9 +336,9 @@ def test_lp_text_structure():
 
 
 def bulk_copy(model: MipModel) -> MipModel:
-    """``model`` rebuilt by add_vars, one block per run of columns of one
-    kind, one add_rows block whose entries come last row first, and the
-    array form of set_objective."""
+    """``model`` rebuilt in blocks: one add_vars block per run of columns
+    of one kind, one add_rows block whose entries come last row first, and
+    one set_objective over the nonzero costs."""
     copy = MipModel(model.name)
     variables = model.variables
     start = 0
@@ -327,10 +365,10 @@ def bulk_copy(model: MipModel) -> MipModel:
         [con[3] for con in model.constraints],
     )
     copy.set_objective(
+        np.array(list(model.objective), dtype=np.int64),
+        list(model.objective.values()),
         sense=model.sense,
         constant=model.objective_constant,
-        cols=np.array(list(model.objective), dtype=np.int64),
-        coefs=list(model.objective.values()),
     )
     return copy
 
@@ -339,10 +377,12 @@ def bulk_copy(model: MipModel) -> MipModel:
     "which", [f"rand{seed}" for seed in range(30)] + ["knapsack"] + [f"cpf{k}" for k in range(4)]
 )
 def test_bulk_and_one_item_construction_compile_alike(which):
+    """A model built one column and one row at a time and its copy built
+    in a few blocks, with the entries in another order, compile alike."""
     if which == "knapsack":
         model = knapsack()
     elif which.startswith("cpf"):
-        model = build_cpf(cpf_fleets()[int(which[3:])])
+        model = cpf_by_rows(cpf_fleets()[int(which[3:])])
     else:
         model = random_model(int(which[4:]))
     copy = bulk_copy(model)
@@ -356,8 +396,8 @@ def test_rows_keep_their_terms_in_order():
     first = m.add_rows([1, 0, 1, 0], [2, 1, 0, 2], [1.0, 2.0, 3.0, 4.0], [">=", "="], [1.0, 2.0])
     assert first == 0 and m.num_constrs == 2
     assert m.constraints == [((1, 2), (2.0, 4.0), ">=", 1.0), ((2, 0), (1.0, 3.0), "=", 2.0)]
-    assert m.add_constr([("b", 1.0), ("a", 1.0), ("b", 1.0)], "<=", 4.0) == 2
-    assert m.constraints[2] == ((1, 0), (2.0, 1.0), "<=", 4.0)
+    assert m.add_rows([0, 0, 0], [1, 0, 1], [1.0, 1.0, 1.0], "<=", [4.0]) == 2
+    assert m.constraints[2] == ((1, 0, 1), (1.0, 1.0, 1.0), "<=", 4.0)
     assert [(v.name, v.kind, v.upper) for v in m.variables] == [
         ("a", INTEGER, 1.0), ("b", INTEGER, 2.0), ("c", INTEGER, 3.0)
     ]
@@ -368,7 +408,7 @@ def test_bulk_additions_after_a_solve_are_seen():
     assert solve(m).objective == pytest.approx(9.0)
     (d,) = m.add_vars(["d"], BINARY)
     m.add_rows([0, 0], [d, 0], [1.0, 1.0], "<=", [1.0])
-    m.set_objective(cols=[0, 1, 2, d], coefs=[5.0, 4.0, 3.0, 10.0], sense="max")
+    m.set_objective([0, 1, 2, d], [5.0, 4.0, 3.0, 10.0], sense="max")
     res = solve(m)
     assert res.objective == pytest.approx(17.0)
     assert res.values["d"] == 1.0 and res.values["a"] == 0.0
@@ -391,8 +431,8 @@ def test_bad_blocks_raise_and_add_nothing():
         "float column": lambda: m.add_rows([0], [0.0], [1.0], "<=", [1.0]),
         "unknown sense": lambda: m.add_rows([0, 1], [0, 1], [1.0, 1.0], ["<=", "<"], [1.0, 1.0]),
         "short senses": lambda: m.add_rows([0, 1], [0, 1], [1.0, 1.0], ["<="], [1.0, 1.0]),
-        "short costs": lambda: m.set_objective(cols=[0, 1], coefs=[1.0]),
-        "cost column out of range": lambda: m.set_objective(cols=[0, 5], coefs=[1.0, 1.0]),
+        "short costs": lambda: m.set_objective([0, 1], [1.0]),
+        "cost column out of range": lambda: m.set_objective([0, 5], [1.0, 1.0]),
     }
     for case, add in cases.items():
         with pytest.raises(ModelInvalid):
@@ -427,16 +467,6 @@ def lp_path(request, monkeypatch):
     return request.param
 
 
-def hub_fleet(n, trucks, seed):
-    grid = generate_grid(n, n, seed=seed)
-    return generate_fleet(grid, trucks, seed=seed, od_mode="hub", hubs=[0, n * n - 1])
-
-
-def cpf_fleets():
-    """The demo and three hub fleets whose CPF models branch (3 to 15 nodes)."""
-    return [three_truck_demo(), hub_fleet(5, 10, 1), hub_fleet(5, 8, 1), hub_fleet(4, 6, 3)]
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_model_data_is_refused_where_it_is_added(bad, lp_path):
     """A NaN coefficient once solved to a wrong "optimal" or "infeasible",
@@ -444,16 +474,14 @@ def test_non_finite_model_data_is_refused_where_it_is_added(bad, lp_path):
     constant and right-hand side must be finite when it is added; the
     refused item leaves the model as it was."""
     m = MipModel()
-    m.add_var("a", CONTINUOUS, 0.0, 5.0)
-    m.set_objective([("a", 1.0)], sense="max")
+    m.add_vars(["a"], CONTINUOUS, 0.0, 5.0)
+    m.set_objective([0], [1.0], sense="max")
     for add in (
-        lambda: m.add_constr([("a", bad)], "<=", 1.0),
-        lambda: m.add_constr([("a", 1.0)], "<=", bad),
         lambda: m.add_rows([0], [0], [bad], "<=", [1.0]),
+        lambda: m.add_rows([0], [0], [1.0], "<=", [bad]),
         lambda: m.add_rows([0, 1], [0, 0], [1.0, 1.0], "<=", [1.0, bad]),
-        lambda: m.set_objective([("a", bad)], sense="max"),
-        lambda: m.set_objective(cols=[0], coefs=[bad], sense="max"),
-        lambda: m.set_objective([("a", 1.0)], sense="max", constant=bad),
+        lambda: m.set_objective([0], [bad], sense="max"),
+        lambda: m.set_objective([0], [1.0], sense="max", constant=bad),
     ):
         with pytest.raises(ModelInvalid, match="finite"):
             add()
@@ -466,9 +494,9 @@ def test_non_finite_model_data_is_refused_where_it_is_added(bad, lp_path):
 def infeasible_after_branching() -> MipModel:
     """2x = 3 with x integer: the root LP is feasible, both children are not."""
     m = MipModel("odd")
-    m.add_var("x", INTEGER, 0.0, 3.0)
-    m.add_constr([("x", 2.0)], "=", 3.0)
-    m.set_objective([("x", 1.0)])
+    m.add_vars(["x"], INTEGER, 0.0, 3.0)
+    m.add_rows([0], [0], [2.0], "=", [3.0])
+    m.set_objective([0], [1.0])
     return m
 
 
@@ -568,20 +596,17 @@ def test_infeasible_node_model_and_unbounded_lp(lp_path):
     status, x, fun = mip_module._HotLp(comp)(comp.lower, np.array([1.0]))
     assert status == 2 and x is None and fun is None
 
-    m = MipModel()
-    m.add_var("x", BINARY)
-    m.add_constr([("x", 1.0)], ">=", 2.0)
-    m.set_objective([("x", 1.0)])
+    m = binary_at_least_two()
     res = solve(m)
     assert res.status == INFEASIBLE and res.node_count == 1
     with pytest.raises(ModelInfeasible):
         lp_bound(m)
 
     m = MipModel()
-    m.add_var("x", CONTINUOUS)
-    m.add_var("k", INTEGER, 0.0, 5.0)
-    m.add_constr([("x", 1.0), ("k", -1.0)], ">=", 0.5)
-    m.set_objective([("x", 1.0), ("k", 1.0)], sense="max")
+    m.add_vars(["x"], CONTINUOUS)
+    m.add_vars(["k"], INTEGER, 0.0, 5.0)
+    m.add_rows([0, 0], [0, 1], [1.0, -1.0], ">=", [0.5])
+    m.set_objective([0, 1], [1.0, 1.0], sense="max")
     with pytest.raises(Unbounded):
         solve(m)
     with pytest.raises(Unbounded):

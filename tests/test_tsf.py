@@ -6,21 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from instgen import BRANCHING_DRAW, FIELD_OPTIMA, field_fleet, small_instance
+from instgen import BRANCHING_DRAW, FIELD_OPTIMA, field_fleet, hub_fleet, small_instance
 from oracles import brute_force_joint, full_tsf
 from platoonplan.evaluate import check, decode, total_cost
 from platoonplan.formulations import build_tsf
-from platoonplan.instance import Instance, Vehicle, generate_fleet, three_truck_demo
+from platoonplan.instance import Instance, Vehicle, three_truck_demo
 from platoonplan.mip import SolveConfig, lp_bound, solve
-from platoonplan.network import build_time_space, generate_grid, make_network
+from platoonplan.network import build_time_space, make_network
 
 # Optimal costs of the hub ladder at fleet seed 1 (the benchmark's ladder).
 HUB_OPTIMA = {(5, 10): 168.2, (6, 15): 301.2, (6, 20): 400.9, (7, 25): 614.0, (8, 30): 892.9}
-
-
-def hub_fleet(n, trucks):
-    grid = generate_grid(n, n, seed=1)
-    return generate_fleet(grid, trucks, seed=1, od_mode="hub", hubs=[0, n * n - 1])
 
 
 def both_models(instance):

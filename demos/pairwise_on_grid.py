@@ -4,7 +4,7 @@ Pairwise scheduling stage by stage
 
 Exact scheduling prices every possible meet at once; the pairwise
 shortcut commits early instead.  It picks disjoint truck pairs worth the
-most, narrows each pair's journey windows until they must meet, times the
+most, narrows each pair's departure windows until they must meet, times the
 fleet without a size cap, and repairs whatever comes out.  This script
 runs each stage by hand on a hub-and-spoke grid fleet and compares the
 result against the do-nothing schedule and the exact one.
@@ -47,7 +47,7 @@ print(f"\n{len(candidates)} candidate pairs, the five richest:")
 for c in sorted(candidates, key=lambda c: -c.savings)[:5]:
     print(
         f"  trucks {c.u} and {c.v}: {len(c.segment)} shared arcs from node "
-        f"{c.merge_node}, saving {c.savings:.3f}"
+        f"{c.segment[0][0]}, saving {c.savings:.3f}"
     )
 
 # Stage 2: a matching keeps each truck in at most one pair and the count
@@ -58,16 +58,17 @@ print(f"\nmatching with gamma={gamma} keeps {len(chosen)} pairs:")
 for c in chosen:
     print(f"  trucks {c.u} and {c.v}, saving {c.savings:.3f}")
 
-# Stage 3: narrow each chosen pair's entry windows until they coincide at
-# the merge node; the platoon becomes unavoidable.  Slack is uniform along a
-# fixed path, so every arc of a truck's route shifts by the same amounts.
+# Stage 3: narrow each chosen pair's departure windows until their entry
+# windows at the merge node coincide; the platoon becomes unavoidable.  A
+# truck on a fixed route enters every arc a fixed time after it departs, so
+# its departure window is all that changes.
 narrowed = shrink_windows(routes, chosen)
 
 
 def journey(r, v):
-    """Truck v's departure and arrival window on routes r."""
-    first, last = r.paths[v][0], r.paths[v][-1]
-    return r.entry_lo[v, first], r.entry_hi[v, last] + net.travel_time[last]
+    """Truck v's earliest departure and latest arrival on routes r."""
+    lo, hi = r.depart[v]
+    return lo, hi + sum(net.travel_time[arc] for arc in r.paths[v])
 
 
 tightened = [

@@ -199,8 +199,8 @@ def modify_costs(
 
     adm = instance.admissible
     windows = instance.windows
-    traversed = frozenset(routes.arc_union)
     vehicles_on = {arc: frozenset(vs) for arc, vs in routes.vehicles_by_arc.items()}
+    traversed = frozenset(vehicles_on)
 
     group_size: dict[tuple[int, Arc], int] = {}
     for (arc, _t), groups in solution.groups.items():
@@ -235,8 +235,8 @@ def modify_costs(
             # llcmp asks whether there is one, icmp how many there are
             lo_v, hi_v = windows[v][arc[0]]
             meets = (
-                max(lo_v, routes.entry_lo[u, arc]) <= min(hi_v, routes.entry_hi[u, arc])
-                for u in drivers
+                max(lo_v, lo_u) <= min(hi_v, hi_u)
+                for lo_u, hi_u in (routes.entry_window(u, arc) for u in drivers)
             )
             met = any(meets) if mode == "llcmp" else sum(meets)
             scenarios[key] = 3 if met else 2

@@ -382,26 +382,19 @@ def _decode_cpf(instance: Instance, result) -> PlatoonSolution:
 
 
 def _decode_tsf(instance: Instance, result) -> dict[int, tuple[tuple[Arc, int], ...]]:
-    """Each vehicle's timed path along the moves of a time-space incumbent;
-    the model's platoon counts are not read."""
+    """Each vehicle's moves in a time-space incumbent, in time order; the
+    model's platoon counts are not read.  Legs that do not chain fail the
+    check that :func:`_timetable` runs."""
     moves: dict[int, list[tuple[int, Arc]]] = defaultdict(list)
     for key, val in result.values.items():
         match key:
             # waiting legs (i == j) carry no cost and join no platoon
             case ("x", i, tm, j, _, v) if val > 0.5 and i != j:
                 moves[v].append((tm, (i, j)))
-
-    paths = {}
-    for v, veh in enumerate(instance.vehicles):
-        node = veh.origin
-        ordered = []
-        for tm, arc in sorted(moves.get(v, ())):
-            if arc[0] != node:
-                raise DecodeInconsistent(f"vehicle {v}: time-expanded legs do not chain")
-            ordered.append((arc, tm))
-            node = arc[1]
-        paths[v] = tuple(ordered)
-    return paths
+    return {
+        v: tuple((arc, tm) for tm, arc in sorted(moves.get(v, ())))
+        for v in range(len(instance.vehicles))
+    }
 
 
 def _tif_choice(result) -> dict[tuple[int, Arc], int]:
@@ -481,7 +474,7 @@ def assemble_timetable(
             if (v, arc) in chosen:
                 tm = chosen[v, arc]
             else:
-                tm = routes.entry_lo[v, arc]
+                tm = routes.entry_window(v, arc)[0]
                 if prev_end is not None:
                     tm = max(tm, prev_end)
             legs.append((arc, tm))

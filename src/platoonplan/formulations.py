@@ -501,30 +501,36 @@ def price_fcnf(instance: Instance, model: MipModel, cost_table=None) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FixedRoutes:
-    """Ordered per-vehicle paths plus their rigid entry-time windows.
+    """Ordered per-vehicle paths and one departure window per vehicle.
 
-    Entry windows come from cumulative travel time along the fixed path, so
-    every arc of one vehicle has the same amount of slack; waiting anywhere
-    shifts all later entries.
+    A vehicle on a fixed path enters each arc a fixed travel time after it
+    departs, so its whole timing is its departure window ``depart[v] =
+    (lo, hi)``: it enters ``arc`` in that window shifted by ``offset[v,
+    arc]``, the path's travel time before the arc (:meth:`entry_window`).
+    Every arc of one vehicle has the same slack; waiting anywhere shifts all
+    later entries.
     """
 
     paths: Mapping[int, tuple[Arc, ...]]
-    entry_lo: Mapping[tuple[int, Arc], int]
-    entry_hi: Mapping[tuple[int, Arc], int]
+    offset: Mapping[tuple[int, Arc], int]
+    depart: Mapping[int, tuple[int, int]]
 
     @classmethod
     def build(cls, instance: Instance, paths: Mapping[int, Sequence[Arc]]) -> "FixedRoutes":
+        """Check each path against ``instance`` and give its vehicle the
+        widest departure window that still arrives in time."""
         tt = instance.network.travel_time
-        entry_lo = {}
-        entry_hi = {}
+        offset = {}
+        depart = {}
         ordered = {}
         for v, path in sorted(paths.items()):
+            if not 0 <= v < len(instance.vehicles):
+                raise ValidationError(f"vehicle {v} is not in the fleet")
             veh = instance.vehicles[v]
             path = tuple(path)
             node = veh.origin
             seen = {node}
             cum = 0
-            offsets = []
             for arc in path:
                 if arc not in instance.network.cost:
                     raise ValidationError(f"vehicle {v}: arc {arc} is not in the network")
@@ -534,23 +540,24 @@ class FixedRoutes:
                 if node in seen:
                     raise ValidationError(f"vehicle {v}: path revisits node {node}")
                 seen.add(node)
-                offsets.append(cum)
+                offset[v, arc] = cum
                 cum += tt[arc]
             if node != veh.dest:
                 raise ValidationError(f"vehicle {v}: path ends at {node}, not {veh.dest}")
-            slack = (veh.latest_arrival - veh.earliest_departure) - cum
-            if slack < 0:
+            if veh.latest_arrival - cum < veh.earliest_departure:
                 raise InfeasibleNode(
-                    f"vehicle {v}: fixed path takes {cum}, window allows only {cum + slack}"
+                    f"vehicle {v}: fixed path takes {cum}, window allows only "
+                    f"{veh.latest_arrival - veh.earliest_departure}"
                 )
             ordered[v] = path
-            for arc, off in zip(path, offsets):
-                entry_lo[v, arc] = veh.earliest_departure + off
-                entry_hi[v, arc] = veh.earliest_departure + off + slack
-        return cls(paths=ordered, entry_lo=entry_lo, entry_hi=entry_hi)
+            depart[v] = (veh.earliest_departure, veh.latest_arrival - cum)
+        return cls(paths=ordered, offset=offset, depart=depart)
 
     def entry_window(self, v: int, arc: Arc) -> tuple[int, int]:
-        return self.entry_lo[v, arc], self.entry_hi[v, arc]
+        """The times at which vehicle ``v`` may enter ``arc`` of its path."""
+        lo, hi = self.depart[v]
+        off = self.offset[v, arc]
+        return lo + off, hi + off
 
     @cached_property
     def vehicles_by_arc(self) -> dict[Arc, tuple[int, ...]]:
@@ -559,10 +566,6 @@ class FixedRoutes:
             for arc in path:
                 by_arc[arc].append(v)
         return {arc: tuple(vs) for arc, vs in by_arc.items()}
-
-    @cached_property
-    def arc_union(self) -> set[Arc]:
-        return set(self.vehicles_by_arc)
 
     @cached_property
     def meets(self) -> tuple[tuple[Arc, tuple[int, ...]], ...]:
@@ -579,11 +582,12 @@ class FixedRoutes:
         chains: list[tuple[Arc, list[int]]] = []
         for arc, vs in self.vehicles_by_arc.items():
             reach = -math.inf
-            for lo, v in sorted((self.entry_lo[v, arc], v) for v in vs):
+            windows = ((lo, v, hi) for v in vs for lo, hi in [self.entry_window(v, arc)])
+            for lo, v, hi in sorted(windows):
                 if lo > reach:
                     chains.append((arc, []))
                 chains[-1][1].append(v)
-                reach = max(reach, self.entry_hi[v, arc])
+                reach = max(reach, hi)
         return tuple((arc, tuple(chain)) for arc, chain in chains if len(chain) > 1)
 
 
@@ -677,8 +681,9 @@ def build_tif(
     m = MipModel("tif")
 
     pairs = sorted(kept)
-    lo = np.array([routes.entry_lo[p] for p in pairs], dtype=np.int64)
-    hi = np.array([routes.entry_hi[p] for p in pairs], dtype=np.int64)
+    lo, hi = np.array(
+        [routes.entry_window(v, arc) for v, arc in pairs], dtype=np.int64
+    ).reshape(-1, 2).T
     if (lo > hi).any():
         v, arc = pairs[int(np.argmax(lo > hi))]
         raise EmptyEntrySet(f"vehicle {v} has no admissible entry time on {arc}")
@@ -725,8 +730,6 @@ def build_tif(
         kept_arcs = [arc for arc in path if (v, arc) in kept]
         links += [(index[v, a], index[v, b]) for a, b in zip(kept_arcs, kept_arcs[1:])]
     pa, pb = np.array(links, dtype=np.int64).reshape(-1, 2).T
-    if (width[pb] < width[pa] - 1).any():
-        raise ValidationError("a truck's entry window narrows along its path")
     n_rows = width[pa] - 1
     tri_r, tri_s = np.tril_indices(int(n_rows.max(initial=0)))
     link, entry = _ragged(np.zeros(len(n_rows), dtype=np.int64), n_rows * (n_rows + 1) // 2)

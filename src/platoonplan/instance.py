@@ -127,6 +127,10 @@ def admissible_arcs(instance: Instance) -> dict[int, set[Arc]]:
     return out
 
 
+# origin/destination draws per vehicle before generate_fleet gives up
+PLACE_ATTEMPTS = 200
+
+
 def generate_fleet(
     net: RoadNetwork,
     n: int,
@@ -140,7 +144,6 @@ def generate_fleet(
     q_limit: int | None = 5,
     time_unit: float = 10.0,
     horizon: int = 144,
-    max_attempts: int = 200,
 ) -> Instance:
     """Draw a random fleet on ``net``.
 
@@ -187,7 +190,7 @@ def generate_fleet(
 
     vehicles = []
     for vid in range(n):
-        for _ in range(max_attempts):
+        for _ in range(PLACE_ATTEMPTS):
             if near_hub is not None and rng.random() < hub_share:
                 o, d = hub_node(), hub_node()
             else:
@@ -205,7 +208,7 @@ def generate_fleet(
             break
         else:
             raise GenerationFailed(
-                f"could not place vehicle {vid} after {max_attempts} attempts"
+                f"could not place vehicle {vid} after {PLACE_ATTEMPTS} attempts"
             )
     return Instance(
         network=net,

@@ -1,13 +1,13 @@
 """Pairwise scheduling heuristic for fixed routes.
 
 Instead of timing every vehicle jointly, this pass picks a limited set of
-vehicle pairs that share a stretch of road, narrows each partner's entry
-windows on its fixed route so both must cross the shared stretch together,
-and then times everyone with a capacity-relaxed scheduling model that is far
-smaller than the exact one.  Only the routes' windows change; the instance
-does not.  The model yields entry times only; the timetable put together
-from them splits every meet into the fewest legal convoys, so the result is
-always a valid timetable for the instance.
+vehicle pairs that share a stretch of road and narrows each partner's
+departure window on its fixed route so both must enter the shared stretch
+together, and then times everyone with a capacity-relaxed scheduling model
+that is far smaller than the exact one.  Only the routes' departure windows
+change; the instance does not.  The model yields entry times only; the
+timetable put together from them splits every meet into the fewest legal
+convoys, so the result is always a valid timetable for the instance.
 """
 
 from __future__ import annotations
@@ -30,20 +30,16 @@ from .network import Arc
 class PairCandidate:
     """A pair of vehicles and their best shared stretch of road.
 
-    The windows are entry windows at the merge node, where the shared
-    stretch begins; ``savings`` is what platooning over the whole stretch
-    would shave off the pair's combined cost.
+    The stretch begins at the merge node ``segment[0][0]``, where the two
+    vehicles' entry windows on ``segment[0]`` overlap; ``savings`` is what
+    platooning over the whole stretch would shave off the pair's combined
+    cost.
     """
 
     u: int
     v: int
     segment: tuple[Arc, ...]
-    merge_node: int
     savings: float
-    lo_u: int
-    hi_u: int
-    lo_v: int
-    hi_v: int
 
 
 def _common_runs(path_u: Sequence[Arc], path_v: Sequence[Arc]) -> list[tuple[Arc, ...]]:
@@ -80,7 +76,6 @@ def enumerate_pairs(instance: Instance, routes: FixedRoutes) -> list[PairCandida
         for v in vehicles[a + 1 :]:
             best: PairCandidate | None = None
             for seg in _common_runs(routes.paths[u], routes.paths[v]):
-                merge = seg[0][0]
                 lo_u, hi_u = routes.entry_window(u, seg[0])
                 lo_v, hi_v = routes.entry_window(v, seg[0])
                 if max(lo_u, lo_v) > min(hi_u, hi_v):
@@ -89,17 +84,7 @@ def enumerate_pairs(instance: Instance, routes: FixedRoutes) -> list[PairCandida
                 if s <= 0.0:
                     continue
                 if best is None or s > best.savings:
-                    best = PairCandidate(
-                        u=u,
-                        v=v,
-                        segment=seg,
-                        merge_node=merge,
-                        savings=s,
-                        lo_u=lo_u,
-                        hi_u=hi_u,
-                        lo_v=lo_v,
-                        hi_v=hi_v,
-                    )
+                    best = PairCandidate(u=u, v=v, segment=seg, savings=s)
             if best is not None:
                 out.append(best)
     return out
@@ -124,43 +109,38 @@ def select_pairs(
 def shrink_windows(
     routes: FixedRoutes, chosen: Sequence[PairCandidate]
 ) -> FixedRoutes:
-    """Narrow each chosen pair's entry windows until the two windows at the
-    merge node coincide with their intersection.
+    """Narrow each chosen pair's departure windows so that the two vehicles'
+    entry windows at the merge node both become their intersection.
 
-    Slack is uniform along a fixed path, so a truck's windows on every arc
-    of its path move up by ``max(0, lo_other - lo_mine)`` at the start and
-    down by ``max(0, hi_mine - hi_other)`` at the end, the shifts that align
-    the merge-node windows.  Every shift is measured on the windows before
-    narrowing, so a truck listed in two pairs keeps the last one's.  Returns
-    ``routes`` itself if no pair is chosen; raises :class:`ShrinkInfeasible`
-    if a window empties.
+    A vehicle's entry window on an arc is its departure window shifted by
+    the path's travel time before the arc, so each vehicle's new departure
+    window is the intersection shifted back by its own offset.  Every
+    intersection is taken on the windows before narrowing, so a vehicle
+    listed in two pairs keeps the last one's.  Returns ``routes`` itself if
+    no pair is chosen; raises :class:`ShrinkInfeasible` if an intersection
+    is empty.
     """
-    shifts: dict[int, tuple[int, int]] = {}
-    for c in chosen:
-        sides = ((c.u, c.v, c.lo_v, c.hi_v), (c.v, c.u, c.lo_u, c.hi_u))
-        for me, other, lo_o, hi_o in sides:
-            lo_m, hi_m = routes.entry_window(me, c.segment[0])
-            up, down = max(0, lo_o - lo_m), max(0, hi_m - hi_o)
-            if lo_m + up > hi_m - down:
-                raise ShrinkInfeasible(
-                    f"vehicle {me} cannot meet vehicle {other} at node "
-                    f"{c.merge_node}: window empties to [{lo_m + up}, {hi_m - down}]"
-                )
-            shifts[me] = (up, down)
-    if not shifts:
+    if not chosen:
         return routes
-    entry_lo = dict(routes.entry_lo)
-    entry_hi = dict(routes.entry_hi)
-    for v, (up, down) in shifts.items():
-        for arc in routes.paths[v]:
-            entry_lo[v, arc] += up
-            entry_hi[v, arc] -= down
-    return FixedRoutes(paths=routes.paths, entry_lo=entry_lo, entry_hi=entry_hi)
+    depart = dict(routes.depart)
+    for c in chosen:
+        arc = c.segment[0]
+        (lo_u, hi_u), (lo_v, hi_v) = routes.entry_window(c.u, arc), routes.entry_window(c.v, arc)
+        lo, hi = max(lo_u, lo_v), min(hi_u, hi_v)
+        if lo > hi:
+            raise ShrinkInfeasible(
+                f"vehicle {c.u} cannot meet vehicle {c.v} at node {arc[0]}: "
+                f"window empties to [{lo}, {hi}]"
+            )
+        for me in (c.u, c.v):
+            off = routes.offset[me, arc]
+            depart[me] = (lo - off, hi - off)
+    return FixedRoutes(paths=routes.paths, offset=routes.offset, depart=depart)
 
 
 def narrow_windows(instance: Instance, routes: FixedRoutes, gamma: float) -> FixedRoutes:
     """Pick pairs and narrow their windows: ``routes`` with each chosen
-    pair's entry windows shrunk to meet (itself if no pair is chosen)."""
+    pair's departure windows shrunk to meet (itself if no pair is chosen)."""
     candidates = enumerate_pairs(instance, routes)
     chosen = select_pairs(candidates, gamma, len(instance.vehicles))
     return shrink_windows(routes, chosen)

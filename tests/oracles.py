@@ -18,7 +18,6 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csc_matrix, csr_matrix, vstack
 
 from platoonplan.errors import ShrinkInfeasible
-from platoonplan.formulations import FixedRoutes
 from platoonplan.instance import Instance
 from platoonplan.mip import (
     _EQ,
@@ -191,8 +190,8 @@ def _drivers_by_arc(routes):
 
 
 def _windows_overlap(routes, u, v, arc):
-    lo = max(routes.entry_lo[u, arc], routes.entry_lo[v, arc])
-    return lo <= min(routes.entry_hi[u, arc], routes.entry_hi[v, arc])
+    (lo_u, hi_u), (lo_v, hi_v) = routes.entry_window(u, arc), routes.entry_window(v, arc)
+    return max(lo_u, lo_v) <= min(hi_u, hi_v)
 
 
 def overlapping_pairs(routes):
@@ -520,36 +519,51 @@ class FullTableHistory:
         return None
 
 
+# -- entry windows, one arc at a time ------------------------------------------
+
+
+def windows_by_arc(instance, paths):
+    """``{(v, arc): (lo, hi)}``: each truck's entry window on every arc of
+    its path, from the cumulative travel time before the arc and the slack
+    its journey window leaves over the whole path."""
+    tt = instance.network.travel_time
+    windows = {}
+    for v, path in paths.items():
+        veh = instance.vehicles[v]
+        offsets = list(itertools.accumulate((tt[arc] for arc in path), initial=0))
+        slack = (veh.latest_arrival - veh.earliest_departure) - offsets[-1]
+        for arc, off in zip(path, offsets):
+            windows[v, arc] = (veh.earliest_departure + off, veh.earliest_departure + off + slack)
+    return windows
+
+
 # -- pairwise narrowing through a copied instance -----------------------------
 
 
 def shrink_by_instance(instance, routes, chosen):
     """Pairwise window narrowing the long way: shift each chosen truck's
-    journey window on a copy of ``instance``, then rebuild the routes'
-    entry windows from that copy.
+    journey window on a copy of ``instance``, then recompute every entry
+    window from that copy with :func:`windows_by_arc`.
 
-    The truck's departure moves up by ``max(0, lo_other - lo_mine)`` and its
-    arrival deadline down by ``max(0, hi_mine - hi_other)``, from the
-    candidates' merge-node windows; a truck in two pairs keeps the last.
-    Returns ``routes`` itself if no pair is chosen.  A journey window that
-    empties raises ``ShrinkInfeasible``; one shorter than the path raises
-    ``InfeasibleNode`` from the rebuild.
+    ``routes`` are the fixed routes of ``instance``.  The truck's departure
+    moves up by ``max(0, lo_other - lo_mine)`` and its arrival deadline down
+    by ``max(0, hi_mine - hi_other)``, from the pair's entry windows at the
+    merge node; a truck in two pairs keeps the last.  A journey window that
+    empties raises ``ShrinkInfeasible``; one shorter than the fastest trip
+    raises ``ValidationError`` from the copied ``Instance``.
     """
+    before = windows_by_arc(instance, routes.paths)
     windows = {}
     for c in chosen:
+        arc = c.segment[0]
         for me, other in ((c.u, c.v), (c.v, c.u)):
-            if me == c.u:
-                lo_m, hi_m, lo_o, hi_o = c.lo_u, c.hi_u, c.lo_v, c.hi_v
-            else:
-                lo_m, hi_m, lo_o, hi_o = c.lo_v, c.hi_v, c.lo_u, c.hi_u
+            (lo_m, hi_m), (lo_o, hi_o) = before[me, arc], before[other, arc]
             veh = instance.vehicles[me]
             ted = veh.earliest_departure + max(0, lo_o - lo_m)
             tla = veh.latest_arrival - max(0, hi_m - hi_o)
             if tla < ted:
                 raise ShrinkInfeasible(f"vehicle {me} cannot meet vehicle {other}")
             windows[me] = (ted, tla)
-    if not windows:
-        return routes
     vehicles = tuple(
         replace(v, earliest_departure=windows[v.id][0], latest_arrival=windows[v.id][1])
         if v.id in windows
@@ -564,7 +578,7 @@ def shrink_by_instance(instance, routes, chosen):
         time_unit=instance.time_unit,
         horizon=instance.horizon,
     )
-    return FixedRoutes.build(shrunk, routes.paths)
+    return windows_by_arc(shrunk, routes.paths)
 
 
 # -- the row-by-row builders ---------------------------------------------------
@@ -722,7 +736,8 @@ def tif_by_rows(instance, routes, kept=None, relax_capacity=False):
     xvar = {}
     slot_users = defaultdict(list)
     for v, arc in sorted(kept):
-        for tm in range(routes.entry_lo[v, arc], routes.entry_hi[v, arc] + 1):
+        lo, hi = routes.entry_window(v, arc)
+        for tm in range(lo, hi + 1):
             xvar[v, arc, tm] = one_col(m, ("x", *arc, v, tm), BINARY)
             slot_users[arc, tm].append(v)
 
@@ -748,13 +763,11 @@ def tif_by_rows(instance, routes, kept=None, relax_capacity=False):
         kept_arcs = [arc for arc in path if (v, arc) in kept]
         for a, b in zip(kept_arcs, kept_arcs[1:]):
             lo_a, hi_a = routes.entry_window(v, a)
-            delta = routes.entry_lo[v, b] - lo_a
+            lo_b, _hi_b = routes.entry_window(v, b)
+            delta = lo_b - lo_a
             for tm in range(lo_a, hi_a):
                 terms = [(xvar[v, a, tau], 1.0) for tau in range(lo_a, tm + 1)]
-                terms += [
-                    (xvar[v, b, tau], -1.0)
-                    for tau in range(routes.entry_lo[v, b], tm + delta + 1)
-                ]
+                terms += [(xvar[v, b, tau], -1.0) for tau in range(lo_b, tm + delta + 1)]
                 one_row(m, terms, ">=", 0.0)
 
     for (arc, tm), vs in sorted(slot_users.items()):

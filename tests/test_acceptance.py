@@ -221,8 +221,9 @@ def test_criterion_6_pairwise_contracts(capsys):
         if len(touched) != len(set(touched)):
             problems.append((seed, "degree"))
         narrowed = shrink_windows(routes, chosen)
-        for key, lo in narrowed.entry_lo.items():
-            if not routes.entry_lo[key] <= lo <= narrowed.entry_hi[key] <= routes.entry_hi[key]:
+        for key in routes.offset:
+            (lo, hi), (new_lo, new_hi) = routes.entry_window(*key), narrowed.entry_window(*key)
+            if not lo <= new_lo <= new_hi <= hi:
                 problems.append((seed, "window"))
         sol = schedule_with_pairwise(instance, routes, gamma)
         if not check(instance, sol).ok:

@@ -168,7 +168,7 @@ def test_modify_costs_composition_repeat():
 
     def table(scenario, modified):
         return CostTable(
-            traversed=frozenset(routes.arc_union),
+            traversed=frozenset(routes.vehicles_by_arc),
             modified={(2, (0, 1)): modified},
             scenarios={(2, (0, 1)): scenario},
         )
@@ -364,8 +364,8 @@ def assert_parts_match_whole(instance, routes):
     assert sorted(pair for _trucks, part in parts for pair in part) == sorted(kept)
     # no (arc, slot) is open to trucks of two parts
     slots = [
-        {(arc, tm) for v, arc in part for tm in range(routes.entry_lo[v, arc],
-                                                       routes.entry_hi[v, arc] + 1)}
+        {(arc, tm) for v, arc in part
+         for lo, hi in [routes.entry_window(v, arc)] for tm in range(lo, hi + 1)}
         for _trucks, part in parts
     ]
     assert sum(map(len, slots)) == len(set().union(*slots))

@@ -288,9 +288,18 @@ def test_decode_rejects_tampered_incumbent(demo):
 
 
 def test_decode_tsf_rejects_broken_chain(demo):
-    values = {("x", 0, 100, 2, 200, 0): 1.0, ("x", 3, 400, 5, 500, 0): 1.0}
+    broken = {("x", 0, 100, 2, 200, 0): 1.0, ("x", 3, 400, 5, 500, 0): 1.0}
     with pytest.raises(DecodeInconsistent):
-        decode(demo, SimpleNamespace(values=values), "tsf")
+        decode(demo, SimpleNamespace(values=broken), "tsf")
+    # every truck drives, and truck 2 jumps from node 2 to arc (3, 5)
+    jumps = {
+        ("x", 0, 0, 1, 100, 0): 1.0,
+        ("x", 0, 500, 2, 600, 1): 1.0,
+        ("x", 0, 500, 2, 600, 2): 1.0,
+        ("x", 3, 700, 5, 800, 2): 1.0,
+    }
+    with pytest.raises(DecodeInconsistent, match="violates path-broken"):
+        decode(demo, SimpleNamespace(values=jumps), "tsf")
 
 
 def test_tif_timetable_ignores_surplus_platoon_counts():

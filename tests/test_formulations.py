@@ -250,8 +250,9 @@ def test_fixed_routes_demo_windows(demo):
     assert routes.entry_window(2, (2, 3)) == (600, 800)
     assert routes.entry_window(2, (3, 5)) == (700, 900)
     assert routes.entry_window(1, (0, 2)) == (500, 500)
+    assert routes.depart[2] == (500, 700)
     assert routes.vehicles_by_arc[(0, 2)] == (1, 2)
-    assert routes.arc_union == {(0, 1), (0, 2), (2, 3), (3, 5)}
+    assert set(routes.vehicles_by_arc) == {(0, 1), (0, 2), (2, 3), (3, 5)}
 
 
 @pytest.mark.parametrize(
@@ -266,6 +267,13 @@ def test_fixed_routes_demo_windows(demo):
 def test_fixed_routes_rejects_bad_paths(demo, path, message):
     with pytest.raises(ValidationError, match=message):
         FixedRoutes.build(demo, {0: path})
+
+
+@pytest.mark.parametrize("v", [-1, 3])
+def test_fixed_routes_rejects_vehicles_outside_the_fleet(demo, v):
+    # -1 must not stand for the last truck, nor 3 fail as a bare IndexError
+    with pytest.raises(ValidationError, match=f"vehicle {v} is not in the fleet"):
+        FixedRoutes.build(demo, {v: DEMO_ROUTES[2]})
 
 
 def test_fixed_routes_rejects_slow_path(demo):
@@ -335,12 +343,8 @@ def test_tif_empty_entry_window():
         time_unit=1.0,
         horizon=2,
     )
-    routes = SimpleNamespace(
-        paths={0: ((0, 1),)},
-        entry_lo={(0, (0, 1)): 2},
-        entry_hi={(0, (0, 1)): 1},
-        entry_window=lambda v, arc: (2, 1),
-    )
+    # hand-built: FixedRoutes.build never gives an empty departure window
+    routes = FixedRoutes(paths={0: ((0, 1),)}, offset={(0, (0, 1)): 0}, depart={0: (2, 1)})
     with pytest.raises(EmptyEntrySet):
         build_tif(instance, routes)
 

@@ -1,12 +1,14 @@
 """Pair enumeration, matching, window shrinking, and the relaxed scheduler."""
 
+from functools import cache
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from instgen import field_fleet, small_instance, time_shortest_paths
-from oracles import shrink_by_instance
-from platoonplan.errors import ShrinkInfeasible, ValidationError
+from oracles import shrink_by_instance, windows_by_arc
+from platoonplan.errors import ShrinkInfeasible
 from platoonplan.evaluate import check, total_cost
 from platoonplan.formulations import FixedRoutes, build_fcnf, routes_from_result
 from platoonplan.instance import Instance, Vehicle
@@ -23,6 +25,20 @@ from platoonplan.pairwise import (
 
 BOTTOM = {0: ((0, 1),), 1: ((0, 2),), 2: ((0, 2), (2, 3), (3, 5))}
 TOP = {0: ((0, 1),), 1: ((0, 2),), 2: ((0, 1), (1, 4), (4, 5))}
+
+
+def all_windows(routes):
+    """``{(v, arc): entry_window(v, arc)}`` over every arc of every path."""
+    return {
+        (v, arc): routes.entry_window(v, arc) for v, path in routes.paths.items() for arc in path
+    }
+
+
+@cache
+def field_round_one(grid):
+    """A criterion-8 fleet and its first routes."""
+    instance = field_fleet(grid)
+    return instance, routes_from_result(instance, solve(build_fcnf(instance), SolveConfig()))
 
 
 def tiny_shared_arc(n_vehicles, q_limit):
@@ -61,10 +77,10 @@ def test_enumerate_pairs_demo(demo):
     c = cands[0]
     assert (c.u, c.v) == (1, 2)
     assert c.segment == ((0, 2),)
-    assert c.merge_node == 0
+    assert c.segment[0][0] == 0  # the merge node
     assert c.savings == pytest.approx(0.1, abs=1e-12)
-    assert (c.lo_u, c.hi_u) == (500, 500)
-    assert (c.lo_v, c.hi_v) == (500, 700)
+    assert routes.entry_window(c.u, c.segment[0]) == (500, 500)
+    assert routes.entry_window(c.v, c.segment[0]) == (500, 700)
 
 
 def test_enumerate_pairs_needs_a_common_time(demo):
@@ -101,10 +117,7 @@ def test_select_pairs_cardinality_budget(demo):
 
 def test_select_pairs_respects_degree():
     def cand(u, v, s):
-        return PairCandidate(
-            u=u, v=v, segment=((0, 1),), merge_node=0, savings=s,
-            lo_u=0, hi_u=0, lo_v=0, hi_v=0,
-        )
+        return PairCandidate(u=u, v=v, segment=((0, 1),), savings=s)
 
     cands = [cand(0, 1, 5.0), cand(1, 2, 4.0), cand(2, 3, 3.0)]
     chosen = select_pairs(cands, gamma=0.5, n_vehicles=4)
@@ -129,11 +142,10 @@ def test_shrink_windows_demo(demo):
     ]
     assert narrowed.entry_window(0, (0, 1)) == routes.entry_window(0, (0, 1))
     assert routes.entry_window(2, (0, 2)) == (500, 700)  # original untouched
+    assert narrowed.depart[2] == (500, 500)
     assert narrowed.paths == routes.paths
     # the long way round, through a copied instance, gives the same windows
-    reference = shrink_by_instance(demo, routes, chosen)
-    assert narrowed.entry_lo == reference.entry_lo
-    assert narrowed.entry_hi == reference.entry_hi
+    assert all_windows(narrowed) == shrink_by_instance(demo, routes, chosen)
 
 
 def test_shrink_windows_no_pairs_returns_routes(demo):
@@ -142,30 +154,14 @@ def test_shrink_windows_no_pairs_returns_routes(demo):
 
 
 def test_shrink_windows_infeasible(demo):
-    # a meet the vehicles' windows cannot absorb (synthetic: real candidates
-    # always overlap, this guards the arithmetic)
-    routes = FixedRoutes.build(demo, BOTTOM)
-    bogus = PairCandidate(
-        u=1, v=2, segment=((0, 2),), merge_node=0, savings=0.1,
-        lo_u=500, hi_u=500, lo_v=999, hi_v=1500,
-    )
-    with pytest.raises(ShrinkInfeasible, match="vehicle 1"):
+    # trucks 0 and 2 share (0, 1) but enter it in [0, 0] and [500, 700]: a
+    # meet no narrowing can make (synthetic: real candidates always overlap)
+    routes = FixedRoutes.build(demo, TOP)
+    bogus = PairCandidate(u=0, v=2, segment=((0, 1),), savings=0.1)
+    empties = r"vehicle 0 cannot meet vehicle 2 at node 0: window empties to \[500, 0\]"
+    with pytest.raises(ShrinkInfeasible, match=empties):
         shrink_windows(routes, [bogus])
-
-
-def test_shrink_windows_empty_entry_window_is_shrink_infeasible(demo):
-    # truck 2's slack is 200 and the bogus partner window [650, 550] shifts
-    # it by 150 at each end: its journey window [650, 850] is not empty, but
-    # too short for the 300-step path, so every entry window empties; the
-    # copied instance rejects that window as shorter than the fastest trip
-    routes = FixedRoutes.build(demo, BOTTOM)
-    bogus = PairCandidate(
-        u=2, v=1, segment=((0, 2),), merge_node=0, savings=0.1,
-        lo_u=500, hi_u=700, lo_v=650, hi_v=550,
-    )
-    with pytest.raises(ShrinkInfeasible, match="vehicle 2"):
-        shrink_windows(routes, [bogus])
-    with pytest.raises(ValidationError, match="fastest trip"):
+    with pytest.raises(ShrinkInfeasible, match="vehicle 0"):
         shrink_by_instance(demo, routes, [bogus])
 
 
@@ -173,12 +169,10 @@ def assert_narrowing_matches_reference(instance, routes, chosen):
     """Route-shift narrowing equals the copied-instance rebuild, and every
     narrowed window is a non-empty part of the original one."""
     narrowed = shrink_windows(routes, chosen)
-    reference = shrink_by_instance(instance, routes, chosen)
-    assert narrowed.paths == reference.paths
-    assert narrowed.entry_lo == reference.entry_lo
-    assert narrowed.entry_hi == reference.entry_hi
-    for key, lo in narrowed.entry_lo.items():
-        assert routes.entry_lo[key] <= lo <= narrowed.entry_hi[key] <= routes.entry_hi[key]
+    assert narrowed.paths == routes.paths
+    assert all_windows(narrowed) == shrink_by_instance(instance, routes, chosen)
+    for key, (lo, hi) in all_windows(narrowed).items():
+        assert routes.entry_window(*key)[0] <= lo <= hi <= routes.entry_window(*key)[1]
     for c in chosen:
         # the pair's windows at the merge node now coincide
         assert narrowed.entry_window(c.u, c.segment[0]) == narrowed.entry_window(
@@ -204,20 +198,43 @@ def test_shrink_windows_matches_reference_on_random_draws(seed, gamma):
         # every candidate at once lists trucks in several pairs: the last
         # pair's shifts win in both, and no window empties
         narrowed = shrink_windows(routes, candidates)
-        reference = shrink_by_instance(instance, routes, candidates)
-        assert (narrowed.entry_lo, narrowed.entry_hi) == (reference.entry_lo, reference.entry_hi)
+        assert all_windows(narrowed) == shrink_by_instance(instance, routes, candidates)
 
 
 @pytest.mark.parametrize("grid", range(10))
 def test_shrink_windows_matches_reference_on_field_round_one(grid):
     """The criterion-8 fleets' first routes, narrowed at three budgets."""
-    instance = field_fleet(grid)
-    routes = routes_from_result(instance, solve(build_fcnf(instance), SolveConfig()))
+    instance, routes = field_round_one(grid)
     candidates = enumerate_pairs(instance, routes)
     for gamma in (0.2, 0.4, 1.0):
         chosen = select_pairs(candidates, gamma, len(instance.vehicles))
         assert chosen
         assert_narrowing_matches_reference(instance, routes, chosen)
+
+
+def small_routes(seed):
+    """A small instance and its time-shortest routes, or None."""
+    instance = small_instance(seed, max_vehicles=10, slack_max=4)
+    if instance is None:
+        return None
+    return instance, FixedRoutes.build(instance, time_shortest_paths(instance))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    st.one_of(st.integers(0, 2**16).map(small_routes), st.integers(0, 9).map(field_round_one)),
+    st.sampled_from([0.2, 0.5, 1.0]),
+)
+def test_entry_windows_match_the_per_arc_reference(drawn, gamma):
+    """Every entry window, before and after narrowing, is the one computed
+    arc by arc from the (narrowed) journey windows."""
+    assume(drawn is not None)
+    instance, routes = drawn
+    assert all_windows(routes) == windows_by_arc(instance, routes.paths)
+    chosen = select_pairs(enumerate_pairs(instance, routes), gamma, len(instance.vehicles))
+    assert all_windows(shrink_windows(routes, chosen)) == shrink_by_instance(
+        instance, routes, chosen
+    )
 
 
 # -- full pipeline ------------------------------------------------------------

@@ -441,7 +441,8 @@ def _solve_part(instance, routes, part, relax_capacity, deadline):
     model = build_tif(instance, routes, part, relax_capacity)
     time_limit = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
     res = solve(model, SolveConfig(time_limit=time_limit))
-    return _tif_choice(res), res.status == OPTIMAL
+    # a part the clock stops before its first incumbent picks no time
+    return (_tif_choice(res) if res.x is not None else {}), res.status == OPTIMAL
 
 
 def run(instance: Instance, cfg: DecompositionConfig | None = None):

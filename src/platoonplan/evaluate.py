@@ -166,6 +166,10 @@ def check(instance: Instance, sol: PlatoonSolution) -> ValidationReport:
                 Violation("wrong-destination", f"vehicle {v} ends at {node}, not {veh.dest}", v)
             )
             ok_path = False
+        # a vehicle drives its legs even where they do not chain, so its
+        # groups are checked against all of them
+        for arc, t in legs:
+            traversals[arc, t].add(v)
         if not ok_path:
             continue
 
@@ -196,8 +200,6 @@ def check(instance: Instance, sol: PlatoonSolution) -> ValidationReport:
                     v,
                 )
             )
-        for arc, t in legs:
-            traversals[arc, t].add(v)
 
     q = instance.q_limit
     covered: dict[tuple[Arc, float], set[int]] = defaultdict(set)
@@ -345,15 +347,13 @@ def _union_find_groups(vehicles: set[int], links: list[tuple[int, int]]) -> list
 
 
 def _decode_cpf(instance: Instance, result) -> PlatoonSolution:
-    times: dict[tuple[int, int], float] = {}
+    ids, values = result.take("t")
+    times = {(v, i): t for (i, v), t in zip(ids.tolist(), values.tolist())}
+    ids, values = result.take("y")
     links: dict[Arc, list[tuple[int, int]]] = defaultdict(list)
-    for key, val in result.values.items():
-        match key:
-            case ("t", i, v):
-                times[v, i] = val
-            case ("y", i, j, v, w) if val > 0.5:
-                links[i, j].append((v, w))
-    paths = _x_paths(instance, result.values, DecodeInconsistent)
+    for i, j, v, w in ids[values > 0.5].tolist():
+        links[i, j].append((v, w))
+    paths = _x_paths(instance, result, DecodeInconsistent)
 
     on_arc: dict[Arc, set[int]] = defaultdict(set)
     for v, path in paths.items():
@@ -385,28 +385,21 @@ def _decode_tsf(instance: Instance, result) -> dict[int, tuple[tuple[Arc, int], 
     """Each vehicle's moves in a time-space incumbent, in time order; the
     model's platoon counts are not read.  Legs that do not chain fail the
     check that :func:`_timetable` runs."""
-    moves: dict[int, list[tuple[int, Arc]]] = defaultdict(list)
-    for key, val in result.values.items():
-        match key:
-            # waiting legs (i == j) carry no cost and join no platoon
-            case ("x", i, tm, j, _, v) if val > 0.5 and i != j:
-                moves[v].append((tm, (i, j)))
-    return {
-        v: tuple((arc, tm) for tm, arc in sorted(moves.get(v, ())))
-        for v in range(len(instance.vehicles))
-    }
+    ids, values = result.take("x")
+    # waiting legs (i == j) carry no cost and join no platoon
+    legs = ids[(values > 0.5) & (ids[:, 0] != ids[:, 2])]
+    moves: dict[int, list[tuple[Arc, int]]] = defaultdict(list)
+    for v, tm, i, j in sorted(legs[:, [4, 1, 0, 2]].tolist()):
+        moves[v].append(((i, j), tm))
+    return {v: tuple(moves.get(v, ())) for v in range(len(instance.vehicles))}
 
 
 def _tif_choice(result) -> dict[tuple[int, Arc], int]:
     """The entry time a scheduling incumbent picks for each modeled
     (vehicle, arc) pair, as :func:`assemble_timetable` takes them; the
     model's platoon counts are not read."""
-    chosen: dict[tuple[int, Arc], int] = {}
-    for key, val in result.values.items():
-        match key:
-            case ("x", i, j, v, tm) if val > 0.5:
-                chosen[v, (i, j)] = tm
-    return chosen
+    ids, values = result.take("x")
+    return {(v, (i, j)): tm for i, j, v, tm in ids[values > 0.5].tolist()}
 
 
 def _timetable(
@@ -425,21 +418,21 @@ def _timetable(
 def decode(instance: Instance, result, which: str, routes: FixedRoutes | None = None) -> PlatoonSolution:
     """Turn a solver incumbent into a validated :class:`PlatoonSolution`.
 
-    ``which`` names the model family whose column keys ``result.values``
-    holds: ``"cpf"``, ``"tsf"``, or ``"tif"`` (the latter needs the fixed
-    ``routes`` the model was built on).  ``"tsf"`` and ``"tif"`` read only
-    each vehicle's timed path, not the model's platoon counts: every slot
-    holds the fewest platoons the cap allows, as in
+    ``which`` names the model family whose incumbent ``result`` holds:
+    ``"cpf"``, ``"tsf"``, or ``"tif"`` (the latter needs the fixed
+    ``routes`` the model was built on); each reads its columns by tag with
+    :meth:`~platoonplan.mip.MipResult.take`.  ``"tsf"`` and ``"tif"`` read
+    only each vehicle's timed path, not the model's platoon counts: every
+    slot holds the fewest platoons the cap allows, as in
     :func:`assemble_timetable`.  So their plan costs the model's objective
     at an optimum, and at most that at an incumbent that pays for more
     platoons than it needs.  ``"cpf"`` groups the vehicles of an arc by the
     model's pairing links, so its plan costs the objective exactly.
-    A decoded timetable that fails :func:`check` raises
+    A result without an incumbent raises :class:`InvalidSolution`.  A
+    decoded timetable that fails :func:`check` raises
     :class:`DecodeInconsistent`: feasible models only produce feasible
     incumbents, so that signals a solver or builder bug.
     """
-    if not result.values:
-        raise InvalidSolution("result carries no incumbent to decode")
     if which == "cpf":
         return _consistent(instance, _decode_cpf(instance, result))
     if which == "tsf":

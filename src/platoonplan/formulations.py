@@ -12,19 +12,19 @@ Four models, all over the same instance data:
 * ``build_tif``: scheduling only, on fixed routes, with one binary per
   admissible arc entry time; maximizes the fixed-cost share saved.
 
-Every column is keyed by a tuple, a tag and then integer ids, and the
-decoders unpack these keys:
+Every builder adds its columns in blocks of integer ids under a tag, and
+the decoders read them back by tag (:meth:`~platoonplan.mip.MipResult.take`).
+The ids of a column, by model and tag, in this order:
 
-* ``("x", i, j, v)`` and ``("t", i, v)`` for routing and time variables,
-  ``("y", i, j, v, w)`` for pair pledges;
-* ``("x", i, t, j, t2, v)`` and ``("y", i, t, j, t2)`` on the time-expanded
-  network;
-* ``("y", i, j)`` for the routing model's arc flags;
-* ``("x", i, j, v, t)`` and ``("y", i, j, t)`` in the scheduling model;
-* ``("w", u, v)`` in the pair matching.
+* CPF: ``t`` ``(i, v)``, ``x`` ``(i, j, v)``, pledge ``y`` ``(i, j, v, w)``;
+* TSF: ``x`` ``(i, t, j, t2, v)``, platoon count ``y`` ``(i, t, j, t2)``;
+* FCNF: arc flag ``y`` ``(i, j)``, ``x`` ``(i, j, v)``;
+* TIF: ``x`` ``(i, j, v, t)``, platoon count ``y`` ``(i, j, t)``;
+* the pair matching: ``w`` ``(u, v)``.
 
-``("y", i, t, j, t2)`` exists only for time arcs that two or more trucks
-can use; a truck alone on a time arc drives it as a platoon of one.
+A column's key is its tag and ids, such as ``("x", i, j, v)``.  TSF's ``y``
+exists only for time arcs that two or more trucks can use; a truck alone on
+a time arc drives it as a platoon of one.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -88,34 +87,37 @@ def build_cpf(instance: Instance) -> MipModel:
     tt = net.travel_time
     m = MipModel("cpf")
 
-    t: dict[tuple[int, int], int] = {}
-    x: dict[tuple[int, Arc], int] = {}
+    # per truck, t over its reachable nodes, then x over its admissible arcs;
+    # a truck's t or x is found by its encoded key, which grows with its column
+    t_win = []
     for v, veh in enumerate(instance.vehicles):
         nodes = sorted({veh.origin, veh.dest}.union(*adm[v]))
-        win = [bounds[v][i] for i in nodes]
-        cols = m.add_vars(
-            [("t", i, v) for i in nodes], CONTINUOUS, [lo for lo, _ in win], [hi for _, hi in win]
-        )
-        t.update(zip([(v, i) for i in nodes], cols.tolist()))
-        arcs = sorted(adm[v])
-        cols = m.add_vars([("x", *arc, v) for arc in arcs], BINARY)
-        x.update(zip([(v, arc) for arc in arcs], cols.tolist()))
+        t_win.append(np.array([bounds[v][i] for i in nodes], dtype=np.int64))
+        m.add_vars("t", np.column_stack([nodes, np.full(len(nodes), v)]), CONTINUOUS, *t_win[-1].T)
+        arcs = np.array(sorted(adm[v]), dtype=np.int64).reshape(-1, 2)
+        m.add_vars("x", np.column_stack([arcs, np.full(len(arcs), v)]), BINARY)
+    tcols, t_ids = m.columns("t")
+    xcols, x_ids = m.columns("x")
+    lo, hi = np.concatenate(t_win).T
+    x_i, x_j, x_v = x_ids.T
+    t_key = t_ids[:, 1] * n_nodes + t_ids[:, 0]
+    x_key = (x_v * n_nodes + x_i) * n_nodes + x_j
 
-    # (arc, leader, follower) per pledge, where both can be at the tail together
+    # (i, j, leader, follower) per pledge, where both can be at the tail together
     pledges = [
-        (arc, v, w)
+        (*arc, v, w)
         for v in range(n_veh)
         for w in range(v + 1, n_veh)
         for arc in sorted(adm[v] & adm[w])
         if max(bounds[v][arc[0]][0], bounds[w][arc[0]][0])
         <= min(bounds[v][arc[0]][1], bounds[w][arc[0]][1])
     ]
-    ycols = m.add_vars([("y", *arc, v, w) for arc, v, w in pledges], BINARY)
+    y_ids = np.array(pledges, dtype=np.int64).reshape(-1, 4)
+    ycols = m.add_vars("y", y_ids, BINARY)
+    p_i, p_j, p_v, p_w = y_ids.T
 
-    x_v, x_i, x_j = np.array([(v, *arc) for v, arc in x], dtype=np.int64).reshape(-1, 3).T
-    xcols = np.array(list(x.values()), dtype=np.int64)
-    x_cost = np.array([net.cost[arc] for _v, arc in x], dtype=np.float64)
-    y_cost = np.array([net.cost[arc] for arc, _v, _w in pledges], dtype=np.float64)
+    x_cost = np.array([net.cost[arc] for arc in zip(x_i.tolist(), x_j.tolist())], dtype=np.float64)
+    y_cost = np.array([net.cost[i, j] for i, j, _v, _w in pledges], dtype=np.float64)
     m.set_objective(np.concatenate([xcols, ycols]), np.concatenate([x_cost, -eta * y_cost]))
 
     v_all = np.arange(n_veh)
@@ -127,15 +129,15 @@ def build_cpf(instance: Instance) -> MipModel:
 
     # a pledge needs both trucks on the arc, and synchronized entry times;
     # the big-Ms are integers, so a zero one compiles as +0.0
-    p_v, p_w, p_i, p_j, x_lead, x_follow, t_lead, t_follow, lo_v, hi_v, lo_w, hi_w = np.array(
-        [
-            (v, w, *arc, x[v, arc], x[w, arc], t[v, arc[0]], t[w, arc[0]],
-             *bounds[v][arc[0]], *bounds[w][arc[0]])
-            for arc, v, w in pledges
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 12).T
-    m0, m1, one, zero = hi_w - lo_v, hi_v - lo_w, np.ones_like(p_v), np.zeros_like(p_v)
+    lead_key = (p_v * n_nodes + p_i) * n_nodes + p_j
+    follow_key = (p_w * n_nodes + p_i) * n_nodes + p_j
+    x_lead = xcols[np.searchsorted(x_key, lead_key)]
+    x_follow = xcols[np.searchsorted(x_key, follow_key)]
+    at_v = np.searchsorted(t_key, p_v * n_nodes + p_i)
+    at_w = np.searchsorted(t_key, p_w * n_nodes + p_i)
+    t_lead, t_follow = tcols[at_v], tcols[at_w]
+    m0, m1 = hi[at_w] - lo[at_v], hi[at_v] - lo[at_w]
+    one, zero = np.ones_like(p_v), np.zeros_like(p_v)
     m.add_rows(
         (4 * np.arange(len(pledges))[:, None] + [0, 0, 1, 1, 2, 2, 2, 3, 3, 3]).ravel(),
         np.column_stack([
@@ -147,7 +149,6 @@ def build_cpf(instance: Instance) -> MipModel:
     )
 
     # each follower has at most one leader per arc
-    follow_key = (p_w * n_nodes + p_i) * n_nodes + p_j
     order, _starts, counts = _groups(follow_key)
     m.add_rows(
         np.repeat(np.arange(len(counts)), counts), ycols[order], one, "<=", np.ones(len(counts))
@@ -155,7 +156,6 @@ def build_cpf(instance: Instance) -> MipModel:
 
     # a leader's platoon stays within the size cap, and a follower leads no one
     if q is not None:
-        lead_key = (p_v * n_nodes + p_i) * n_nodes + p_j
         order, starts, counts = _groups(lead_key)
         led = lead_key[order[starts]]
         also = np.isin(follow_key, led)
@@ -171,18 +171,15 @@ def build_cpf(instance: Instance) -> MipModel:
 
     # entry times propagate along every used arc (including into the
     # destination, so the arrival deadline binds on the final leg)
-    t_j, t_i, xs, travel, m2 = np.array(
-        [
-            (t[v, j], t[v, i], col, tt[i, j], max(0, bounds[v][i][1] - bounds[v][j][0] + tt[i, j]))
-            for (v, (i, j)), col in x.items()
-            if j != instance.vehicles[v].origin
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 5).T
+    used = x_j != np.array([veh.origin for veh in instance.vehicles])[x_v]
+    at_i = np.searchsorted(t_key, x_v[used] * n_nodes + x_i[used])
+    at_j = np.searchsorted(t_key, x_v[used] * n_nodes + x_j[used])
+    travel = np.array([tt[a] for a in zip(x_i[used].tolist(), x_j[used].tolist())], dtype=np.int64)
+    m2 = np.maximum(0, hi[at_i] - lo[at_j] + travel)
     one = np.ones_like(m2)
     m.add_rows(
         np.repeat(np.arange(len(m2)), 3),
-        np.column_stack([t_j, t_i, xs]).ravel(),
+        np.column_stack([tcols[at_j], tcols[at_i], xcols[used]]).ravel(),
         np.column_stack([one, -one, -m2]).ravel(),
         ">=",
         travel - m2,
@@ -324,10 +321,8 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
     seg_cost = np.array([s[6] for s in segs], dtype=np.float64)
     seg, tm = _ragged(seg_first, np.maximum(seg_count, 0))
     xv, xi, xj, t2 = seg_v[seg], seg_i[seg], seg_j[seg], tm + seg_t[seg]
-    xcols = m.add_vars(
-        list(zip(repeat("x"), xi.tolist(), tm.tolist(), xj.tolist(), t2.tolist(), xv.tolist())),
-        BINARY,
-    )
+    xids = np.column_stack([xi, tm, xj, t2, xv])
+    xcols = m.add_vars("x", xids, BINARY)
 
     # y per move time arc with two or more possible users, in (i, t, j) order
     moves = np.flatnonzero(xi != xj)
@@ -338,15 +333,7 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
     first_user = moves[order[starts[shared]]]
     k = counts[shared]
     upper = np.ones(len(k)) if q is None else -(-k // q)
-    ycols = m.add_vars(
-        list(zip(
-            repeat("y"), xi[first_user].tolist(), tm[first_user].tolist(),
-            xj[first_user].tolist(), t2[first_user].tolist(),
-        )),
-        INTEGER,
-        0.0,
-        upper,
-    )
+    ycols = m.add_vars("y", xids[first_user, :4], INTEGER, 0.0, upper)
 
     # each vehicle pays its unit share; a lone user also the fixed share
     c = seg_cost[seg[moves]]
@@ -380,25 +367,6 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
 # -- routing stage ----------------------------------------------------------
 
 
-def _fcnf_columns(instance: Instance) -> tuple[list[Arc], np.ndarray, np.ndarray]:
-    """Variable order of the routing model: ``(union, x_v, x_arc)``.
-
-    One ``y`` per arc of the admissible union, sorted, then one ``x`` per
-    vehicle and admissible arc, sorted by vehicle and arc; ``x_v`` and
-    ``x_arc`` give each ``x`` column's vehicle and its arc's position in
-    ``union``.
-    """
-    adm = instance.admissible
-    union = sorted(set().union(*adm.values())) if adm else []
-    position = {arc: k for k, arc in enumerate(union)}
-    x_v, x_arc = [], []
-    for v in range(len(instance.vehicles)):
-        arcs = sorted(position[arc] for arc in adm[v])
-        x_v += [v] * len(arcs)
-        x_arc += arcs
-    return union, np.array(x_v, dtype=np.int64), np.array(x_arc, dtype=np.int64)
-
-
 def build_fcnf(instance: Instance, cost_table=None) -> MipModel:
     """Fixed-charge flow model for the routing stage.
 
@@ -410,20 +378,28 @@ def build_fcnf(instance: Instance, cost_table=None) -> MipModel:
     Only the objective depends on the table, so one model can be repriced
     for each round with :func:`price_fcnf`.
 
+    The columns are one ``y`` per arc of the admissible union, sorted, then
+    one ``x`` per vehicle and admissible arc, sorted by vehicle and arc.
     The rows are, vehicle by vehicle, one flow row per node its admissible
     arcs touch (out-arcs then in-arcs, each by column) and its window row,
     then ``x <= y`` per ``x`` column; all are added as one block.
     """
     net = instance.network
+    adm = instance.admissible
     m = MipModel("fcnf")
 
-    union, x_v, x_arc = _fcnf_columns(instance)
-    tails, heads = np.array(union, dtype=np.int64).reshape(-1, 2).T
-    ycols = m.add_vars([("y", *arc) for arc in union], BINARY)
-    xcols = m.add_vars(
-        list(zip(repeat("x"), tails[x_arc].tolist(), heads[x_arc].tolist(), x_v.tolist())),
-        BINARY,
-    )
+    union = sorted(set().union(*adm.values())) if adm else []
+    position = {arc: k for k, arc in enumerate(union)}
+    x_v, x_arc = [], []
+    for v in range(len(instance.vehicles)):
+        arcs = sorted(position[arc] for arc in adm[v])
+        x_v += [v] * len(arcs)
+        x_arc += arcs
+    x_v, x_arc = np.array(x_v, dtype=np.int64), np.array(x_arc, dtype=np.int64)
+    arcs = np.array(union, dtype=np.int64).reshape(-1, 2)
+    tails, heads = arcs.T
+    ycols = m.add_vars("y", arcs, BINARY)
+    xcols = m.add_vars("x", np.column_stack([tails[x_arc], heads[x_arc], x_v]), BINARY)
     price_fcnf(instance, m, cost_table)
 
     # one row key per (vehicle, node), and (vehicle, n_nodes) for its window row
@@ -467,35 +443,44 @@ def price_fcnf(instance: Instance, model: MipModel, cost_table=None) -> None:
 
     Prices exactly as ``build_fcnf(instance, cost_table)`` does, so the
     repriced model and a freshly built one compile to the same arrays.  The
+    arcs and vehicles come from the model's ``y`` and ``x`` blocks, and the
     base costs are computed on arrays; the table's coefficients then
     replace the ``x`` costs on the arcs it marks as traversed, whose ``y``
     costs drop to 0.  Raises :class:`MissingCost` if the table lacks one of
-    those coefficients.
+    those coefficients, and :class:`ModelInvalid` if the model's column
+    counts are not those of this instance's routing model.
     """
-    union, x_v, x_arc = _fcnf_columns(instance)
-    n_cols = len(union) + len(x_v)
-    if model.num_vars != n_cols:
+    ycols, arcs = model.columns("y")
+    xcols, xs = model.columns("x")
+    n_x = sum(map(len, instance.admissible.values()))
+    if len(xs) != n_x or model.num_vars != len(ycols) + n_x:
         raise ModelInvalid(
-            f"model {model.name!r} has {model.num_vars} variables; "
-            f"the routing model of this instance has {n_cols}"
+            f"model {model.name!r} has {model.num_vars} variables, {len(xs)} of them x; "
+            f"the routing model of this instance has {n_x} x"
         )
     eta = instance.eta
+    union = list(map(tuple, arcs.tolist()))
     arc_cost = np.array([instance.network.cost[arc] for arc in union], dtype=np.float64)
+    # the y block lists the arcs sorted, so an arc's key is its rank there
+    n = instance.network.n_nodes
+    x_arc = np.searchsorted(arcs[:, 0] * n + arcs[:, 1], xs[:, 0] * n + xs[:, 1])
     y_cost = eta * arc_cost
     x_cost = (1.0 - eta) * arc_cost[x_arc]
     if cost_table is not None and cost_table.traversed:
         shaped = np.array([arc in cost_table.traversed for arc in union], dtype=bool)
         y_cost[shaped] = 0.0
-        for k in np.flatnonzero(shaped[x_arc]).tolist():
-            v, arc = int(x_v[k]), union[x_arc[k]]
+        at = np.flatnonzero(shaped[x_arc])
+        for k, (i, j, v) in zip(at.tolist(), xs[at].tolist()):
             try:
-                x_cost[k] = cost_table.modified[(v, arc)]
+                x_cost[k] = cost_table.modified[(v, (i, j))]
             except KeyError:
                 raise MissingCost(
-                    f"cost table lacks a coefficient for vehicle {v} on arc {arc}"
+                    f"cost table lacks a coefficient for vehicle {v} on arc {(i, j)}"
                 ) from None
     model.set_objective(
-        cols=np.arange(n_cols), coefs=np.concatenate([y_cost, x_cost]), sense="min"
+        cols=np.concatenate([ycols, xcols]),
+        coefs=np.concatenate([y_cost, x_cost]),
+        sense="min",
     )
 
 
@@ -592,28 +577,24 @@ class FixedRoutes:
 
 
 def routes_from_result(instance: Instance, result) -> FixedRoutes:
-    """Turn a routing incumbent (``("x", i, j, v)`` values) into fixed routes."""
-    return FixedRoutes.build(instance, _x_paths(instance, result.values, InfeasibleVehicle))
+    """Turn a routing incumbent (its ``x`` columns) into fixed routes."""
+    return FixedRoutes.build(instance, _x_paths(instance, result, InfeasibleVehicle))
 
 
-def _x_paths(instance: Instance, values, error: type[Exception]) -> dict[int, tuple[Arc, ...]]:
-    """Each vehicle's path along the arcs its ``("x", i, j, v)`` values pick.
+def _x_paths(instance: Instance, result, error: type[Exception]) -> dict[int, tuple[Arc, ...]]:
+    """Each vehicle's path along the arcs its ``x`` columns ``(i, j, v)``
+    pick in ``result``.
 
     A depth-first walk from origin to destination drops spurious cycles; a
     vehicle that has no such path raises ``error``.
     """
+    ids, values = result.take("x")
     nxt: dict[int, dict[int, list[Arc]]] = defaultdict(lambda: defaultdict(list))
-    for key, val in values.items():
-        if val > 0.5:
-            match key:
-                case ("x", i, j, v):
-                    nxt[v][i].append((i, j))
+    for i, j, v in sorted(ids[values > 0.5].tolist()):
+        nxt[v][i].append((i, j))
     paths = {}
     for v, veh in enumerate(instance.vehicles):
-        outs = nxt.get(v, {})
-        for arcs in outs.values():
-            arcs.sort()
-        path = _walk(veh.origin, veh.dest, outs)
+        path = _walk(veh.origin, veh.dest, nxt.get(v, {}))
         if path is None:
             raise error(f"vehicle {v}: incumbent has no {veh.origin}->{veh.dest} path")
         paths[v] = path
@@ -695,9 +676,7 @@ def build_tif(
     base = np.cumsum(width) - width
     seg, tm = _ragged(lo, width)
     xv, xi, xj = pair_v[seg], pair_i[seg], pair_j[seg]
-    m.add_vars(
-        list(zip(repeat("x"), xi.tolist(), xj.tolist(), xv.tolist(), tm.tolist())), BINARY
-    )
+    m.add_vars("x", np.column_stack([xi, xj, xv, tm]), BINARY)
 
     # one y per (arc, entry time) slot, in that order; users by vehicle
     span = int(hi.max(initial=0)) + 1
@@ -705,12 +684,7 @@ def build_tif(
     first = order[starts]
     cap = counts if q is None or relax_capacity else np.full(len(counts), q)
     upper = np.ones(len(counts)) if relax_capacity else -(-counts // cap)
-    ycols = m.add_vars(
-        list(zip(repeat("y"), xi[first].tolist(), xj[first].tolist(), tm[first].tolist())),
-        INTEGER,
-        0.0,
-        upper,
-    )
+    ycols = m.add_vars("y", np.column_stack([xi, xj, tm])[first], INTEGER, 0.0, upper)
 
     constant = sum(eta * net.cost[arc] for (_v, arc) in kept)
     arc_cost = np.array([net.cost[i, j] for i, j in zip(xi[first].tolist(), xj[first].tolist())])
@@ -755,9 +729,9 @@ def build_matching(pairs: Sequence[tuple[int, int, float]], gamma: float, n_vehi
     its pairs in order, and then the budget row if there is any pair.
     """
     m = MipModel("pairing")
-    wcols = m.add_vars([("w", u, v) for u, v, _s in pairs], BINARY)
-    m.set_objective(wcols, [float(s) for _u, _v, s in pairs], sense="max")
     ends = np.array([(u, v) for u, v, _s in pairs], dtype=np.int64).reshape(-1, 2)
+    wcols = m.add_vars("w", ends, BINARY)
+    m.set_objective(wcols, [float(s) for _u, _v, s in pairs], sense="max")
     order, _starts, counts = _groups(ends.ravel())
     m.add_rows(
         np.repeat(np.arange(len(counts)), counts),

@@ -1,13 +1,12 @@
 """Mixed-integer linear models and a small deterministic solver.
 
-The model container is solver-agnostic: each variable has a name, which may
-be any hashable key (the builders key columns by tuples such as
-``("x", i, j, v)``), and the objective may carry a constant.  A model is
-stored as arrays, not as one object per column or row: a list of names with
-arrays of kinds and bounds for the columns, one COO entry (row, column,
-coefficient) per constraint term with an array of senses and right-hand
-sides for the rows, and one dense cost array for the objective.  There is
-one way to add each: :meth:`MipModel.add_vars` adds a block of columns,
+The model container is solver-agnostic and stored as arrays, not as one
+object per column or row: blocks of columns, each a tag with one row of
+integer ids per column (see :class:`MipModel`), with arrays of kinds and
+bounds; one COO entry (row, column, coefficient) per constraint term with
+an array of senses and right-hand sides; and one dense cost array and a
+constant for the objective.  There is one way to add each:
+:meth:`MipModel.add_vars` adds a block of columns,
 :meth:`MipModel.add_rows` a block of rows and
 :meth:`MipModel.set_objective` replaces the costs, the last two over column
 indices.  Every coefficient, cost and right-hand side must be finite; a NaN
@@ -25,7 +24,7 @@ without reaching an integral leaf, so a search that has processed 32 nodes
 without an incumbent dives from its current node: it floors the fractional
 integer column of smallest LP value and re-solves, until the LP is
 integral (the new incumbent) or infeasible.  The next dive waits for 64
-LPs, then 128, and so on.
+LPs, then 128, and so on.  :meth:`MipResult.take` reads the incumbent by tag.
 :func:`lp_text` prints a model as CPLEX-style LP text for debugging.
 
 A model compiles to solver arrays once, straight to the form HiGHS loads:
@@ -54,7 +53,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 # linprog solves only the test reference _lp; perfbench's mip.highs hook also
@@ -62,7 +61,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_matrix
 
-from .errors import ModelInfeasible, ModelInvalid, Unbounded, ValidationError
+from .errors import InvalidSolution, ModelInfeasible, ModelInvalid, Unbounded, ValidationError
 
 try:
     from scipy.optimize._highspy import _core as _highs
@@ -97,7 +96,7 @@ NO_SOLUTION_TIME_LIMIT = "no_solution_time_limit"
 
 @dataclass
 class Variable:
-    name: Hashable
+    name: tuple
     kind: str
     lower: float
     upper: float
@@ -130,15 +129,28 @@ def _extend(buf: array, values: np.ndarray) -> None:
     buf.frombytes(memoryview(np.ascontiguousarray(values)).cast("B"))
 
 
+def _gather(blocks, tag: str) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices and ids of the blocks of ``blocks`` tagged ``tag``."""
+    found = [(first, ids) for t, first, ids in blocks if t == tag]
+    if not found:
+        raise ModelInvalid(f"no columns are tagged {tag!r}")
+    cols = np.concatenate([np.arange(first, first + len(ids)) for first, ids in found])
+    return cols, np.concatenate([ids for _first, ids in found])
+
+
 class MipModel:
-    """Sparse MIP container with named variables, stored as arrays.
+    """Sparse MIP container whose columns come in tagged blocks of ids.
 
-    A variable's name is its key: any hashable, unique within the model.
-    Rows and the objective refer to a variable by its column index, which
-    :meth:`add_vars` returns and :meth:`var_index` looks up;
-    :func:`lp_text` prints a tuple key as its parts joined by underscores.
+    :meth:`add_vars` adds a block: a tag and one row of integer ids per
+    column, as many per column as in the tag's first block, and never the
+    same row twice under one tag.  So a column's key ``(tag, *ids)`` is
+    unique, but the model keeps only its blocks, ``(tag, first column,
+    ids)``, and forms keys only for :attr:`variables` and :func:`lp_text`,
+    which joins a key's parts with underscores.  Rows and the objective
+    refer to a column by the index :meth:`add_vars` returns and
+    :meth:`columns` gives by tag.
 
-    Columns are a list of names and typed arrays of kinds and bounds.  Rows
+    Beside the blocks, columns are typed arrays of kinds and bounds.  Rows
     are COO entries, one (row, column, coefficient) per term in the order
     the terms were added, with one sense and right-hand side per row.  The
     objective is one dense cost array over the columns that existed when it
@@ -149,8 +161,7 @@ class MipModel:
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self._names: list[Hashable] = []
-        self._index: dict[Hashable, int] = {}
+        self._blocks: list[tuple[str, int, np.ndarray]] = []
         self._kind = array("b")
         self._lower = array("d")
         self._upper = array("d")
@@ -169,20 +180,27 @@ class MipModel:
 
     def add_vars(
         self,
-        names: Sequence[Hashable],
+        tag: str,
+        ids,
         kind: str = CONTINUOUS,
         lower=0.0,
         upper=math.inf,
     ) -> np.ndarray:
-        """Add one column per name, all of ``kind``; return their indices.
+        """Add one column per row of ``ids``, all of ``kind``, under ``tag``;
+        return their indices.
 
-        ``lower`` and ``upper`` are scalars or arrays with one entry per
-        name.  Binary bounds are clipped to [0, 1].  A name that is already
-        in the model or repeated in ``names``, arrays of the wrong length
-        and empty bounds raise :class:`ModelInvalid` and add nothing.
+        ``ids`` is a two-dimensional integer array.  ``lower`` and ``upper``
+        are scalars or arrays with one entry per column.  Binary bounds are
+        clipped to [0, 1].  Ids that are not integers, a number of ids per
+        column other than the tag's, a row of ids repeated in the block or
+        already under the tag, arrays of the wrong length and empty bounds
+        raise :class:`ModelInvalid` and add nothing.
         """
-        names = list(names)
-        k = len(names)
+        ids = np.asarray(ids)
+        if ids.ndim != 2 or not ids.shape[1] or (ids.size and ids.dtype.kind not in "iu"):
+            raise ModelInvalid("ids must be a two-dimensional array of integers")
+        ids = ids.astype(np.int64)
+        k = len(ids)
         if kind not in _KINDS:
             raise ModelInvalid(f"unknown variable kind {kind!r}")
         lower = _floats(lower, k, "lower")
@@ -194,18 +212,20 @@ class MipModel:
         if empty.any():
             at = int(np.argmax(empty))
             raise ModelInvalid(
-                f"variable {names[at]!r} has empty bounds [{lower[at]}, {upper[at]}]"
+                f"variable {(tag, *ids[at].tolist())!r} has empty bounds [{lower[at]}, {upper[at]}]"
             )
-        start = len(self._names)
-        new = dict(zip(names, range(start, start + k)))
-        if len(new) < k or not self._index.keys().isdisjoint(new):
-            seen = set(self._index)
-            for name in names:
-                if name in seen:
-                    raise ModelInvalid(f"duplicate variable name {name!r}")
-                seen.add(name)
-        self._names += names
-        self._index.update(new)
+        same = [old for t, _first, old in self._blocks if t == tag]
+        if same and same[0].shape[1] != ids.shape[1]:
+            raise ModelInvalid(
+                f"tag {tag!r} has {same[0].shape[1]} ids per column, got {ids.shape[1]}"
+            )
+        rows = np.concatenate(same + [ids])
+        rows = rows[np.lexsort(rows.T)]
+        twice = (rows[1:] == rows[:-1]).all(axis=1)
+        if twice.any():
+            raise ModelInvalid(f"duplicate variable {(tag, *rows[np.argmax(twice)].tolist())!r}")
+        start = self.num_vars
+        self._blocks.append((tag, start, ids))
         self._kind.extend([_KINDS.index(kind)] * k)
         _extend(self._lower, lower)
         _extend(self._upper, upper)
@@ -214,7 +234,7 @@ class MipModel:
 
     def _columns(self, cols, what: str) -> np.ndarray:
         cols = _ids(cols, what)
-        if cols.size and (cols.min() < 0 or cols.max() >= len(self._names)):
+        if cols.size and (cols.min() < 0 or cols.max() >= self.num_vars):
             raise ModelInvalid(f"{what} holds a variable index out of range")
         return cols
 
@@ -284,7 +304,7 @@ class MipModel:
         _finite(coefs, "objective coefficients")
         constant = float(constant)
         _finite(np.array([constant]), "the objective constant")
-        self._cost = np.bincount(cols, weights=coefs, minlength=len(self._names))
+        self._cost = np.bincount(cols, weights=coefs, minlength=self.num_vars)
         self.objective_constant = constant
         self.sense = sense
 
@@ -292,23 +312,24 @@ class MipModel:
 
     @property
     def num_vars(self) -> int:
-        return len(self._names)
+        return len(self._kind)
 
     @property
     def num_constrs(self) -> int:
         return len(self._sense)
 
-    def var_index(self, name: Hashable) -> int:
-        return self._index[name]
-
-    def var_name(self, idx: int) -> Hashable:
-        return self._names[idx]
+    def columns(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
+        """The indices and ids of the columns added under ``tag``, in column
+        order; a tag the model lacks raises :class:`ModelInvalid`."""
+        return _gather(self._blocks, tag)
 
     @property
     def variables(self) -> list[Variable]:
-        """The columns, one :class:`Variable` each; built on each access."""
+        """The columns, one :class:`Variable` named by its key ``(tag,
+        *ids)``; built on each access."""
+        keys = [(tag, *row) for tag, _first, ids in self._blocks for row in ids.tolist()]
         kinds = [_KINDS[k] for k in self._kind]
-        return list(map(Variable, self._names, kinds, self._lower, self._upper))
+        return list(map(Variable, keys, kinds, self._lower, self._upper))
 
     @property
     def constraints(self) -> list[tuple[tuple[int, ...], tuple[float, ...], str, float]]:
@@ -345,8 +366,8 @@ class SolveConfig:
 class MipResult:
     """Outcome of one :func:`solve` call.
 
-    ``values`` maps each variable's name, the key it was added under, to
-    its incumbent value; it is empty when there is no incumbent.
+    ``x`` is the incumbent in column order, or None if there is none;
+    ``blocks`` holds the model's blocks as they were when it was solved.
     ``node_count`` counts the LPs solved: the search's nodes and the steps
     of its dives.
     """
@@ -354,9 +375,19 @@ class MipResult:
     status: str
     objective: float | None
     bound: float | None
-    values: dict[Hashable, float]
+    x: np.ndarray | None
     wall_time: float
     node_count: int
+    blocks: tuple[tuple[str, int, np.ndarray], ...] = ()
+
+    def take(self, tag: str) -> tuple[np.ndarray, np.ndarray]:
+        """The ids of the columns tagged ``tag`` and their incumbent values.
+
+        Raises :class:`InvalidSolution` if there is no incumbent."""
+        if self.x is None:
+            raise InvalidSolution(f"result carries no incumbent ({self.status})")
+        cols, ids = _gather(self.blocks, tag)
+        return ids, self.x[cols]
 
 
 @dataclass(frozen=True)
@@ -375,7 +406,6 @@ class _Arrays:
     lower: np.ndarray
     upper: np.ndarray
     int_mask: np.ndarray
-    names: list[Hashable]
 
 
 @dataclass(frozen=True)
@@ -409,7 +439,6 @@ def _compile_arrays(model: MipModel) -> _Arrays:
         lower=np.array(model._lower, dtype=np.float64),
         upper=np.array(model._upper, dtype=np.float64),
         int_mask=np.array(model._kind, dtype=np.int8) != _KINDS.index(CONTINUOUS),
-        names=list(model._names),
     )
 
 
@@ -552,14 +581,12 @@ def _zero_fits(comp: _Compiled) -> bool:
     return bool((comp.row_lower <= 0.0).all() and (comp.row_upper >= 0.0).all())
 
 
-def _result(comp, status, inc_x, inc_obj, bound_min, start, nodes):
-    values: dict[Hashable, float] = {}
-    objective = None
+def _result(comp, blocks, status, inc_x, inc_obj, bound_min, start, nodes):
+    x = objective = None
     if inc_x is not None:
         x = inc_x.copy()
         # integers are reported exact; "+ 0.0" turns a rounded -0.0 into 0.0
         x[comp.int_mask] = np.round(x[comp.int_mask]) + 0.0
-        values = dict(zip(comp.names, x.tolist()))
         objective = (-inc_obj if comp.flip else inc_obj) + comp.const
     bound = None
     if bound_min is not None and math.isfinite(bound_min):
@@ -568,9 +595,10 @@ def _result(comp, status, inc_x, inc_obj, bound_min, start, nodes):
         status=status,
         objective=objective,
         bound=bound,
-        values=values,
+        x=x,
         wall_time=time.perf_counter() - start,
         node_count=nodes,
+        blocks=blocks,
     )
 
 
@@ -601,12 +629,12 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
         raise ValidationError(f"gap_tol must be finite and at least 0, got {cfg.gap_tol}")
     start = time.perf_counter()
     comp = _compile(model)
-    n = model.num_vars
+    blocks = tuple(model._blocks)
 
-    if n == 0:  # HiGHS solves no model without columns
+    if model.num_vars == 0:  # HiGHS solves no model without columns
         if not _zero_fits(comp):
-            return _result(comp, INFEASIBLE, None, math.inf, None, start, 0)
-        return MipResult(OPTIMAL, comp.const, comp.const, {}, time.perf_counter() - start, 0)
+            return _result(comp, blocks, INFEASIBLE, None, math.inf, None, start, 0)
+        return _result(comp, blocks, OPTIMAL, np.zeros(0), 0.0, 0.0, start, 0)
 
     inc_x = None
     inc_obj = math.inf  # in minimize space, without the constant
@@ -697,7 +725,7 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
         else:
             status = OPTIMAL
             proven_lb = inc_obj
-    return _result(comp, status, inc_x, inc_obj, proven_lb, start, nodes)
+    return _result(comp, blocks, status, inc_x, inc_obj, proven_lb, start, nodes)
 
 
 def lp_bound(model: MipModel) -> float:
@@ -742,11 +770,9 @@ def _lp_terms(pairs: Sequence[tuple[str, float]], constant: float = 0.0) -> str:
     return text[2:] if text.startswith("+ ") else text
 
 
-def _label(key: Hashable) -> str:
-    """The LP-text name of a variable: a tuple key's parts joined by ``_``."""
-    if isinstance(key, tuple):
-        return "_".join(map(str, key))
-    return str(key)
+def _label(key: tuple) -> str:
+    """The LP-text name of a column: its key's parts joined by ``_``."""
+    return "_".join(map(str, key))
 
 
 def lp_text(model: MipModel) -> str:

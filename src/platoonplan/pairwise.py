@@ -102,8 +102,8 @@ def select_pairs(
     model = build_matching(
         [(c.u, c.v, c.savings) for c in candidates], gamma, n_vehicles
     )
-    res = solve(model, SolveConfig())
-    return [c for c in candidates if res.values.get(("w", c.u, c.v), 0.0) > 0.5]
+    _ids, chosen = solve(model, SolveConfig()).take("w")
+    return [c for c, on in zip(candidates, (chosen > 0.5).tolist()) if on]
 
 
 def shrink_windows(

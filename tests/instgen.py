@@ -165,16 +165,17 @@ def surplus_tsf_incumbent():
         horizon=2,
     )
     model = build_tsf(instance, build_time_space(net, instance))
-    values = {var.name: 0.0 for var in model.variables}
+    keys = [var.name for var in model.variables]
+    x = np.zeros(len(keys))
     for v in (0, 1):
-        values["x", 0, 0, 1, 1, v] = 1.0  # drive together at 0
-        values["x", 1, 1, 1, 2, v] = 1.0  # then wait at the destination
-    values["x", 0, 0, 0, 1, 2] = 1.0
-    values["x", 0, 1, 1, 2, 2] = 1.0
-    values["y", 0, 0, 1, 1] = 2.0
-    values["y", 0, 1, 1, 2] = 1.0
-    objective = sum(
-        coef * values[model.variables[idx].name] for idx, coef in model.objective.items()
+        x[keys.index(("x", 0, 0, 1, 1, v))] = 1.0  # drive together at 0
+        x[keys.index(("x", 1, 1, 1, 2, v))] = 1.0  # then wait at the destination
+    x[keys.index(("x", 0, 0, 0, 1, 2))] = 1.0
+    x[keys.index(("x", 0, 1, 1, 2, 2))] = 1.0
+    x[keys.index(("y", 0, 0, 1, 1))] = 2.0
+    x[keys.index(("y", 0, 1, 1, 2))] = 1.0
+    objective = float(sum(coef * x[idx] for idx, coef in model.objective.items()))
+    result = MipResult(
+        FEASIBLE_TIME_LIMIT, objective, 29.0, x, 0.0, 1, tuple(model._blocks)
     )
-    result = MipResult(FEASIBLE_TIME_LIMIT, objective, 29.0, values, 0.0, 1)
     return instance, model, result

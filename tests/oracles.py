@@ -17,7 +17,20 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csc_matrix, csr_matrix, vstack
 
-from platoonplan.errors import ShrinkInfeasible
+from platoonplan.errors import (
+    DecodeInconsistent,
+    InfeasibleVehicle,
+    InvalidSolution,
+    ShrinkInfeasible,
+)
+from platoonplan.evaluate import (
+    PlatoonSolution,
+    _consistent,
+    _timetable,
+    _union_find_groups,
+    assemble_timetable,
+)
+from platoonplan.formulations import FixedRoutes, _walk, build_matching
 from platoonplan.instance import Instance
 from platoonplan.mip import (
     _EQ,
@@ -26,9 +39,13 @@ from platoonplan.mip import (
     BINARY,
     CONTINUOUS,
     INTEGER,
+    OPTIMAL,
     MipModel,
+    MipResult,
+    SolveConfig,
     _Compiled,
     _highs_inf,
+    solve,
 )
 
 
@@ -359,9 +376,37 @@ def _feasible_point(comp: _Compiled, x: np.ndarray) -> bool:
 # -- one column and one row at a time ------------------------------------------
 
 
-def one_col(m, name, kind=CONTINUOUS, lower=0.0, upper=math.inf) -> int:
-    """Add one column and return its index."""
-    return int(m.add_vars([name], kind, lower, upper)[0])
+def one_col(m, key, kind=CONTINUOUS, lower=0.0, upper=math.inf) -> int:
+    """Add the column ``key = (tag, *ids)`` and return its index."""
+    return int(m.add_vars(key[0], [key[1:]], kind, lower, upper)[0])
+
+
+class KeyedColumns:
+    """Columns named one key ``(tag, *ids)`` at a time.
+
+    Calling it returns the index the column will have; :meth:`flush` adds
+    the columns named so far to the model, one ``add_vars`` block per run of
+    one tag and kind.  The row-by-row builders name every column before
+    their first row, so they add as many blocks as the columnar builders;
+    one block per column would make the model's duplicate check, which
+    reads every earlier block of the tag, quadratic in the columns.
+    """
+
+    def __init__(self, m: MipModel):
+        self.m = m
+        self.pending = []
+
+    def __call__(self, key, kind=CONTINUOUS, lower=0.0, upper=math.inf) -> int:
+        self.pending.append((key, kind, lower, upper))
+        return self.m.num_vars + len(self.pending) - 1
+
+    def flush(self) -> None:
+        for (tag, kind), run in itertools.groupby(self.pending, lambda p: (p[0][0], p[1])):
+            run = list(run)
+            self.m.add_vars(
+                tag, [key[1:] for key, *_ in run], kind, [p[2] for p in run], [p[3] for p in run]
+            )
+        self.pending = []
 
 
 def terms_arrays(terms):
@@ -393,6 +438,7 @@ def full_tsf(instance, tsn):
     adm = instance.admissible
     net, horizon = tsn.net, tsn.horizon
     m = MipModel("tsf")
+    col = KeyedColumns(m)
 
     # every time copy of every road arc that fits the horizon, and every
     # waiting arc, in the order the time-space network once listed them
@@ -420,7 +466,7 @@ def full_tsf(instance, tsn):
             if wi is None or wj is None:
                 continue
             if wi[0] <= tm <= wi[1] and wj[0] <= t2 <= wj[1]:
-                idx = one_col(m, ("x", i, tm, j, t2, v), BINARY)
+                idx = col(("x", i, tm, j, t2, v), BINARY)
                 xvar[v, (i, tm, j, t2)] = idx
                 move_users[(i, tm, j, t2)].append(v)
                 outs[(i, tm)].append(idx)
@@ -428,7 +474,7 @@ def full_tsf(instance, tsn):
         for (i, tm) in time_arcs:
             wi = win.get(i)
             if wi is not None and wi[0] <= tm and tm + 1 <= wi[1]:
-                idx = one_col(m, ("x", i, tm, i, tm + 1, v), BINARY)
+                idx = col(("x", i, tm, i, tm + 1, v), BINARY)
                 outs[(i, tm)].append(idx)
                 ins[(i, tm + 1)].append(idx)
         out_at.append(outs)
@@ -439,8 +485,9 @@ def full_tsf(instance, tsn):
         k = len(move_users[ts_arc])
         cap = q if q is not None else k
         ub = math.ceil(k / cap)
-        yvar[ts_arc] = one_col(m, ("y", *ts_arc), INTEGER, 0, ub)
+        yvar[ts_arc] = col(("y", *ts_arc), INTEGER, 0, ub)
 
+    col.flush()
     obj = []
     for (v, (i, tm, j, t2)), idx in xvar.items():
         obj.append((idx, (1.0 - eta) * net.cost[i, j]))
@@ -597,6 +644,7 @@ def tsf_by_rows(instance, tsn):
     tt = net.travel_time
     horizon = tsn.horizon
     m = MipModel("tsf")
+    col = KeyedColumns(m)
 
     move_users = defaultdict(list)
     xvar = {}
@@ -616,7 +664,7 @@ def tsf_by_rows(instance, tsn):
             last = min(hi_i, hi_j - t_ij, horizon - t_ij)
             for tm in range(max(lo_i, lo_j - t_ij), last + 1):
                 t2 = tm + t_ij
-                idx = one_col(m, ("x", i, tm, j, t2, v), BINARY)
+                idx = col(("x", i, tm, j, t2, v), BINARY)
                 xvar[v, (i, tm, j, t2)] = idx
                 move_users[(i, tm, j, t2)].append(v)
                 outs[(i, tm)].append(idx)
@@ -625,7 +673,7 @@ def tsf_by_rows(instance, tsn):
         for i in sorted(reach):
             lo_i, hi_i = win[i]
             for tm in range(lo_i, min(hi_i, horizon)):
-                idx = one_col(m, ("x", i, tm, i, tm + 1, v), BINARY)
+                idx = col(("x", i, tm, i, tm + 1, v), BINARY)
                 outs[(i, tm)].append(idx)
                 ins[(i, tm + 1)].append(idx)
         out_at.append(outs)
@@ -637,8 +685,9 @@ def tsf_by_rows(instance, tsn):
         if k == 1:
             continue
         cap = q if q is not None else k
-        yvar[ts_arc] = one_col(m, ("y", *ts_arc), INTEGER, 0, math.ceil(k / cap))
+        yvar[ts_arc] = col(("y", *ts_arc), INTEGER, 0, math.ceil(k / cap))
 
+    col.flush()
     obj = []
     for (_v, ts_arc), idx in xvar.items():
         c = net.cost[ts_arc[0], ts_arc[2]]
@@ -695,12 +744,14 @@ def fcnf_by_rows(instance, cost_table=None):
     cost = net.cost
     eta = instance.eta
     m = MipModel("fcnf")
+    col = KeyedColumns(m)
 
     union = sorted(set().union(*adm.values())) if adm else []
     xkeys = [(v, arc) for v in range(len(instance.vehicles)) for arc in sorted(adm[v])]
-    yvar = {arc: one_col(m, ("y", *arc), BINARY) for arc in union}
-    xvar = {(v, arc): one_col(m, ("x", *arc, v), BINARY) for v, arc in xkeys}
+    yvar = {arc: col(("y", *arc), BINARY) for arc in union}
+    xvar = {(v, arc): col(("x", *arc, v), BINARY) for v, arc in xkeys}
 
+    col.flush()
     shaped = cost_table.traversed if cost_table is not None else frozenset()
     obj = []
     for (v, arc), idx in xvar.items():
@@ -732,13 +783,14 @@ def tif_by_rows(instance, routes, kept=None, relax_capacity=False):
     if kept is None:
         kept = frozenset((v, arc) for v, path in routes.paths.items() for arc in path)
     m = MipModel("tif")
+    col = KeyedColumns(m)
 
     xvar = {}
     slot_users = defaultdict(list)
     for v, arc in sorted(kept):
         lo, hi = routes.entry_window(v, arc)
         for tm in range(lo, hi + 1):
-            xvar[v, arc, tm] = one_col(m, ("x", *arc, v, tm), BINARY)
+            xvar[v, arc, tm] = col(("x", *arc, v, tm), BINARY)
             slot_users[arc, tm].append(v)
 
     yvar = {}
@@ -746,8 +798,9 @@ def tif_by_rows(instance, routes, kept=None, relax_capacity=False):
         k = len(slot_users[arc, tm])
         cap = q if q is not None else k
         ub = 1 if relax_capacity else math.ceil(k / cap)
-        yvar[arc, tm] = one_col(m, ("y", *arc, tm), INTEGER, 0, ub)
+        yvar[arc, tm] = col(("y", *arc, tm), INTEGER, 0, ub)
 
+    col.flush()
     constant = sum(eta * net.cost[arc] for (_v, arc) in kept)
     m.set_objective(
         *terms_arrays([(idx, -eta * net.cost[arc]) for (arc, _tm), idx in yvar.items()]),
@@ -792,6 +845,7 @@ def cpf_by_rows(instance):
     adm = instance.admissible
     bounds = instance.windows
     m = MipModel("cpf")
+    col = KeyedColumns(m)
 
     x = {}
     t = {}
@@ -802,9 +856,9 @@ def cpf_by_rows(instance):
             nodes.add(j)
         for i in sorted(nodes):
             lo, hi = bounds[v][i]
-            t[v, i] = one_col(m, ("t", i, v), CONTINUOUS, lo, hi)
+            t[v, i] = col(("t", i, v), CONTINUOUS, lo, hi)
         for arc in sorted(adm[v]):
-            x[v, arc] = one_col(m, ("x", *arc, v), BINARY)
+            x[v, arc] = col(("x", *arc, v), BINARY)
 
     y = {}
     for v in range(n_veh):
@@ -815,8 +869,9 @@ def cpf_by_rows(instance):
                     bounds[v][i][1], bounds[w][i][1]
                 ):
                     continue
-                y[arc, v, w] = one_col(m, ("y", *arc, v, w), BINARY)
+                y[arc, v, w] = col(("y", *arc, v, w), BINARY)
 
+    col.flush()
     obj = [(idx, net.cost[arc]) for (v, arc), idx in x.items()]
     obj += [(idx, -eta * net.cost[arc]) for (arc, _v, _w), idx in y.items()]
     m.set_objective(*terms_arrays(obj), sense="min")
@@ -863,13 +918,15 @@ def cpf_by_rows(instance):
 def matching_by_rows(pairs, gamma, n_vehicles):
     """``build_matching``, one column and one row at a time."""
     m = MipModel("pairing")
+    col = KeyedColumns(m)
     wvar = []
     touching = defaultdict(list)
     for u, v, _s in pairs:
-        idx = one_col(m, ("w", u, v), BINARY)
+        idx = col(("w", u, v), BINARY)
         wvar.append(idx)
         touching[u].append(idx)
         touching[v].append(idx)
+    col.flush()
     m.set_objective(
         *terms_arrays([(idx, float(s)) for idx, (_u, _v, s) in zip(wvar, pairs)]), sense="max"
     )
@@ -882,7 +939,7 @@ def matching_by_rows(pairs, gamma, n_vehicles):
 
 def assert_same_arrays(got: _Compiled, want: _Compiled) -> None:
     """Two compiled models are identical: every array's dtype and bytes,
-    the sparse structure, the constant, the sense and the names."""
+    the sparse structure, the constant and the sense."""
     for name in ("c", "row_lower", "row_upper", "lower", "upper", "int_mask"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -890,8 +947,7 @@ def assert_same_arrays(got: _Compiled, want: _Compiled) -> None:
     for part in ("indptr", "indices", "data"):
         x, y = getattr(got.a, part), getattr(want.a, part)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), part
-    assert (got.const, got.flip, got.names) == (want.const, want.flip, want.names)
-    assert all(type(a) is type(b) for a, b in zip(got.names, want.names))
+    assert (got.const, got.flip) == (want.const, want.flip)
 
 
 # -- the two-block compile -----------------------------------------------------
@@ -951,3 +1007,125 @@ def two_block_load(model: MipModel) -> dict[str, np.ndarray]:
         "row_lower_": _highs_inf(np.concatenate([np.full(len(b_ub), -np.inf), b_eq])),
         "row_upper_": _highs_inf(np.concatenate([b_ub, b_eq])),
     }
+
+
+# -- the readers that scanned keys ----------------------------------------------
+#
+# The decoders once read ``solve``'s incumbent as a dict from column key to
+# value and matched each key against its tag and arity.  These are those
+# readers, kept to check the readers that take columns by tag; they share
+# the package's path walk, grouping and timetable assembly, which read no
+# incumbent.
+
+
+def keyed_values(model: MipModel, result: MipResult) -> dict:
+    """The incumbent of ``result`` by column key ``(tag, *ids)``."""
+    return dict(zip((v.name for v in model.variables), result.x.tolist()))
+
+
+def keyed_result(values: dict, status: str = OPTIMAL) -> MipResult:
+    """A result whose incumbent gives each key of ``values`` its value: one
+    block per tag, the keys of a tag in the order given."""
+    by_tag = defaultdict(list)
+    for key, val in values.items():
+        by_tag[key[0]].append((key[1:], val))
+    m = MipModel()
+    x = []
+    for tag, items in by_tag.items():
+        m.add_vars(tag, [ids for ids, _val in items])
+        x += [val for _ids, val in items]
+    return MipResult(status, None, None, np.array(x, dtype=np.float64), 0.0, 0, tuple(m._blocks))
+
+
+def x_paths_by_key(instance, values, error):
+    nxt = defaultdict(lambda: defaultdict(list))
+    for key, val in values.items():
+        if val > 0.5:
+            match key:
+                case ("x", i, j, v):
+                    nxt[v][i].append((i, j))
+    paths = {}
+    for v, veh in enumerate(instance.vehicles):
+        outs = nxt.get(v, {})
+        for arcs in outs.values():
+            arcs.sort()
+        path = _walk(veh.origin, veh.dest, outs)
+        if path is None:
+            raise error(f"vehicle {v}: incumbent has no {veh.origin}->{veh.dest} path")
+        paths[v] = path
+    return paths
+
+
+def routes_by_key(instance, values) -> FixedRoutes:
+    return FixedRoutes.build(instance, x_paths_by_key(instance, values, InfeasibleVehicle))
+
+
+def _decode_cpf_by_key(instance, values):
+    times = {}
+    links = defaultdict(list)
+    for key, val in values.items():
+        match key:
+            case ("t", i, v):
+                times[v, i] = val
+            case ("y", i, j, v, w) if val > 0.5:
+                links[i, j].append((v, w))
+    paths = x_paths_by_key(instance, values, DecodeInconsistent)
+    on_arc = defaultdict(set)
+    for v, path in paths.items():
+        for arc in path:
+            on_arc[arc].add(v)
+    slot_time = {}
+    groups = defaultdict(list)
+    for arc in sorted(on_arc):
+        here = on_arc[arc]
+        pair_links = [(v, w) for (v, w) in links.get(arc, ()) if v in here and w in here]
+        for g in _union_find_groups(here, pair_links):
+            t_g = times[g[0], arc[0]]
+            for v in g:
+                slot_time[v, arc] = t_g
+            groups[arc, t_g].append(g)
+    timed_paths = {
+        v: tuple((arc, slot_time[v, arc]) for arc in path) for v, path in paths.items()
+    }
+    return PlatoonSolution(paths=timed_paths, groups={k: tuple(gs) for k, gs in groups.items()})
+
+
+def _decode_tsf_by_key(instance, values):
+    moves = defaultdict(list)
+    for key, val in values.items():
+        match key:
+            case ("x", i, tm, j, _, v) if val > 0.5 and i != j:
+                moves[v].append((tm, (i, j)))
+    return {
+        v: tuple((arc, tm) for tm, arc in sorted(moves.get(v, ())))
+        for v in range(len(instance.vehicles))
+    }
+
+
+def tif_choice_by_key(values):
+    chosen = {}
+    for key, val in values.items():
+        match key:
+            case ("x", i, j, v, tm) if val > 0.5:
+                chosen[v, (i, j)] = tm
+    return chosen
+
+
+def decode_by_key(instance, values, which, routes=None):
+    """``decode`` as it read an incumbent by key."""
+    if not values:
+        raise InvalidSolution("result carries no incumbent to decode")
+    if which == "cpf":
+        return _consistent(instance, _decode_cpf_by_key(instance, values))
+    if which == "tsf":
+        return _timetable(instance, _decode_tsf_by_key(instance, values))
+    return assemble_timetable(instance, routes, tif_choice_by_key(values))
+
+
+def select_pairs_by_key(candidates, gamma, n_vehicles):
+    """``select_pairs`` as it read the matching's incumbent by key."""
+    if math.floor(gamma * n_vehicles) <= 0 or not candidates:
+        return []
+    model = build_matching([(c.u, c.v, c.savings) for c in candidates], gamma, n_vehicles)
+    values = keyed_values(model, solve(model, SolveConfig()))
+    return [c for c in candidates if values.get(("w", c.u, c.v), 0.0) > 0.5]

@@ -1,13 +1,14 @@
 """The columnar builders against their row-by-row originals.
 
 Every builder emits whole blocks of columns and rows; ``tests/oracles.py``
-keeps the versions that added one column and one row at a time.  Both must
+keeps the versions that name one column and add one row at a time.  Both must
 compile to the same solver arrays and names, so HiGHS sees the same model.
 TSF, TIF and the pair matching keep the terms of every row in the old order
 too, so their LP text is the same; FCNF and CPF list the terms of a flow
 row by column.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -41,16 +42,19 @@ from platoonplan.formulations import (
     build_tif,
     build_tsf,
     price_fcnf,
+    routes_from_result,
 )
 from platoonplan.instance import three_truck_demo
-from platoonplan.mip import _compile, lp_text
+from platoonplan.mip import _compile, lp_text, solve
 from platoonplan.network import build_time_space
+from platoonplan.pairwise import enumerate_pairs
 
 DRAWS = {"default": {}, "branching": BRANCHING_DRAW}
 
 
 def same_model(got, want, *, same_text=True):
     assert_same_arrays(_compile(got), _compile(want))
+    assert [v.name for v in got.variables] == [v.name for v in want.variables]
     if same_text:
         assert lp_text(got) == lp_text(want)
     else:
@@ -162,3 +166,50 @@ def test_every_model_of_a_field_run_matches_row_by_row(monkeypatch):
     assert log.termination == "repeat"
     assert len(rounds) == len(log.records) - 1 > 1
     assert parts
+
+
+# SHA-256 of lp_text for every builder, as the builders printed it when each
+# column was added under its own tuple key.  The row-by-row builders above
+# add their columns through the same add_vars, so only these digests catch
+# a change in how a column's key and label are derived.  The demo's
+# scheduling models run on DEMO_ROUTES, hub 5x5/10's on the routes of its
+# base routing optimum; the pair matching takes their candidates at gamma
+# 0.5.
+LP_TEXT_SHA256 = {
+    ("demo", "cpf"): "ada189a72dfc26a9542ff3301026378b1f67158ecb6f3cc58484e9ec5d9a64d2",
+    ("demo", "tsf"): "a15ac932af6059a8f32aac4f78cfe07717ecc0a14b1ff142c27cdf8532b52c26",
+    ("demo", "fcnf"): "6a779902c1c42e87d8d8f6b3e2493b3e1a69eebca72513eaeb1412c48ae05fe4",
+    ("demo", "tif"): "454dd224186cea421069b1036cec68718421f208ab05ad710b1e93fbc6e5b5d1",
+    ("demo", "pairing"): "e6c49c687a10b7ca34222cc2315c1e8d9b008cbca107651e145ffd2bad37cd10",
+    ("hub5x5/10", "cpf"): "6ec9b10017773eb2f39ae16419602f87f46a15e95f4c60c7e354056eecfc266a",
+    ("hub5x5/10", "tsf"): "48189f3667a9d77511016986b3c0014ac1cdf16372f0dac1c3ecf20dadf5df7c",
+    ("hub5x5/10", "fcnf"): "ad500f87290344ff08cddb52f24ae1c7e747b05898db76d18cca943f7f828661",
+    ("hub5x5/10", "tif"): "62c85a735e7aec149d43fa99f2374538272c6198b04a98efd094c58e6c171a2d",
+    ("hub5x5/10", "pairing"): "49be3c760e40466c412096ef8595b6604cc654a3ab6ab70caaf9699826aaf0a0",
+}
+DEMO_ROUTES = {0: ((0, 1),), 1: ((0, 2),), 2: ((0, 2), (2, 3), (3, 5))}
+
+
+def pinned_model(case, which):
+    if case == "demo":
+        instance = three_truck_demo()
+        routes = FixedRoutes.build(instance, DEMO_ROUTES)
+    else:
+        instance = hub_fleet(5, 10)
+        routes = routes_from_result(instance, solve(build_fcnf(instance)))
+    if which == "cpf":
+        return build_cpf(instance)
+    if which == "tsf":
+        return build_tsf(instance, build_time_space(instance.network, instance))
+    if which == "fcnf":
+        return build_fcnf(instance)
+    if which == "tif":
+        return build_tif(instance, routes)
+    pairs = [(c.u, c.v, c.savings) for c in enumerate_pairs(instance, routes)]
+    return build_matching(pairs, 0.5, len(instance.vehicles))
+
+
+@pytest.mark.parametrize("case, which", sorted(LP_TEXT_SHA256), ids="/".join)
+def test_lp_text_is_pinned(case, which):
+    text = lp_text(pinned_model(case, which))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == LP_TEXT_SHA256[case, which]

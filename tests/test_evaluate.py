@@ -11,8 +11,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import platoonplan.mip as mip_module
-from instgen import small_instance, surplus_tsf_incumbent, time_shortest_paths
-from oracles import _feasible_point
+from instgen import (
+    BRANCHING_DRAW,
+    HUB_RUNGS,
+    hub_fleet,
+    small_instance,
+    surplus_tsf_incumbent,
+    time_shortest_paths,
+)
+from oracles import (
+    _feasible_point,
+    decode_by_key,
+    keyed_result,
+    keyed_values,
+    routes_by_key,
+    select_pairs_by_key,
+)
 from platoonplan.errors import DecodeInconsistent, InvalidSolution
 from platoonplan.evaluate import (
     PlatoonSolution,
@@ -25,10 +39,18 @@ from platoonplan.evaluate import (
     split_groups,
     total_cost,
 )
-from platoonplan.formulations import FixedRoutes, build_cpf, build_tif, build_tsf
+from platoonplan.formulations import (
+    FixedRoutes,
+    build_cpf,
+    build_fcnf,
+    build_tif,
+    build_tsf,
+    routes_from_result,
+)
 from platoonplan.instance import Instance, Vehicle
-from platoonplan.mip import SolveConfig, _compile, solve
+from platoonplan.mip import NO_SOLUTION_TIME_LIMIT, MipResult, SolveConfig, _compile, solve
 from platoonplan.network import build_time_space, make_network
+from platoonplan.pairwise import enumerate_pairs, select_pairs
 from test_mip import watch_node_lps
 
 
@@ -112,6 +134,21 @@ def test_check_path_violations(demo):
         groups={((0, 2), 500): ((2,),), ((0, 1), 500): ((1,),)},
     )
     assert "wrong-destination" in kinds(demo, wrong)
+
+
+def test_check_reads_every_leg_of_a_broken_path(demo):
+    """A truck whose legs stop chaining still drives each of them, so the
+    platoons that list it on those legs are no membership violations.
+    Only the platoon on the dropped leg is one; the first violation names
+    the broken path."""
+    res = solve(build_tsf(demo, build_time_space(demo.network, demo)), SolveConfig(gap_tol=1e-9))
+    sol = decode(demo, res, "tsf")
+    legs = sol.paths[2]
+    assert legs == (((0, 2), 500), ((2, 3), 600), ((3, 5), 700))
+    report = check(demo, mutated(sol, paths={2: (legs[0], legs[2])}))
+    assert report.violations[0].kind == "path-broken"
+    members = [(v.vehicle, v.arc) for v in report.violations if v.kind == "group-membership"]
+    assert members == [(2, (2, 3))]
 
 
 def test_check_timing_violations(demo):
@@ -267,10 +304,10 @@ def test_decode_tif_demo(demo):
 
 
 def test_decode_argument_errors(demo):
-    empty = SimpleNamespace(values={})
+    empty = MipResult(NO_SOLUTION_TIME_LIMIT, None, None, None, 0.0, 0)
     with pytest.raises(InvalidSolution, match="no incumbent"):
         decode(demo, empty, "cpf")
-    res = SimpleNamespace(values={("x", 0, 1, 0): 1.0})
+    res = keyed_result({("x", 0, 1, 0): 1.0})
     with pytest.raises(InvalidSolution, match="dialect"):
         decode(demo, res, "mystery")
     with pytest.raises(InvalidSolution, match="routes"):
@@ -278,19 +315,20 @@ def test_decode_argument_errors(demo):
 
 
 def test_decode_rejects_tampered_incumbent(demo):
-    res = solve(build_cpf(demo), SolveConfig(gap_tol=1e-9))
-    broken = dict(res.values)
-    for key, val in res.values.items():
+    model = build_cpf(demo)
+    values = keyed_values(model, solve(model, SolveConfig(gap_tol=1e-9)))
+    broken = dict(values)
+    for key, val in values.items():
         if key[0] == "x" and key[-1] == 0 and val > 0.5:
             broken[key] = 0.0  # truck 0 loses its route entirely
     with pytest.raises(DecodeInconsistent):
-        decode(demo, SimpleNamespace(values=broken), "cpf")
+        decode(demo, keyed_result(broken), "cpf")
 
 
 def test_decode_tsf_rejects_broken_chain(demo):
     broken = {("x", 0, 100, 2, 200, 0): 1.0, ("x", 3, 400, 5, 500, 0): 1.0}
     with pytest.raises(DecodeInconsistent):
-        decode(demo, SimpleNamespace(values=broken), "tsf")
+        decode(demo, keyed_result(broken), "tsf")
     # every truck drives, and truck 2 jumps from node 2 to arc (3, 5)
     jumps = {
         ("x", 0, 0, 1, 100, 0): 1.0,
@@ -299,7 +337,7 @@ def test_decode_tsf_rejects_broken_chain(demo):
         ("x", 3, 700, 5, 800, 2): 1.0,
     }
     with pytest.raises(DecodeInconsistent, match="violates path-broken"):
-        decode(demo, SimpleNamespace(values=jumps), "tsf")
+        decode(demo, keyed_result(jumps), "tsf")
 
 
 def test_tif_timetable_ignores_surplus_platoon_counts():
@@ -307,7 +345,7 @@ def test_tif_timetable_ignores_surplus_platoon_counts():
     instance = tiny_shared_arc(2, q_limit=None)
     routes = FixedRoutes.build(instance, {0: ((0, 1),), 1: ((0, 1),)})
     values = {("x", 0, 1, 0, 0): 1.0, ("x", 0, 1, 1, 0): 1.0, ("y", 0, 1, 0): 2.0}
-    decoded = decode(instance, SimpleNamespace(values=values), "tif", routes)
+    decoded = decode(instance, keyed_result(values), "tif", routes)
     assembled = assemble_timetable(instance, routes, {(0, (0, 1)): 0, (1, (0, 1)): 0})
     for sol in (decoded, assembled):
         assert sol.groups == {((0, 1), 0): ((0, 1),)}
@@ -317,8 +355,7 @@ def test_tif_timetable_ignores_surplus_platoon_counts():
 def test_decode_tsf_forms_the_fewest_platoons_whatever_the_count():
     # the incumbent pays for two platoons where one holds both trucks
     instance, model, res = surplus_tsf_incumbent()
-    x = np.array([res.values[var.name] for var in model.variables])
-    assert _feasible_point(_compile(model), x)
+    assert _feasible_point(_compile(model), res.x)
     assert res.objective == pytest.approx(30.0, abs=1e-9)
     sol = decode(instance, res, "tsf")
     assert sol.groups == {((0, 1), 0): ((0, 1),), ((0, 1), 1): ((2,),)}
@@ -396,3 +433,52 @@ def test_canonical_schedule_no_accidental_meet(demo):
     sol = canonical_schedule(demo, routes)
     # trucks 0 and 2 share the arc but depart 500 apart
     assert total_cost(demo, sol) == pytest.approx(4.99, abs=1e-12)
+
+
+# -- the readers against the ones that scanned keys -----------------------------
+
+
+def assert_readers_match_keyed(instance, cpf=True):
+    """``decode``, ``routes_from_result`` and ``select_pairs`` read each
+    incumbent as the readers that scanned column keys read it."""
+    cfg = SolveConfig(gap_tol=1e-9)
+    models = {"tsf": build_tsf(instance, build_time_space(instance.network, instance))}
+    if cpf:
+        models["cpf"] = build_cpf(instance)
+    for which, model in models.items():
+        res = solve(model, cfg)
+        want = decode_by_key(instance, keyed_values(model, res), which)
+        assert repr(decode(instance, res, which)) == repr(want), which
+
+    model = build_fcnf(instance)
+    res = solve(model, cfg)
+    routes = routes_from_result(instance, res)
+    want = routes_by_key(instance, keyed_values(model, res))
+    assert repr((routes.paths, routes.offset, routes.depart)) == repr(
+        (want.paths, want.offset, want.depart)
+    )
+
+    model = build_tif(instance, routes)
+    res = solve(model, cfg)
+    want = decode_by_key(instance, keyed_values(model, res), "tif", routes)
+    assert repr(decode(instance, res, "tif", routes)) == repr(want)
+
+    candidates = enumerate_pairs(instance, routes)
+    for gamma in (0.2, 0.5, 1.0):
+        n = len(instance.vehicles)
+        assert select_pairs(candidates, gamma, n) == select_pairs_by_key(candidates, gamma, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2**16), st.booleans())
+def test_readers_match_the_key_scanning_readers_property(seed, branching):
+    instance = small_instance(seed, **(BRANCHING_DRAW if branching else {}))
+    assume(instance is not None)
+    assert_readers_match_keyed(instance)
+
+
+@pytest.mark.parametrize("rung", HUB_RUNGS, ids=lambda r: f"{r[0]}x{r[0]}/{r[1]}")
+def test_readers_match_the_key_scanning_readers_on_the_hub_ladder(rung):
+    # CPF proves the rungs up to 6x6/20 in under a second each, 7x7/25 in
+    # seconds and 8x8/30 not in 30 s
+    assert_readers_match_keyed(hub_fleet(*rung), cpf=rung <= (6, 20))

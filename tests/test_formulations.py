@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from instgen import small_instance, time_shortest_paths
-from oracles import brute_force_joint
+from oracles import brute_force_joint, keyed_result, keyed_values
 from platoonplan import formulations
 from platoonplan.errors import (
     EmptyEntrySet,
@@ -44,6 +44,11 @@ def exact(model):
 
 def var_names(model):
     return {v.name for v in model.variables}
+
+
+def column(model, key):
+    """The index of the column named ``key``."""
+    return [v.name for v in model.variables].index(key)
 
 
 def line_instance(n_vehicles, q_limit, window=1):
@@ -114,8 +119,8 @@ def test_admissible_arcs_wraps_empty_path_set(demo):
 def big_m_row(model, plus, minus, switch):
     """The big-M coefficient and right-hand side of the CPF row that reads
     ``plus - minus`` against the 0/1 column ``switch``."""
-    cols = {model.var_index(plus): 1.0, model.var_index(minus): -1.0}
-    s = model.var_index(switch)
+    cols = {column(model, plus): 1.0, column(model, minus): -1.0}
+    s = column(model, switch)
     for idxs, coefs, _sense, rhs in model.constraints:
         row = dict(zip(idxs, coefs))
         if row.keys() == cols.keys() | {s} and all(row[i] == c for i, c in cols.items()):
@@ -145,9 +150,9 @@ def test_cpf_demo_structure(demo):
     # trucks 1 and 2 can meet at node 0, trucks 0 and 2 never can
     assert ("y", 0, 2, 1, 2) in names
     assert ("y", 0, 1, 0, 2) not in names
-    t1 = model.variables[model.var_index(("t", 0, 1))]
+    t1 = model.variables[column(model, ("t", 0, 1))]
     assert (t1.lower, t1.upper) == (500.0, 500.0)
-    t2 = model.variables[model.var_index(("t", 2, 2))]
+    t2 = model.variables[column(model, ("t", 2, 2))]
     assert (t2.lower, t2.upper) == (600.0, 800.0)
 
 
@@ -295,14 +300,14 @@ def test_routes_from_result_drops_spurious_cycles(demo):
         ("t", 0, 1): 500.0,  # unrelated variables as well
         ("y", 0, 1): 1.0,
     }
-    routes = routes_from_result(demo, SimpleNamespace(values=values))
+    routes = routes_from_result(demo, keyed_result(values))
     assert routes.paths[0] == ((0, 1),)
     assert routes.paths[2] == ((0, 1), (1, 4), (4, 5))
 
 
 def test_routes_from_result_requires_every_vehicle(demo):
     with pytest.raises(InfeasibleVehicle):
-        routes_from_result(demo, SimpleNamespace(values={("x", 0, 1, 0): 1.0}))
+        routes_from_result(demo, keyed_result({("x", 0, 1, 0): 1.0}))
 
 
 # -- scheduling stage ---------------------------------------------------------
@@ -329,8 +334,9 @@ def test_tif_demo(demo):
     res = exact(model)
     # both trucks enter (0, 2) at 500 and save one fixed share of 0.1
     assert res.objective == pytest.approx(0.1, abs=1e-9)
-    assert res.values["x", 0, 2, 1, 500] == pytest.approx(1.0)
-    assert res.values["x", 0, 2, 2, 500] == pytest.approx(1.0)
+    values = keyed_values(model, res)
+    assert values["x", 0, 2, 1, 500] == pytest.approx(1.0)
+    assert values["x", 0, 2, 2, 500] == pytest.approx(1.0)
 
 
 def test_tif_empty_entry_window():
@@ -373,12 +379,14 @@ def test_tif_waiting_between_arcs_is_allowed():
         horizon=6,
     )
     routes = FixedRoutes.build(instance, {0: ((0, 1), (1, 2)), 1: ((1, 2),)})
-    res = exact(build_tif(instance, routes))
+    model = build_tif(instance, routes)
+    res = exact(model)
     assert res.objective == pytest.approx(0.1, abs=1e-9)
-    assert res.values["x", 1, 2, 0, 4] == pytest.approx(1.0)
+    values = keyed_values(model, res)
+    assert values["x", 1, 2, 0, 4] == pytest.approx(1.0)
     # truck 0 entered the first arc early enough to be at node 1 by 4
     entry = next(
-        tm for tm in range(0, 3) if res.values["x", 0, 1, 0, tm] > 0.5
+        tm for tm in range(0, 3) if values["x", 0, 1, 0, tm] > 0.5
     )
     assert entry + 2 <= 4
 
@@ -479,11 +487,13 @@ def test_only_the_builders_know_their_column_order():
 
 def test_build_matching_degree_and_budget():
     pairs = [(0, 1, 5.0), (1, 2, 4.0), (2, 3, 3.0)]
-    res = exact(build_matching(pairs, gamma=0.5, n_vehicles=4))
+    model = build_matching(pairs, gamma=0.5, n_vehicles=4)
+    res = exact(model)
     assert res.objective == pytest.approx(8.0)
-    assert res.values["w", 0, 1] == pytest.approx(1.0)
-    assert res.values["w", 2, 3] == pytest.approx(1.0)
-    assert res.values["w", 1, 2] == pytest.approx(0.0)
+    values = keyed_values(model, res)
+    assert values["w", 0, 1] == pytest.approx(1.0)
+    assert values["w", 2, 3] == pytest.approx(1.0)
+    assert values["w", 1, 2] == pytest.approx(0.0)
     # a tighter budget keeps only the single best pair
     res = exact(build_matching(pairs, gamma=0.25, n_vehicles=4))
     assert res.objective == pytest.approx(5.0)

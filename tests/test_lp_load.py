@@ -123,7 +123,7 @@ def test_every_model_of_a_field_run_loads_as_two_blocks(scheduler, monkeypatch):
 def test_the_empty_row_set_loads_as_two_blocks(monkeypatch):
     compared = watch_loads(monkeypatch)
     m = mip_module.MipModel("free")
-    m.add_vars(["a", "b"], mip_module.INTEGER, 0.0, [1.0, 2.0])
+    m.add_vars("a", [[0], [1]], mip_module.INTEGER, 0.0, [1.0, 2.0])
     m.set_objective(cols=[0, 1], coefs=[1.0, -1.0])
     assert solve(m).objective == -2.0
     assert compared == ["free"]

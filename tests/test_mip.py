@@ -18,7 +18,13 @@ from oracles import (
     one_col,
     one_row,
 )
-from platoonplan.errors import ModelInfeasible, ModelInvalid, Unbounded, ValidationError
+from platoonplan.errors import (
+    InvalidSolution,
+    ModelInfeasible,
+    ModelInvalid,
+    Unbounded,
+    ValidationError,
+)
 from platoonplan.evaluate import check, decode, shortest_path_cost, total_cost
 from platoonplan.formulations import build_cpf
 from platoonplan.instance import three_truck_demo
@@ -42,7 +48,7 @@ from platoonplan.mip import (
 
 def knapsack() -> MipModel:
     m = MipModel("knapsack")
-    m.add_vars(["a", "b", "c"], BINARY)
+    m.add_vars("k", [[0], [1], [2]], BINARY)
     m.add_rows([0, 0, 0], [0, 1, 2], [2.0, 3.0, 1.0], "<=", [5.0])
     m.set_objective([0, 1, 2], [5.0, 4.0, 3.0], sense="max")
     return m
@@ -56,11 +62,11 @@ def random_model(seed: int) -> MipModel:
     for i in range(n):
         r = rng.random()
         if r < 0.5:
-            one_col(m, f"v{i}", BINARY)
+            one_col(m, ("v", i), BINARY)
         elif r < 0.8:
-            one_col(m, f"v{i}", INTEGER, 0.0, float(rng.integers(1, 5)))
+            one_col(m, ("v", i), INTEGER, 0.0, float(rng.integers(1, 5)))
         else:
-            one_col(m, f"v{i}", CONTINUOUS, 0.0, float(rng.integers(2, 6)))
+            one_col(m, ("v", i), CONTINUOUS, 0.0, float(rng.integers(2, 6)))
     for _ in range(int(rng.integers(2, 6))):
         size = int(rng.integers(1, n + 1))
         idxs = rng.choice(n, size=size, replace=False)
@@ -82,7 +88,7 @@ def random_model(seed: int) -> MipModel:
 def binary_at_least_two() -> MipModel:
     """min x with x binary and x >= 2: infeasible, already as an LP."""
     m = MipModel()
-    m.add_vars(["x"], BINARY)
+    m.add_vars("x", [[0]], BINARY)
     m.add_rows([0], [0], [1.0], ">=", [2.0])
     m.set_objective([0], [1.0])
     return m
@@ -96,9 +102,7 @@ def test_knapsack_matches_enumeration():
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(9.0, abs=1e-9)
     assert res.bound == pytest.approx(9.0, abs=1e-9)
-    assert res.values["a"] == pytest.approx(1.0)
-    assert res.values["b"] == pytest.approx(1.0)
-    assert res.values["c"] == pytest.approx(0.0)
+    assert res.x.tolist() == [1.0, 1.0, 0.0]
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -121,18 +125,18 @@ def test_solver_is_deterministic():
     r1, r2 = solve(m1), solve(m2)
     assert r1.node_count == r2.node_count
     assert r1.objective == r2.objective
-    assert r1.values == r2.values
+    assert r1.x.tobytes() == r2.x.tobytes()
 
 
 def test_infeasible_model():
     res = solve(binary_at_least_two())
     assert res.status == INFEASIBLE
-    assert res.objective is None and res.values == {}
+    assert res.objective is None and res.x is None
 
 
 def test_unbounded_model_raises():
     m = MipModel()
-    m.add_vars(["x"], CONTINUOUS)
+    m.add_vars("x", [[0]], CONTINUOUS)
     m.set_objective([0], [1.0], sense="max")
     with pytest.raises(Unbounded):
         solve(m)
@@ -151,7 +155,7 @@ def test_constraint_terms_merge():
     """A row keeps a column's repeated terms, and the compile sums them;
     the objective sums a column's costs."""
     m = MipModel()
-    m.add_vars(["x"], CONTINUOUS, 0.0, 10.0)
+    m.add_vars("x", [[0]], CONTINUOUS, 0.0, 10.0)
     row = m.add_rows([0, 0], [0, 0], [1.0, 2.0], "<=", [6.0])
     assert m.constraints[row] == ((0, 0), (1.0, 2.0), "<=", 6.0)
     assert _compile(m).a.toarray().tolist() == [[3.0]]
@@ -163,13 +167,13 @@ def test_constraint_terms_merge():
 
 def test_model_validation_errors():
     m = MipModel()
-    m.add_vars(["x"], BINARY)
+    m.add_vars("x", [[0]], BINARY)
     with pytest.raises(ModelInvalid):
-        m.add_vars(["x"], BINARY)
+        m.add_vars("x", [[0]], BINARY)
     with pytest.raises(ModelInvalid):
-        m.add_vars(["y"], "semicontinuous")
+        m.add_vars("y", [[0]], "semicontinuous")
     with pytest.raises(ModelInvalid):
-        m.add_vars(["z"], CONTINUOUS, 2.0, 1.0)
+        m.add_vars("z", [[0]], CONTINUOUS, 2.0, 1.0)
     with pytest.raises(ModelInvalid):
         m.add_rows([0], [1], [1.0], "<=", [1.0])
     with pytest.raises(ModelInvalid):
@@ -193,14 +197,16 @@ def test_only_integers_index_columns():
     assert m.num_constrs == 1
     row = m.add_rows([0, 0], np.array([1, 2], dtype=np.int32), [1.0, 1.0], "<=", [1.0])
     assert m.constraints[row][0] == (1, 2)
-    # tuple keys, as the builders use them, and their LP-text labels
-    (x,) = m.add_vars([("x", 0, 12, 3)], BINARY)
-    (y,) = m.add_vars([2.5], CONTINUOUS, 0.0, 1.0)
+    # tagged ids, as the builders add them, their keys and LP-text labels
+    (x,) = m.add_vars("x", [[0, 12, 3]], BINARY)
+    (y,) = m.add_vars("y", np.array([[-2, 5]], dtype=np.int32), CONTINUOUS, 0.0, 1.0)
     assert (x, y) == (3, 4)
-    assert m.var_index(("x", 0, 12, 3)) == 3 and m.var_index(2.5) == 4
+    names = [v.name for v in m.variables]
+    assert names[3:] == [("x", 0, 12, 3), ("y", -2, 5)]
+    assert all(type(i) is int for name in names for i in name[1:])
     text = lp_text(m)
-    assert text.splitlines()[-2].split() == ["a", "b", "c", "x_0_12_3"]
-    assert " 0 <= 2.5 <= 1" in text.splitlines()
+    assert text.splitlines()[-2].split() == ["k_0", "k_1", "k_2", "x_0_12_3"]
+    assert " 0 <= y_-2_5 <= 1" in text.splitlines()
 
 
 def test_zero_time_limit_without_warm():
@@ -252,11 +258,11 @@ def test_a_model_without_columns_keeps_its_rows(sense, rhs):
     m.set_objective([], [], constant=7.5)
     res = solve(m)
     assert res.status == INFEASIBLE and res.node_count == 0
-    assert res.objective is None and res.bound is None and res.values == {}
+    assert res.objective is None and res.bound is None and res.x is None
     with pytest.raises(ModelInfeasible):
         lp_bound(m)
     # the same row over a column that is fixed at 0
-    m.add_vars(["x"], CONTINUOUS, 0.0, 0.0)
+    m.add_vars("x", [[0]], CONTINUOUS, 0.0, 0.0)
     assert solve(m).status == INFEASIBLE
     with pytest.raises(ModelInfeasible):
         lp_bound(m)
@@ -276,22 +282,23 @@ def test_solve_sees_changes_made_after_a_solve():
     """The compiled matrix is reused only until the model changes."""
     m = knapsack()
     res = solve(m)
-    assert res.objective == pytest.approx(9.0) and res.values["b"] == 1.0
+    assert res.objective == pytest.approx(9.0) and res.x[1] == 1.0
     # a new row that cuts off the old optimum
-    m.add_rows([0], [m.var_index("b")], [1.0], "<=", [0.0])
+    m.add_rows([0], [1], [1.0], "<=", [0.0])
     res = solve(m)
     assert res.objective == pytest.approx(8.0)
-    assert res.values["b"] == 0.0
-    # a new variable
-    (d,) = m.add_vars(["d"], BINARY)
+    assert res.x[1] == 0.0
+    # a new variable, in a second block of the same tag
+    (d,) = m.add_vars("k", [[3]], BINARY)
     res = solve(m)
-    assert set(res.values) == {"a", "b", "c", "d"}
+    ids, values = res.take("k")
+    assert ids.ravel().tolist() == [0, 1, 2, 3] and values.tolist() == res.x.tolist()
     assert res.objective == pytest.approx(8.0)
     # a new objective, including the new variable
     m.set_objective([0, 1, 2, d], [5.0, 4.0, 3.0, 10.0], sense="max")
     res = solve(m)
     assert res.objective == pytest.approx(18.0)
-    assert res.values["d"] == 1.0
+    assert res.x[d] == 1.0
     m.set_objective([0, d], [1.0, -1.0], sense="min", constant=2.0)
     res = solve(m)
     assert res.objective == pytest.approx(1.0)
@@ -343,10 +350,12 @@ def bulk_copy(model: MipModel) -> MipModel:
     variables = model.variables
     start = 0
     for k, var in enumerate(variables + [None]):
-        if var is None or var.kind != variables[start].kind:
+        first = variables[start]
+        if var is None or (var.kind, var.name[0]) != (first.kind, first.name[0]):
             run = variables[start:k]
             copy.add_vars(
-                [v.name for v in run],
+                first.name[0],
+                [v.name[1:] for v in run],
                 run[0].kind,
                 [v.lower for v in run],
                 [v.upper for v in run],
@@ -392,39 +401,43 @@ def test_bulk_and_one_item_construction_compile_alike(which):
 
 def test_rows_keep_their_terms_in_order():
     m = MipModel()
-    assert list(m.add_vars(["a", "b", "c"], INTEGER, 0.0, [1.0, 2.0, 3.0])) == [0, 1, 2]
+    assert list(m.add_vars("a", [[0], [1], [2]], INTEGER, 0.0, [1.0, 2.0, 3.0])) == [0, 1, 2]
     first = m.add_rows([1, 0, 1, 0], [2, 1, 0, 2], [1.0, 2.0, 3.0, 4.0], [">=", "="], [1.0, 2.0])
     assert first == 0 and m.num_constrs == 2
     assert m.constraints == [((1, 2), (2.0, 4.0), ">=", 1.0), ((2, 0), (1.0, 3.0), "=", 2.0)]
     assert m.add_rows([0, 0, 0], [1, 0, 1], [1.0, 1.0, 1.0], "<=", [4.0]) == 2
     assert m.constraints[2] == ((1, 0, 1), (1.0, 1.0, 1.0), "<=", 4.0)
     assert [(v.name, v.kind, v.upper) for v in m.variables] == [
-        ("a", INTEGER, 1.0), ("b", INTEGER, 2.0), ("c", INTEGER, 3.0)
+        (("a", 0), INTEGER, 1.0), (("a", 1), INTEGER, 2.0), (("a", 2), INTEGER, 3.0)
     ]
 
 
 def test_bulk_additions_after_a_solve_are_seen():
     m = knapsack()
     assert solve(m).objective == pytest.approx(9.0)
-    (d,) = m.add_vars(["d"], BINARY)
+    (d,) = m.add_vars("d", [[0]], BINARY)
     m.add_rows([0, 0], [d, 0], [1.0, 1.0], "<=", [1.0])
     m.set_objective([0, 1, 2, d], [5.0, 4.0, 3.0, 10.0], sense="max")
     res = solve(m)
     assert res.objective == pytest.approx(17.0)
-    assert res.values["d"] == 1.0 and res.values["a"] == 0.0
+    assert res.x[d] == 1.0 and res.x[0] == 0.0
 
 
 def test_bad_blocks_raise_and_add_nothing():
     m = knapsack()
     before = lp_text(m)
     cases = {
-        "name twice in the block": lambda: m.add_vars(["d", "d"], BINARY),
-        "name already in the model": lambda: m.add_vars(["d", "a"], BINARY),
-        "unknown kind": lambda: m.add_vars(["d"], "semicontinuous"),
-        "short lower": lambda: m.add_vars(["d", "e"], INTEGER, [0.0], 1.0),
-        "long upper": lambda: m.add_vars(["d", "e"], INTEGER, 0.0, [1.0, 2.0, 3.0]),
-        "empty bounds": lambda: m.add_vars(["d", "e"], INTEGER, [0.0, 2.0], [1.0, 1.0]),
-        "nan bound": lambda: m.add_vars(["d"], CONTINUOUS, np.nan, 1.0),
+        "row twice in the block": lambda: m.add_vars("d", [[0], [0]], BINARY),
+        "row already under the tag": lambda: m.add_vars("k", [[3], [0]], BINARY),
+        "tag with another arity": lambda: m.add_vars("k", [[3, 0]], BINARY),
+        "float ids": lambda: m.add_vars("d", [[0.0]], BINARY),
+        "string ids": lambda: m.add_vars("d", [["a"]], BINARY),
+        "one-dimensional ids": lambda: m.add_vars("d", [0, 1], BINARY),
+        "unknown kind": lambda: m.add_vars("d", [[0]], "semicontinuous"),
+        "short lower": lambda: m.add_vars("d", [[0], [1]], INTEGER, [0.0], 1.0),
+        "long upper": lambda: m.add_vars("d", [[0], [1]], INTEGER, 0.0, [1.0, 2.0, 3.0]),
+        "empty bounds": lambda: m.add_vars("d", [[0], [1]], INTEGER, [0.0, 2.0], [1.0, 1.0]),
+        "nan bound": lambda: m.add_vars("d", [[0]], CONTINUOUS, np.nan, 1.0),
         "short coefs": lambda: m.add_rows([0, 0], [0, 1], [1.0], "<=", [1.0]),
         "row past the block": lambda: m.add_rows([0, 1], [0, 1], [1.0, 1.0], "<=", [1.0]),
         "column out of range": lambda: m.add_rows([0], [3], [1.0], "<=", [1.0]),
@@ -440,6 +453,48 @@ def test_bad_blocks_raise_and_add_nothing():
             pytest.fail(case)
     assert lp_text(m) == before
     assert (m.num_vars, m.num_constrs) == (3, 1)
+
+
+def test_a_key_names_one_column_of_its_tag():
+    """A repeated row of ids is refused in one block and across blocks of
+    a tag, also when other tags' blocks lie between; other tags may reuse
+    the ids.  ``columns`` finds a tag's columns in every block."""
+    m = MipModel()
+    m.add_vars("t", [[0, 1]])
+    m.add_vars("x", [[0, 1]], BINARY)
+    m.add_vars("t", [[1, 1]])
+    with pytest.raises(ModelInvalid, match=r"duplicate variable \('t', 0, 1\)"):
+        m.add_vars("t", [[2, 1], [0, 1]])
+    with pytest.raises(ModelInvalid, match="2 ids per column"):
+        m.add_vars("t", np.zeros((0, 3), dtype=np.int64))
+    assert [v.name for v in m.variables] == [("t", 0, 1), ("x", 0, 1), ("t", 1, 1)]
+    cols, ids = m.columns("t")
+    assert cols.tolist() == [0, 2] and ids.tolist() == [[0, 1], [1, 1]]
+    # an empty block fixes nothing new, but its tag is known
+    assert m.add_vars("w", np.zeros((0, 2), dtype=np.int64)).tolist() == []
+    assert m.columns("w")[1].shape == (0, 2)
+    with pytest.raises(ModelInvalid, match="no columns are tagged 'y'"):
+        m.columns("y")
+
+
+def test_take_reads_the_incumbent_by_tag():
+    m = MipModel()
+    m.add_vars("t", [[0, 1], [1, 1]], CONTINUOUS, 0.0, [2.0, 3.0])
+    m.add_vars("x", [[4]], BINARY)
+    m.add_vars("t", [[2, 1]], CONTINUOUS, 0.0, 5.0)
+    m.set_objective([0, 1, 2, 3], [1.0, 1.0, 1.0, 1.0], sense="max")
+    res = solve(m)
+    assert res.x.tolist() == [2.0, 3.0, 1.0, 5.0]
+    ids, values = res.take("t")
+    assert ids.tolist() == [[0, 1], [1, 1], [2, 1]] and values.tolist() == [2.0, 3.0, 5.0]
+    # the result keeps the blocks it was solved with
+    m.add_vars("t", [[3, 1]])
+    assert res.take("t")[0].tolist() == [[0, 1], [1, 1], [2, 1]]
+    with pytest.raises(ModelInvalid):
+        res.take("y")
+    none = solve(m, SolveConfig(time_limit=0.0))
+    with pytest.raises(InvalidSolution, match="no incumbent"):
+        none.take("t")
 
 
 # -- hot-started HiGHS against cold linprog node LPs ----------------------------
@@ -474,7 +529,7 @@ def test_non_finite_model_data_is_refused_where_it_is_added(bad, lp_path):
     constant and right-hand side must be finite when it is added; the
     refused item leaves the model as it was."""
     m = MipModel()
-    m.add_vars(["a"], CONTINUOUS, 0.0, 5.0)
+    m.add_vars("a", [[0]], CONTINUOUS, 0.0, 5.0)
     m.set_objective([0], [1.0], sense="max")
     for add in (
         lambda: m.add_rows([0], [0], [bad], "<=", [1.0]),
@@ -494,7 +549,7 @@ def test_non_finite_model_data_is_refused_where_it_is_added(bad, lp_path):
 def infeasible_after_branching() -> MipModel:
     """2x = 3 with x integer: the root LP is feasible, both children are not."""
     m = MipModel("odd")
-    m.add_vars(["x"], INTEGER, 0.0, 3.0)
+    m.add_vars("x", [[0]], INTEGER, 0.0, 3.0)
     m.add_rows([0], [0], [2.0], "=", [3.0])
     m.set_objective([0], [1.0])
     return m
@@ -603,8 +658,8 @@ def test_infeasible_node_model_and_unbounded_lp(lp_path):
         lp_bound(m)
 
     m = MipModel()
-    m.add_vars(["x"], CONTINUOUS)
-    m.add_vars(["k"], INTEGER, 0.0, 5.0)
+    m.add_vars("x", [[0]], CONTINUOUS)
+    m.add_vars("k", [[0]], INTEGER, 0.0, 5.0)
     m.add_rows([0, 0], [0, 1], [1.0, -1.0], ">=", [0.5])
     m.set_objective([0, 1], [1.0, 1.0], sense="max")
     with pytest.raises(Unbounded):
@@ -638,11 +693,6 @@ def dive_model(which: str) -> MipModel:
         n, trucks = (int(part) for part in which[3:].split("/"))
         return build_cpf(hub_fleet(n, trucks, 1))
     return random_model(int(which[4:]))
-
-
-def point(model: MipModel, res) -> np.ndarray:
-    """The result's incumbent as a vector in column order."""
-    return np.array([res.values[v.name] for v in model.variables])
 
 
 def watch_node_lps(monkeypatch, seen):
@@ -711,7 +761,7 @@ def test_every_search_dives_and_still_proves_the_optimum(which, path, monkeypatc
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(want, abs=tol)
     assert res.bound == pytest.approx(want, abs=tol)
-    assert _feasible_point(comp, point(model, res))
+    assert _feasible_point(comp, res.x)
 
 
 @pytest.mark.parametrize("dive_at", [32, 1])
@@ -740,7 +790,7 @@ def test_clock_that_runs_out_at_the_first_incumbent(which, dive_at, lp_path, mon
         assert res.status == INFEASIBLE and clock[0] == 0.0
         return
     assert clock[0] == 10.0
-    assert _feasible_point(_compile(model), point(model, res))
+    assert _feasible_point(_compile(model), res.x)
     flip = -1.0 if model.sense == "max" else 1.0
     assert flip * res.bound <= flip * res.objective
     if res.status == OPTIMAL:

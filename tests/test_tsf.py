@@ -40,8 +40,8 @@ def structure(model):
     """Users per move time arc, waiting nodes per truck, and slot-row arcs."""
     users = defaultdict(list)
     waits = defaultdict(set)
-    for var in model.variables:
-        kind, *ids = var.name
+    names = [var.name for var in model.variables]
+    for kind, *ids in names:
         if kind != "x":
             continue
         i, tm, j, t2, v = ids
@@ -52,7 +52,7 @@ def structure(model):
     slot_rows = set()
     for idxs, coefs, _sense, _rhs in model.constraints:
         if len(idxs) > 2:
-            ys = [model.var_name(i) for i, c in zip(idxs, coefs) if c < 0]
+            ys = [names[i] for i, c in zip(idxs, coefs) if c < 0]
             if len(ys) == 1 and ys[0][0] == "y":
                 slot_rows.add(ys[0][1:])
     return users, waits, slot_rows

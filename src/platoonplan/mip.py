@@ -16,7 +16,7 @@ or an infinity raises :class:`ModelInvalid` where it is added.
 reading a model, never for a hot path.
 
 :func:`solve` runs branch and bound over LP
-relaxations (HiGHS via ``scipy.optimize``), with best-bound node selection
+relaxations (scipy's HiGHS), with best-bound node selection
 and most-fractional branching, both with lowest-index tie breaks, so a
 given model and config always reproduce the same search on one scipy
 build.  A search takes no start point.  Best-bound search can run long
@@ -28,9 +28,10 @@ LPs, then 128, and so on.  :meth:`MipResult.take` reads the incumbent by tag.
 :func:`lp_text` prints a model as CPLEX-style LP text for debugging.
 
 A model compiles to solver arrays once, straight to the form HiGHS loads:
-the column-wise constraint matrix, row and column bounds and integrality
-are kept on the model until the next column or row is added, so re-solving
-a model whose objective alone was reset with :meth:`MipModel.set_objective`
+the column-wise constraint matrix (built in numpy, as the arrays scipy's
+``csc_matrix`` would give), row and column bounds and integrality are kept
+on the model until the next column or row is added, so re-solving a model
+whose objective alone was reset with :meth:`MipModel.set_objective`
 recomputes only the cost vector.  The iterative heuristic relies on this:
 it builds its routing model once per run and reprices it every round.
 
@@ -39,41 +40,88 @@ exactly as ``linprog(method="highs")`` loads it.  Each node changes only the
 column bounds that differ from the node solved before it and re-runs dual
 simplex from that node's optimal basis, which stays dual feasible under any
 bound change (a hot start); the steps of a dive are solved the same way.
+A search's time limit also bounds each LP: HiGHS stops the LP at the
+deadline, and the search ends on the clock with that node open.
+
 The object comes from scipy's private ``scipy.optimize._highspy._core``,
-first shipped in scipy 1.15; if that module or any name this module uses
-from it is missing, importing the package fails with an :class:`ImportError`
-that names the scipy floor.  There is no other LP path, so a model and a
-config give one search tree on a given HiGHS build.
+first shipped in scipy 1.15.  This module loads that extension alone, from
+scipy's install directory and under its own name in ``sys.modules``, so
+importing the package loads neither ``scipy.optimize`` nor
+``scipy.sparse``, and a later ``import scipy.optimize`` uses the same
+module; one already imported is reused.  If the extension or any name this
+module uses from it is missing, importing the package fails with an
+:class:`ImportError` that names the scipy floor.  There is no other LP
+path, so a model and a config give one search tree on a given HiGHS build.
+``linprog`` is no longer used here; the name still resolves, through a
+module ``__getattr__`` that imports ``scipy.optimize`` when it is first
+asked for, because the benchmark's ``mip.highs`` hook looks it up.
 """
 
 from __future__ import annotations
 
 import heapq
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import time
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-# linprog solves only the test reference _lp; perfbench's mip.highs hook also
-# looks it up here until that hook times _HotLp
-from scipy.optimize import linprog
-from scipy.sparse import csc_matrix
 
 from .errors import InvalidSolution, ModelInfeasible, ModelInvalid, Unbounded, ValidationError
 
-try:
-    from scipy.optimize._highspy import _core as _highs
+_HIGHS_NAME = "scipy.optimize._highspy._core"
 
+
+def _load_highs():
+    """scipy's HiGHS extension, loaded without ``scipy.optimize``.
+
+    The module is registered under its own name, so a later import of
+    ``scipy.optimize`` finds and uses this one; one that came first is
+    reused."""
+    if _HIGHS_NAME in sys.modules:
+        return sys.modules[_HIGHS_NAME]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    base = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy", "_core")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = base + suffix
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(_HIGHS_NAME, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(_HIGHS_NAME, path, loader=loader)
+            )
+            loader.exec_module(module)
+            sys.modules[_HIGHS_NAME] = module
+            return module
+    raise ImportError(f"no {base}* extension module")
+
+
+try:
+    _highs = _load_highs()
     # every name _HotLp uses, so a renamed one fails here and not mid-search
-    _highs._Highs.changeColsBounds, _highs.HighsLp, _highs.HighsModelStatus
-    _highs.HighsStatus, _highs.MatrixFormat, _highs.kHighsInf
+    _highs._Highs.changeColsBounds, _highs._Highs.getRunTime, _highs.HighsLp
+    _highs.HighsModelStatus, _highs.HighsStatus, _highs.MatrixFormat, _highs.kHighsInf
 except (ImportError, AttributeError) as exc:
     raise ImportError(
-        "platoonplan needs scipy>=1.15, whose scipy.optimize._highspy._core "
-        f"it loads its LPs into: {exc}"
+        f"platoonplan needs scipy>=1.15, whose {_HIGHS_NAME} it loads its LPs into: {exc}"
     ) from exc
+
+
+def __getattr__(name: str):
+    # perfbench's mip.highs hook looks linprog up here until it times _HotLp;
+    # scipy.optimize loads only when something asks for it
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -391,6 +439,36 @@ class MipResult:
 
 
 @dataclass(frozen=True)
+class _Csc:
+    """A compressed sparse column matrix in the arrays HiGHS loads."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _csc(row: np.ndarray, col: np.ndarray, data: np.ndarray, shape: tuple[int, int]) -> _Csc:
+    """The CSC form of COO entries, with int32 indices; each row of a column
+    holds the sum of its entries, added left to right in entry order."""
+    n_rows, n_cols = shape
+    key = col * n_rows + row
+    order = np.argsort(key, kind="stable")
+    key, data = key[order], data[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    summed = data[first]
+    # np.add.reduceat sums a run pairwise; adding each run's k-th entry in
+    # turn keeps the left-to-right sums scipy's csc_matrix makes
+    size = np.diff(np.append(first, len(key)))
+    for k in range(1, int(size.max(initial=1))):
+        more = size > k
+        summed[more] += data[first[more] + k]
+    indptr = np.zeros(n_cols + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col[order][first], minlength=n_cols), out=indptr[1:])
+    return _Csc(shape, indptr, row[order][first].astype(np.int32), summed)
+
+
+@dataclass(frozen=True)
 class _Arrays:
     """The solver arrays of a model's variables and constraints.
 
@@ -400,7 +478,7 @@ class _Arrays:
     objective, so a model keeps them until its next column or row is added.
     """
 
-    a: csc_matrix
+    a: _Csc
     row_lower: np.ndarray
     row_upper: np.ndarray
     lower: np.ndarray
@@ -426,9 +504,11 @@ def _compile_arrays(model: MipModel) -> _Arrays:
     pos = np.empty_like(order)
     pos[order] = np.arange(len(order))
     sign = np.where(sense == _GE, -1.0, 1.0)
-    a = csc_matrix(
-        (sign[row] * np.array(model._coef, dtype=np.float64), (pos[row], np.array(model._col))),
-        shape=(len(sense), model.num_vars),
+    a = _csc(
+        pos[row],
+        np.array(model._col, dtype=np.int64),
+        sign[row] * np.array(model._coef, dtype=np.float64),
+        (len(sense), model.num_vars),
     )
     row_upper = (sign * np.array(model._rhs, dtype=np.float64))[order]
     row_lower = np.where(is_eq[order], row_upper, -np.inf)
@@ -454,24 +534,6 @@ def _compile(model: MipModel) -> _Compiled:
     return _Compiled(**vars(model._arrays), c=c, const=model.objective_constant, flip=flip)
 
 
-def _lp(comp: _Compiled, lower: np.ndarray, upper: np.ndarray):
-    """Cold ``linprog`` solve of the relaxation under column bounds.
-
-    The tests' reference for :class:`_HotLp`; no library path calls it.
-    """
-    ub = np.isneginf(comp.row_lower)
-    res = linprog(
-        comp.c,
-        A_ub=comp.a[ub],
-        b_ub=comp.row_upper[ub],
-        A_eq=comp.a[~ub],
-        b_eq=comp.row_upper[~ub],
-        bounds=np.column_stack([lower, upper]),
-        method="highs",
-    )
-    return res.status, res.x, res.fun
-
-
 def _highs_inf(x: np.ndarray) -> np.ndarray:
     """A copy of ``x`` with infinities replaced by HiGHS's, as ``linprog`` does."""
     out = x.copy()
@@ -484,13 +546,14 @@ class _HotLp:
     """One HiGHS LP of a compiled model, re-solved under changing column bounds.
 
     Called with column bounds; returns ``(status, x, fun)`` with
-    ``linprog``'s status codes.  The first call is the cold solve
+    ``linprog``'s status codes, 1 for an LP that ``deadline``, a
+    ``perf_counter`` time, stopped.  The first call is the cold solve
     ``linprog`` makes of the same model; later calls change only the bounds
     that differ from the previous call's, so HiGHS starts dual simplex from
     the last optimal basis.
     """
 
-    def __init__(self, comp: _Compiled):
+    def __init__(self, comp: _Compiled, deadline: float | None = None):
         lp = _highs.HighsLp()
         lp.num_row_, lp.num_col_ = comp.a.shape
         lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = comp.a.shape
@@ -512,6 +575,7 @@ class _HotLp:
             raise ModelInvalid("HiGHS rejected the model")
         self._lower = comp.lower.copy()
         self._upper = comp.upper.copy()
+        self._deadline = deadline
 
     def __call__(self, lower: np.ndarray, upper: np.ndarray):
         changed = np.flatnonzero((lower != self._lower) | (upper != self._upper))
@@ -524,12 +588,18 @@ class _HotLp:
             )
             self._lower[changed] = lower[changed]
             self._upper[changed] = upper[changed]
+        if self._deadline is not None:
+            # HiGHS's limit is on its run clock, which adds up over runs
+            left = max(self._deadline - time.perf_counter(), 0.0)
+            self._highs.setOptionValue("time_limit", left + self._highs.getRunTime())
         self._highs.run()
         model_status = self._highs.getModelStatus()
         codes = _highs.HighsModelStatus
         if model_status == codes.kOptimal:
             x = np.array(self._highs.getSolution().col_value)
             return 0, x, self._highs.getInfo().objective_function_value
+        if model_status == codes.kTimeLimit:
+            return 1, None, None
         if model_status == codes.kInfeasible:
             return 2, None, None
         if model_status in (codes.kUnbounded, codes.kUnboundedOrInfeasible):
@@ -607,9 +677,10 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
 
     ``optimal`` results satisfy ``|objective - bound| <= gap_tol * max(1,
     |objective|)``; a time limit that stops a search whose open nodes all
-    meet that gap also reports ``optimal``.  Feasibility tolerance on any
-    reported incumbent is 1e-6 per constraint; integer variables are
-    reported as exact integers.
+    meet that gap also reports ``optimal``.  The clock also stops an LP
+    that runs past it; that node stays open and bounds the result.
+    Feasibility tolerance on any reported incumbent is 1e-6 per constraint;
+    integer variables are reported as exact integers.
 
     The first incumbent comes from an integral node LP or a dive.  While
     there is none, the search dives from the node it is processing once it
@@ -638,9 +709,10 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
 
     inc_x = None
     inc_obj = math.inf  # in minimize space, without the constant
+    deadline = None if cfg.time_limit is None else start + cfg.time_limit
 
     def out_of_time() -> bool:
-        return cfg.time_limit is not None and time.perf_counter() - start >= cfg.time_limit
+        return deadline is not None and time.perf_counter() >= deadline
 
     def gap_closed(lb: float) -> bool:
         return inc_obj - lb <= cfg.gap_tol * max(1.0, abs(inc_obj))
@@ -666,7 +738,7 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
             status = FEASIBLE_TIME_LIMIT if inc_x is not None else NO_SOLUTION_TIME_LIMIT
             proven_lb = heap[0][0]
             break
-        _, _, changes = heapq.heappop(heap)
+        parent_bound, _, changes = heapq.heappop(heap)
 
         lower = comp.lower.copy()
         upper = comp.upper.copy()
@@ -679,9 +751,15 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
             continue
 
         if node_lp is None:
-            node_lp = _HotLp(comp)
+            node_lp = _HotLp(comp, deadline)
         lp_status, x, fun = node_lp(lower, upper)
         nodes += 1
+        if lp_status == 1:
+            # the clock stopped this node's LP, so the node stays open; it
+            # left the heap as its least entry
+            status = FEASIBLE_TIME_LIMIT if inc_x is not None else NO_SOLUTION_TIME_LIMIT
+            proven_lb = parent_bound
+            break
         if lp_status == 2:  # infeasible subproblem
             continue
         if lp_status == 3:

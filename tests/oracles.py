@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csc_matrix, csr_matrix, vstack
 
 from platoonplan.errors import (
@@ -355,6 +355,30 @@ def enumerate_mip(model: MipModel):
     return True, best + model.objective_constant
 
 
+def scipy_csc(a) -> csc_matrix:
+    """A compiled model's matrix ``a`` as a scipy CSC matrix on its arrays."""
+    return csc_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+
+
+def _lp(comp: _Compiled, lower: np.ndarray, upper: np.ndarray):
+    """Cold ``linprog`` solve of the relaxation under column bounds: the
+    reference for the package's hot-started node LPs.
+
+    Returns ``(status, x, fun)`` with ``linprog``'s status codes."""
+    a = scipy_csc(comp.a)
+    ub = np.isneginf(comp.row_lower)
+    res = linprog(
+        comp.c,
+        A_ub=a[ub],
+        b_ub=comp.row_upper[ub],
+        A_eq=a[~ub],
+        b_eq=comp.row_upper[~ub],
+        bounds=np.column_stack([lower, upper]),
+        method="highs",
+    )
+    return res.status, res.x, res.fun
+
+
 # the per-constraint tolerance solve promises for every reported incumbent;
 # integrality is checked at the solver's own _INT_TOL
 _FEAS_TOL = 1e-6
@@ -367,7 +391,7 @@ def _feasible_point(comp: _Compiled, x: np.ndarray) -> bool:
         xi = x[comp.int_mask]
         if np.max(np.abs(xi - np.round(xi)), initial=0.0) > _INT_TOL:
             return False
-    ax = comp.a @ x
+    ax = scipy_csc(comp.a) @ x
     return not (
         np.any(ax > comp.row_upper + _FEAS_TOL) or np.any(ax < comp.row_lower - _FEAS_TOL)
     )

@@ -10,6 +10,7 @@ import platoonplan.mip as mip_module
 from instgen import cpf_fleets, hub_fleet
 from oracles import (
     _feasible_point,
+    _lp,
     assert_same_arrays,
     cpf_by_rows,
     enumerate_mip,
@@ -17,6 +18,7 @@ from oracles import (
     model_arrays,
     one_col,
     one_row,
+    scipy_csc,
 )
 from platoonplan.errors import (
     InvalidSolution,
@@ -39,7 +41,6 @@ from platoonplan.mip import (
     MipModel,
     SolveConfig,
     _compile,
-    _lp,
     lp_bound,
     lp_text,
     solve,
@@ -158,7 +159,7 @@ def test_constraint_terms_merge():
     m.add_vars("x", [[0]], CONTINUOUS, 0.0, 10.0)
     row = m.add_rows([0, 0], [0, 0], [1.0, 2.0], "<=", [6.0])
     assert m.constraints[row] == ((0, 0), (1.0, 2.0), "<=", 6.0)
-    assert _compile(m).a.toarray().tolist() == [[3.0]]
+    assert scipy_csc(_compile(m).a).toarray().tolist() == [[3.0]]
     m.set_objective([0, 0], [1.0, 1.0], sense="max")
     assert m.objective == {0: 2.0}
     res = solve(m)
@@ -319,7 +320,7 @@ def test_compile_matches_oracle_matrix(seed):
     is_eq = np.array([senses[r] == "=" for r in order], dtype=bool)
     rhs = np.where(np.isfinite(hi), hi, lo)
     assert comp.a.shape == (len(senses), m.num_vars)
-    assert np.array_equal(comp.a.toarray(), sign[:, None] * a.toarray()[order])
+    assert np.array_equal(scipy_csc(comp.a).toarray(), sign[:, None] * a.toarray()[order])
     assert np.array_equal(comp.row_upper, sign * rhs[order])
     assert np.array_equal(comp.row_lower, np.where(is_eq, comp.row_upper, -np.inf))
     assert np.array_equal(comp.c, c)
@@ -505,9 +506,10 @@ class ColdLp:
 
     The package once fell back to these when scipy's HiGHS bindings did not
     import; the tests keep them as an LP path independent of the hot start.
+    A search's deadline is checked between these LPs only.
     """
 
-    def __init__(self, comp):
+    def __init__(self, comp, deadline=None):
         self.comp = comp
 
     def __call__(self, lower, upper):
@@ -631,9 +633,9 @@ def test_one_highs_lp_per_solve(monkeypatch):
     built = []
 
     class Counted(mip_module._HotLp):
-        def __init__(self, comp):
+        def __init__(self, comp, deadline=None):
             built.append(comp)
-            super().__init__(comp)
+            super().__init__(comp, deadline)
 
     monkeypatch.setattr(mip_module, "_HotLp", Counted)
     res = solve(build_cpf(cpf_fleets()[1]))
@@ -699,8 +701,8 @@ def watch_node_lps(monkeypatch, seen):
     """Pass every node LP result of later searches to ``seen(comp, result)``."""
     node_lp = mip_module._HotLp
 
-    def watched(comp):
-        lp = node_lp(comp)
+    def watched(comp, deadline=None):
+        lp = node_lp(comp, deadline)
 
         def call(lower, upper):
             result = lp(lower, upper)
@@ -813,3 +815,29 @@ def test_cpf_finds_a_plan_on_the_8x8_30_hub_rung():
     assert total_cost(instance, plan) == pytest.approx(res.objective, abs=1e-6)
     assert total_cost(instance, plan) <= 934.0
     assert res.bound <= res.objective
+
+
+def test_a_node_lp_the_clock_stops_stays_open_in_the_bound(monkeypatch):
+    """HiGHS stops an LP at the search's deadline with status 1.  The search
+    then ends on the clock, and the stopped node, which is still open,
+    bounds the result: here the root's first child, whose bound is the root
+    LP's value."""
+    model = build_cpf(cpf_fleets()[1])
+    node_lp = mip_module._HotLp
+    calls = []
+
+    def stopped_at_the_second_lp(comp, deadline=None):
+        lp = node_lp(comp, deadline)
+
+        def call(lower, upper):
+            calls.append((lower, upper))
+            return (1, None, None) if len(calls) == 2 else lp(lower, upper)
+
+        return call
+
+    monkeypatch.setattr(mip_module, "_HotLp", stopped_at_the_second_lp)
+    res = solve(model, SolveConfig(time_limit=60.0))
+    assert res.status == NO_SOLUTION_TIME_LIMIT
+    assert res.x is None and res.objective is None
+    assert res.node_count == len(calls) == 2
+    assert res.bound == lp_bound(model)

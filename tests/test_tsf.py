@@ -1,5 +1,6 @@
 """The reduced time-expanded model against the full one, and its shape."""
 
+import time
 from collections import defaultdict
 
 import pytest
@@ -175,6 +176,19 @@ def test_hub_ladder_proves_optimum_at_the_root(rung):
     plan = decode(instance, res, "tsf")
     assert check(instance, plan).ok
     assert total_cost(instance, plan) == pytest.approx(res.objective, abs=1e-6)
+
+
+def test_a_time_limit_stops_the_8x8_30_root_lp():
+    """The root LP of this rung takes about 2 s.  The clock once stopped a
+    search only between its LPs, so a 0.2 s limit returned the optimum
+    after the whole LP; HiGHS now stops the LP itself at the deadline."""
+    instance = hub_fleet(8, 30)
+    model = build_tsf(instance, build_time_space(instance.network, instance))
+    start = time.perf_counter()
+    res = solve(model, SolveConfig(time_limit=0.2))
+    assert time.perf_counter() - start < 1.0
+    assert res.status in ("no_solution_time_limit", "feasible_time_limit")
+    assert res.bound is None or res.bound <= HUB_OPTIMA[8, 30] + 1e-6
 
 
 @pytest.mark.slow

@@ -487,8 +487,8 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
 
         rres = solve(model, SolveConfig(time_limit=budget))
         if rres.objective is None:
-            if n_round == 1:
-                raise NoFeasibleSolution("routing stage found no plan at all")
+            if n_round == 1:  # a valid instance has a plan: the clock stopped it
+                raise NoFeasibleSolution(f"routing ended {rres.status} in its {budget:g} s budget")
             logbook.termination = "time"
             break
         routes = routes_from_result(instance, rres)
@@ -527,8 +527,6 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
         price_fcnf(instance, model, table)
         history.append(_compositions(solution), table)
 
-    if best is None:
-        raise NoFeasibleSolution("no round produced a feasible timetable")
     logbook.wall_time = time.perf_counter() - start
     return best, logbook
 

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .errors import DecodeInconsistent, InvalidSolution, ParseError
 from .formulations import FixedRoutes, _x_paths
-from .instance import Instance
+from .instance import Instance, path_fault
 
 Arc = tuple[int, int]
 
@@ -125,8 +125,7 @@ def check(instance: Instance, sol: PlatoonSolution) -> ValidationReport:
     floats), except group membership, which requires the stored entry time
     and the group's slot key to agree exactly.
     """
-    net = instance.network
-    tt = net.travel_time
+    tt = instance.network.travel_time
     bad: list[Violation] = []
 
     expected = set(range(len(instance.vehicles)))
@@ -143,34 +142,15 @@ def check(instance: Instance, sol: PlatoonSolution) -> ValidationReport:
         if not legs:
             bad.append(Violation("empty-path", f"vehicle {v} drives nowhere", vehicle=v))
             continue
-        node = veh.origin
-        seen = {node}
-        ok_path = True
-        for arc, _t in legs:
-            if arc not in net.cost:
-                bad.append(Violation("arc-missing", f"vehicle {v} uses unknown arc {arc}", v, arc))
-                ok_path = False
-                break
-            if arc[0] != node:
-                bad.append(Violation("path-broken", f"vehicle {v} jumps to arc {arc}", v, arc))
-                ok_path = False
-                break
-            node = arc[1]
-            if node in seen:
-                bad.append(Violation("path-revisit", f"vehicle {v} revisits node {node}", v, arc))
-                ok_path = False
-                break
-            seen.add(node)
-        if ok_path and node != veh.dest:
-            bad.append(
-                Violation("wrong-destination", f"vehicle {v} ends at {node}, not {veh.dest}", v)
-            )
-            ok_path = False
+        fault = path_fault(instance, v, [arc for arc, _t in legs])
+        if fault is not None:
+            kind, detail, arc = fault
+            bad.append(Violation(kind, detail, v, arc))
         # a vehicle drives its legs even where they do not chain, so its
         # groups are checked against all of them
         for arc, t in legs:
             traversals[arc, t].add(v)
-        if not ok_path:
+        if fault is not None:
             continue
 
         if legs[0][1] < veh.earliest_departure - _TIME_TOL:

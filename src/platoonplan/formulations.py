@@ -45,7 +45,7 @@ from .errors import (
     ModelInvalid,
     ValidationError,
 )
-from .instance import Instance, admissible_arcs  # admissible_arcs is re-exported
+from .instance import Instance, admissible_arcs, path_fault  # admissible_arcs is re-exported
 from .mip import BINARY, CONTINUOUS, INTEGER, MipModel
 from .network import Arc, TimeSpaceNetwork
 
@@ -513,22 +513,13 @@ class FixedRoutes:
                 raise ValidationError(f"vehicle {v} is not in the fleet")
             veh = instance.vehicles[v]
             path = tuple(path)
-            node = veh.origin
-            seen = {node}
+            fault = path_fault(instance, v, path)
+            if fault is not None:
+                raise ValidationError(fault[1])
             cum = 0
             for arc in path:
-                if arc not in instance.network.cost:
-                    raise ValidationError(f"vehicle {v}: arc {arc} is not in the network")
-                if arc[0] != node:
-                    raise ValidationError(f"vehicle {v}: path breaks at {arc}")
-                node = arc[1]
-                if node in seen:
-                    raise ValidationError(f"vehicle {v}: path revisits node {node}")
-                seen.add(node)
                 offset[v, arc] = cum
                 cum += tt[arc]
-            if node != veh.dest:
-                raise ValidationError(f"vehicle {v}: path ends at {node}, not {veh.dest}")
             if veh.latest_arrival - cum < veh.earliest_departure:
                 raise InfeasibleNode(
                     f"vehicle {v}: fixed path takes {cum}, window allows only "

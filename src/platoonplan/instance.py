@@ -127,6 +127,29 @@ def admissible_arcs(instance: Instance) -> dict[int, set[Arc]]:
     return out
 
 
+def path_fault(
+    instance: Instance, v: int, path: Sequence[Arc]
+) -> tuple[str, str, Arc | None] | None:
+    """The first fault of ``path`` as a route of vehicle ``v`` as ``(kind,
+    detail, arc)``, or None: a route uses network arcs, chains from the
+    origin, visits no node twice and ends at the destination (arc None)."""
+    veh = instance.vehicles[v]
+    node = veh.origin
+    seen = {node}
+    for arc in path:
+        if arc not in instance.network.cost:
+            return "arc-missing", f"vehicle {v}: arc {arc} is not in the network", arc
+        if arc[0] != node:
+            return "path-broken", f"vehicle {v}: path breaks at {arc}", arc
+        node = arc[1]
+        if node in seen:
+            return "path-revisit", f"vehicle {v}: path revisits node {node}", arc
+        seen.add(node)
+    if node != veh.dest:
+        return "wrong-destination", f"vehicle {v}: path ends at {node}, not {veh.dest}", None
+    return None
+
+
 # origin/destination draws per vehicle before generate_fleet gives up
 PLACE_ATTEMPTS = 200
 
@@ -139,7 +162,6 @@ def generate_fleet(
     *,
     hubs: Sequence[int] | None = None,
     hub_share: float = 0.75,
-    hub_radius: float | None = None,
     eta: float = 0.1,
     q_limit: int | None = 5,
     time_unit: float = 10.0,
@@ -150,8 +172,8 @@ def generate_fleet(
     Departures are uniform over the first half of the horizon and every
     window allows 1.2 times the fastest trip (rounded up), so each vehicle
     has some slack to wait for partners.  ``od_mode='hub'`` biases a
-    ``hub_share`` fraction of origin/destination draws to nodes within
-    ``hub_radius`` scheduling units of a hub (default: one hour of driving).
+    ``hub_share`` fraction of origin/destination draws to nodes within one
+    hour of driving (``60 / time_unit`` scheduling units) of a hub.
     """
     if n < 1:
         raise ValidationError("fleet size must be >= 1")
@@ -167,17 +189,16 @@ def generate_fleet(
         for h in hubs:
             if not 0 <= h < net.n_nodes:
                 raise ValidationError(f"hub {h} is not a node of the network")
-        if hub_radius is None:
-            if time_unit <= 0:
-                raise ValidationError("time_unit must be finite and positive")
-            hub_radius = 60.0 / time_unit
+        if time_unit <= 0:
+            raise ValidationError("time_unit must be finite and positive")
     rng = np.random.default_rng(seed)
     st = net.shortest_times
 
     near_hub = None
     if od_mode == "hub":
+        radius = 60.0 / time_unit  # one hour of driving
         near_hub = {
-            h: [i for i in range(net.n_nodes) if st[h, i] <= hub_radius]
+            h: [i for i in range(net.n_nodes) if st[h, i] <= radius]
             for h in hubs
         }
         for h, pool in near_hub.items():

@@ -50,8 +50,10 @@ importing the package loads neither ``scipy.optimize`` nor
 ``scipy.sparse``, and a later ``import scipy.optimize`` uses the same
 module; one already imported is reused.  If the extension or any name this
 module uses from it is missing, importing the package fails with an
-:class:`ImportError` that names the scipy floor.  There is no other LP
-path, so a model and a config give one search tree on a given HiGHS build.
+:class:`ImportError` that names the scipy floor; so does a HiGHS whose
+``kHighsInf`` is not the float infinity, since bounds reach HiGHS as they
+are, infinities included.  There is no other LP path, so a model and a
+config give one search tree on a given HiGHS build.
 ``linprog`` is no longer used here; the name still resolves, through a
 module ``__getattr__`` that imports ``scipy.optimize`` when it is first
 asked for, because the benchmark's ``mip.highs`` hook looks it up.
@@ -106,7 +108,9 @@ try:
     _highs = _load_highs()
     # every name _HotLp uses, so a renamed one fails here and not mid-search
     _highs._Highs.changeColsBounds, _highs._Highs.getRunTime, _highs.HighsLp
-    _highs.HighsModelStatus, _highs.HighsStatus, _highs.MatrixFormat, _highs.kHighsInf
+    _highs.HighsModelStatus, _highs.HighsStatus, _highs.MatrixFormat
+    if _highs.kHighsInf != math.inf:  # bounds reach HiGHS as they are
+        raise ImportError(f"its kHighsInf is {_highs.kHighsInf}, not inf")
 except (ImportError, AttributeError) as exc:
     raise ImportError(
         f"platoonplan needs scipy>=1.15, whose {_HIGHS_NAME} it loads its LPs into: {exc}"
@@ -534,14 +538,6 @@ def _compile(model: MipModel) -> _Compiled:
     return _Compiled(**vars(model._arrays), c=c, const=model.objective_constant, flip=flip)
 
 
-def _highs_inf(x: np.ndarray) -> np.ndarray:
-    """A copy of ``x`` with infinities replaced by HiGHS's, as ``linprog`` does."""
-    out = x.copy()
-    inf = np.isinf(out)
-    out[inf] = np.sign(out[inf]) * _highs.kHighsInf
-    return out
-
-
 class _HotLp:
     """One HiGHS LP of a compiled model, re-solved under changing column bounds.
 
@@ -562,10 +558,10 @@ class _HotLp:
         lp.a_matrix_.index_ = comp.a.indices
         lp.a_matrix_.value_ = comp.a.data
         lp.col_cost_ = comp.c
-        lp.col_lower_ = _highs_inf(comp.lower)
-        lp.col_upper_ = _highs_inf(comp.upper)
-        lp.row_lower_ = _highs_inf(comp.row_lower)
-        lp.row_upper_ = _highs_inf(comp.row_upper)
+        lp.col_lower_ = comp.lower
+        lp.col_upper_ = comp.upper
+        lp.row_lower_ = comp.row_lower
+        lp.row_upper_ = comp.row_upper
         self._highs = _highs._Highs()
         # the options linprog(method="highs") sets; logging off
         self._highs.setOptionValue("output_flag", False)
@@ -581,10 +577,7 @@ class _HotLp:
         changed = np.flatnonzero((lower != self._lower) | (upper != self._upper))
         if changed.size:
             self._highs.changeColsBounds(
-                changed.size,
-                changed.astype(np.int32),
-                _highs_inf(lower[changed]),
-                _highs_inf(upper[changed]),
+                changed.size, changed.astype(np.int32), lower[changed], upper[changed]
             )
             self._lower[changed] = lower[changed]
             self._upper[changed] = upper[changed]
@@ -605,6 +598,14 @@ class _HotLp:
         if model_status in (codes.kUnbounded, codes.kUnboundedOrInfeasible):
             return 3, None, None
         return 4, None, None
+
+
+def _lp_failure(model: MipModel, lp_status: int) -> Exception:
+    """The error for an LP that ended neither optimal (0), on the clock (1)
+    nor infeasible (2): :class:`Unbounded` for 3, else :class:`ModelInvalid`."""
+    if lp_status == 3:
+        return Unbounded(f"model {model.name!r}: LP relaxation is unbounded")
+    return ModelInvalid(f"model {model.name!r}: LP solver failure (status {lp_status})")
 
 
 def _fractionality(comp: _Compiled, x: np.ndarray) -> np.ndarray:
@@ -762,10 +763,8 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
             break
         if lp_status == 2:  # infeasible subproblem
             continue
-        if lp_status == 3:
-            raise Unbounded(f"model {model.name!r}: LP relaxation is unbounded")
         if lp_status != 0:
-            raise ModelInvalid(f"model {model.name!r}: LP solver failure (status {lp_status})")
+            raise _lp_failure(model, lp_status)
         node_bound = float(fun)
         if inc_x is not None and gap_closed(node_bound):
             continue
@@ -820,10 +819,8 @@ def lp_bound(model: MipModel) -> float:
     lp_status, _x, fun = _HotLp(comp)(comp.lower, comp.upper)
     if lp_status == 2:
         raise ModelInfeasible(f"model {model.name!r}: LP relaxation infeasible")
-    if lp_status == 3:
-        raise Unbounded(f"model {model.name!r}: LP relaxation unbounded")
     if lp_status != 0:
-        raise ModelInvalid(f"model {model.name!r}: LP solver failure (status {lp_status})")
+        raise _lp_failure(model, lp_status)
     return (-fun if comp.flip else fun) + comp.const
 
 

@@ -3,11 +3,11 @@
 Instead of timing every vehicle jointly, this pass picks a limited set of
 vehicle pairs that share a stretch of road and narrows each partner's
 departure window on its fixed route so both must enter the shared stretch
-together, and then times everyone with a capacity-relaxed scheduling model
-that is far smaller than the exact one.  Only the routes' departure windows
-change; the instance does not.  The model yields entry times only; the
-timetable put together from them splits every meet into the fewest legal
-convoys, so the result is always a valid timetable for the instance.
+together, and then times everyone with the scheduling model less its size
+cap: the same columns and rows, with other ``y`` bounds and slot caps.  Only
+the routes' windows change, not the instance.  The model yields entry
+times; :func:`~platoonplan.evaluate.assemble_timetable` splits the ``n``
+vehicles of every meet into ``ceil(n / q)`` platoons, so the plan is valid.
 """
 
 from __future__ import annotations
@@ -151,9 +151,9 @@ def solve_relaxed_and_repair(
     narrowed: FixedRoutes,
     time_limit: float | None = None,
 ) -> PlatoonSolution:
-    """Time the narrowed routes without a convoy size cap, then put the
-    timetable together against ``instance``, which splits any oversized
-    meet into legal ascending-id convoys.
+    """Time the narrowed routes without a convoy size cap; the only repair
+    is the timetable's own rule, ``ceil(n / q)`` platoons by ascending id
+    for the ``n`` vehicles entering an arc at one time.
 
     :func:`~platoonplan.decomposition.schedule_by_part` schedules
     ``narrowed`` on ``instance`` with the capacity relaxed, one independent
@@ -169,6 +169,6 @@ def schedule_with_pairwise(
     gamma: float = 0.2,
     time_limit: float | None = None,
 ) -> PlatoonSolution:
-    """Full pipeline: pick pairs, narrow windows, time, repair."""
+    """Full pipeline: pick pairs, narrow windows, time, split meets."""
     narrowed = narrow_windows(instance, routes, gamma)
     return solve_relaxed_and_repair(instance, narrowed, time_limit)

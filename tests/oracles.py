@@ -44,7 +44,6 @@ from platoonplan.mip import (
     MipResult,
     SolveConfig,
     _Compiled,
-    _highs_inf,
     solve,
 )
 
@@ -1000,7 +999,10 @@ def two_block_load(model: MipModel) -> dict[str, np.ndarray]:
     The rows split into a "<=" block (">=" rows negated) and an "=" block,
     each a CSR matrix in model order; the LP stacked the two and converted
     the result to CSC, and concatenated the blocks' right-hand sides into
-    row bounds.  The columns' arrays are those of the same compile.
+    row bounds.  The columns' arrays are those of the same compile.  That
+    LP swapped each infinite bound for HiGHS's ``kHighsInf``, which is the
+    float infinity (importing the package checks it), so none is swapped
+    here.
     """
     n = model.num_vars
     sense = np.array(model._sense, dtype=np.int8)
@@ -1026,10 +1028,10 @@ def two_block_load(model: MipModel) -> dict[str, np.ndarray]:
         "index_": a.indices,
         "value_": a.data,
         "col_cost_": -cost if model.sense == "max" else cost,
-        "col_lower_": _highs_inf(np.array(model._lower, dtype=np.float64)),
-        "col_upper_": _highs_inf(np.array(model._upper, dtype=np.float64)),
-        "row_lower_": _highs_inf(np.concatenate([np.full(len(b_ub), -np.inf), b_eq])),
-        "row_upper_": _highs_inf(np.concatenate([b_ub, b_eq])),
+        "col_lower_": np.array(model._lower, dtype=np.float64),
+        "col_upper_": np.array(model._upper, dtype=np.float64),
+        "row_lower_": np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
+        "row_upper_": np.concatenate([b_ub, b_eq]),
     }
 
 

@@ -29,7 +29,7 @@ from platoonplan.decomposition import (
     run,
     schedule_by_part,
 )
-from platoonplan.errors import MissingCost, ModelInvalid, ValidationError
+from platoonplan.errors import MissingCost, ModelInvalid, NoFeasibleSolution, ValidationError
 from platoonplan.evaluate import canonical_schedule, check, total_cost
 from platoonplan.formulations import (
     FixedRoutes,
@@ -46,7 +46,7 @@ from platoonplan.instance import (
     node_time_bounds,
     three_truck_demo,
 )
-from platoonplan.mip import SolveConfig, _compile, solve
+from platoonplan.mip import NO_SOLUTION_TIME_LIMIT, MipResult, SolveConfig, _compile, solve
 from platoonplan.network import generate_grid, make_network
 from platoonplan.pairwise import narrow_windows
 
@@ -738,6 +738,22 @@ def test_field_anchor_trajectories(grid, mode, scheduler, rounds, best_cost):
     assert log.best_cost == pytest.approx(best_cost, abs=1e-9)
     assert log.best_cost >= FIELD_OPTIMA[grid] - 1e-6
     assert total_cost(instance, best) == pytest.approx(log.best_cost, abs=1e-9)
+
+
+def test_run_names_the_clock_when_the_first_routing_solve_has_no_plan(demo, monkeypatch):
+    """Only the clock can leave the first routing solve without a plan; the
+    error says so, with the status and the stage's budget."""
+    budgets = []
+
+    def stopped(model, cfg):
+        budgets.append(cfg.time_limit)
+        return MipResult(NO_SOLUTION_TIME_LIMIT, None, None, None, 0.0, 0)
+
+    monkeypatch.setattr(decomposition_module, "solve", stopped)
+    with pytest.raises(NoFeasibleSolution, match=NO_SOLUTION_TIME_LIMIT) as err:
+        run(demo, DecompositionConfig(time_limit=0.0))
+    assert budgets == [1.0]
+    assert "1 s budget" in str(err.value)
 
 
 def test_run_rejects_unknown_scheduler(demo):

@@ -27,7 +27,7 @@ from oracles import (
     routes_by_key,
     select_pairs_by_key,
 )
-from platoonplan.errors import DecodeInconsistent, InvalidSolution
+from platoonplan.errors import DecodeInconsistent, InvalidSolution, ValidationError
 from platoonplan.evaluate import (
     PlatoonSolution,
     assemble_timetable,
@@ -134,6 +134,25 @@ def test_check_path_violations(demo):
         groups={((0, 2), 500): ((2,),), ((0, 1), 500): ((1,),)},
     )
     assert "wrong-destination" in kinds(demo, wrong)
+
+
+@pytest.mark.parametrize(
+    "path, kind, arc",
+    [
+        (((0, 5),), "arc-missing", (0, 5)),
+        (((0, 2), (3, 5)), "path-broken", (3, 5)),
+        (((0, 1), (1, 0)), "path-revisit", (1, 0)),
+        (((0, 2),), "wrong-destination", None),
+    ],
+)
+def test_check_and_fixed_routes_report_a_path_fault_alike(demo, path, kind, arc):
+    """One rule judges routes and timetables: ``check`` reports the fault
+    that ``FixedRoutes.build`` raises, in the same words."""
+    with pytest.raises(ValidationError) as err:
+        FixedRoutes.build(demo, {0: path})
+    legs = tuple((a, 100 * k) for k, a in enumerate(path))
+    first = check(demo, mutated(demo_solution(), paths={0: legs})).violations[0]
+    assert (first.kind, first.detail, first.vehicle, first.arc) == (kind, str(err.value), 0, arc)
 
 
 def test_check_reads_every_leg_of_a_broken_path(demo):

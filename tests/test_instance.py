@@ -110,9 +110,8 @@ def test_generate_fleet_hub_bias():
     net = generate_grid(6, 6, seed=3)
     st = net.shortest_times
     hub = 14
-    inst = generate_fleet(
-        net, 15, seed=4, od_mode="hub", hubs=(hub,), hub_share=1.0, hub_radius=6.0
-    )
+    # the radius is one hour of driving: 6 units of 10 minutes
+    inst = generate_fleet(net, 15, seed=4, od_mode="hub", hubs=(hub,), hub_share=1.0)
     for v in inst.vehicles:
         assert st[hub, v.origin] <= 6.0
         assert st[hub, v.dest] <= 6.0

@@ -199,18 +199,18 @@ def test_numpy_csc_is_scipys_csc_property(case):
         assert got.data.tobytes() == want.data.tobytes()
 
 
-def test_import_without_the_bindings_names_the_scipy_floor():
-    """Where scipy's ``_core`` lacks a name the LP uses, ``import
-    platoonplan`` fails and says which scipy it needs."""
-    code = """
+def import_with_stub_core(change: str) -> str:
+    """What ``import platoonplan`` prints after ``change`` is run on a copy
+    of scipy's ``_core`` named ``stub``, which stands in for it."""
+    return run_python(f"""
 import types
 import scipy.optimize._highspy as highspy
 import sys
 
 core = highspy._core
 stub = types.ModuleType(core.__name__)
-stub.__dict__.update({k: v for k, v in vars(core).items() if not k.startswith("__")})
-stub._Highs = type("_Highs", (), {})  # no changeColsBounds
+stub.__dict__.update({{k: v for k, v in vars(core).items() if not k.startswith("__")}})
+{change}
 highspy._core = stub
 sys.modules[core.__name__] = stub
 try:
@@ -219,10 +219,23 @@ except ImportError as exc:
     print("ImportError:", exc)
 else:
     print("imported")
-"""
-    out = run_python(code)
+""")
+
+
+def test_import_without_the_bindings_names_the_scipy_floor():
+    """Where scipy's ``_core`` lacks a name the LP uses, ``import
+    platoonplan`` fails and says which scipy it needs."""
+    out = import_with_stub_core('stub._Highs = type("_Highs", (), {})  # no changeColsBounds')
     assert out.startswith("ImportError: platoonplan needs scipy>=1.15")
     assert "changeColsBounds" in out
+
+
+def test_import_with_a_finite_highs_infinity_fails():
+    """Bounds reach HiGHS as they are, so a HiGHS whose ``kHighsInf`` is not
+    the float infinity fails ``import platoonplan``."""
+    out = import_with_stub_core("stub.kHighsInf = 1e30")
+    assert out.startswith("ImportError: platoonplan needs scipy>=1.15")
+    assert "kHighsInf is 1e+30" in out
 
 
 SOLVE_BOTH = """

@@ -22,6 +22,7 @@ from platoonplan.network import (
     min_cost_within_time,
     network_text,
     prune_arcs,
+    save_network,
     undirected,
 )
 
@@ -179,6 +180,19 @@ def test_network_text_round_trip(tmp_path):
     back = load_network(path)
     assert back.n_nodes == net.n_nodes
     assert back.arcs == net.arcs
+    assert back.cost == net.cost
+    assert back.travel_time == net.travel_time
+
+
+def test_save_network_round_trips_a_grid(tmp_path):
+    net = generate_grid(4, 5, seed=2)
+    path = tmp_path / "grid.txt"
+    save_network(net, path)
+    assert path.read_text(encoding="ascii") == network_text(net)
+    back = load_network(path)
+    assert back.n_nodes == net.n_nodes
+    # the file lists arcs by (tail, head), not in the generator's order
+    assert back.arcs == tuple(sorted(net.arcs))
     assert back.cost == net.cost
     assert back.travel_time == net.travel_time
 

@@ -22,7 +22,7 @@ part is built and solved on its own (:func:`schedule_by_part`); a part
 whose solve ends without an incumbent rides at its earliest entry times.
 The timetable put together from the parts' entry times is checked once.
 That timetable alone prices the round: its savings are the base cost of the
-routes minus its cost.  The parts of a round share one stage deadline.
+routes minus its cost.  A round's pair matching and parts share one deadline.
 ``run`` keeps a memo for its own length: each part's optimal entry times,
 keyed by what the part's model reads (each truck's kept arcs with their
 entry windows), so a part whose model recurs in a later round is neither
@@ -538,14 +538,15 @@ def _schedule(instance, routes, cfg, deadline, memo):
     and drops the size cap.  Returns the :class:`PartSchedule`, the round's
     savings (the routes' base cost minus the timetable's cost) and the
     timetable's cost.  The stage runs until ``deadline``, or for one second
-    if that has passed; its parts share that time.
+    if that has passed; its pair matching and its parts share that time.
     """
     stage_deadline = max(deadline, time.perf_counter() + 1.0)
     relax = cfg.scheduler == "pairwise"
     if relax:
         from .pairwise import narrow_windows
 
-        routes = narrow_windows(instance, routes, cfg.gamma)
+        left = max(stage_deadline - time.perf_counter(), 0.0)
+        routes = narrow_windows(instance, routes, cfg.gamma, left)
     by_part = schedule_by_part(instance, routes, relax, stage_deadline, memo)
     # assemble_timetable has checked the timetable
     cost = _price(instance, by_part.solution)

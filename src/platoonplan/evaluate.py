@@ -16,6 +16,7 @@ those links form.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -87,6 +88,8 @@ def _int(x) -> int:
 def _time(x) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"expected a time, got {x!r}")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"expected a finite time, got {x!r}")
     return x
 
 
@@ -123,7 +126,8 @@ def check(instance: Instance, sol: PlatoonSolution) -> ValidationReport:
 
     Times are compared with tolerance 1e-6 (continuous-time models report
     floats), except group membership, which requires the stored entry time
-    and the group's slot key to agree exactly.
+    and the group's slot key to agree exactly.  A NaN time fails every
+    timing check it enters.
     """
     tt = instance.network.travel_time
     bad: list[Violation] = []
@@ -153,7 +157,7 @@ def check(instance: Instance, sol: PlatoonSolution) -> ValidationReport:
         if fault is not None:
             continue
 
-        if legs[0][1] < veh.earliest_departure - _TIME_TOL:
+        if not legs[0][1] >= veh.earliest_departure - _TIME_TOL:
             bad.append(
                 Violation(
                     "window-departure",
@@ -162,7 +166,7 @@ def check(instance: Instance, sol: PlatoonSolution) -> ValidationReport:
                 )
             )
         for (arc_a, t_a), (arc_b, t_b) in zip(legs, legs[1:]):
-            if t_b < t_a + tt[arc_a] - _TIME_TOL:
+            if not t_b >= t_a + tt[arc_a] - _TIME_TOL:
                 bad.append(
                     Violation(
                         "travel-time",
@@ -172,7 +176,7 @@ def check(instance: Instance, sol: PlatoonSolution) -> ValidationReport:
                     )
                 )
         last_arc, last_t = legs[-1]
-        if last_t + tt[last_arc] > veh.latest_arrival + _TIME_TOL:
+        if not last_t + tt[last_arc] <= veh.latest_arrival + _TIME_TOL:
             bad.append(
                 Violation(
                     "window-arrival",
@@ -267,12 +271,7 @@ def shortest_path_cost(instance: Instance) -> float:
     return float(sum(sc[veh.origin, veh.dest] for veh in instance.vehicles))
 
 
-def indicators(
-    instance: Instance,
-    objective: float,
-    bound: float | None = None,
-    optimum: float | None = None,
-) -> dict:
+def indicators(instance: Instance, objective: float, bound: float | None = None) -> dict:
     """Quality ratios; fields whose denominator is zero come back as None."""
     spc = shortest_path_cost(instance)
     out = {
@@ -282,7 +281,6 @@ def indicators(
         "saving_ratio": None,
         "ub_saving_ratio": None,
         "relative_gap": None,
-        "optimality_gap": None,
     }
     if spc != 0.0:
         out["saving_ratio"] = abs(spc - objective) / spc
@@ -290,8 +288,6 @@ def indicators(
             out["ub_saving_ratio"] = abs(spc - bound) / spc
     if bound is not None and bound != 0.0:
         out["relative_gap"] = abs(objective - bound) / abs(bound)
-    if optimum is not None and optimum != 0.0:
-        out["optimality_gap"] = abs(objective - optimum) / abs(optimum)
     return out
 
 

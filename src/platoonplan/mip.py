@@ -24,7 +24,10 @@ without reaching an integral leaf, so a search that has processed 32 nodes
 without an incumbent dives from its current node: it floors the fractional
 integer column of smallest LP value and re-solves, until the LP is
 integral (the new incumbent) or infeasible.  The next dive waits for 64
-LPs, then 128, and so on.  :meth:`MipResult.take` reads the incumbent by tag.
+LPs, then 128, and so on.  The search goes on while a node is open, the
+gap over the best open node is open and the clock has time left, and the
+first of the three to fail sets its status.  :meth:`MipResult.take` reads
+the incumbent by tag.
 :func:`lp_text` prints a model as CPLEX-style LP text for debugging.
 
 A model compiles to solver arrays once, straight to the form HiGHS loads:
@@ -41,7 +44,7 @@ column bounds that differ from the node solved before it and re-runs dual
 simplex from that node's optimal basis, which stays dual feasible under any
 bound change (a hot start); the steps of a dive are solved the same way.
 A search's time limit also bounds each LP: HiGHS stops the LP at the
-deadline, and the search ends on the clock with that node open.
+deadline, and its node goes back on the heap, still open.
 
 The object comes from scipy's private ``scipy.optimize._highspy._core``,
 first shipped in scipy 1.15.  This module loads that extension alone, from
@@ -616,9 +619,10 @@ def _fractionality(comp: _Compiled, x: np.ndarray) -> np.ndarray:
 
 
 def _rounded(comp: _Compiled, x: np.ndarray) -> np.ndarray:
-    """A copy of ``x`` with its integer columns rounded to exact integers."""
+    """A copy of ``x`` with its integer columns rounded to exact integers;
+    "+ 0.0" turns a rounded -0.0 into 0.0."""
     x_int = x.copy()
-    x_int[comp.int_mask] = np.round(x_int[comp.int_mask])
+    x_int[comp.int_mask] = np.round(x_int[comp.int_mask]) + 0.0
     return x_int
 
 
@@ -652,34 +656,25 @@ def _zero_fits(comp: _Compiled) -> bool:
     return bool((comp.row_lower <= 0.0).all() and (comp.row_upper >= 0.0).all())
 
 
-def _result(comp, blocks, status, inc_x, inc_obj, bound_min, start, nodes):
-    x = objective = None
-    if inc_x is not None:
-        x = inc_x.copy()
-        # integers are reported exact; "+ 0.0" turns a rounded -0.0 into 0.0
-        x[comp.int_mask] = np.round(x[comp.int_mask]) + 0.0
-        objective = (-inc_obj if comp.flip else inc_obj) + comp.const
-    bound = None
-    if bound_min is not None and math.isfinite(bound_min):
-        bound = (-bound_min if comp.flip else bound_min) + comp.const
-    return MipResult(
-        status=status,
-        objective=objective,
-        bound=bound,
-        x=x,
-        wall_time=time.perf_counter() - start,
-        node_count=nodes,
-        blocks=blocks,
-    )
+def _reported(comp: _Compiled, value: float) -> float | None:
+    """A minimize-space value without the constant, read in the model's
+    sense and with its constant; None if infinite (nothing found or proven)."""
+    if not math.isfinite(value):
+        return None
+    return (-value if comp.flip else value) + comp.const
 
 
 def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
     """Branch and bound to proven optimality, a limit, or infeasibility.
 
-    ``optimal`` results satisfy ``|objective - bound| <= gap_tol * max(1,
-    |objective|)``; a time limit that stops a search whose open nodes all
-    meet that gap also reports ``optimal``.  The clock also stops an LP
-    that runs past it; that node stays open and bounds the result.
+    The search runs while a node is open, the gap over the best open node
+    is open and the clock has time left, tested in that order.  The first
+    to fail sets the result: no open node gives ``infeasible``, or
+    ``optimal`` bounded by its objective; a closed gap gives ``optimal``,
+    bounded by the best open node but never past the objective, so
+    ``|objective - bound| <= gap_tol * max(1, |objective|)``; the clock
+    gives ``feasible_time_limit`` or ``no_solution_time_limit``, bounded by
+    the best open node.  An LP that the clock stops leaves its node open.
     Feasibility tolerance on any reported incumbent is 1e-6 per constraint;
     integer variables are reported as exact integers.
 
@@ -702,12 +697,6 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
     start = time.perf_counter()
     comp = _compile(model)
     blocks = tuple(model._blocks)
-
-    if model.num_vars == 0:  # HiGHS solves no model without columns
-        if not _zero_fits(comp):
-            return _result(comp, blocks, INFEASIBLE, None, math.inf, None, start, 0)
-        return _result(comp, blocks, OPTIMAL, np.zeros(0), 0.0, 0.0, start, 0)
-
     inc_x = None
     inc_obj = math.inf  # in minimize space, without the constant
     deadline = None if cfg.time_limit is None else start + cfg.time_limit
@@ -718,28 +707,24 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
     def gap_closed(lb: float) -> bool:
         return inc_obj - lb <= cfg.gap_tol * max(1.0, abs(inc_obj))
 
+    def heap_top_closed() -> bool:  # no open node can beat the incumbent
+        return inc_x is not None and gap_closed(heap[0][0])
+
     # nodes carry their parent's LP value as a lower bound plus the chain of
     # bound tightenings that defines the subproblem; the heap top is a valid
     # global lower bound
     heap = [(-math.inf, 0, ())]
+    if model.num_vars == 0:  # HiGHS solves no model without columns
+        heap = []
+        if _zero_fits(comp):
+            inc_x, inc_obj = np.zeros(0), 0.0
     tick = 1
     nodes = 0
     next_dive = _DIVE_AT
     node_lp = None  # built at the first node, so a zero time limit solves nothing
 
-    status = None
-    proven_lb = None
-    while heap:
-        if inc_x is not None and gap_closed(heap[0][0]):
-            # remaining nodes can only be worse; the heap top proves it
-            status = OPTIMAL
-            proven_lb = min(heap[0][0], inc_obj)
-            break
-        if out_of_time():
-            status = FEASIBLE_TIME_LIMIT if inc_x is not None else NO_SOLUTION_TIME_LIMIT
-            proven_lb = heap[0][0]
-            break
-        parent_bound, _, changes = heapq.heappop(heap)
+    while heap and not heap_top_closed() and not out_of_time():
+        parent_bound, parent_tick, changes = heapq.heappop(heap)
 
         lower = comp.lower.copy()
         upper = comp.upper.copy()
@@ -755,11 +740,8 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
             node_lp = _HotLp(comp, deadline)
         lp_status, x, fun = node_lp(lower, upper)
         nodes += 1
-        if lp_status == 1:
-            # the clock stopped this node's LP, so the node stays open; it
-            # left the heap as its least entry
-            status = FEASIBLE_TIME_LIMIT if inc_x is not None else NO_SOLUTION_TIME_LIMIT
-            proven_lb = parent_bound
+        if lp_status == 1:  # the clock stopped this node's LP; it stays open
+            heapq.heappush(heap, (parent_bound, parent_tick, changes))
             break
         if lp_status == 2:  # infeasible subproblem
             continue
@@ -795,14 +777,22 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
         heapq.heappush(heap, (node_bound, tick + 1, up))
         tick += 2
 
-    if status is None:
-        # open list exhausted: every leaf was solved or pruned
-        if inc_x is None:
-            status = INFEASIBLE
-        else:
-            status = OPTIMAL
-            proven_lb = inc_obj
-    return _result(comp, blocks, status, inc_x, inc_obj, proven_lb, start, nodes)
+    if not heap:  # every leaf was solved or pruned
+        status, bound = (INFEASIBLE if inc_x is None else OPTIMAL), inc_obj
+    elif heap_top_closed():
+        status, bound = OPTIMAL, min(heap[0][0], inc_obj)
+    else:
+        status = FEASIBLE_TIME_LIMIT if inc_x is not None else NO_SOLUTION_TIME_LIMIT
+        bound = heap[0][0]
+    return MipResult(
+        status=status,
+        objective=_reported(comp, inc_obj),
+        bound=_reported(comp, bound),
+        x=inc_x,
+        wall_time=time.perf_counter() - start,
+        node_count=nodes,
+        blocks=blocks,
+    )
 
 
 def lp_bound(model: MipModel) -> float:
@@ -821,7 +811,7 @@ def lp_bound(model: MipModel) -> float:
         raise ModelInfeasible(f"model {model.name!r}: LP relaxation infeasible")
     if lp_status != 0:
         raise _lp_failure(model, lp_status)
-    return (-fun if comp.flip else fun) + comp.const
+    return _reported(comp, fun)
 
 
 # -- export / import -------------------------------------------------------

@@ -91,10 +91,14 @@ def enumerate_pairs(instance: Instance, routes: FixedRoutes) -> list[PairCandida
 
 
 def select_pairs(
-    candidates: Sequence[PairCandidate], gamma: float, n_vehicles: int
+    candidates: Sequence[PairCandidate],
+    gamma: float,
+    n_vehicles: int,
+    time_limit: float | None = None,
 ) -> list[PairCandidate]:
     """Matching over candidates: each vehicle in at most one chosen pair,
     at most ``floor(gamma * n_vehicles)`` pairs overall, savings maximized.
+    A matching that ``time_limit`` stops without an incumbent picks none.
     """
     cap = math.floor(gamma * n_vehicles)
     if cap <= 0 or not candidates:
@@ -102,8 +106,9 @@ def select_pairs(
     model = build_matching(
         [(c.u, c.v, c.savings) for c in candidates], gamma, n_vehicles
     )
-    _ids, chosen = solve(model, SolveConfig()).take("w")
-    return [c for c, on in zip(candidates, (chosen > 0.5).tolist()) if on]
+    res = solve(model, SolveConfig(time_limit=time_limit))
+    chosen = [] if res.x is None else (res.take("w")[1] > 0.5).tolist()
+    return [c for c, on in zip(candidates, chosen) if on]
 
 
 def shrink_windows(
@@ -138,11 +143,14 @@ def shrink_windows(
     return FixedRoutes(paths=routes.paths, offset=routes.offset, depart=depart)
 
 
-def narrow_windows(instance: Instance, routes: FixedRoutes, gamma: float) -> FixedRoutes:
-    """Pick pairs and narrow their windows: ``routes`` with each chosen
-    pair's departure windows shrunk to meet (itself if no pair is chosen)."""
+def narrow_windows(
+    instance: Instance, routes: FixedRoutes, gamma: float, time_limit: float | None = None
+) -> FixedRoutes:
+    """Pick pairs within ``time_limit`` and narrow their windows: ``routes``
+    with each chosen pair's departure windows shrunk to meet (itself if no
+    pair is chosen)."""
     candidates = enumerate_pairs(instance, routes)
-    chosen = select_pairs(candidates, gamma, len(instance.vehicles))
+    chosen = select_pairs(candidates, gamma, len(instance.vehicles), time_limit)
     return shrink_windows(routes, chosen)
 
 
@@ -169,6 +177,8 @@ def schedule_with_pairwise(
     gamma: float = 0.2,
     time_limit: float | None = None,
 ) -> PlatoonSolution:
-    """Full pipeline: pick pairs, narrow windows, time, split meets."""
-    narrowed = narrow_windows(instance, routes, gamma)
-    return solve_relaxed_and_repair(instance, narrowed, time_limit)
+    """Full pipeline within ``time_limit``: pick pairs, narrow windows, time, split meets."""
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
+    narrowed = narrow_windows(instance, routes, gamma, time_limit)
+    left = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
+    return solve_relaxed_and_repair(instance, narrowed, left)

@@ -309,6 +309,23 @@ def test_check_malformed_solution_is_an_input_error(demo_file, tmp_path, capsys,
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_check_a_time_that_is_not_finite_is_an_input_error(demo_file, tmp_path, capsys, value):
+    """JSON's NaN and Infinity parse to floats that no time may be."""
+    solution_path = tmp_path / "solution.json"
+    assert main(["solve", demo_file, "--method", "cpf", "--solution", str(solution_path)]) == 0
+    capsys.readouterr()
+    data = json.loads(solution_path.read_text())
+    for legs in data["vehicles"].values():
+        for leg in legs:
+            leg[2] = float(value)
+    for platoon in data["platoons"]:
+        platoon["time"] = float(value)
+    solution_path.write_text(json.dumps(data))
+    assert main(["check", demo_file, str(solution_path)]) == 2
+    assert "expected a finite time" in capsys.readouterr().err
+
+
 # -- bench --------------------------------------------------------------------
 
 

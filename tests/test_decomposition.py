@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import platoonplan.decomposition as decomposition_module
 import platoonplan.evaluate as evaluate_module
 import platoonplan.instance as instance_module
+import platoonplan.pairwise as pairwise_module
 from instgen import FIELD_OPTIMA, field_fleet, small_instance, time_shortest_paths
 from oracles import FullTableHistory, assert_same_arrays, kept_pairs, overlap_components
 from platoonplan.decomposition import (
@@ -548,6 +549,38 @@ def test_parts_share_one_stage_deadline(scheduler, monkeypatch):
     if scheduler == "pairwise":
         routes = narrow_windows(instance, routes, 0.5)
     assert by_part.solution == canonical_schedule(instance, routes)
+    assert cost == pytest.approx(total_cost(instance, by_part.solution), abs=1e-12)
+
+
+def test_a_pair_matching_without_a_plan_leaves_the_routes_unnarrowed(monkeypatch):
+    """The pair matching gets what the stage's clock has left, and one that
+    ends without an incumbent picks no pair: the round then schedules its
+    routes with their widest windows."""
+    instance, routes = two_pairs_instance()
+    # with a plan, the matching narrows these routes
+    assert narrow_windows(instance, routes, 0.5).depart != routes.depart
+    limits = []
+
+    def stopped(model, cfg):
+        limits.append(cfg.time_limit)
+        return MipResult(NO_SOLUTION_TIME_LIMIT, None, None, None, 0.0, 0)
+
+    scheduled = []
+
+    def scheduling(instance, routes, *args):
+        scheduled.append(routes)
+        return schedule_by_part(instance, routes, *args)
+
+    monkeypatch.setattr(
+        decomposition_module, "time", SimpleNamespace(perf_counter=lambda: 100.0)
+    )
+    monkeypatch.setattr(decomposition_module, "schedule_by_part", scheduling)
+    monkeypatch.setattr(pairwise_module, "solve", stopped)
+    cfg = DecompositionConfig(scheduler="pairwise", gamma=0.5)
+    by_part, _savings, cost = _schedule(instance, routes, cfg, 130.0, {})
+    assert limits == [30.0]
+    assert scheduled == [routes]
+    assert check(instance, by_part.solution).ok
     assert cost == pytest.approx(total_cost(instance, by_part.solution), abs=1e-12)
 
 

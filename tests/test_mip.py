@@ -103,6 +103,7 @@ def test_knapsack_matches_enumeration():
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(9.0, abs=1e-9)
     assert res.bound == pytest.approx(9.0, abs=1e-9)
+    assert res.bound == res.objective  # the search closed every node
     assert res.x.tolist() == [1.0, 1.0, 0.0]
 
 
@@ -132,7 +133,7 @@ def test_solver_is_deterministic():
 def test_infeasible_model():
     res = solve(binary_at_least_two())
     assert res.status == INFEASIBLE
-    assert res.objective is None and res.x is None
+    assert res.objective is None and res.bound is None and res.x is None
 
 
 def test_unbounded_model_raises():
@@ -815,6 +816,19 @@ def test_cpf_finds_a_plan_on_the_8x8_30_hub_rung():
     assert total_cost(instance, plan) == pytest.approx(res.objective, abs=1e-6)
     assert total_cost(instance, plan) <= 934.0
     assert res.bound <= res.objective
+
+
+def test_a_root_lp_the_clock_stops_leaves_the_search_open(monkeypatch):
+    """The stopped root goes back on the heap, so the search ends on the
+    clock with nothing proven; it is not reported infeasible."""
+
+    def stopped(lower, upper):
+        return 1, None, None
+
+    monkeypatch.setattr(mip_module, "_HotLp", lambda comp, deadline=None: stopped)
+    res = solve(knapsack(), SolveConfig(time_limit=60.0))
+    assert (res.status, res.bound, res.x) == (NO_SOLUTION_TIME_LIMIT, None, None)
+    assert res.node_count == 1
 
 
 def test_a_node_lp_the_clock_stops_stays_open_in_the_bound(monkeypatch):

@@ -1,18 +1,20 @@
 """Pair enumeration, matching, window shrinking, and the relaxed scheduler."""
 
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import platoonplan.pairwise as pairwise_module
 from instgen import field_fleet, small_instance, time_shortest_paths
 from oracles import shrink_by_instance, windows_by_arc
 from platoonplan.errors import ShrinkInfeasible
 from platoonplan.evaluate import check, total_cost
 from platoonplan.formulations import FixedRoutes, build_fcnf, routes_from_result
 from platoonplan.instance import Instance, Vehicle
-from platoonplan.mip import SolveConfig, solve
+from platoonplan.mip import NO_SOLUTION_TIME_LIMIT, MipResult, SolveConfig, solve
 from platoonplan.network import make_network
 from platoonplan.pairwise import (
     PairCandidate,
@@ -252,6 +254,30 @@ def test_pipeline_without_candidates_is_canonical(demo):
     sol = schedule_with_pairwise(demo, routes, gamma=1.0)
     assert check(demo, sol).ok
     assert total_cost(demo, sol) == pytest.approx(4.99, abs=1e-9)
+
+
+def test_pipeline_matching_and_parts_share_one_budget(demo, monkeypatch):
+    """The parts get what the pair matching leaves of ``time_limit``."""
+    clock = [0.0]
+    limits = []
+
+    def slow_matching(model, cfg):
+        limits.append(cfg.time_limit)
+        clock[0] += 2.0
+        return MipResult(NO_SOLUTION_TIME_LIMIT, None, None, None, 2.0, 0)
+
+    repair = pairwise_module.solve_relaxed_and_repair
+
+    def timing(instance, narrowed, time_limit):
+        limits.append(time_limit)
+        return repair(instance, narrowed, time_limit)
+
+    monkeypatch.setattr(pairwise_module, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(pairwise_module, "solve", slow_matching)
+    monkeypatch.setattr(pairwise_module, "solve_relaxed_and_repair", timing)
+    sol = schedule_with_pairwise(demo, FixedRoutes.build(demo, BOTTOM), 0.5, time_limit=5.0)
+    assert limits == [5.0, 3.0]
+    assert check(demo, sol).ok
 
 
 def test_oversized_meet_is_split_to_legal_convoys():

@@ -24,10 +24,10 @@ The timetable put together from the parts' entry times is checked once.
 That timetable alone prices the round: its savings are the base cost of the
 routes minus its cost.  A round's pair matching and parts share one deadline.
 ``run`` keeps a memo for its own length: each part's optimal entry times,
-keyed by what the part's model reads (each truck's kept arcs with their
-entry windows), so a part whose model recurs in a later round is neither
-built nor solved again, even when one of its trucks drives elsewhere
-outside the part.  Public calls outside ``run`` use no memo.
+keyed by the part's TIF spec, all its model reads of the routes, so a part
+whose model recurs in a later round is neither built nor solved again,
+even when one of its trucks drives elsewhere outside the part.  Public
+calls outside ``run`` use no memo.
 
 Between rounds ``run`` holds only the latest cost table.  Its
 :class:`History` keeps, for each (vehicle, arc) pair first lured into a
@@ -63,6 +63,7 @@ from .evaluate import (
 )
 from .formulations import (
     FixedRoutes,
+    _tif_spec,
     build_fcnf,
     build_tif,
     price_fcnf,
@@ -380,16 +381,6 @@ def _parts(routes):
     ]
 
 
-def _part_key(routes, trucks, part):
-    """What :func:`build_tif` reads of a part: each truck's kept arcs in
-    path order, with their entry windows."""
-    return tuple(
-        (v, tuple((arc, *routes.entry_window(v, arc))
-                  for arc in routes.paths[v] if (v, arc) in part))
-        for v in trucks
-    )
-
-
 @dataclass(frozen=True)
 class PartSchedule:
     """A timetable of fixed routes, scheduled one part at a time.
@@ -409,20 +400,20 @@ def schedule_by_part(instance, routes, relax_capacity, deadline, memo):
     model ``build_tif(instance, routes, part_kept, relax_capacity)``, built
     and solved on its own with the time left until ``deadline`` (a
     ``perf_counter`` reading; None for no limit), and yields the entry
-    times of its trucks.  ``memo`` maps each part, by what its model reads
-    (each truck's kept arcs in path order with their entry windows), to its
-    optimal entry times: a part found there is neither built nor solved,
-    and only optimal results are stored.  The key does not hold
-    ``relax_capacity``, so one memo serves one scheduler.  A part whose
-    solve ends without an incumbent chooses no times, so its trucks ride at
-    their earliest.  :func:`assemble_timetable` puts the timetable together
-    from the entry times and checks it against ``instance`` once.
+    times of its trucks.  ``memo`` maps each part's TIF spec
+    (:func:`_tif_spec`, all its model reads of ``routes``) to its optimal
+    entry times: a part found there is neither built nor solved, and only
+    optimal results are stored.  The key does not hold ``relax_capacity``,
+    so one memo serves one scheduler.  A part whose solve ends without an
+    incumbent chooses no times, so its trucks ride at their earliest.
+    :func:`assemble_timetable` puts the timetable together from the entry
+    times and checks it against ``instance`` once.
     """
     chosen: dict[tuple[int, Arc], int] = {}
     reused = 0
     parts = _parts(routes)
-    for trucks, part in parts:
-        key = _part_key(routes, trucks, part)
+    for _trucks, part in parts:
+        key = _tif_spec(routes, part)
         found = memo.get(key)
         if found is None:
             found, optimal = _solve_part(instance, routes, part, relax_capacity, deadline)

@@ -619,6 +619,17 @@ def scheduling_preprocess(routes: FixedRoutes) -> frozenset[tuple[int, Arc]]:
     return frozenset((v, arc) for arc, chain in routes.meets for v in chain)
 
 
+def _tif_spec(routes: FixedRoutes, kept) -> tuple:
+    """All that :func:`build_tif` reads of ``routes`` for the pairs ``kept``:
+    for each truck with a kept pair, in ascending id, its kept arcs in path
+    order, each with its entry window, as ``(v, ((arc, lo, hi), ...))``."""
+    return tuple(
+        (v, tuple((arc, *routes.entry_window(v, arc))
+                  for arc in routes.paths[v] if (v, arc) in kept))
+        for v in sorted({v for v, _arc in kept})
+    )
+
+
 def build_tif(
     instance: Instance,
     routes: FixedRoutes,
@@ -632,6 +643,10 @@ def build_tif(
     that actually drives (one ``y`` unit per group and time slot) buys its
     share back.  ``relax_capacity`` drops the size cap and uses ``y`` as a
     0/1 usage flag, which is the relaxation the pairwise heuristic solves.
+    ``kept`` defaults to every pair of the routes, and one off its truck's
+    path raises :class:`ValidationError`.  The model reads ``routes`` only
+    through :func:`_tif_spec`, the TIF spec of ``kept``, which also keys
+    the part memo of :func:`~platoonplan.decomposition.schedule_by_part`.
 
     The model is built in blocks.  The columns are one ``x`` per kept
     (vehicle, arc) pair, in sorted order, and entry time in its window, then
@@ -647,22 +662,18 @@ def build_tif(
     eta = instance.eta
     q = instance.q_limit
     if kept is None:
-        kept = frozenset(
-            (v, arc) for v, path in routes.paths.items() for arc in path
-        )
+        kept = frozenset((v, arc) for v, path in routes.paths.items() for arc in path)
     m = MipModel("tif")
 
-    pairs = sorted(kept)
-    lo, hi = np.array(
-        [routes.entry_window(v, arc) for v, arc in pairs], dtype=np.int64
-    ).reshape(-1, 2).T
+    spec = _tif_spec(routes, kept)
+    pairs = sorted((v, *arc, lo, hi) for v, arcs in spec for arc, lo, hi in arcs)
+    if len(pairs) != len(kept):
+        raise ValidationError("kept holds a (vehicle, arc) pair off the vehicle's path")
+    pair_v, pair_i, pair_j, lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 5).T
     if (lo > hi).any():
-        v, arc = pairs[int(np.argmax(lo > hi))]
-        raise EmptyEntrySet(f"vehicle {v} has no admissible entry time on {arc}")
+        v, i, j, _lo, _hi = pairs[int(np.argmax(lo > hi))]
+        raise EmptyEntrySet(f"vehicle {v} has no admissible entry time on {(i, j)}")
     # one x per kept pair and entry time in its window
-    pair_v, pair_i, pair_j = (
-        np.array([(v, *arc) for v, arc in pairs], dtype=np.int64).reshape(-1, 3).T
-    )
     width = hi - lo + 1
     base = np.cumsum(width) - width
     seg, tm = _ragged(lo, width)
@@ -689,11 +700,9 @@ def build_tif(
     # Row r of consecutive kept arcs a and b reads
     # sum(x_a[:r + 1]) - sum(x_b[:r + 1]) >= 0, for r below the width of
     # a's window minus one, so the rows' terms form a lower triangle.
-    index = {p: k for k, p in enumerate(pairs)}
-    links = []
-    for v, path in sorted(routes.paths.items()):
-        kept_arcs = [arc for arc in path if (v, arc) in kept]
-        links += [(index[v, a], index[v, b]) for a, b in zip(kept_arcs, kept_arcs[1:])]
+    index = {(v, (i, j)): k for k, (v, i, j, _lo, _hi) in enumerate(pairs)}
+    links = [(index[v, a], index[v, b]) for v, arcs in spec
+             for (a, *_), (b, *_) in zip(arcs, arcs[1:])]
     pa, pb = np.array(links, dtype=np.int64).reshape(-1, 2).T
     n_rows = width[pa] - 1
     tri_r, tri_s = np.tril_indices(int(n_rows.max(initial=0)))

@@ -175,8 +175,10 @@ def generate_fleet(
     ``hub_share`` fraction of origin/destination draws to nodes within one
     hour of driving (``60 / time_unit`` scheduling units) of a hub.
     """
-    if n < 1:
-        raise ValidationError("fleet size must be >= 1")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"fleet size must be an integer >= 1, got {n!r}")
+    if not (math.isfinite(time_unit) and time_unit > 0):
+        raise ValidationError("time_unit must be finite and positive")
     if horizon < 0:
         raise ValidationError("horizon must be non-negative")
     if not 0.0 <= hub_share <= 1.0:
@@ -189,21 +191,16 @@ def generate_fleet(
         for h in hubs:
             if not 0 <= h < net.n_nodes:
                 raise ValidationError(f"hub {h} is not a node of the network")
-        if time_unit <= 0:
-            raise ValidationError("time_unit must be finite and positive")
     rng = np.random.default_rng(seed)
     st = net.shortest_times
 
     near_hub = None
     if od_mode == "hub":
-        radius = 60.0 / time_unit  # one hour of driving
+        radius = 60.0 / time_unit  # one hour of driving, so each pool holds its hub
         near_hub = {
             h: [i for i in range(net.n_nodes) if st[h, i] <= radius]
             for h in hubs
         }
-        for h, pool in near_hub.items():
-            if not pool:
-                raise ValidationError(f"hub {h} has no nodes within radius")
 
     def hub_node() -> int:
         pool = near_hub[hubs[int(rng.integers(len(hubs)))]]

@@ -178,6 +178,8 @@ def generate_grid(rows: int, cols: int, seed: int) -> RoadNetwork:
     Length doubles as cost and travel time, the usual desk approximation of
     a highway mesh with uniform speeds.
     """
+    if not (isinstance(rows, (int, np.integer)) and isinstance(cols, (int, np.integer))):
+        raise ValidationError(f"grid size must be integral, got {rows!r} by {cols!r}")
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValidationError("grid needs at least two nodes")
     rng = np.random.default_rng(seed)

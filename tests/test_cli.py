@@ -80,6 +80,14 @@ def test_gen_bad_input_is_an_input_error(extra, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_gen_nan_time_unit_names_the_time_unit(capsys):
+    # the hub radius once took the NaN, and the error blamed the hub
+    rc = main(["gen", "--grid", "4x4", "--vehicles", "3", "--od-mode", "hub", "--hubs", "0",
+               "--tu", "nan"])
+    assert rc == 2
+    assert "time_unit must be finite and positive" in capsys.readouterr().err
+
+
 # -- solve --------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Cost shaping, iteration bookkeeping, and the route-then-schedule loop."""
 
+import hashlib
 import json
 import math
 import weakref
@@ -15,7 +16,13 @@ import platoonplan.evaluate as evaluate_module
 import platoonplan.instance as instance_module
 import platoonplan.pairwise as pairwise_module
 from instgen import FIELD_OPTIMA, field_fleet, small_instance, time_shortest_paths
-from oracles import FullTableHistory, assert_same_arrays, kept_pairs, overlap_components
+from oracles import (
+    FullTableHistory,
+    assert_same_arrays,
+    kept_pairs,
+    overlap_components,
+    simple_paths,
+)
 from platoonplan.decomposition import (
     CostTable,
     DecompositionConfig,
@@ -34,6 +41,7 @@ from platoonplan.errors import MissingCost, ModelInvalid, NoFeasibleSolution, Va
 from platoonplan.evaluate import canonical_schedule, check, total_cost
 from platoonplan.formulations import (
     FixedRoutes,
+    _tif_spec,
     admissible_arcs,
     build_fcnf,
     build_tif,
@@ -47,7 +55,7 @@ from platoonplan.instance import (
     node_time_bounds,
     three_truck_demo,
 )
-from platoonplan.mip import NO_SOLUTION_TIME_LIMIT, MipResult, SolveConfig, _compile, solve
+from platoonplan.mip import NO_SOLUTION_TIME_LIMIT, MipResult, SolveConfig, _compile, lp_text, solve
 from platoonplan.network import generate_grid, make_network
 from platoonplan.pairwise import narrow_windows
 
@@ -465,6 +473,54 @@ def test_part_wise_savings_equal_single_model_on_random_draws(seed):
         assert_parts_match_whole(instance, FixedRoutes.build(instance, time_shortest_paths(instance)))
 
 
+def outside_changes(instance, routes, trucks):
+    """Routes that differ from ``routes`` only in the trucks outside
+    ``trucks``: they leave one unit later, they take another path the
+    instance admits, or they are gone."""
+    outside = [v for v in routes.paths if v not in trucks]
+    if not outside:
+        return []
+    later = replace(routes, depart={
+        v: (lo + 1, hi + 1) if v in outside else (lo, hi) for v, (lo, hi) in routes.depart.items()
+    })
+    paths = dict(routes.paths)
+    for v in outside:
+        veh = instance.vehicles[v]
+        for path in simple_paths(instance.network.arcs, veh.origin, veh.dest):
+            if path != paths[v] and sum(map(instance.network.travel_time.get, path)) <= (
+                veh.latest_arrival - veh.earliest_departure
+            ):
+                paths[v] = path
+                break
+    moved = FixedRoutes.build(instance, paths)
+    moved = replace(moved, depart={**moved.depart, **{v: routes.depart[v] for v in trucks}})
+    gone = replace(routes, paths={v: routes.paths[v] for v in trucks})
+    return [later, moved, gone]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 100_000), st.sampled_from(["exact", "pairwise"]))
+def test_a_part_model_reads_the_routes_only_through_its_tif_spec(seed, scheduler):
+    """Routes that differ only outside a part give it the same TIF spec and
+    the same model; moving one kept arc's entry window changes both."""
+    instance = small_instance(seed, max_vehicles=10, slack_max=4)
+    assume(instance is not None)
+    routes = FixedRoutes.build(instance, time_shortest_paths(instance))
+    if scheduler == "pairwise":
+        routes = narrow_windows(instance, routes, 0.5)
+    relax = scheduler == "pairwise"
+    for trucks, part in _parts(routes):
+        spec = _tif_spec(routes, part)
+        text = lp_text(build_tif(instance, routes, part, relax))
+        for other in outside_changes(instance, routes, trucks):
+            assert _tif_spec(other, part) == spec
+            assert lp_text(build_tif(instance, other, part, relax)) == text
+        v, arc = min(part)
+        shifted = replace(routes, offset={**routes.offset, (v, arc): routes.offset[v, arc] + 1})
+        assert _tif_spec(shifted, part) != spec
+        assert lp_text(build_tif(instance, shifted, part, relax)) != text
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(0, 100_000))
 def test_screen_matches_pairwise_window_comparison_on_random_draws(seed):
@@ -752,6 +808,14 @@ def test_price_fcnf_missing_cost_and_wrong_model(demo):
         price_fcnf(other, model, None)
 
 
+FIELD_RECORD_DIGESTS = {
+    (5, "icmp", "exact"): "995ce4caf4f22bcc69fd634baabe991ff2aee136b88dbe3f0dadd322b57374ae",
+    (5, "icmp", "pairwise"): "840d2eb5f6e4619355b2a7eb5ddc6f866861b19879051d615ad8e2dd4cda0c00",
+    (9, "icmp", "exact"): "4db207b0524dcd6f3bd1c6a697c1425147ada3cff2ef9e0aee65a29a75af59bd",
+    (9, "llcmp", "exact"): "ffc43ae757581e2320904952d22f41f2557d8770deed9d3b396454ccaef81917",
+}
+
+
 @pytest.mark.parametrize(
     "grid, mode, scheduler, rounds, best_cost",
     [
@@ -762,12 +826,16 @@ def test_price_fcnf_missing_cost_and_wrong_model(demo):
     ],
 )
 def test_field_anchor_trajectories(grid, mode, scheduler, rounds, best_cost):
-    """The benchmark's four field anchors, run with no time limit."""
+    """The benchmark's four field anchors, run with no time limit.  The
+    digest pins every round's record, which holds no times."""
     instance = field_fleet(grid)
     best, log = run(
         instance, DecompositionConfig(mode=mode, scheduler=scheduler, time_limit=math.inf)
     )
     assert (len(log.records), log.termination) == (rounds, "repeat")
+    records = "\n".join(json.dumps(r.to_json_dict(), sort_keys=True) for r in log.records)
+    digest = hashlib.sha256(records.encode()).hexdigest()
+    assert digest == FIELD_RECORD_DIGESTS[grid, mode, scheduler]
     assert log.best_cost == pytest.approx(best_cost, abs=1e-9)
     assert log.best_cost >= FIELD_OPTIMA[grid] - 1e-6
     assert total_cost(instance, best) == pytest.approx(log.best_cost, abs=1e-9)

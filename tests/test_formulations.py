@@ -355,6 +355,13 @@ def test_tif_empty_entry_window():
         build_tif(instance, routes)
 
 
+def test_tif_rejects_a_kept_pair_off_its_vehicles_path(demo):
+    # the model reads the routes through its spec, which holds path arcs only
+    routes = FixedRoutes.build(demo, DEMO_ROUTES)
+    with pytest.raises(ValidationError, match="off the vehicle's path"):
+        build_tif(demo, routes, {(0, (0, 2)), (1, (0, 2))})
+
+
 def test_tif_relax_capacity_lifts_the_cap():
     # three trucks, cap 2: exact grouping needs two slots (or two y units),
     # the relaxation lets one y unit cover all three

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -129,6 +130,25 @@ def test_generate_fleet_failure_paths():
     # the default hub radius, one hour of driving, divides by time_unit
     with pytest.raises(ValidationError, match="time_unit"):
         generate_fleet(net, 2, seed=0, od_mode="hub", hubs=[0], time_unit=0.0)
+
+
+@pytest.mark.parametrize("od_mode", ["uniform", "hub"])
+@pytest.mark.parametrize("time_unit", [math.nan, math.inf, 0.0, -10.0])
+def test_generate_fleet_rejects_a_time_unit_that_is_not_finite_and_positive(time_unit, od_mode):
+    # a NaN passed the hub branch's old test and surfaced as "hub 0 has no
+    # nodes within radius"
+    net = generate_grid(3, 3, seed=0)
+    with pytest.raises(ValidationError, match="time_unit must be finite and positive"):
+        generate_fleet(net, 2, seed=0, od_mode=od_mode, hubs=[0], time_unit=time_unit)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, "2"])
+def test_generate_fleet_rejects_a_fleet_size_that_is_not_an_integer(n):
+    # range() raised a bare TypeError
+    net = generate_grid(3, 3, seed=0)
+    with pytest.raises(ValidationError, match="fleet size must be an integer"):
+        generate_fleet(net, n, seed=0)
+    assert len(generate_fleet(net, np.int64(2), seed=0).vehicles) == 2
 
 
 @pytest.mark.parametrize("hub", [99, 9, -1])

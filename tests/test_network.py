@@ -78,6 +78,14 @@ def test_grid_shape():
         assert net.cost[arc] == net.travel_time[arc]
 
 
+@pytest.mark.parametrize("rows, cols", [(2.5, 2), (2, 2.0), ("2", 2)])
+def test_grid_rejects_sizes_that_are_not_integers(rows, cols):
+    # range() raised a bare TypeError
+    with pytest.raises(ValidationError, match="grid size must be integral"):
+        generate_grid(rows, cols, seed=0)
+    assert generate_grid(np.int64(2), 3, seed=0).n_nodes == 6
+
+
 def test_grid_deterministic():
     a = generate_grid(5, 3, seed=11)
     b = generate_grid(5, 3, seed=11)

@@ -24,10 +24,10 @@ The timetable put together from the parts' entry times is checked once.
 That timetable alone prices the round: its savings are the base cost of the
 routes minus its cost.  A round's pair matching and parts share one deadline.
 ``run`` keeps a memo for its own length: each part's optimal entry times,
-keyed by the part's TIF spec, all its model reads of the routes, so a part
-whose model recurs in a later round is neither built nor solved again,
-even when one of its trucks drives elsewhere outside the part.  Public
-calls outside ``run`` use no memo.
+keyed by (scheduler, TIF spec), all that its model reads, so a part whose
+model recurs in a later round is neither built nor solved again, even when
+one of its trucks drives elsewhere outside the part.  Public calls outside
+``run`` use no memo.
 
 Between rounds ``run`` holds only the latest cost table.  Its
 :class:`History` keeps, for each (vehicle, arc) pair first lured into a
@@ -57,12 +57,12 @@ from .errors import NoFeasibleSolution, ValidationError
 from .evaluate import (
     PlatoonSolution,
     _price,
-    _tif_choice,
     _union_find_groups,
     assemble_timetable,
 )
 from .formulations import (
     FixedRoutes,
+    _tif_choice,
     _tif_spec,
     build_fcnf,
     build_tif,
@@ -400,20 +400,19 @@ def schedule_by_part(instance, routes, relax_capacity, deadline, memo):
     model ``build_tif(instance, routes, part_kept, relax_capacity)``, built
     and solved on its own with the time left until ``deadline`` (a
     ``perf_counter`` reading; None for no limit), and yields the entry
-    times of its trucks.  ``memo`` maps each part's TIF spec
-    (:func:`_tif_spec`, all its model reads of ``routes``) to its optimal
-    entry times: a part found there is neither built nor solved, and only
-    optimal results are stored.  The key does not hold ``relax_capacity``,
-    so one memo serves one scheduler.  A part whose solve ends without an
-    incumbent chooses no times, so its trucks ride at their earliest.
-    :func:`assemble_timetable` puts the timetable together from the entry
-    times and checks it against ``instance`` once.
+    times of its trucks.  ``memo`` maps each part's (scheduler, TIF spec),
+    ``(relax_capacity, _tif_spec(routes, part_kept))``, all that its model
+    reads, to its optimal entry times: a part found there is neither built
+    nor solved, and only optimal results are stored.  A part whose solve
+    ends without an incumbent chooses no times, so its trucks ride at their
+    earliest.  :func:`assemble_timetable` puts the timetable together from
+    the entry times and checks it against ``instance`` once.
     """
     chosen: dict[tuple[int, Arc], int] = {}
     reused = 0
     parts = _parts(routes)
     for _trucks, part in parts:
-        key = _tif_spec(routes, part)
+        key = (relax_capacity, _tif_spec(routes, part))
         found = memo.get(key)
         if found is None:
             found, optimal = _solve_part(instance, routes, part, relax_capacity, deadline)

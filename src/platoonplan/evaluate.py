@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DecodeInconsistent, InvalidSolution, ParseError
-from .formulations import FixedRoutes, _x_paths
+from .formulations import FixedRoutes, _tif_choice, _x_paths
 from .instance import Instance, path_fault
 
 Arc = tuple[int, int]
@@ -368,14 +368,6 @@ def _decode_tsf(instance: Instance, result) -> dict[int, tuple[tuple[Arc, int], 
     for v, tm, i, j in sorted(legs[:, [4, 1, 0, 2]].tolist()):
         moves[v].append(((i, j), tm))
     return {v: tuple(moves.get(v, ())) for v in range(len(instance.vehicles))}
-
-
-def _tif_choice(result) -> dict[tuple[int, Arc], int]:
-    """The entry time a scheduling incumbent picks for each modeled
-    (vehicle, arc) pair, as :func:`assemble_timetable` takes them; the
-    model's platoon counts are not read."""
-    ids, values = result.take("x")
-    return {(v, (i, j)): tm for i, j, v, tm in ids[values > 0.5].tolist()}
 
 
 def _timetable(

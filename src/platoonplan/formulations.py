@@ -644,9 +644,10 @@ def build_tif(
     share back.  ``relax_capacity`` drops the size cap and uses ``y`` as a
     0/1 usage flag, which is the relaxation the pairwise heuristic solves.
     ``kept`` defaults to every pair of the routes, and one off its truck's
-    path raises :class:`ValidationError`.  The model reads ``routes`` only
-    through :func:`_tif_spec`, the TIF spec of ``kept``, which also keys
-    the part memo of :func:`~platoonplan.decomposition.schedule_by_part`.
+    path raises :class:`ValidationError`.  The model, constant included,
+    reads ``routes`` and ``kept`` only through their TIF spec
+    (:func:`_tif_spec`); (scheduler, TIF spec) keys the part memo of
+    :func:`~platoonplan.decomposition.schedule_by_part`.
 
     The model is built in blocks.  The columns are one ``x`` per kept
     (vehicle, arc) pair, in sorted order, and entry time in its window, then
@@ -688,7 +689,7 @@ def build_tif(
     upper = np.ones(len(counts)) if relax_capacity else -(-counts // cap)
     ycols = m.add_vars("y", np.column_stack([xi, xj, tm])[first], INTEGER, 0.0, upper)
 
-    constant = sum(eta * net.cost[arc] for (_v, arc) in kept)
+    constant = sum(eta * net.cost[i, j] for _v, i, j, _lo, _hi in pairs)
     arc_cost = np.array([net.cost[i, j] for i, j in zip(xi[first].tolist(), xj[first].tolist())])
     m.set_objective(cols=ycols, coefs=-eta * arc_cost, sense="max", constant=constant)
 
@@ -718,6 +719,14 @@ def build_tif(
 
     _usage_rows(m, order, counts, ycols, np.ones(len(counts), dtype=bool), cap.astype(np.float64))
     return m
+
+
+def _tif_choice(result) -> dict[tuple[int, Arc], int]:
+    """The entry time a :func:`build_tif` incumbent picks for each modeled
+    (vehicle, arc) pair, as ``evaluate.assemble_timetable`` takes them; the
+    model's platoon counts are not read."""
+    ids, values = result.take("x")
+    return {(v, (i, j)): tm for i, j, v, tm in ids[values > 0.5].tolist()}
 
 
 def build_matching(pairs: Sequence[tuple[int, int, float]], gamma: float, n_vehicles: int) -> MipModel:

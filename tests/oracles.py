@@ -824,7 +824,7 @@ def tif_by_rows(instance, routes, kept=None, relax_capacity=False):
         yvar[arc, tm] = col(("y", *arc, tm), INTEGER, 0, ub)
 
     col.flush()
-    constant = sum(eta * net.cost[arc] for (_v, arc) in kept)
+    constant = sum(eta * net.cost[arc] for (_v, arc) in sorted(kept))
     m.set_objective(
         *terms_arrays([(idx, -eta * net.cost[arc]) for (arc, _tm), idx in yvar.items()]),
         sense="max",

@@ -521,6 +521,48 @@ def test_a_part_model_reads_the_routes_only_through_its_tif_spec(seed, scheduler
         assert lp_text(build_tif(instance, shifted, part, relax)) != text
 
 
+@pytest.mark.parametrize("seed", [9, 18])
+def test_one_memo_keeps_the_two_schedulers_apart(seed):
+    """A part solved with the size cap is not reused once the cap is
+    dropped: the scheduler is part of the memo key.  Seed 9 has one part,
+    whose relaxed timetable differs from the capped one; seed 18 has three."""
+    instance = small_instance(seed)
+    routes = FixedRoutes.build(instance, time_shortest_paths(instance))
+    memo = {}
+    capped = schedule_by_part(instance, routes, False, None, memo)
+    assert capped.parts > 0 and capped.reused == 0
+    relaxed = schedule_by_part(instance, routes, True, None, memo)
+    assert (relaxed.parts, relaxed.reused) == (capped.parts, 0)
+    assert relaxed.solution == schedule_by_part(instance, routes, True, None, {}).solution
+    assert len(memo) == 2 * capped.parts
+
+
+def test_every_part_model_of_a_field_run_is_a_function_of_its_spec(monkeypatch):
+    """Criterion-8 grid 5 in icmp: each part model's objective constant is
+    summed over its spec's pairs in sorted order, and building the part from
+    its kept pairs inserted in either order gives the same model."""
+    instance = field_fleet(5)
+    built = []
+
+    def checked(instance, routes, kept, relax_capacity):
+        model = build_tif(instance, routes, kept, relax_capacity)
+        spec = _tif_spec(routes, kept)
+        pairs = sorted((v, arc) for v, arcs in spec for arc, _lo, _hi in arcs)
+        assert model.objective_constant == sum(
+            instance.eta * instance.network.cost[arc] for _v, arc in pairs
+        )
+        text = lp_text(model)
+        for order in (sorted(kept), sorted(kept, reverse=True)):
+            assert lp_text(build_tif(instance, routes, frozenset(order), relax_capacity)) == text
+        built.append(kept)
+        return model
+
+    monkeypatch.setattr(decomposition_module, "build_tif", checked)
+    _best, log = run(instance, DecompositionConfig(mode="icmp", time_limit=math.inf))
+    assert len(log.records) == 27
+    assert len(built) == sum(r.parts - r.parts_reused for r in log.records) > 0
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(0, 100_000))
 def test_screen_matches_pairwise_window_comparison_on_random_draws(seed):

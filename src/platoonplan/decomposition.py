@@ -12,22 +12,10 @@ an estimate of what joining would cost.  Two estimate flavors exist:
 * ``llcmp`` charges a joiner the unit share alone, the lowest value any
   platoon member can ever pay, which steers aggressively toward sharing.
 
-Both schedulers go through one pipeline whose only product is entry times;
-the pairwise one first narrows the windows of chosen truck pairs and drops
-the size cap.  The scheduling model splits exactly into parts: two trucks
-on a common arc are linked when their entry windows there overlap (one
-sweep per arc, :attr:`FixedRoutes.meets`), and every scheduling row touches
-one truck or one (arc, slot) that only trucks of one part can use.  Each
-part is built and solved on its own (:func:`schedule_by_part`); a part
-whose solve ends without an incumbent rides at its earliest entry times.
-The timetable put together from the parts' entry times is checked once.
-That timetable alone prices the round: its savings are the base cost of the
-routes minus its cost.  A round's pair matching and parts share one deadline.
-``run`` keeps a memo for its own length: each part's optimal entry times,
-keyed by (scheduler, TIF spec), all that its model reads, so a part whose
-model recurs in a later round is neither built nor solved again, even when
-one of its trucks drives elsewhere outside the part.  Public calls outside
-``run`` use no memo.
+:mod:`platoonplan.pairwise` schedules the round's routes part by part and
+checks the timetable, which alone prices the round: its savings are the
+base cost of the routes minus its cost.  ``run`` keeps the stage's part
+memo for its own length.
 
 Between rounds ``run`` holds only the latest cost table.  Its
 :class:`History` keeps, for each (vehicle, arc) pair first lured into a
@@ -54,24 +42,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import NoFeasibleSolution, ValidationError
-from .evaluate import (
-    PlatoonSolution,
-    _price,
-    _union_find_groups,
-    assemble_timetable,
-)
-from .formulations import (
-    FixedRoutes,
-    _tif_choice,
-    _tif_spec,
-    build_fcnf,
-    build_tif,
-    price_fcnf,
-    routes_from_result,
-)
+from .evaluate import PlatoonSolution, _price
+from .formulations import FixedRoutes, build_fcnf, price_fcnf, routes_from_result
 from .instance import Instance
-from .mip import OPTIMAL, SolveConfig, solve
+from .mip import SolveConfig, _check_time_limit, solve
 from .network import Arc
+from .pairwise import _deadline, _time_left, narrow_windows, schedule_by_part
 
 log = logging.getLogger(__name__)
 
@@ -358,83 +334,6 @@ class DecompositionConfig:
     gamma: float = 0.2
 
 
-def _parts(routes):
-    """The independent parts of the scheduling model of ``routes``.
-
-    Two trucks can share a slot of an arc only if their entry windows there
-    overlap, so the parts are the chains of :attr:`FixedRoutes.meets`,
-    joined over all arcs.  Every scheduling row touches a single truck or a
-    single (arc, slot), and every truck whose window holds that slot is in
-    one chain, so the model of the kept pairs is the disjoint union of its
-    parts' models.  Returns ``(trucks, part_kept)`` pairs, ordered by
-    smallest truck.
-    """
-    of_truck = defaultdict(list)
-    links = []
-    for arc, chain in routes.meets:
-        for v in chain:
-            of_truck[v].append((v, arc))
-        links += zip(chain, chain[1:])
-    return [
-        (trucks, frozenset(pair for v in trucks for pair in of_truck[v]))
-        for trucks in _union_find_groups(set(of_truck), links)
-    ]
-
-
-@dataclass(frozen=True)
-class PartSchedule:
-    """A timetable of fixed routes, scheduled one part at a time.
-
-    ``parts`` counts the parts and ``reused`` the ones taken from the memo.
-    """
-
-    solution: PlatoonSolution
-    parts: int
-    reused: int
-
-
-def schedule_by_part(instance, routes, relax_capacity, deadline, memo):
-    """Schedule fixed routes part by part and put the timetable together.
-
-    Each part of :func:`_parts`, a group of trucks that can meet, gets the
-    model ``build_tif(instance, routes, part_kept, relax_capacity)``, built
-    and solved on its own with the time left until ``deadline`` (a
-    ``perf_counter`` reading; None for no limit), and yields the entry
-    times of its trucks.  ``memo`` maps each part's (scheduler, TIF spec),
-    ``(relax_capacity, _tif_spec(routes, part_kept))``, all that its model
-    reads, to its optimal entry times: a part found there is neither built
-    nor solved, and only optimal results are stored.  A part whose solve
-    ends without an incumbent chooses no times, so its trucks ride at their
-    earliest.  :func:`assemble_timetable` puts the timetable together from
-    the entry times and checks it against ``instance`` once.
-    """
-    chosen: dict[tuple[int, Arc], int] = {}
-    reused = 0
-    parts = _parts(routes)
-    for _trucks, part in parts:
-        key = (relax_capacity, _tif_spec(routes, part))
-        found = memo.get(key)
-        if found is None:
-            found, optimal = _solve_part(instance, routes, part, relax_capacity, deadline)
-            if optimal:
-                memo[key] = found
-        else:
-            reused += 1
-        chosen.update(found)
-    solution = assemble_timetable(instance, routes, chosen)
-    return PartSchedule(solution, len(parts), reused)
-
-
-def _solve_part(instance, routes, part, relax_capacity, deadline):
-    """The entry times of one part, and whether the solve proved them
-    optimal."""
-    model = build_tif(instance, routes, part, relax_capacity)
-    time_limit = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
-    res = solve(model, SolveConfig(time_limit=time_limit))
-    # a part the clock stops before its first incumbent picks no time
-    return (_tif_choice(res) if res.x is not None else {}), res.status == OPTIMAL
-
-
 def run(instance: Instance, cfg: DecompositionConfig | None = None):
     """Iterate routing and scheduling until repetition or timeout.
 
@@ -450,8 +349,7 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
     _check_mode(cfg.mode)
     if not 0.0 <= cfg.gamma <= 1.0:
         raise ValidationError(f"gamma must lie in [0, 1], got {cfg.gamma}")
-    if not cfg.time_limit >= 0.0:
-        raise ValidationError(f"time_limit must be at least 0, got {cfg.time_limit}")
+    _check_time_limit(cfg.time_limit)
     if not cfg.repeat_limit >= 1:
         raise ValidationError(f"repeat_limit must be at least 1, got {cfg.repeat_limit}")
     start = time.perf_counter()
@@ -522,21 +420,18 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
 
 
 def _schedule(instance, routes, cfg, deadline, memo):
-    """Schedule fixed routes part by part.
+    """Schedule fixed routes part by part and price the round.
 
-    The pairwise scheduler first narrows the windows of the pairs it picks
-    and drops the size cap.  Returns the :class:`PartSchedule`, the round's
-    savings (the routes' base cost minus the timetable's cost) and the
-    timetable's cost.  The stage runs until ``deadline``, or for one second
-    if that has passed; its pair matching and its parts share that time.
+    Returns the :class:`~platoonplan.pairwise.PartSchedule`, the savings
+    (the routes' base cost minus the timetable's cost) and the timetable's
+    cost.  The pairwise scheduler first narrows the windows of the pairs it
+    picks and drops the size cap.  The stage runs until ``deadline``, or for
+    one second if that has passed; its pair matching and its parts share it.
     """
-    stage_deadline = max(deadline, time.perf_counter() + 1.0)
+    stage_deadline = max(deadline, _deadline(1.0))
     relax = cfg.scheduler == "pairwise"
     if relax:
-        from .pairwise import narrow_windows
-
-        left = max(stage_deadline - time.perf_counter(), 0.0)
-        routes = narrow_windows(instance, routes, cfg.gamma, left)
+        routes = narrow_windows(instance, routes, cfg.gamma, _time_left(stage_deadline))
     by_part = schedule_by_part(instance, routes, relax, stage_deadline, memo)
     # assemble_timetable has checked the timetable
     cost = _price(instance, by_part.solution)

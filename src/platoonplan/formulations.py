@@ -647,7 +647,7 @@ def build_tif(
     path raises :class:`ValidationError`.  The model, constant included,
     reads ``routes`` and ``kept`` only through their TIF spec
     (:func:`_tif_spec`); (scheduler, TIF spec) keys the part memo of
-    :func:`~platoonplan.decomposition.schedule_by_part`.
+    :func:`~platoonplan.pairwise.schedule_by_part`.
 
     The model is built in blocks.  The columns are one ``x`` per kept
     (vehicle, arc) pair, in sorted order, and entry time in its window, then

@@ -664,6 +664,12 @@ def _reported(comp: _Compiled, value: float) -> float | None:
     return (-value if comp.flip else value) + comp.const
 
 
+def _check_time_limit(time_limit: float | None) -> None:
+    """Reject a NaN or negative ``time_limit``; None means no limit."""
+    if time_limit is not None and not time_limit >= 0.0:
+        raise ValidationError(f"time_limit must be at least 0, got {time_limit}")
+
+
 def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
     """Branch and bound to proven optimality, a limit, or infeasibility.
 
@@ -690,8 +696,7 @@ def solve(model: MipModel, cfg: SolveConfig | None = None) -> MipResult:
     it is infeasible if a row's bounds exclude 0 and optimal otherwise.
     """
     cfg = cfg or SolveConfig()
-    if cfg.time_limit is not None and not cfg.time_limit >= 0.0:
-        raise ValidationError(f"time_limit must be at least 0, got {cfg.time_limit}")
+    _check_time_limit(cfg.time_limit)
     if not 0.0 <= cfg.gap_tol < math.inf:
         raise ValidationError(f"gap_tol must be finite and at least 0, got {cfg.gap_tol}")
     start = time.perf_counter()

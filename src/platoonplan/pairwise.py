@@ -1,29 +1,129 @@
-"""Pairwise scheduling heuristic for fixed routes.
+"""Scheduling of fixed routes, with either scheduler.
 
-Instead of timing every vehicle jointly, this pass picks a limited set of
-vehicle pairs that share a stretch of road and narrows each partner's
-departure window on its fixed route so both must enter the shared stretch
-together, and then times everyone with the scheduling model less its size
-cap: the same columns and rows, with other ``y`` bounds and slot caps.  Only
-the routes' windows change, not the instance.  The model yields entry
-times; :func:`~platoonplan.evaluate.assemble_timetable` splits the ``n``
-vehicles of every meet into ``ceil(n / q)`` platoons, so the plan is valid.
+Both schedulers time the trucks of fixed routes through one stage whose
+only product is entry times.  The scheduling model splits exactly into
+parts: two trucks on a common arc are linked when their entry windows there
+overlap (one sweep per arc, :attr:`FixedRoutes.meets`), and every
+scheduling row touches one truck or one (arc, slot) that only trucks of one
+part can use.  Each part is built and solved on its own
+(:func:`schedule_by_part`); a part whose solve ends without an incumbent
+rides at its earliest entry times.  A memo keyed by a part's (scheduler,
+TIF spec), all that its model reads, spares a recurring part its build and
+solve, even when a truck of it drives elsewhere outside the part; ``run``
+keeps one for its own length, and public calls use none.
+
+The pairwise scheduler first picks a limited set of truck pairs that share
+a stretch of road and narrows each partner's departure window so both must
+enter the stretch together, and then drops the size cap: the same columns
+and rows, with other ``y`` bounds and slot caps.  Its pair matching and its
+parts share one deadline.  Either way
+:func:`~platoonplan.evaluate.assemble_timetable` splits the ``n`` trucks
+entering an arc at one time into ``ceil(n / q)`` platoons and checks the
+timetable once, so the plan is valid.  A call that takes a ``time_limit``
+rejects a NaN or negative one with ``ValidationError`` before any work.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decomposition import schedule_by_part
 from .errors import ShrinkInfeasible
-from .evaluate import PlatoonSolution
-from .formulations import FixedRoutes, build_matching
+from .evaluate import PlatoonSolution, _union_find_groups, assemble_timetable
+from .formulations import FixedRoutes, _tif_choice, _tif_spec, build_matching, build_tif
 from .instance import Instance
-from .mip import SolveConfig, solve
+from .mip import OPTIMAL, SolveConfig, _check_time_limit, solve
 from .network import Arc
+
+
+def _deadline(time_limit):
+    """The ``perf_counter`` reading ``time_limit`` seconds from now, None for
+    no limit; a NaN or negative limit raises ``ValidationError``."""
+    _check_time_limit(time_limit)
+    return None if time_limit is None else time.perf_counter() + time_limit
+
+
+def _time_left(deadline):
+    """The seconds left until the ``deadline`` reading, at least 0; None for none."""
+    return None if deadline is None else max(deadline - time.perf_counter(), 0.0)
+
+
+def _parts(routes):
+    """The independent parts of the scheduling model of ``routes``.
+
+    Two trucks can share a slot of an arc only if their entry windows there
+    overlap, so the parts are the chains of :attr:`FixedRoutes.meets`,
+    joined over all arcs.  Every scheduling row touches a single truck or a
+    single (arc, slot), and every truck whose window holds that slot is in
+    one chain, so the model of the kept pairs is the disjoint union of its
+    parts' models.  Returns ``(trucks, part_kept)`` pairs, ordered by
+    smallest truck.
+    """
+    of_truck = defaultdict(list)
+    links = []
+    for arc, chain in routes.meets:
+        for v in chain:
+            of_truck[v].append((v, arc))
+        links += zip(chain, chain[1:])
+    return [
+        (trucks, frozenset(pair for v in trucks for pair in of_truck[v]))
+        for trucks in _union_find_groups(set(of_truck), links)
+    ]
+
+
+@dataclass(frozen=True)
+class PartSchedule:
+    """A timetable of fixed routes, scheduled one part at a time.
+
+    ``parts`` counts the parts and ``reused`` the ones taken from the memo.
+    """
+
+    solution: PlatoonSolution
+    parts: int
+    reused: int
+
+
+def schedule_by_part(instance, routes, relax_capacity, deadline, memo):
+    """Schedule fixed routes part by part and put the timetable together.
+
+    Each part of :func:`_parts`, a group of trucks that can meet, gets the
+    model ``build_tif(instance, routes, part_kept, relax_capacity)``, built
+    and solved on its own with the time left until ``deadline`` (a
+    ``perf_counter`` reading; None for no limit), and yields the entry
+    times of its trucks.  ``memo`` maps each part's (scheduler, TIF spec),
+    ``(relax_capacity, _tif_spec(routes, part_kept))``, all that its model
+    reads, to its optimal entry times: a part found there is neither built
+    nor solved, and only optimal results are stored.  A part whose solve
+    ends without an incumbent chooses no times, so its trucks ride at their
+    earliest.  :func:`assemble_timetable` puts the timetable together from
+    the entry times and checks it against ``instance`` once.
+    """
+    chosen: dict[tuple[int, Arc], int] = {}
+    reused = 0
+    parts = _parts(routes)
+    for _trucks, part in parts:
+        key = (relax_capacity, _tif_spec(routes, part))
+        found = memo.get(key)
+        if found is None:
+            found, optimal = _solve_part(instance, routes, part, relax_capacity, deadline)
+            if optimal:
+                memo[key] = found
+        else:
+            reused += 1
+        chosen.update(found)
+    solution = assemble_timetable(instance, routes, chosen)
+    return PartSchedule(solution, len(parts), reused)
+
+
+def _solve_part(instance, routes, part, relax_capacity, deadline):
+    """One part's entry times, and whether its solve proved them optimal."""
+    model = build_tif(instance, routes, part, relax_capacity)
+    res = solve(model, SolveConfig(time_limit=_time_left(deadline)))
+    # a part the clock stops before its first incumbent picks no time
+    return (_tif_choice(res) if res.x is not None else {}), res.status == OPTIMAL
 
 
 @dataclass(frozen=True)
@@ -100,6 +200,7 @@ def select_pairs(
     at most ``floor(gamma * n_vehicles)`` pairs overall, savings maximized.
     A matching that ``time_limit`` stops without an incumbent picks none.
     """
+    _check_time_limit(time_limit)
     cap = math.floor(gamma * n_vehicles)
     if cap <= 0 or not candidates:
         return []
@@ -149,6 +250,7 @@ def narrow_windows(
     """Pick pairs within ``time_limit`` and narrow their windows: ``routes``
     with each chosen pair's departure windows shrunk to meet (itself if no
     pair is chosen)."""
+    _check_time_limit(time_limit)
     candidates = enumerate_pairs(instance, routes)
     chosen = select_pairs(candidates, gamma, len(instance.vehicles), time_limit)
     return shrink_windows(routes, chosen)
@@ -163,12 +265,11 @@ def solve_relaxed_and_repair(
     is the timetable's own rule, ``ceil(n / q)`` platoons by ascending id
     for the ``n`` vehicles entering an arc at one time.
 
-    :func:`~platoonplan.decomposition.schedule_by_part` schedules
-    ``narrowed`` on ``instance`` with the capacity relaxed, one independent
-    part at a time; the parts share ``time_limit``.
+    :func:`schedule_by_part` schedules ``narrowed`` on ``instance`` with
+    the capacity relaxed, one independent part at a time; the parts share
+    ``time_limit``.
     """
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
-    return schedule_by_part(instance, narrowed, True, deadline, {}).solution
+    return schedule_by_part(instance, narrowed, True, _deadline(time_limit), {}).solution
 
 
 def schedule_with_pairwise(
@@ -178,7 +279,6 @@ def schedule_with_pairwise(
     time_limit: float | None = None,
 ) -> PlatoonSolution:
     """Full pipeline within ``time_limit``: pick pairs, narrow windows, time, split meets."""
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
+    deadline = _deadline(time_limit)
     narrowed = narrow_windows(instance, routes, gamma, time_limit)
-    left = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
-    return solve_relaxed_and_repair(instance, narrowed, left)
+    return solve_relaxed_and_repair(instance, narrowed, _time_left(deadline))

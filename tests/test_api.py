@@ -1,15 +1,21 @@
 """The public names, the entry points the benchmark traces, and the README
-example all work."""
+example all work, and the package's modules import each other in one
+direction."""
 
+import ast
+import graphlib
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import platoonplan
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "platoonplan"
 
 
 def _tracing(monkeypatch):
@@ -40,3 +46,32 @@ def test_readme_quick_start_prints_the_demo_optimum(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "4.9"
     assert len(lines) == 4  # then one line per truck
+
+
+def _relative_imports(node):
+    """The package modules that the relative imports under ``node`` name."""
+    return {
+        target
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.ImportFrom) and sub.level
+        for target in ([sub.module.split(".")[0]] if sub.module else [a.name for a in sub.names])
+    }
+
+
+def test_relative_imports_form_no_cycle_and_none_sits_in_a_function():
+    graph = {}
+    in_functions = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        graph[path.stem] = _relative_imports(tree)
+        in_functions += [
+            f"{path.stem}.{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _relative_imports(node)
+        ]
+    assert "decomposition" in graph["__init__"]
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as err:
+        pytest.fail(f"import cycle: {' -> '.join(err.args[1])}")
+    assert not in_functions

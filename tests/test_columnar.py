@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import platoonplan.decomposition as decomposition_module
+import platoonplan.pairwise as pairwise_module
 from instgen import (
     BRANCHING_DRAW,
     HUB_RUNGS,
@@ -159,7 +160,7 @@ def test_every_model_of_a_field_run_matches_row_by_row(monkeypatch):
         rounds.append(table)
         return table
 
-    monkeypatch.setattr(decomposition_module, "build_tif", checked_tif)
+    monkeypatch.setattr(pairwise_module, "build_tif", checked_tif)
     monkeypatch.setattr(decomposition_module, "modify_costs", checked_modify)
     _best, log = run(instance, DecompositionConfig(mode="llcmp"))
     same_model(build_fcnf(instance), fcnf_by_rows(instance), same_text=False)

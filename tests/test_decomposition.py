@@ -29,13 +29,11 @@ from platoonplan.decomposition import (
     History,
     IterationLog,
     IterationRecord,
-    _parts,
     _schedule,
     fingerprint,
     modify_costs,
     real_cost,
     run,
-    schedule_by_part,
 )
 from platoonplan.errors import MissingCost, ModelInvalid, NoFeasibleSolution, ValidationError
 from platoonplan.evaluate import canonical_schedule, check, total_cost
@@ -57,7 +55,7 @@ from platoonplan.instance import (
 )
 from platoonplan.mip import NO_SOLUTION_TIME_LIMIT, MipResult, SolveConfig, _compile, lp_text, solve
 from platoonplan.network import generate_grid, make_network
-from platoonplan.pairwise import narrow_windows
+from platoonplan.pairwise import _parts, narrow_windows, schedule_by_part
 
 TOP = ((0, 1), (1, 4), (4, 5))
 BOTTOM = ((0, 2), (2, 3), (3, 5))
@@ -424,7 +422,7 @@ def test_part_is_reused_after_a_truck_reroutes_outside_its_kept_arcs(monkeypatch
         builds.append(args)
         return build_tif(*args)
 
-    monkeypatch.setattr(decomposition_module, "build_tif", counting)
+    monkeypatch.setattr(pairwise_module, "build_tif", counting)
     memo = {}
     instance, first = fork_instance(2)
     by_part = schedule_by_part(instance, first, False, None, memo)
@@ -557,7 +555,7 @@ def test_every_part_model_of_a_field_run_is_a_function_of_its_spec(monkeypatch):
         built.append(kept)
         return model
 
-    monkeypatch.setattr(decomposition_module, "build_tif", checked)
+    monkeypatch.setattr(pairwise_module, "build_tif", checked)
     _best, log = run(instance, DecompositionConfig(mode="icmp", time_limit=math.inf))
     assert len(log.records) == 27
     assert len(built) == sum(r.parts - r.parts_reused for r in log.records) > 0
@@ -604,7 +602,7 @@ def test_second_schedule_of_same_routes_builds_no_model(scheduler, monkeypatch):
         builds.append(args)
         return build_tif(*args)
 
-    monkeypatch.setattr(decomposition_module, "build_tif", counting)
+    monkeypatch.setattr(pairwise_module, "build_tif", counting)
     cfg = DecompositionConfig(scheduler=scheduler, gamma=0.5)
     memo = {}
     first = _schedule(instance, routes, cfg, math.inf, memo)
@@ -629,14 +627,14 @@ def test_parts_share_one_stage_deadline(scheduler, monkeypatch):
     limits = []
 
     def spending_solve(model, cfg):
+        if model.name == "pairing":
+            return solve(model, cfg)
         limits.append(cfg.time_limit)
         clock[0] += cfg.time_limit  # the part takes all the time it gets
         return solve(model, replace(cfg, time_limit=0.0))
 
-    monkeypatch.setattr(
-        decomposition_module, "time", SimpleNamespace(perf_counter=lambda: clock[0])
-    )
-    monkeypatch.setattr(decomposition_module, "solve", spending_solve)
+    monkeypatch.setattr(pairwise_module, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(pairwise_module, "solve", spending_solve)
     memo = {}
     cfg = DecompositionConfig(scheduler=scheduler, gamma=0.5)
     by_part, _savings, cost = _schedule(instance, routes, cfg, 50.0, memo)
@@ -660,6 +658,8 @@ def test_a_pair_matching_without_a_plan_leaves_the_routes_unnarrowed(monkeypatch
     limits = []
 
     def stopped(model, cfg):
+        if model.name != "pairing":
+            return solve(model, cfg)
         limits.append(cfg.time_limit)
         return MipResult(NO_SOLUTION_TIME_LIMIT, None, None, None, 0.0, 0)
 
@@ -669,9 +669,7 @@ def test_a_pair_matching_without_a_plan_leaves_the_routes_unnarrowed(monkeypatch
         scheduled.append(routes)
         return schedule_by_part(instance, routes, *args)
 
-    monkeypatch.setattr(
-        decomposition_module, "time", SimpleNamespace(perf_counter=lambda: 100.0)
-    )
+    monkeypatch.setattr(pairwise_module, "time", SimpleNamespace(perf_counter=lambda: 100.0))
     monkeypatch.setattr(decomposition_module, "schedule_by_part", scheduling)
     monkeypatch.setattr(pairwise_module, "solve", stopped)
     cfg = DecompositionConfig(scheduler="pairwise", gamma=0.5)
@@ -690,7 +688,7 @@ def test_memo_does_not_outlive_run(scheduler, monkeypatch):
         builds.append(args)
         return build_tif(*args)
 
-    monkeypatch.setattr(decomposition_module, "build_tif", counting)
+    monkeypatch.setattr(pairwise_module, "build_tif", counting)
     instance = generate_fleet(generate_grid(6, 6, seed=1), 15, seed=1)
     runs = []
     for _ in range(2):

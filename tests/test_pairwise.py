@@ -1,5 +1,6 @@
 """Pair enumeration, matching, window shrinking, and the relaxed scheduler."""
 
+import math
 from functools import cache
 from types import SimpleNamespace
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 import platoonplan.pairwise as pairwise_module
 from instgen import field_fleet, small_instance, time_shortest_paths
 from oracles import shrink_by_instance, windows_by_arc
-from platoonplan.errors import ShrinkInfeasible
+from platoonplan.decomposition import DecompositionConfig, _schedule
+from platoonplan.errors import ShrinkInfeasible, ValidationError
 from platoonplan.evaluate import check, total_cost
 from platoonplan.formulations import FixedRoutes, build_fcnf, routes_from_result
 from platoonplan.instance import Instance, Vehicle
@@ -20,9 +22,11 @@ from platoonplan.pairwise import (
     PairCandidate,
     _common_runs,
     enumerate_pairs,
+    narrow_windows,
     schedule_with_pairwise,
     select_pairs,
     shrink_windows,
+    solve_relaxed_and_repair,
 )
 
 BOTTOM = {0: ((0, 1),), 1: ((0, 2),), 2: ((0, 2), (2, 3), (3, 5))}
@@ -262,6 +266,8 @@ def test_pipeline_matching_and_parts_share_one_budget(demo, monkeypatch):
     limits = []
 
     def slow_matching(model, cfg):
+        if model.name != "pairing":
+            return solve(model, cfg)
         limits.append(cfg.time_limit)
         clock[0] += 2.0
         return MipResult(NO_SOLUTION_TIME_LIMIT, None, None, None, 2.0, 0)
@@ -278,6 +284,50 @@ def test_pipeline_matching_and_parts_share_one_budget(demo, monkeypatch):
     sol = schedule_with_pairwise(demo, FixedRoutes.build(demo, BOTTOM), 0.5, time_limit=5.0)
     assert limits == [5.0, 3.0]
     assert check(demo, sol).ok
+
+
+@pytest.mark.parametrize("source", ["field5", 8, 14, 18, 27])
+def test_pipeline_gives_the_timetable_of_runs_pairwise_stage(source):
+    """On the round-1 routes of criterion-8 grid 5 and on four small draws,
+    whose matchings pick two or three pairs."""
+    if source == "field5":
+        instance, routes = field_round_one(5)
+    else:
+        instance = small_instance(source, max_vehicles=10, slack_max=4)
+        routes = FixedRoutes.build(instance, time_shortest_paths(instance))
+    cfg = DecompositionConfig(scheduler="pairwise", gamma=0.5)
+    by_part, _savings, _cost = _schedule(instance, routes, cfg, math.inf, {})
+    assert schedule_with_pairwise(instance, routes, cfg.gamma) == by_part.solution
+
+
+@pytest.mark.parametrize("limit", [-1.0, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        "select_pairs",
+        "select_pairs without candidates",
+        "narrow_windows",
+        "solve_relaxed_and_repair",
+        "schedule_with_pairwise",
+    ],
+)
+def test_a_nan_or_negative_time_limit_raises_before_any_work(call, limit, demo, monkeypatch):
+    """With no pair to match (``gamma=0``, or no candidates) no solve would
+    reject the limit, so each function checks it itself."""
+    routes = FixedRoutes.build(demo, BOTTOM)
+    candidates = enumerate_pairs(demo, routes)
+    assert candidates
+    calls = {
+        "select_pairs": lambda: select_pairs(candidates, 0.0, 3, limit),
+        "select_pairs without candidates": lambda: select_pairs([], 0.5, 3, limit),
+        "narrow_windows": lambda: narrow_windows(demo, routes, 0.0, limit),
+        "solve_relaxed_and_repair": lambda: solve_relaxed_and_repair(demo, routes, limit),
+        "schedule_with_pairwise": lambda: schedule_with_pairwise(demo, routes, 0.0, limit),
+    }
+    for name in ("enumerate_pairs", "build_matching", "build_tif", "solve"):
+        monkeypatch.setattr(pairwise_module, name, lambda *args, name=name: pytest.fail(name))
+    with pytest.raises(ValidationError, match="time_limit"):
+        calls[call]()
 
 
 def test_oversized_meet_is_split_to_legal_convoys():

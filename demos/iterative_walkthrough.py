@@ -18,6 +18,7 @@ from platoonplan import (
     canonical_schedule,
     decode,
     modify_costs,
+    price_fcnf,
     routes_from_result,
     run,
     scheduling_preprocess,
@@ -50,7 +51,8 @@ print(
 # prices sharing (0, 1) with truck 0 as a saving.
 print()
 print("round 1 by hand:")
-rres = solve(build_fcnf(inst), SolveConfig(gap_tol=1e-9))
+routing = build_fcnf(inst)
+rres = solve(routing, SolveConfig(gap_tol=1e-9))
 routes = routes_from_result(inst, rres)
 for v, path in sorted(routes.paths.items()):
     print(f"  truck {v}: {' '.join(map(str, path))}")
@@ -78,10 +80,12 @@ for (v, arc), price in sorted(table.modified.items()):
 # --- round 2 replayed by hand ------------------------------------------
 
 # With (0, 2) discounted, the bottom corridor wins and truck 2 now shares
-# an arc with truck 1 inside overlapping windows.
+# an arc with truck 1 inside overlapping windows.  Only the routing model's
+# objective depends on the table, so round 1's model is repriced in place.
 print()
 print("round 2 by hand:")
-rres2 = solve(build_fcnf(inst, table), SolveConfig(gap_tol=1e-9))
+price_fcnf(inst, routing, table)
+rres2 = solve(routing, SolveConfig(gap_tol=1e-9))
 routes2 = routes_from_result(inst, rres2)
 for v, path in sorted(routes2.paths.items()):
     print(f"  truck {v}: {' '.join(map(str, path))}")

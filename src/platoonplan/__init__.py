@@ -63,6 +63,7 @@ from .formulations import (
     build_matching,
     build_tif,
     build_tsf,
+    price_fcnf,
     routes_from_result,
     scheduling_preprocess,
 )
@@ -163,6 +164,7 @@ __all__ = [
     "make_network",
     "modify_costs",
     "node_time_bounds",
+    "price_fcnf",
     "prune_arcs",
     "real_cost",
     "routes_from_result",

@@ -18,10 +18,12 @@ base cost of the routes minus its cost.  ``run`` keeps the stage's part
 memo for its own length.
 
 Between rounds ``run`` holds only the latest cost table.  Its
-:class:`History` keeps, for each (vehicle, arc) pair first lured into a
-platoon composition, the one follow-up cost that scenario 4 of
-:func:`modify_costs` reuses, so a run's memory does not grow by a table
-per round.
+:class:`History` is one map from (arc, platoon composition, vehicle) to
+the follow-up cost that scenario 4 of :func:`modify_costs` reuses, entered
+for each vehicle first lured onto an arc under that composition, so a
+run's memory does not grow by a table per round.  The routing model is
+built once and repriced each round by
+:func:`~platoonplan.formulations.price_fcnf`.
 
 Each round's routing solve starts from its own LP, with no seeded plan;
 the loop stops once the same routing solution has appeared
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import time
 from collections import Counter, defaultdict
@@ -48,8 +49,6 @@ from .instance import Instance
 from .mip import SolveConfig, _check_time_limit, solve
 from .network import Arc
 from .pairwise import _deadline, _time_left, narrow_windows, schedule_by_part
-
-log = logging.getLogger(__name__)
 
 
 def real_cost(cost: float, eta: float, n: int, q: int | None) -> float:
@@ -85,53 +84,46 @@ class History:
     """What finished rounds leave behind for cycle detection.
 
     Round ``k`` is the ``k``-th :meth:`append`, with the platoons after
-    round ``k`` and the cost table written after it.  An index maps each
-    arc and platoon composition that arc had after some round to the
-    vehicles that round's table tagged 3 there (offered the join
-    estimate), each with the first such round.  For every vehicle and arc
-    first lured after round ``k``, the history keeps one number from the
-    table written after round ``k + 1``: the follow-up cost that scenario 4
-    reuses.  No table is kept, so memory grows with the lured pairs, not
-    with the rounds.
+    round ``k`` and the cost table written after it.  One map, keyed by
+    arc, platoon composition and vehicle, holds every pair some round's
+    table first tagged 3 (offered the join estimate) while the arc carried
+    those platoons.  Its value is what the next round's table gave the
+    pair: the follow-up cost that scenario 4 reuses, or None if that table
+    did not price it.  A pair enters the map once that next table is
+    appended; until then it waits in a pending list.  No table is kept, so
+    memory grows with the lured pairs, not with the rounds.
     """
 
     def __init__(self) -> None:
-        self._rounds = 0
-        self._lured: dict[tuple[Arc, Composition], dict[int, int]] = {}
-        # (v, arc) first lured after the last round appended
-        self._pending: list[tuple[int, Arc]] = []
-        # (v, arc, k) -> follow-up cost; None where the pair was not priced
-        self._follow_up: dict[tuple[int, Arc, int], float | None] = {}
+        self._follow_up: dict[tuple[Arc, Composition, int], float | None] = {}
+        # pairs first lured after the last round appended
+        self._pending: list[tuple[Arc, Composition, int]] = []
 
     def append(self, compositions: Mapping[Arc, Composition], table: CostTable) -> None:
         """Record the next round: its platoons on each arc, and the table
         written after it."""
-        for v, arc in self._pending:
-            self._follow_up[v, arc, self._rounds] = table.modified.get((v, arc))
-        self._rounds += 1
-        k = self._rounds
-        lured: dict[Arc, list[int]] = defaultdict(list)
+        for key in self._pending:
+            arc, _comp, v = key
+            self._follow_up[key] = table.modified.get((v, arc))
+        self._pending = []
         for (v, arc), tag in table.scenarios.items():
-            if tag == 3:
-                lured[arc].append(v)
-        pending = []
-        for arc, comp in compositions.items():
-            first = self._lured.setdefault((arc, comp), {})
-            for v in lured.get(arc, ()):
-                if first.setdefault(v, k) == k:
-                    pending.append((v, arc))
-        self._pending = pending
+            if tag == 3 and arc in compositions:
+                key = (arc, compositions[arc], v)
+                if key not in self._follow_up:
+                    self._pending.append(key)
 
-    def first_lure(self, v: int, arc: Arc, comp: Composition) -> int | None:
-        """The first round after which ``arc`` carried the platoons ``comp``
-        and the table tagged ``(v, arc)`` 3, if any."""
-        return self._lured.get((arc, comp), {}).get(v)
+    def cycled_cost(self, v: int, arc: Arc, comp: Composition | None, c: float) -> float | None:
+        """Scenario 4: the cost to reuse when ``arc`` carries the platoons
+        ``comp`` again.
 
-    def follow_up(self, v: int, arc: Arc, k: int, c: float) -> float | None:
-        """The cost the table written after round ``k + 1`` gave
-        ``(v, arc)``, or ``c`` if it gave none; None while round ``k + 1``
-        is not on record."""
-        key = (v, arc, k)
+        If those exact platoons already formed after some round ``k`` and
+        lured ``v`` there, the estimate would lure it straight back.  The
+        cost the table written after round ``k + 1`` gave the pair, or the
+        base cost ``c`` if that table did not price it, breaks the two-round
+        cycle.  None if ``v`` was never lured under ``comp``, or while round
+        ``k + 1`` is not on record.
+        """
+        key = (arc, comp, v)
         if key not in self._follow_up:
             return None
         cost = self._follow_up[key]
@@ -176,8 +168,8 @@ def modify_costs(
 
     adm = instance.admissible
     windows = instance.windows
-    vehicles_on = {arc: frozenset(vs) for arc, vs in routes.vehicles_by_arc.items()}
-    traversed = frozenset(vehicles_on)
+    drivers_of = routes.vehicles_by_arc
+    traversed = frozenset(drivers_of)
 
     group_size: dict[tuple[int, Arc], int] = {}
     for (arc, _t), groups in solution.groups.items():
@@ -196,13 +188,12 @@ def modify_costs(
             c = cost[arc]
             # one key object for both maps, not two equal tuples
             key = (v, arc)
-            drivers = vehicles_on[arc]
-            if v in drivers:
+            if key in routes.offset:
                 modified[key] = real_cost(c, eta, group_size[v, arc], q)
                 scenarios[key] = 1
                 continue
 
-            cycled = _cycled_cost(v, arc, c, comp_now.get(arc), history)
+            cycled = None if history is None else history.cycled_cost(v, arc, comp_now.get(arc), c)
             if cycled is not None:
                 modified[key] = cycled
                 scenarios[key] = 4
@@ -213,7 +204,7 @@ def modify_costs(
             lo_v, hi_v = windows[v][arc[0]]
             meets = (
                 max(lo_v, lo_u) <= min(hi_v, hi_u)
-                for lo_u, hi_u in (routes.entry_window(u, arc) for u in drivers)
+                for lo_u, hi_u in (routes.entry_window(u, arc) for u in drivers_of[arc])
             )
             met = any(meets) if mode == "llcmp" else sum(meets)
             scenarios[key] = 3 if met else 2
@@ -237,30 +228,6 @@ def modify_costs(
 def _check_mode(mode):
     if mode not in ("icmp", "llcmp"):
         raise ValidationError(f"unknown cost shaping mode {mode!r}")
-
-
-def _cycled_cost(v, arc, c, now, history):
-    """Scenario 4: cost to reuse when a platoon composition repeats.
-
-    If the exact platoons ``now`` driving ``arc`` already formed after some
-    round ``k``, and this vehicle was then offered the join estimate but
-    rerouted away, the estimate would lure it straight back.  Reusing the
-    cost it saw one round later (the follow-up cost the history recorded
-    from the table written after round ``k + 1``, or the base cost ``c``
-    if that table did not price the pair) breaks that two-round cycle.
-    """
-    k = None if history is None else history.first_lure(v, arc, now)
-    if k is None:
-        return None
-    cost = history.follow_up(v, arc, k, c)
-    if cost is None:
-        log.debug(
-            "composition on %s repeats round %d but its follow-up cost is "
-            "not recorded yet; falling back to the overlap rule",
-            arc,
-            k,
-        )
-    return cost
 
 
 @dataclass(frozen=True)
@@ -356,7 +323,7 @@ def run(instance: Instance, cfg: DecompositionConfig | None = None):
     deadline = start + cfg.time_limit
 
     # the routing model is built once; each round only reprices it
-    model = build_fcnf(instance, None)
+    model = build_fcnf(instance)
     # optimal schedules of the scheduling model's parts, for this run only
     memo: dict = {}
     history = History()

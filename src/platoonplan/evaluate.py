@@ -272,7 +272,14 @@ def shortest_path_cost(instance: Instance) -> float:
 
 
 def indicators(instance: Instance, objective: float, bound: float | None = None) -> dict:
-    """Quality ratios; fields whose denominator is zero come back as None."""
+    """Quality ratios; fields whose denominator is zero come back as None.
+
+    ``saving_ratio`` and ``ub_saving_ratio`` are what ``objective`` and
+    ``bound`` save against every truck driving its cheapest path alone, as a
+    share of that cost: negative for a plan that costs more.
+    ``relative_gap`` is the distance from ``objective`` to ``bound``, relative
+    to the bound.
+    """
     spc = shortest_path_cost(instance)
     out = {
         "objective": objective,
@@ -283,9 +290,9 @@ def indicators(instance: Instance, objective: float, bound: float | None = None)
         "relative_gap": None,
     }
     if spc != 0.0:
-        out["saving_ratio"] = abs(spc - objective) / spc
+        out["saving_ratio"] = (spc - objective) / spc
         if bound is not None:
-            out["ub_saving_ratio"] = abs(spc - bound) / spc
+            out["ub_saving_ratio"] = (spc - bound) / spc
     if bound is not None and bound != 0.0:
         out["relative_gap"] = abs(objective - bound) / abs(bound)
     return out

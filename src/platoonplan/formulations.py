@@ -7,8 +7,9 @@ Four models, all over the same instance data:
 * ``build_tsf``: routes over the time-expanded network; simultaneity is
   structural, platooning is counted by integer usage variables per time arc.
 * ``build_fcnf``: routing only, as fixed-charge network flow; its base-cost
-  optimum is a lower bound on the joint problem.  With a shaped cost table it
-  becomes the routing stage of the iterative heuristic.
+  optimum is a lower bound on the joint problem.  Repriced from a shaped
+  cost table by ``price_fcnf``, it is the routing stage of the iterative
+  heuristic.
 * ``build_tif``: scheduling only, on fixed routes, with one binary per
   admissible arc entry time; maximizes the fixed-cost share saved.
 
@@ -367,16 +368,14 @@ def build_tsf(instance: Instance, tsn: TimeSpaceNetwork) -> MipModel:
 # -- routing stage ----------------------------------------------------------
 
 
-def build_fcnf(instance: Instance, cost_table=None) -> MipModel:
-    """Fixed-charge flow model for the routing stage.
+def build_fcnf(instance: Instance) -> MipModel:
+    """Fixed-charge flow model for the routing stage, at base costs.
 
-    Base mode (``cost_table is None``) splits every arc cost into a fixed
-    share ``eta * c`` paid once if anyone drives the arc and a unit share
-    ``(1 - eta) * c`` per vehicle; its optimum underestimates every feasible
-    platoon plan.  With a cost table, arcs the table marks as traversed in
-    the previous round instead charge each vehicle its shaped coefficient.
-    Only the objective depends on the table, so one model can be repriced
-    for each round with :func:`price_fcnf`.
+    Every arc cost splits into a fixed share ``eta * c`` paid once if anyone
+    drives the arc and a unit share ``(1 - eta) * c`` per vehicle; the
+    optimum underestimates every feasible platoon plan.  Only the objective
+    depends on the shaped costs of a round, so :func:`price_fcnf` reprices
+    this one model for each round.
 
     The columns are one ``y`` per arc of the admissible union, sorted, then
     one ``x`` per vehicle and admissible arc, sorted by vehicle and arc.
@@ -400,7 +399,7 @@ def build_fcnf(instance: Instance, cost_table=None) -> MipModel:
     tails, heads = arcs.T
     ycols = m.add_vars("y", arcs, BINARY)
     xcols = m.add_vars("x", np.column_stack([tails[x_arc], heads[x_arc], x_v]), BINARY)
-    price_fcnf(instance, m, cost_table)
+    price_fcnf(instance, m)
 
     # one row key per (vehicle, node), and (vehicle, n_nodes) for its window row
     vehicles = instance.vehicles
@@ -441,14 +440,15 @@ def build_fcnf(instance: Instance, cost_table=None) -> MipModel:
 def price_fcnf(instance: Instance, model: MipModel, cost_table=None) -> None:
     """Set the objective of a :func:`build_fcnf` model of ``instance``.
 
-    Prices exactly as ``build_fcnf(instance, cost_table)`` does, so the
-    repriced model and a freshly built one compile to the same arrays.  The
-    arcs and vehicles come from the model's ``y`` and ``x`` blocks, and the
-    base costs are computed on arrays; the table's coefficients then
-    replace the ``x`` costs on the arcs it marks as traversed, whose ``y``
-    costs drop to 0.  Raises :class:`MissingCost` if the table lacks one of
-    those coefficients, and :class:`ModelInvalid` if the model's column
-    counts are not those of this instance's routing model.
+    With no table (or one that marks no arc traversed) the model gets the
+    base costs it was built with.  The arcs and vehicles come from the
+    model's ``y`` and ``x`` blocks, and the base costs are computed on
+    arrays; the table's coefficients then replace the ``x`` costs on the
+    arcs it marks as traversed, whose ``y`` costs drop to 0.  The model
+    keeps its constraints, so one model serves every round.  Raises
+    :class:`MissingCost` if the table lacks one of those coefficients, and
+    :class:`ModelInvalid` if the model's column counts are not those of
+    this instance's routing model.
     """
     ycols, arcs = model.columns("y")
     xcols, xs = model.columns("x")

@@ -546,14 +546,14 @@ def full_tsf(instance, tsn):
 
 class FullTableHistory:
     """The cycle-detection history as it was when it kept every round's
-    cost table, with scenario 4's follow-up lookup read straight from the
+    cost table, with scenario 4's follow-up cost read straight from the
     tables.
 
     ``tables[k - 1]`` is the cost table written after round ``k``.  An
     index maps each arc and platoon composition that arc had after some
     round to the vehicles that round's table tagged 3 there (offered the
-    join estimate), each with the first such round.  It offers the same
-    calls as ``decomposition.History``, so ``modify_costs`` accepts either.
+    join estimate), each with the first such round.  It answers the same
+    query as ``decomposition.History``, so ``modify_costs`` accepts either.
     """
 
     def __init__(self):
@@ -574,19 +574,17 @@ class FullTableHistory:
             for v in lured.get(arc, ()):
                 first.setdefault(v, k)
 
-    def first_lure(self, v, arc, comp):
-        """The first round after which ``arc`` carried the platoons ``comp``
-        and the table tagged ``(v, arc)`` 3, if any."""
-        return self._lured.get((arc, comp), {}).get(v)
-
-    def follow_up(self, v, arc, k, c):
-        """The cost round ``k + 2`` priced ``(v, arc)`` at, or None while
-        that table is not on record."""
-        if k < len(self.tables):
-            # tables[k] was written after round k + 1, which is exactly what
-            # round k + 2 priced this pair at
-            return self.tables[k].modified.get((v, arc), c)
-        return None
+    def cycled_cost(self, v, arc, comp, c):
+        """The cost round ``k + 2`` priced ``(v, arc)`` at, where ``k`` is
+        the first round after which ``arc`` carried the platoons ``comp``
+        and the table tagged the pair 3; None if there is no such round or
+        round ``k + 1`` is not on record."""
+        k = self._lured.get((arc, comp), {}).get(v)
+        if k is None or k >= len(self.tables):
+            return None
+        # tables[k] was written after round k + 1, which is exactly what
+        # round k + 2 priced this pair at
+        return self.tables[k].modified.get((v, arc), c)
 
 
 # -- entry windows, one arc at a time ------------------------------------------

@@ -150,6 +150,31 @@ def test_exact_methods_report_the_cost_of_their_plan(tmp_path, capsys, monkeypat
     assert float(row["gap"]) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_a_plan_dearer_than_driving_alone_reports_a_negative_saving(tmp_path, capsys):
+    """The heuristic ends this hub fleet at 242.3, against 242.0 with every
+    truck on its cheapest path alone: a loss, which solve and bench report
+    as a negative saving."""
+    path = tmp_path / "hub.txt"
+    gen = ["gen", "--grid", "6x6", "--vehicles", "12", "--seed", "36",
+           "--od-mode", "hub", "--hubs", "0,35", "-o", str(path)]
+    assert main(gen) == 0
+    summary_path = tmp_path / "summary.json"
+    assert main(["solve", str(path), "--method", "iheur", "--out", str(summary_path)]) == 0
+    assert "saving=-0.12%" in capsys.readouterr().out
+    summary = json.loads(summary_path.read_text())
+    assert summary["objective"] == pytest.approx(242.3, abs=1e-9)
+    assert summary["spc"] == pytest.approx(242.0, abs=1e-9)
+    assert summary["saving_ratio"] == pytest.approx(-0.3 / 242.0, abs=1e-9)
+
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"instance": str(path), "method": "iheur"}]))
+    out = tmp_path / "table.csv"
+    assert main(["bench", str(manifest), "-o", str(out)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["sav"]) == pytest.approx(-0.3 / 242.0, abs=1e-6)
+
+
 def test_solve_iheur_writes_round_log(demo_file, tmp_path, capsys):
     log_path = tmp_path / "rounds.jsonl"
     rc = main(

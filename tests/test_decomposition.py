@@ -257,6 +257,46 @@ def test_history_shapes_costs_as_the_full_table_history(mode, n, k, seed, monkey
     assert sum(fired) > 0
 
 
+LURE_ARCS = [(0, 1), (1, 2), (0, 2)]
+LURE_TRUCKS = range(3)
+LURE_PLATOONS = [
+    frozenset({frozenset({0, 1})}),
+    frozenset({frozenset({1, 2})}),
+    frozenset({frozenset({0, 1, 2})}),
+]
+# one round: the platoons on some arcs, and a table that tags and prices
+# some (truck, arc) pairs and leaves the others unpriced
+LURE_ROUND = st.tuples(
+    st.dictionaries(st.sampled_from(LURE_ARCS), st.sampled_from(LURE_PLATOONS)),
+    st.dictionaries(
+        st.tuples(st.sampled_from(LURE_TRUCKS), st.sampled_from(LURE_ARCS)),
+        st.tuples(st.integers(1, 4), st.integers(1, 20).map(float)),
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(LURE_ROUND, max_size=8))
+def test_history_answers_the_cycle_rule_as_the_full_table_history(rounds):
+    """After every round, the lure map and the history that kept every
+    table give the same scenario 4 cost for every truck, arc and platoon
+    composition, the arc's lack of platoons included."""
+    history, oracle = History(), FullTableHistory()
+    for compositions, tagged in rounds:
+        table = CostTable(
+            traversed=frozenset(LURE_ARCS),
+            modified={pair: cost for pair, (_tag, cost) in tagged.items()},
+            scenarios={pair: tag for pair, (tag, _cost) in tagged.items()},
+        )
+        history.append(compositions, table)
+        oracle.append(compositions, table)
+        for v in LURE_TRUCKS:
+            for arc in LURE_ARCS:
+                for comp in LURE_PLATOONS + [None]:
+                    want = oracle.cycled_cost(v, arc, comp, 99.0)
+                    assert history.cycled_cost(v, arc, comp, 99.0) == want, (v, arc, comp)
+
+
 def test_no_cost_table_outlives_the_round_after_it(monkeypatch):
     """When a round's costs are shaped, only the previous round's table is
     still held; the history keeps numbers, not tables."""
@@ -802,13 +842,14 @@ def test_run_builds_routing_model_once(demo, monkeypatch):
     monkeypatch.setattr(decomposition_module, "build_fcnf", counting)
     _best, log = run(demo, DecompositionConfig(mode="icmp"))
     assert len(log.records) > 1
-    assert calls == [(demo, None)]
+    assert calls == [(demo,)]
 
 
 @pytest.mark.parametrize("mode", ["icmp", "llcmp"])
 @pytest.mark.parametrize("which", ["demo", "grid4"])
 def test_repriced_routing_model_equals_fresh_build(mode, which, monkeypatch):
-    """Every round solves what build_fcnf would build for that round's table."""
+    """Every round solves what a fresh build_fcnf model priced once with
+    that round's table would be."""
     if which == "demo":
         instance = three_truck_demo()
     else:
@@ -823,8 +864,7 @@ def test_repriced_routing_model_equals_fresh_build(mode, which, monkeypatch):
     def checking_solve(model, cfg=None):
         if model.name == "fcnf":
             routing_models.append(model)
-            fresh = build_fcnf(instance, tables[-1])
-            assert_same_arrays(_compile(model), _compile(fresh))
+            assert_same_arrays(_compile(model), _compile(priced(instance, tables[-1])))
         return solve(model, cfg)
 
     monkeypatch.setattr(decomposition_module, "modify_costs", recording_modify)
@@ -833,7 +873,14 @@ def test_repriced_routing_model_equals_fresh_build(mode, which, monkeypatch):
     assert len(routing_models) == len(log.records) == len(tables) > 2
     assert all(model is routing_models[0] for model in routing_models)
     # the shaping changed some prices, so the check compared moving targets
-    assert len({tuple(_compile(build_fcnf(instance, t)).c) for t in tables}) > 1
+    assert len({tuple(_compile(priced(instance, t)).c) for t in tables}) > 1
+
+
+def priced(instance, table):
+    """A fresh routing model of ``instance``, priced once from ``table``."""
+    model = build_fcnf(instance)
+    price_fcnf(instance, model, table)
+    return model
 
 
 def test_price_fcnf_missing_cost_and_wrong_model(demo):
@@ -841,8 +888,6 @@ def test_price_fcnf_missing_cost_and_wrong_model(demo):
     lacking = CostTable(frozenset({(0, 1)}), {}, {})
     with pytest.raises(MissingCost):
         price_fcnf(demo, model, lacking)
-    with pytest.raises(MissingCost):
-        build_fcnf(demo, lacking)
     other = generate_fleet(generate_grid(3, 3, seed=0), 2, seed=0)
     with pytest.raises(ModelInvalid):
         price_fcnf(other, model, None)

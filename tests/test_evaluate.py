@@ -258,6 +258,14 @@ def test_indicators_demo(demo):
     assert out["relative_gap"] == pytest.approx(0.01 / 4.89, abs=1e-12)
 
 
+def test_indicators_sign_a_loss(demo):
+    # a plan dearer than every truck driving alone saves a negative share
+    out = indicators(demo, objective=5.09, bound=5.04)
+    assert out["saving_ratio"] == pytest.approx(-0.1 / 4.99, abs=1e-12)
+    assert out["ub_saving_ratio"] == pytest.approx(-0.05 / 4.99, abs=1e-12)
+    assert out["relative_gap"] == pytest.approx(0.05 / 5.04, abs=1e-12)
+
+
 def test_indicators_zero_denominators():
     net = make_network(2, [(0, 1, 0.0, 1)])
     instance = Instance(

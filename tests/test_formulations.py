@@ -27,6 +27,7 @@ from platoonplan.formulations import (
     build_matching,
     build_tif,
     build_tsf,
+    price_fcnf,
     routes_from_result,
     scheduling_preprocess,
 )
@@ -208,7 +209,7 @@ def test_fcnf_demo_is_a_lower_bound(demo):
 def test_fcnf_missing_cost(demo):
     table = SimpleNamespace(traversed=frozenset({(0, 2)}), modified={})
     with pytest.raises(MissingCost):
-        build_fcnf(demo, table)
+        price_fcnf(demo, build_fcnf(demo), table)
 
 
 def test_fcnf_shaped_costs_steer_routing(demo):
@@ -218,7 +219,9 @@ def test_fcnf_shaped_costs_steer_routing(demo):
         traversed=frozenset({(0, 2)}),
         modified={(1, (0, 2)): 100.0, (2, (0, 2)): 100.0},
     )
-    res = exact(build_fcnf(demo, table))
+    model = build_fcnf(demo)
+    price_fcnf(demo, model, table)
+    res = exact(model)
     # 100 + 0.9 + 0.9 (1 + 1 + 0.99) + y on (0,1), (1,4), (4,5)
     assert res.objective == pytest.approx(103.89, abs=1e-9)
     routes = routes_from_result(demo, res)
